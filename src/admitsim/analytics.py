@@ -69,9 +69,15 @@ def compute_utilities(
     r = 1.  The synergy count is the number of students matched to their
     favorite school.
     """
+    ranks = match_rank_indices(instance, matching)
+    return _utility_totals(np.bincount(ranks, minlength=instance.k + 1)[: instance.k], model)
+
+
+def _utility_totals(counts: np.ndarray, model: UtilityModel | None) -> UtilityTotals:
+    """Utility totals from the number of students matched at each rank."""
     if model is None:
         model = UtilityModel()
-    k = instance.k
+    k = counts.size
     base_values = [model.base(r) for r in range(1, k + 1)]
     if any(b > a + 1e-12 for a, b in zip(base_values, base_values[1:])):
         raise ValueError("base utility must be nonincreasing in rank")
@@ -79,9 +85,6 @@ def compute_utilities(
     uni_values = base_values if uni_base is None else [uni_base(r) for r in range(1, k + 1)]
     uni_bonus = model.bonus if model.university_bonus is None else model.university_bonus
 
-    ranks = match_rank_indices(instance, matching)
-    matched = ranks < k
-    counts = np.bincount(ranks[matched], minlength=k)[:k]
     synergy = int(counts[0])
     student_total = float(np.dot(counts, base_values)) + model.bonus * synergy
     university_total = float(np.dot(counts, uni_values)) + uni_bonus * synergy
@@ -134,10 +137,10 @@ def make_record(
     seed: int | None = None,
 ) -> ExperimentRecord:
     """Summarize one matching into a sweep row."""
-    from .matching import rank_profile
-
-    profile = rank_profile(instance, matching)
-    totals = compute_utilities(instance, matching, model)
+    k = instance.k
+    # entry k counts the unmatched students
+    counts = np.bincount(match_rank_indices(instance, matching), minlength=k + 1)
+    totals = _utility_totals(counts[:k], model)
     config = instance.config
     return ExperimentRecord(
         k=config.k,
@@ -146,8 +149,8 @@ def make_record(
         n=config.n,
         m=config.m,
         capacity=config.capacity,
-        rank_counts=profile.counts,
-        unmatched=profile.unmatched,
+        rank_counts=tuple(int(c) for c in counts[:k]),
+        unmatched=int(counts[k]),
         synergy=totals.synergy_count,
         student_utility=totals.student_total,
         university_utility=totals.university_total,

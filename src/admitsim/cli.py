@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
@@ -26,6 +27,7 @@ from .fixed_point import ConvergenceError, solve_general, solve_iid
 from .market import (
     ConfigurationError,
     MarketConfig,
+    MarketInstance,
     SignalSpec,
     child_seed,
     sample_market,
@@ -65,11 +67,14 @@ def _load_config_file(path: str | None) -> dict[str, Any]:
     if path is None:
         return {}
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise UsageError(f"config file {path} must hold a JSON object")
+    return data
 
 
 def _pick(args: argparse.Namespace, file_cfg: dict[str, Any], name: str, default: Any) -> Any:
@@ -85,6 +90,8 @@ def _build_signal(args: argparse.Namespace, file_cfg: dict[str, Any]) -> SignalS
     flag_kind = getattr(args, "signal", None)
     flag_delta = getattr(args, "delta", None)
     file_signal = file_cfg.get("signal")
+    if isinstance(file_signal, dict) and "kind" not in file_signal:
+        raise UsageError('the config "signal" object needs a "kind"')
     if flag_kind is None and flag_delta is None and isinstance(file_signal, dict):
         return SignalSpec.from_json_dict(file_signal)
     kind = flag_kind if flag_kind is not None else (
@@ -94,8 +101,7 @@ def _build_signal(args: argparse.Namespace, file_cfg: dict[str, Any]) -> SignalS
     if delta is None and isinstance(file_signal, dict):
         delta = file_signal.get("delta")
     if kind in (None, "gaussian"):
-        d = float(delta) if delta is not None else 0.0
-        return SignalSpec.gaussian(d) if d != 0.0 or kind == "gaussian" else SignalSpec.iid()
+        return _shift_signal(float(delta) if delta is not None else 0.0, kind)
     if kind == "iid":
         if delta not in (None, 0, 0.0):
             raise UsageError("--signal iid does not take a shift")
@@ -103,8 +109,16 @@ def _build_signal(args: argparse.Namespace, file_cfg: dict[str, Any]) -> SignalS
     raise UsageError(f"unknown signal kind {kind!r}")
 
 
-def _build_market_config(args: argparse.Namespace) -> MarketConfig:
-    file_cfg = _load_config_file(getattr(args, "config", None))
+def _shift_signal(delta: float, kind: str | None = None) -> SignalSpec:
+    """Gaussian signals with shift ``delta``; iid when unshifted and not named gaussian."""
+    return SignalSpec.gaussian(delta) if delta != 0.0 or kind == "gaussian" else SignalSpec.iid()
+
+
+def _build_market_config(
+    args: argparse.Namespace, file_cfg: dict[str, Any] | None = None
+) -> MarketConfig:
+    if file_cfg is None:
+        file_cfg = _load_config_file(args.config)
     n = _pick(args, file_cfg, "n", None)
     if n is None:
         raise UsageError("--n is required (flag or config file)")
@@ -160,21 +174,26 @@ def _records_json(records: list[ExperimentRecord]) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _simulate_records(config: MarketConfig, replications: int) -> list[ExperimentRecord]:
-    records = []
+def _replications(
+    config: MarketConfig, replications: int, first: int = 0
+) -> Iterator[tuple[int, int, MarketInstance]]:
+    """(rep, seed, instance) for each replication of ``config``.
+
+    Replication ``rep`` samples from ``child_seed(config.seed, first + rep)``.
+    """
+    if replications < 1:
+        raise UsageError("--reps must be at least 1")
     for rep in range(replications):
-        seed = child_seed(config.seed, rep)
-        instance = sample_market(replace(config, seed=seed))
-        matching = school_proposing_da(instance)
-        records.append(make_record(instance, matching, seed=seed))
-    return records
+        seed = child_seed(config.seed, first + rep)
+        yield rep, seed, sample_market(replace(config, seed=seed))
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _build_market_config(args)
-    if args.reps < 1:
-        raise UsageError("--reps must be at least 1")
-    records = _simulate_records(config, args.reps)
+    records = [
+        make_record(instance, school_proposing_da(instance), seed=seed)
+        for _, seed, instance in _replications(config, args.reps)
+    ]
     out = Path(args.out) if args.out else None
     if args.format == "json":
         _write_text(out, _records_json(records))
@@ -210,22 +229,15 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _build_sweep_spec(args: argparse.Namespace) -> SweepSpec:
-    file_cfg = _load_config_file(getattr(args, "config", None))
+    file_cfg = _load_config_file(args.config)
     base_cfg = file_cfg.get("base", file_cfg)
-    n = args.n if args.n is not None else base_cfg.get("n")
-    if n is None:
-        raise UsageError("--n is required (flag or config file)")
-    try:
-        base = MarketConfig(
-            n=int(n),
-            m_ratio=float(_pick(args, base_cfg, "m_ratio", 1.0)),
-            capacity=int(_pick(args, base_cfg, "capacity", 1)),
-            k=1,
-            signal=SignalSpec.iid(),
-            seed=0,
-        )
-    except ConfigurationError as exc:
-        raise UsageError(str(exc)) from exc
+    if not isinstance(base_cfg, dict):
+        raise UsageError('the config "base" entry must be a JSON object')
+    # the grid sets k and the signal; the root seed sits at the top level
+    fields = {key: base_cfg[key] for key in ("n", "m_ratio", "capacity") if key in base_cfg}
+    if "seed" in file_cfg:
+        fields["seed"] = file_cfg["seed"]
+    base = _build_market_config(args, fields)
 
     if args.k_list:
         k_values = tuple(int(v) for v in args.k_list.split(","))
@@ -247,7 +259,7 @@ def _build_sweep_spec(args: argparse.Namespace) -> SweepSpec:
         k_values=k_values,
         deltas=deltas,
         replications=int(_pick(args, file_cfg, "reps", file_cfg.get("replications", 1))),
-        seed=int(_pick(args, file_cfg, "seed", 0)),
+        seed=base.seed,
         out=Path(out),
     )
 
@@ -262,15 +274,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     ]
     cell = 0
     for delta in spec.deltas:
-        signal = SignalSpec.gaussian(delta) if delta != 0.0 else SignalSpec.iid()
+        signal = _shift_signal(delta)
         for k in spec.k_values:
-            cell_records = []
-            for rep in range(spec.replications):
-                seed = child_seed(spec.seed, cell * spec.replications + rep)
-                config = replace(spec.base, k=k, signal=signal, seed=seed)
-                instance = sample_market(config)
-                matching = school_proposing_da(instance)
-                cell_records.append(make_record(instance, matching, seed=seed))
+            config = replace(spec.base, k=k, signal=signal, seed=spec.seed)
+            cell_records = [
+                make_record(instance, school_proposing_da(instance), seed=seed)
+                for _, seed, instance in _replications(
+                    config, spec.replications, first=cell * spec.replications
+                )
+            ]
             cell += 1
             records.extend(cell_records)
             stats = [
@@ -297,15 +309,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_stable_partners(args: argparse.Namespace) -> int:
     config = _build_market_config(args)
-    if config.n > 2000:
-        raise UsageError("stable-partners is limited to n <= 2000")
-    if args.reps < 1:
-        raise UsageError("--reps must be at least 1")
     lines = ["rep,seed,university,verdict,witness"]
     summary = ["rep,seed,yes_fraction"]
-    for rep in range(args.reps):
-        seed = child_seed(config.seed, rep)
-        instance = sample_market(replace(config, seed=seed))
+    for rep, seed, instance in _replications(config, args.reps):
         reports = extra_stable_partner_reports(instance)
         yes = 0
         for r in reports:
@@ -325,13 +331,9 @@ def _cmd_stable_partners(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     config = _build_market_config(args)
-    if args.reps < 1:
-        raise UsageError("--reps must be at least 1")
     lines = ["rep,seed,diff_fraction"]
     diffs = []
-    for rep in range(args.reps):
-        seed = child_seed(config.seed, rep)
-        instance = sample_market(replace(config, seed=seed))
+    for rep, seed, instance in _replications(config, args.reps):
         diff = compare_matchings(student_proposing_da(instance), school_proposing_da(instance))
         diffs.append(diff)
         lines.append(f"{rep},{seed},{format_number(diff)}")
@@ -342,13 +344,17 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_market_flags(parser: argparse.ArgumentParser) -> None:
+def _add_market_flags(parser: argparse.ArgumentParser, per_market: bool = True) -> None:
+    """Market flags; without ``per_market``, only those a sweep grid does not set."""
     parser.add_argument("--n", type=int, help="number of students")
     parser.add_argument("--m-ratio", dest="m_ratio", type=float, help="universities per student")
     parser.add_argument("--capacity", type=int, help="seats per university")
-    parser.add_argument("--k", type=int, help="applications per student")
-    parser.add_argument("--delta", type=float, help="signal shift for favorite-school applications")
-    parser.add_argument("--signal", choices=["iid", "gaussian"], help="signal model")
+    if per_market:
+        parser.add_argument("--k", type=int, help="applications per student")
+        parser.add_argument(
+            "--delta", type=float, help="signal shift for favorite-school applications"
+        )
+        parser.add_argument("--signal", choices=["iid", "gaussian"], help="signal model")
     parser.add_argument("--seed", type=int, help="root RNG seed")
     parser.add_argument("--config", help="JSON file mirroring the configuration fields")
 
@@ -378,8 +384,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--out", help="output path (stdout when omitted)")
     p_solve.set_defaults(func=_cmd_solve)
 
-    p_sweep = sub.add_parser("sweep", help="grid of (k, delta) cells with per-cell means")
-    _add_market_flags(p_sweep)
+    # no abbreviations, so that --delta is not read as --deltas
+    p_sweep = sub.add_parser(
+        "sweep", help="grid of (k, delta) cells with per-cell means", allow_abbrev=False
+    )
+    _add_market_flags(p_sweep, per_market=False)
     p_sweep.add_argument("--k-min", dest="k_min", type=int)
     p_sweep.add_argument("--k-max", dest="k_max", type=int)
     p_sweep.add_argument("--k-list", dest="k_list", help="comma-separated k values")

@@ -20,7 +20,7 @@ from typing import Any
 
 import numpy as np
 
-from .market import MarketConfig, _rank_within_universities, make_rng
+from .market import MarketConfig, _throw_proposals, _validate_rank_fractions, make_rng
 
 __all__ = [
     "RankVector",
@@ -41,15 +41,7 @@ class RankVector:
     fractions: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        f = self.fractions
-        if not f:
-            raise ValueError("rank vector must not be empty")
-        if abs(f[0] - 1.0) > 1e-9:
-            raise ValueError("the rank-1 fraction must be 1")
-        if any(b > a + 1e-9 for a, b in zip(f, f[1:])):
-            raise ValueError("rank fractions must be nonincreasing")
-        if any(not 0.0 <= x <= 1.0 + 1e-12 for x in f):
-            raise ValueError("rank fractions must lie in [0, 1]")
+        _validate_rank_fractions(self.fractions)
 
     def __len__(self) -> int:
         return len(self.fractions)
@@ -72,7 +64,7 @@ class AcceptanceEstimate:
 
 
 class ConvergenceError(RuntimeError):
-    """The damped iteration did not reach the residual tolerance."""
+    """A solver did not reach its tolerance; carries the last iterate."""
 
     def __init__(self, message: str, fractions: tuple[float, ...], residuals: tuple[float, ...]):
         super().__init__(message)
@@ -121,26 +113,6 @@ class SolverResult:
         }
 
 
-def _one_shot_accepted(
-    counts: np.ndarray,
-    m_sim: int,
-    config: MarketConfig,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Throw the per-rank proposal counts once; return accepted counts per rank."""
-    k = counts.size
-    total = int(counts.sum())
-    if total == 0:
-        return np.zeros(k, dtype=np.int64)
-    uni = rng.integers(0, m_sim, size=total, dtype=np.int64)
-    types = np.repeat(np.arange(k, dtype=np.int64), counts)
-    signals = config.signal.draw_batch(types == 0, rng)
-    tiebreak = rng.random(total)
-    ranks, _, _ = _rank_within_universities(uni, signals, tiebreak, m_sim)
-    accepted = ranks < config.capacity
-    return np.bincount(types[accepted], minlength=k)
-
-
 def estimate_acceptance(
     rank_fractions: Sequence[float],
     config: MarketConfig,
@@ -159,13 +131,7 @@ def estimate_acceptance(
     Unlike a full rank vector, the input may be all-zero; it only has to
     be nonincreasing with entries in [0, 1].
     """
-    fractions = np.asarray(rank_fractions, dtype=np.float64)
-    if fractions.shape != (config.k,):
-        raise ValueError(f"expected {config.k} rank fractions")
-    if (fractions < -1e-12).any() or (fractions > 1 + 1e-12).any():
-        raise ValueError("rank fractions must lie in [0, 1]")
-    if (np.diff(fractions) > 1e-9).any():
-        raise ValueError("rank fractions must be nonincreasing")
+    fractions = _validate_rank_fractions(rank_fractions, config.k, leading_one=False)
     if n_sim < 100:
         raise ValueError("n_sim must be at least 100")
     if trials < 1:
@@ -177,7 +143,9 @@ def estimate_acceptance(
     counts = np.floor(fractions * n_sim).astype(np.int64)
     samples = np.empty((trials, config.k), dtype=np.float64)
     for t in range(trials):
-        samples[t] = _one_shot_accepted(counts, m_sim, config, rng) / n_sim
+        _, ranks, _, _, accepted = _throw_proposals(counts, m_sim, config, rng)
+        samples[t] = np.bincount(ranks[accepted], minlength=config.k) / n_sim
+        del _, ranks, accepted  # free this trial's proposals before the next throw
     mean = samples.mean(axis=0)
     if trials > 1:
         se = samples.std(axis=0, ddof=1) / math.sqrt(trials)
@@ -237,32 +205,38 @@ def solve_iid(config: MarketConfig, tol: float = 1e-10, max_iter: int = 200) -> 
     Bisects the scalar consistency equation for the total proposal mass x,
     then reads off the geometric rank fractions: with survival ratio
     a = 1 - accepted_mass(x)/x, rank j carries a**(j-1).
+
+    Raises ConvergenceError with the last iterate when the bracket is lost
+    or the bisection ends above ``tol``.
     """
     if not config.signal.is_iid_equivalent:
         raise ValueError("solve_iid requires identically distributed signals")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     k, m_ratio, L = config.k, config.m_ratio, config.capacity
 
     lo, hi = 1e-12, float(k)
     iterations = 0
     x = hi
+    failure = None
     if abs(_consistency_gap(hi, m_ratio, L, k)) > 0.0:
-        f_lo = _consistency_gap(lo, m_ratio, L, k)
-        if f_lo > 0:
-            raise RuntimeError("consistency equation lost its bracket")
-        # run the bracket down to rounding so the reported residuals are
-        # far below any practical tolerance
-        for _ in range(max_iter):
-            iterations += 1
-            x = 0.5 * (lo + hi)
-            fx = _consistency_gap(x, m_ratio, L, k)
-            if fx == 0.0 or hi - lo <= 1e-14 * max(1.0, x):
-                break
-            if fx < 0:
-                lo = x
-            else:
-                hi = x
-        if abs(_consistency_gap(x, m_ratio, L, k)) > tol:
-            raise RuntimeError("bisection did not reach tolerance")
+        if _consistency_gap(lo, m_ratio, L, k) > 0:
+            failure = "consistency equation lost its bracket"
+        else:
+            # run the bracket down to rounding so the reported residuals are
+            # far below any practical tolerance
+            for _ in range(max_iter):
+                iterations += 1
+                x = 0.5 * (lo + hi)
+                fx = _consistency_gap(x, m_ratio, L, k)
+                if fx == 0.0 or hi - lo <= 1e-14 * max(1.0, x):
+                    break
+                if fx < 0:
+                    lo = x
+                else:
+                    hi = x
+            if abs(_consistency_gap(x, m_ratio, L, k)) > tol:
+                failure = "bisection did not reach tolerance"
 
     g = expected_accepted_mass(x, m_ratio, L)
     alpha = 1.0 - g / x
@@ -275,6 +249,8 @@ def solve_iid(config: MarketConfig, tol: float = 1e-10, max_iter: int = 200) -> 
         fractions[i] - fractions[i - 1] * alpha_check if i else 0.0
         for i in range(k)
     )
+    if failure is not None:
+        raise ConvergenceError(failure, fractions=fractions, residuals=residuals)
     return SolverResult(
         rank_fractions=RankVector(fractions),
         residuals=residuals,
@@ -309,6 +285,8 @@ def solve_general(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     if not 0 < damping <= 1:
         raise ValueError("damping must be in (0, 1]")
     if rng is None:

@@ -25,7 +25,6 @@ __all__ = [
     "SeededProposalPlan",
     "child_seed",
     "make_rng",
-    "draw_signal",
     "sample_market",
     "build_seeded_plan",
     "complete_instance",
@@ -150,11 +149,6 @@ class SignalSpec:
         return cls(kind=data["kind"], delta=float(data.get("delta", 0.0)))
 
 
-def draw_signal(spec: SignalSpec, is_special: bool, rng: np.random.Generator) -> float:
-    """Sample the signal a university observes for one application."""
-    return spec.draw(is_special, rng)
-
-
 @dataclass(frozen=True)
 class MarketConfig:
     """Scalar parameters of one market.
@@ -267,8 +261,6 @@ class MarketInstance:
         "uni_rank",
         "_uni_order",
         "_uni_offsets",
-        "_signal_table",
-        "_special_of",
     )
 
     def __init__(
@@ -300,8 +292,6 @@ class MarketInstance:
         self.uni_rank = ranks.reshape(n, k)
         self._uni_order = order
         self._uni_offsets = offsets
-        self._signal_table: dict[tuple[int, int], float] | None = None
-        self._special_of: dict[int, frozenset[int]] | None = None
         for arr in (self.prefs, self.signals, self.tiebreaks, self.uni_rank):
             arr.setflags(write=False)
 
@@ -320,35 +310,6 @@ class MarketInstance:
     @property
     def capacity(self) -> int:
         return self.config.capacity
-
-    def applicants_of(self, university: int) -> np.ndarray:
-        """Students that applied to ``university``, best signal first."""
-        lo, hi = self._uni_offsets[university], self._uni_offsets[university + 1]
-        return self._uni_order[lo:hi] // self.k
-
-    def applicant_count(self, university: int) -> int:
-        return int(self._uni_offsets[university + 1] - self._uni_offsets[university])
-
-    @property
-    def special_of(self) -> dict[int, frozenset[int]]:
-        """For each university, the students whose favorite it is."""
-        if self._special_of is None:
-            table: dict[int, set[int]] = {u: set() for u in range(self.m)}
-            for s, u in enumerate(self.prefs[:, 0]):
-                table[int(u)].add(s)
-            self._special_of = {u: frozenset(v) for u, v in table.items()}
-        return self._special_of
-
-    def signal(self, university: int, student: int) -> float:
-        """Signal observed by ``university`` for ``student``'s application."""
-        if self._signal_table is None:
-            flat_u = self.prefs.ravel()
-            flat_s = np.repeat(np.arange(self.n), self.k)
-            self._signal_table = {
-                (int(u), int(s)): float(v)
-                for u, s, v in zip(flat_u, flat_s, self.signals.ravel())
-            }
-        return self._signal_table[(university, student)]
 
     def student_rank_of(self, student: int, university: int) -> int | None:
         """1-based rank of ``university`` on the student's list, or None."""
@@ -464,15 +425,45 @@ class SeededProposalPlan:
         return np.bincount(self.proposal_student[assigned], minlength=self.config.n)
 
 
-def _validate_rank_fractions(fractions: np.ndarray, k: int) -> None:
-    if fractions.shape != (k,):
+def _validate_rank_fractions(
+    rank_fractions: Any, k: int | None = None, leading_one: bool = True
+) -> np.ndarray:
+    """Check a per-rank proposal-fraction vector; return it as a float array.
+
+    The entries must lie in [0, 1] and be nonincreasing.  With
+    ``leading_one`` the rank-1 entry must be 1, as for a full rank vector;
+    without it the vector may be all-zero, as for a partial proposal plan.
+    """
+    fractions = np.asarray(rank_fractions, dtype=np.float64)
+    if fractions.ndim != 1 or fractions.size == 0:
+        raise ValueError("rank fractions must be a nonempty vector")
+    if k is not None and fractions.shape != (k,):
         raise ValueError(f"expected {k} rank fractions, got {fractions.shape}")
-    if abs(fractions[0] - 1.0) > 1e-9:
+    if leading_one and abs(fractions[0] - 1.0) > 1e-9:
         raise ValueError("the rank-1 fraction must be 1")
     if (fractions < -1e-12).any() or (fractions > 1 + 1e-12).any():
         raise ValueError("rank fractions must lie in [0, 1]")
     if (np.diff(fractions) > 1e-9).any():
         raise ValueError("rank fractions must be nonincreasing")
+    return fractions
+
+
+def _throw_proposals(
+    counts: np.ndarray, m: int, config: MarketConfig, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Throw ``counts[i]`` rank-(i+1) proposals at ``m`` uniformly random universities.
+
+    Rank-1 proposals draw special signals.  Every university labels its
+    top-``capacity`` proposals by signal accepted.  Returns (university,
+    0-based rank, signal, tiebreak, accepted) per proposal, grouped by rank.
+    """
+    total = int(counts.sum())
+    uni = rng.integers(0, m, size=total, dtype=np.int64)
+    ranks = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
+    signals = config.signal.draw_batch(ranks == 0, rng)
+    tiebreaks = rng.random(total)
+    within, _, _ = _rank_within_universities(uni, signals, tiebreaks, m)
+    return uni, ranks, signals, tiebreaks, within < config.capacity
 
 
 def build_seeded_plan(
@@ -496,24 +487,20 @@ def build_seeded_plan(
     """
     if rng is None:
         rng = make_rng(config.seed)
-    fractions = np.asarray(rank_fractions, dtype=np.float64)
-    n, m, k, L = config.n, config.m, config.k, config.capacity
-    _validate_rank_fractions(fractions, k)
+    n, m, k = config.n, config.m, config.k
+    fractions = _validate_rank_fractions(rank_fractions, k)
     if slack is None:
         slack = float(n) ** 0.6
     if slack < 0:
         raise ValueError("slack must be nonnegative")
 
     counts = np.maximum(np.floor(fractions * n - slack), 0.0).astype(np.int64)
-    total = int(counts.sum())
-    prop_uni = rng.integers(0, m, size=total, dtype=np.int64)
-    prop_rank = np.repeat(np.arange(1, k + 1, dtype=np.int64), counts)
-    prop_signal = config.signal.draw_batch(prop_rank == 1, rng)
-    prop_tiebreak = rng.random(total)
-    ranks_within, _, _ = _rank_within_universities(prop_uni, prop_signal, prop_tiebreak, m)
-    accepted = ranks_within < L
+    prop_uni, prop_rank, prop_signal, prop_tiebreak, accepted = _throw_proposals(
+        counts, m, config, rng
+    )
+    prop_rank += 1
 
-    prop_student = np.full(total, -1, dtype=np.int64)
+    prop_student = np.full(prop_uni.size, -1, dtype=np.int64)
     inconsistent = np.zeros(n, dtype=bool)
     listed: list[set[int]] = [set() for _ in range(n)]
 

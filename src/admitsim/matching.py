@@ -215,26 +215,19 @@ def _run_student_proposals(
             # otherwise rejected: the same student tries her next school
 
 
-def _student_optimal_state(
-    instance: MarketInstance,
-) -> tuple[np.ndarray, np.ndarray, list[list[tuple[int, int]]], np.ndarray]:
-    n, m = instance.n, instance.m
-    partner = np.full(n, -1, dtype=np.int64)
-    pointer = np.zeros(n, dtype=np.int64)
-    heaps: list[list[tuple[int, int]]] = [[] for _ in range(m)]
-    filled = np.zeros(m, dtype=np.int64)
-    _run_student_proposals(instance, partner, pointer, heaps, filled, deque(range(n)))
-    return partner, pointer, heaps, filled
-
-
 def student_proposing_da(instance: MarketInstance) -> Matching:
     """Student-proposing deferred acceptance over the applied pairs.
 
     Students rejected by all k listed schools stay unmatched.  The output
     is the student-optimal stable matching of the applied-pairs market.
     """
-    partner, _, _, _ = _student_optimal_state(instance)
-    return Matching(partner, instance.m)
+    n, m = instance.n, instance.m
+    partner = np.full(n, -1, dtype=np.int64)
+    pointer = np.zeros(n, dtype=np.int64)
+    heaps: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+    filled = np.zeros(m, dtype=np.int64)
+    _run_student_proposals(instance, partner, pointer, heaps, filled, deque(range(n)))
+    return Matching(partner, m)
 
 
 def find_blocking_pairs(instance: MarketInstance, matching: Matching) -> list[BlockingPair]:

@@ -14,8 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .market import MarketInstance
-from .matching import Matching, school_proposing_da, student_proposing_da
+from .matching import Matching, match_rank_indices, school_proposing_da, student_proposing_da
 
 __all__ = [
     "MarketSizeError",
@@ -52,49 +54,38 @@ class StablePartnerReport:
             raise ValueError("witness must be present exactly when the verdict is YES")
 
 
-def _report_for(
-    instance: MarketInstance,
-    u: int,
-    student_optimal: Matching,
-    university_optimal: Matching,
-) -> StablePartnerReport:
-    pessimal = set(student_optimal.students_of(u))
-    if len(pessimal) < instance.capacity:
-        # Under-capacity universities keep the same partners everywhere.
-        return StablePartnerReport(u, False, None)
-    optimal = set(university_optimal.students_of(u))
-    extras = optimal - pessimal
-    if not extras:
-        return StablePartnerReport(u, False, None)
-
-    def rank_at_u(s: int) -> int:
-        r = instance.student_rank_of(s, u)
-        assert r is not None
-        return int(instance.uni_rank[s, r - 1])
-
-    witness = min(extras, key=rank_at_u)
-    return StablePartnerReport(u, True, witness)
-
-
 def has_extra_stable_partners(instance: MarketInstance, university: int) -> StablePartnerReport:
     """Decide whether ``university`` has more stable partners than seats."""
     if not 0 <= university < instance.m:
         raise ValueError(f"no university {university} in this instance")
-    return _report_for(
-        instance,
-        university,
-        student_proposing_da(instance),
-        school_proposing_da(instance),
-    )
+    return extra_stable_partner_reports(instance)[university]
 
 
 def extra_stable_partner_reports(instance: MarketInstance) -> list[StablePartnerReport]:
-    """Reports for every university, sharing one pair of extreme matchings."""
-    student_optimal = student_proposing_da(instance)
+    """Reports for every university, read off one pair of extreme matchings.
+
+    A university has extra stable partners exactly when some student it
+    admits in the university-optimal matching sits elsewhere in the
+    student-optimal one; the witness is the one among them it ranks highest.
+    """
+    m = instance.m
+    pessimal = student_proposing_da(instance).partner
     university_optimal = school_proposing_da(instance)
+    optimal = university_optimal.partner
+    # An under-capacity university keeps the same partners in every stable
+    # matching (rural hospitals theorem), so it never shows up among the extras.
+    extras = np.flatnonzero((optimal >= 0) & (optimal != pessimal))
+    unis = optimal[extras]
+    list_rank = match_rank_indices(instance, university_optimal)[extras]
+    rank_at_uni = instance.uni_rank[extras, list_rank]
+    best = np.full(m, instance.n * instance.k, dtype=np.int64)
+    np.minimum.at(best, unis, rank_at_uni)
+    witness = np.full(m, -1, dtype=np.int64)
+    top = rank_at_uni == best[unis]
+    witness[unis[top]] = extras[top]
     return [
-        _report_for(instance, u, student_optimal, university_optimal)
-        for u in range(instance.m)
+        StablePartnerReport(u, w >= 0, w if w >= 0 else None)
+        for u, w in enumerate(witness.tolist())
     ]
 
 

@@ -95,6 +95,23 @@ class TestSolve:
         else:
             assert code == 1 and "residual" in err
 
+    def test_iid_tolerance_out_of_reach_diagnoses(self, capsys):
+        code, out, err = run(
+            capsys, "solve", "--n", "100", "--k", "3", "--method", "iid", "--tol", "1e-20"
+        )
+        assert code == 1 and out == ""
+        assert "did not reach tolerance" in err
+        diag = json.loads(err.strip().split("\n")[-1])
+        assert len(diag["rank_fractions"]) == 3 and len(diag["residuals"]) == 3
+
+    def test_zero_iterations_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "solve", "--n", "100", "--k", "3", "--delta", "1", "--method", "general",
+            "--max-iter", "0",
+        )
+        assert code == 2 and out == ""
+        assert "max_iter" in err
+
     def test_method_signal_mismatch_is_usage_error(self, capsys):
         code, _, err = run(
             capsys, "solve", "--n", "100", "--k", "2", "--delta", "1.5", "--method", "iid"
@@ -139,6 +156,17 @@ class TestSweep:
         )
         assert code == 2 and "exceeds" in err
 
+    @pytest.mark.parametrize(
+        "flags", [["--k", "2"], ["--delta", "2"], ["--signal", "gaussian"]]
+    )
+    def test_per_market_flags_rejected(self, tmp_path, capsys, flags):
+        # the grid sets k and the signal; a single-market flag would be ignored
+        out = tmp_path / "s.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--n", "20", *flags, "--reps", "1", "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
 
 class TestStablePartners:
     def test_singleton_market_fraction_zero(self, tmp_path, capsys):
@@ -151,9 +179,13 @@ class TestStablePartners:
         summary = (tmp_path / "verdicts.csv.summary.csv").read_text().strip().split("\n")
         assert summary[1].split(",")[2] == "0"
 
-    def test_size_guard(self, capsys):
-        code, _, err = run(capsys, "stable-partners", "--n", "2001", "--k", "1")
-        assert code == 2 and "2000" in err
+    def test_large_market_runs(self, tmp_path, capsys):
+        out = tmp_path / "verdicts.csv"
+        code, _, _ = run(capsys, "stable-partners", "--n", "2001", "--k", "3", "--out", str(out))
+        assert code == 0
+        rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
+        assert [int(row[2]) for row in rows] == list(range(2001))
+        assert {row[3] for row in rows} <= {"YES", "NO"}
 
     def test_verdicts_match_enumeration(self, tmp_path, capsys):
         import dataclasses
@@ -229,3 +261,17 @@ class TestConfigFile:
         code, out, _ = run(capsys, "simulate", "--config", str(cfg), "--format", "json")
         assert code == 0
         assert json.loads(out)[0]["delta"] == 2.0
+
+    def test_non_object_file_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "market.json"
+        cfg.write_text("[1, 2]")
+        code, _, err = run(capsys, "simulate", "--config", str(cfg))
+        assert code == 2 and err.startswith("error:") and "object" in err
+        code, _, err = run(capsys, "sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv"))
+        assert code == 2 and err.startswith("error:")
+
+    def test_signal_object_without_kind_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "market.json"
+        cfg.write_text(json.dumps({"n": 8, "k": 2, "signal": {"delta": 2.0}}))
+        code, _, err = run(capsys, "simulate", "--config", str(cfg))
+        assert code == 2 and err.startswith("error:") and "kind" in err

@@ -13,6 +13,7 @@ from admitsim import (
     MarketConfig,
     RankVector,
     SignalSpec,
+    build_seeded_plan,
     estimate_acceptance,
     expected_accepted_mass,
     make_rng,
@@ -22,8 +23,7 @@ from admitsim import (
     solve_iid,
     student_proposing_da,
 )
-from admitsim.fixed_point import _one_shot_accepted
-from admitsim.market import _rank_within_universities
+from admitsim.market import _rank_within_universities, _throw_proposals
 
 
 def simulated_rank_fractions(config: MarketConfig, seeds: range) -> np.ndarray:
@@ -250,6 +250,17 @@ class TestSolveGeneral:
         assert len(err.value.fractions) == 3
         assert len(err.value.residuals) == 3
 
+    @pytest.mark.parametrize("solver", [solve_iid, solve_general])
+    def test_zero_iterations_rejected(self, solver):
+        with pytest.raises(ValueError, match="max_iter"):
+            solver(MarketConfig(n=100, k=3, seed=0), max_iter=0)
+
+    def test_iid_unreachable_tolerance_raises_with_payload(self):
+        with pytest.raises(ConvergenceError) as err:
+            solve_iid(MarketConfig(n=100, k=3, seed=0), tol=1e-20)
+        assert err.value.fractions[0] == 1.0
+        assert len(err.value.residuals) == 3
+
     def test_json_round_trip_fields(self):
         result = solve_iid(MarketConfig(n=100, k=2, seed=0))
         doc = result.to_json_dict()
@@ -264,8 +275,24 @@ class TestSolveGeneral:
         }
 
 
-class TestOneShotInternals:
-    def test_counts_empty(self):
-        cfg = MarketConfig(n=100, k=2, seed=0)
-        out = _one_shot_accepted(np.array([0, 0]), 100, cfg, make_rng(0))
-        assert out.tolist() == [0, 0]
+class TestThrowProposals:
+    @pytest.mark.parametrize(
+        "signal", [SignalSpec.iid(), SignalSpec.gaussian(2.0)], ids=["iid", "gaussian"]
+    )
+    def test_counts_empty_draw_nothing(self, signal):
+        cfg = MarketConfig(n=100, k=2, signal=signal, seed=0)
+        rng = make_rng(0)
+        state = rng.bit_generator.state
+        uni, ranks, _, _, accepted = _throw_proposals(np.array([0, 0]), 100, cfg, rng)
+        assert uni.size == ranks.size == accepted.size == 0
+        assert rng.bit_generator.state == state
+
+    def test_estimate_and_seeded_plan_share_the_throw(self):
+        # one trial at n_sim = n throws exactly the zero-slack plan's proposals
+        cfg = MarketConfig(n=500, m_ratio=0.5, capacity=2, k=3,
+                           signal=SignalSpec.gaussian(1.0), seed=0)
+        y = (1.0, 0.6, 0.3)
+        est = estimate_acceptance(y, cfg, n_sim=cfg.n, trials=1, rng=make_rng(5))
+        plan = build_seeded_plan(y, cfg, rng=make_rng(5), slack=0.0)
+        accepted = np.bincount(plan.proposal_rank[plan.proposal_accepted] - 1, minlength=3)
+        assert est.fractions == tuple(float(c) for c in accepted / cfg.n)

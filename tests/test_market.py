@@ -18,7 +18,6 @@ from admitsim import (
     build_seeded_plan,
     child_seed,
     complete_instance,
-    draw_signal,
     make_rng,
     sample_market,
     solve_iid,
@@ -55,7 +54,7 @@ class TestSampling:
         inst = sample_market(MarketConfig(n=1, m_ratio=1.0, capacity=1, k=1, seed=5))
         assert inst.prefs.tolist() == [[0]]
         assert inst.signals.shape == (1, 1)
-        assert inst.special_of == {0: frozenset({0})}
+        assert inst.prefs[:, 0].tolist() == [0]  # student 0's favorite is university 0
 
     def test_full_lists_are_permutations(self):
         inst = sample_market(MarketConfig(n=3, m_ratio=1.0, k=3, seed=1))
@@ -136,20 +135,21 @@ class TestSampling:
         for s in range(inst.n):
             for r in range(inst.k):
                 u = int(inst.prefs[s, r])
-                assert inst.signal(u, s) == inst.signals[s, r]
                 assert inst.student_rank_of(s, u) == r + 1
+        counts = np.bincount(inst.prefs.ravel(), minlength=inst.m)
         for u in range(inst.m):
-            applicants = inst.applicants_of(u)
-            assert inst.applicant_count(u) == len(applicants)
-            sigs = [inst.signal(u, int(s)) for s in applicants]
+            here = inst.prefs == u
+            ranks = inst.uni_rank[here]
+            assert sorted(ranks.tolist()) == list(range(counts[u]))
+            sigs = inst.signals[here][np.argsort(ranks)].tolist()
             assert sigs == sorted(sigs, reverse=True) or len(set(sigs)) < len(sigs)
 
 
 class TestSignals:
     def test_gaussian_zero_shift_matches_iid(self):
         rng_a, rng_b = make_rng(3), make_rng(3)
-        a = [draw_signal(SignalSpec.gaussian(0.0), True, rng_a) for _ in range(1000)]
-        b = [draw_signal(SignalSpec.iid(), True, rng_b) for _ in range(1000)]
+        a = [SignalSpec.gaussian(0.0).draw(True, rng_a) for _ in range(1000)]
+        b = [SignalSpec.iid().draw(True, rng_b) for _ in range(1000)]
         assert a == b
 
     def test_gaussian_special_mean(self):
@@ -179,8 +179,8 @@ class TestSignals:
     def test_custom_sampler_used(self):
         spec = SignalSpec.custom(lambda rng: 10.0, lambda rng: float(rng.random()))
         rng = make_rng(0)
-        assert draw_signal(spec, True, rng) == 10.0
-        assert draw_signal(spec, False, rng) < 1.5
+        assert spec.draw(True, rng) == 10.0
+        assert spec.draw(False, rng) < 1.5
 
 
 class TestSerialization:

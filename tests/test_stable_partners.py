@@ -13,10 +13,11 @@ from admitsim import (
     extra_stable_partner_reports,
     has_extra_stable_partners,
     sample_market,
+    school_proposing_da,
     stable_partner_sets,
     student_proposing_da,
 )
-from conftest import random_tiny_config
+from conftest import random_mixed_config, random_tiny_config
 
 
 def cyclic_instance() -> MarketInstance:
@@ -30,6 +31,24 @@ def cyclic_instance() -> MarketInstance:
     signals = np.array([[1.0, 3.0, 2.0]] * 3)
     ties = np.arange(9, dtype=float).reshape(3, 3) / 10.0
     return MarketInstance(cfg, prefs, signals, ties)
+
+
+def scanned_reports(instance: MarketInstance) -> list[tuple[int, bool, int | None]]:
+    """Per-university scan of the two extreme matchings: the plain-loop reference."""
+    pessimal = student_proposing_da(instance)
+    optimal = school_proposing_da(instance)
+    out: list[tuple[int, bool, int | None]] = []
+    for u in range(instance.m):
+        admits = set(pessimal.students_of(u))
+        extras = set(optimal.students_of(u)) - admits
+        if len(admits) < instance.capacity or not extras:
+            out.append((u, False, None))
+            continue
+        witness = min(
+            extras, key=lambda s: instance.uni_rank[s, instance.student_rank_of(s, u) - 1]
+        )
+        out.append((u, True, witness))
+    return out
 
 
 class TestEnumeration:
@@ -90,6 +109,23 @@ class TestVerdicts:
             sets = stable_partner_sets(inst)
             for report in extra_stable_partner_reports(inst):
                 assert report.verdict == (len(sets[report.university]) > inst.capacity)
+
+    def test_matches_per_university_scan(self, rng):
+        instances = [cyclic_instance()]
+        for _ in range(60):
+            instances.append(sample_market(random_mixed_config(rng, max_n=200)))
+        # long lists in tight markets, where extra stable partners do occur
+        for seed in range(12):
+            instances.append(sample_market(MarketConfig(
+                n=100, m_ratio=(1.0, 0.5)[seed % 2], capacity=1 + seed % 3, k=5, seed=seed
+            )))
+        yes = 0
+        for inst in instances:
+            reports = extra_stable_partner_reports(inst)
+            got = [(r.university, r.verdict, r.witness) for r in reports]
+            assert got == scanned_reports(inst)
+            yes += sum(r.verdict for r in reports)
+        assert yes >= 10
 
     def test_witness_preferred_to_worst_admit(self, rng):
         found = 0
