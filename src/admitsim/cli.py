@@ -93,7 +93,8 @@ def _build_signal(args: argparse.Namespace, file_cfg: dict[str, Any]) -> SignalS
     if isinstance(file_signal, dict) and "kind" not in file_signal:
         raise UsageError('the config "signal" object needs a "kind"')
     if flag_kind is None and flag_delta is None and isinstance(file_signal, dict):
-        return SignalSpec.from_json_dict(file_signal)
+        delta = _convert(float, "signal delta", file_signal.get("delta", 0.0))
+        return SignalSpec(kind=file_signal["kind"], delta=delta)
     kind = flag_kind if flag_kind is not None else (
         file_signal if isinstance(file_signal, str) else None
     )
@@ -101,12 +102,34 @@ def _build_signal(args: argparse.Namespace, file_cfg: dict[str, Any]) -> SignalS
     if delta is None and isinstance(file_signal, dict):
         delta = file_signal.get("delta")
     if kind in (None, "gaussian"):
-        return _shift_signal(float(delta) if delta is not None else 0.0, kind)
+        return _shift_signal(_convert(float, "delta", delta) if delta is not None else 0.0, kind)
     if kind == "iid":
         if delta not in (None, 0, 0.0):
             raise UsageError("--signal iid does not take a shift")
         return SignalSpec.iid()
     raise UsageError(f"unknown signal kind {kind!r}")
+
+
+def _convert(kind: type, name: str, value: Any) -> Any:
+    """``kind(value)``; a config value of the wrong JSON type is a usage error.
+
+    The conversion must not change the value, so strings and fractional
+    numbers are rejected rather than parsed or truncated.
+    """
+    try:
+        converted = kind(value)
+        if converted == value:
+            return converted
+    except (TypeError, ValueError):
+        pass
+    expected = "an integer" if kind is int else "a number"
+    raise UsageError(f"{name} must be {expected}, got {value!r}")
+
+
+def _convert_list(kind: type, name: str, values: Any) -> tuple[Any, ...]:
+    if not isinstance(values, list):
+        raise UsageError(f"{name} must be a JSON list, got {values!r}")
+    return tuple(_convert(kind, name, v) for v in values)
 
 
 def _shift_signal(delta: float, kind: str | None = None) -> SignalSpec:
@@ -124,12 +147,12 @@ def _build_market_config(
         raise UsageError("--n is required (flag or config file)")
     try:
         return MarketConfig(
-            n=int(n),
-            m_ratio=float(_pick(args, file_cfg, "m_ratio", 1.0)),
-            capacity=int(_pick(args, file_cfg, "capacity", 1)),
-            k=int(_pick(args, file_cfg, "k", 1)),
+            n=_convert(int, "n", n),
+            m_ratio=_convert(float, "m_ratio", _pick(args, file_cfg, "m_ratio", 1.0)),
+            capacity=_convert(int, "capacity", _pick(args, file_cfg, "capacity", 1)),
+            k=_convert(int, "k", _pick(args, file_cfg, "k", 1)),
             signal=_build_signal(args, file_cfg),
-            seed=int(_pick(args, file_cfg, "seed", 0)),
+            seed=_convert(int, "seed", _pick(args, file_cfg, "seed", 0)),
         )
     except ConfigurationError as exc:
         raise UsageError(str(exc)) from exc
@@ -213,7 +236,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if args.method == "iid":
         if not config.signal.is_iid_equivalent:
             raise UsageError("method 'iid' requires identical signal distributions (delta 0)")
-        result = solve_iid(config, tol=args.tol if args.tol is not None else 1e-10)
+        result = solve_iid(
+            config, tol=args.tol if args.tol is not None else 1e-10, max_iter=args.max_iter
+        )
     else:
         result = solve_general(
             config,
@@ -242,7 +267,7 @@ def _build_sweep_spec(args: argparse.Namespace) -> SweepSpec:
     if args.k_list:
         k_values = tuple(int(v) for v in args.k_list.split(","))
     elif "k_values" in file_cfg:
-        k_values = tuple(int(v) for v in file_cfg["k_values"])
+        k_values = _convert_list(int, "k_values", file_cfg["k_values"])
     else:
         k_min = args.k_min if args.k_min is not None else 1
         k_max = args.k_max if args.k_max is not None else min(10, base.m)
@@ -250,7 +275,7 @@ def _build_sweep_spec(args: argparse.Namespace) -> SweepSpec:
     if args.deltas:
         deltas = tuple(float(v) for v in args.deltas.split(","))
     else:
-        deltas = tuple(float(v) for v in file_cfg.get("deltas", [0.0]))
+        deltas = _convert_list(float, "deltas", file_cfg.get("deltas", [0.0]))
     out = args.out or file_cfg.get("out")
     if out is None:
         raise UsageError("--out is required for sweeps")
@@ -258,7 +283,9 @@ def _build_sweep_spec(args: argparse.Namespace) -> SweepSpec:
         base=base,
         k_values=k_values,
         deltas=deltas,
-        replications=int(_pick(args, file_cfg, "reps", file_cfg.get("replications", 1))),
+        replications=_convert(
+            int, "reps", _pick(args, file_cfg, "reps", file_cfg.get("replications", 1))
+        ),
         seed=base.seed,
         out=Path(out),
     )
@@ -376,11 +403,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve the rank-fraction system")
     _add_market_flags(p_solve)
     p_solve.add_argument("--method", choices=["iid", "general"], default="iid")
-    p_solve.add_argument("--tol", type=float)
-    p_solve.add_argument("--max-iter", dest="max_iter", type=int, default=80)
-    p_solve.add_argument("--n-sim", dest="n_sim", type=int, default=20_000)
-    p_solve.add_argument("--trials", type=int, default=4)
-    p_solve.add_argument("--damping", type=float, default=0.5)
+    p_solve.add_argument("--tol", type=float, help="largest consistency gap accepted")
+    p_solve.add_argument("--max-iter", dest="max_iter", type=int, default=80,
+                         help="bisection steps (or damped iterations for custom signals)")
+    monte_carlo = "; only Monte Carlo acceptance uses it (custom signals, Python API only)"
+    p_solve.add_argument("--n-sim", dest="n_sim", type=int, default=20_000,
+                         help="students per Monte Carlo trial" + monte_carlo)
+    p_solve.add_argument("--trials", type=int, default=4,
+                         help="Monte Carlo trials per iteration" + monte_carlo)
+    p_solve.add_argument("--damping", type=float, default=0.5,
+                         help="damped-iteration step size" + monte_carlo)
     p_solve.add_argument("--out", help="output path (stdout when omitted)")
     p_solve.set_defaults(func=_cmd_solve)
 

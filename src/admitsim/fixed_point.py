@@ -4,17 +4,24 @@ The central object is the vector of rank fractions: entry i is the fraction
 of students who ever propose to their rank-(i+1) school under
 student-proposing deferred acceptance.  Consistency requires each entry to
 equal the previous one minus the fraction of previous-rank proposals that
-get accepted, which yields a fixed-point system.  With identically
-distributed signals the system collapses to one scalar equation in the
-total proposal mass, solved here by bisection; otherwise the acceptance
-rates are estimated by Monte Carlo and the system is solved by damped
-iteration.
+get accepted, which yields a fixed-point system.
+
+In the large-market limit a proposal keeps its seat when fewer than
+``capacity`` rival proposals at its university carry a higher signal, and
+that rival count is Poisson.  The acceptance rates then depend on the rank
+fractions only through the mass S of proposals beyond rank 1, so the system
+is one scalar equation in S.  With identically distributed signals it has
+a closed form (``solve_iid``); for Gaussian signals ``solve_general``
+evaluates the acceptance rates by Gauss-Hermite quadrature and bisects.
+Custom samplers have no such model: their acceptance rates are estimated by
+Monte Carlo and the system is solved by damped iteration.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import Any
 
@@ -78,7 +85,8 @@ class SolverResult:
 
     ``residuals[i]`` is the consistency gap at rank i+1; for the Monte
     Carlo method it includes sampling noise.  ``method`` is
-    "closed-form-iid" or "damped-iteration".
+    "closed-form-iid", "quadrature-bisection" or "damped-iteration";
+    ``iterations`` counts bisection steps or damped iterations.
     """
 
     rank_fractions: RankVector
@@ -113,6 +121,13 @@ class SolverResult:
         }
 
 
+def _check_sampling(n_sim: int, trials: int) -> None:
+    if n_sim < 100:
+        raise ValueError("n_sim must be at least 100")
+    if trials < 1:
+        raise ValueError("trials must be positive")
+
+
 def estimate_acceptance(
     rank_fractions: Sequence[float],
     config: MarketConfig,
@@ -132,10 +147,7 @@ def estimate_acceptance(
     be nonincreasing with entries in [0, 1].
     """
     fractions = _validate_rank_fractions(rank_fractions, config.k, leading_one=False)
-    if n_sim < 100:
-        raise ValueError("n_sim must be at least 100")
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    _check_sampling(n_sim, trials)
     if rng is None:
         rng = make_rng(config.seed)
 
@@ -261,6 +273,108 @@ def solve_iid(config: MarketConfig, tol: float = 1e-10, max_iter: int = 200) -> 
     )
 
 
+@functools.cache
+def _normal_quadrature() -> tuple[np.ndarray, np.ndarray]:
+    """80-node Gauss-Hermite rule for the standard normal: E[h(Z)] ~ weights @ h(nodes)."""
+    # imported here so that importing the package does not load numpy.polynomial
+    from numpy.polynomial.hermite_e import hermegauss
+
+    nodes, weights = hermegauss(80)
+    weights = weights / math.sqrt(2.0 * math.pi)
+    nodes.flags.writeable = weights.flags.writeable = False  # cached: shared by every call
+    return nodes, weights
+
+
+def _large_market_acceptance(
+    delta: float, m_ratio: float, capacity: int
+) -> Callable[[float], tuple[float, float]]:
+    """Acceptance rates (rank 1, ranks >= 2) as a function of the mass S beyond rank 1.
+
+    A proposal with signal v keeps its seat when fewer than ``capacity``
+    rival proposals at its university signal above v.  In the large-market
+    limit that count is Poisson with mean
+
+        ((1 - F_special(v)) + S * (1 - F_regular(v))) / m_ratio,
+
+    where rank-1 proposals draw from F_special = Normal(delta, 1) and later
+    ranks from F_regular = Normal(0, 1).  Each rate averages
+    P(Poisson < capacity) over the proposal's own signal distribution.  The
+    quadrature error grows with the Poisson mean, at most (1 + S) / m_ratio:
+    below 1e-11 up to 10, about 5e-9 at 20.
+    """
+    nodes, weights = _normal_quadrature()
+
+    def above(shift: float) -> np.ndarray:
+        """P(Normal(0, 1) > node + shift) at every node."""
+        return np.array([0.5 * math.erfc((z + shift) / math.sqrt(2.0)) for z in nodes])
+
+    # row 0: a rank-1 proposal with signal delta + z; row 1: a later one with z
+    same, up, down = above(0.0), above(delta), above(-delta)
+    special_rivals = np.stack([same, down]) / m_ratio
+    regular_rivals = np.stack([up, same]) / m_ratio
+
+    def acceptance(s: float) -> tuple[float, float]:
+        lam = special_rivals + s * regular_rivals
+        term = np.exp(-lam)
+        kept = term.copy()
+        for j in range(1, capacity):
+            term *= lam / j
+            kept += term
+        first, later = kept @ weights
+        return float(first), float(later)
+
+    return acceptance
+
+
+def _rank_chain(first: float, later: float, k: int) -> np.ndarray:
+    """Rank fractions when rank 1 is accepted at rate ``first`` and later ranks at ``later``."""
+    y = np.ones(k, dtype=np.float64)
+    y[1:] = (1.0 - first) * (1.0 - later) ** np.arange(k - 1)
+    return y
+
+
+def _solve_by_bisection(config: MarketConfig, tol: float, max_iter: int) -> SolverResult:
+    """The quadrature-bisection path of ``solve_general``."""
+    k = config.k
+    acceptance = _large_market_acceptance(config.signal.delta, config.m_ratio, config.capacity)
+    lo, hi = 0.0, float(k - 1)
+    s = 0.0
+    iterations = 0
+    if k > 1:
+        for _ in range(max_iter):
+            iterations += 1
+            s = 0.5 * (lo + hi)
+            excess = s - float(_rank_chain(*acceptance(s), k)[1:].sum())
+            if excess == 0.0 or hi - lo <= 1e-14 * max(1.0, s):
+                break
+            if excess < 0:
+                lo = s
+            else:
+                hi = s
+
+    y = _rank_chain(*acceptance(s), k)
+    # residuals re-derive the rates from the solution's own mass, so they
+    # expose how well the bisection closed the equation
+    first, later = acceptance(float(y[1:].sum()))
+    accepted = y * np.array([first] + [later] * (k - 1))
+    residuals = y - (1.0 - np.concatenate(([0.0], np.cumsum(accepted[:-1]))))
+    worst = float(np.abs(residuals).max())
+    if worst > tol:
+        raise ConvergenceError(
+            f"bisection did not reach {tol} within {max_iter} steps (last residual {worst:.3g})",
+            fractions=tuple(float(v) for v in y),
+            residuals=tuple(float(r) for r in residuals),
+        )
+    return SolverResult(
+        rank_fractions=RankVector(tuple(float(v) for v in y)),
+        residuals=tuple(float(r) for r in residuals),
+        iterations=iterations,
+        method="quadrature-bisection",
+        proposals_per_student=float(y.sum()),
+        unmatched_fraction=float(y[-1] - accepted[-1]),
+    )
+
+
 def solve_general(
     config: MarketConfig,
     tol: float = 0.01,
@@ -270,18 +384,30 @@ def solve_general(
     damping: float = 0.5,
     rng: np.random.Generator | None = None,
 ) -> SolverResult:
-    """Solve the rank-fraction system by damped Monte Carlo iteration.
+    """Solve the rank-fraction system for any signal model.
 
-    Repeats y <- (1 - damping) * y + damping * T(y) where T(y) is the
-    self-consistent chain of the acceptance rates estimated at y (each
-    rank carrying the previous one minus its accepted fraction), projected
-    onto [0, 1] and nonincreasing order.  Converges when the worst
-    consistency gap falls below ``tol``; note the gap carries Monte Carlo
-    noise of order the estimate's standard error, so ``tol`` should not be
-    set far below it.
+    For iid and Gaussian signals the acceptance rates come from the
+    large-market model of ``_large_market_acceptance``.  They depend on the
+    rank fractions y only through S = y_2 + ... + y_k, so the chain
+    y_2 = 1 - p_1(S), y_(i+1) = y_i * (1 - p_r(S)) turns the system into
+    the scalar equation S = G(S).  p_r * (S - G(S)) is the accepted mass
+    p_1 + S * p_r, which rises with S, minus the matched fraction
+    1 - (1 - p_1) * (1 - p_r)**(k-1), which falls, so the root is unique.
+    It is bisected on [0, k - 1] down to rounding (method
+    "quadrature-bisection"; ``iterations`` counts the bisection steps), and
+    the residuals are deterministic and below 1e-12.  ``n_sim``, ``trials``,
+    ``damping`` and ``rng`` are validated but unused on this path.
 
-    Raises ConvergenceError with the last iterate when ``max_iter`` is
-    exhausted.
+    For custom samplers the rates are estimated by ``estimate_acceptance``
+    and the system is solved by damped iteration (method
+    "damped-iteration"): y <- (1 - damping) * y + damping * T(y), where
+    T(y) is the self-consistent chain of the rates estimated at y,
+    projected onto [0, 1] and nonincreasing order.  Its residuals carry
+    Monte Carlo noise of order the estimate's standard error, so ``tol``
+    should not be set far below it.
+
+    Raises ConvergenceError with the last iterate when the worst
+    consistency gap is still above ``tol`` after ``max_iter`` steps.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -289,6 +415,9 @@ def solve_general(
         raise ValueError("max_iter must be at least 1")
     if not 0 < damping <= 1:
         raise ValueError("damping must be in (0, 1]")
+    _check_sampling(n_sim, trials)
+    if config.signal.kind != "custom":
+        return _solve_by_bisection(config, tol, max_iter)
     if rng is None:
         rng = make_rng(config.seed)
     k = config.k

@@ -112,6 +112,30 @@ class TestSolve:
         assert code == 2 and out == ""
         assert "max_iter" in err
 
+    def test_iid_zero_iterations_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "solve", "--n", "100", "--k", "3", "--method", "iid", "--max-iter", "0"
+        )
+        assert code == 2 and out == ""
+        assert "max_iter" in err
+
+    def test_general_is_deterministic_bisection(self, capsys):
+        argv = ["solve", "--n", "100", "--k", "5", "--delta", "2", "--method", "general"]
+        code, out, _ = run(capsys, *argv, "--seed", "1")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["method"] == "quadrature-bisection"
+        assert max(abs(r) for r in doc["residuals"]) <= 1e-10
+        assert run(capsys, *argv, "--seed", "2")[1] == out
+
+    @pytest.mark.parametrize("flag", [["--n-sim", "50"], ["--trials", "0"], ["--damping", "0"]])
+    def test_bad_monte_carlo_flags_rejected(self, capsys, flag):
+        code, out, err = run(
+            capsys, "solve", "--n", "100", "--k", "3", "--delta", "1", "--method", "general",
+            *flag,
+        )
+        assert code == 2 and out == "" and err.startswith("error:")
+
     def test_method_signal_mismatch_is_usage_error(self, capsys):
         code, _, err = run(
             capsys, "solve", "--n", "100", "--k", "2", "--delta", "1.5", "--method", "iid"
@@ -268,6 +292,24 @@ class TestConfigFile:
         code, _, err = run(capsys, "simulate", "--config", str(cfg))
         assert code == 2 and err.startswith("error:") and "object" in err
         code, _, err = run(capsys, "sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv"))
+        assert code == 2 and err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "command,doc",
+        [
+            ("simulate", {"n": [1]}),
+            ("simulate", {"n": 10.5}),
+            ("simulate", {"n": "10"}),
+            ("simulate", {"n": 8, "k": 2, "signal": {"kind": "gaussian", "delta": [2]}}),
+            ("sweep", {"n": 10, "k_values": 5}),
+            ("sweep", {"n": 10, "deltas": [[1.0]]}),
+        ],
+    )
+    def test_wrong_json_type_is_usage_error(self, tmp_path, capsys, command, doc):
+        cfg = tmp_path / "market.json"
+        cfg.write_text(json.dumps(doc))
+        code, _, err = run(capsys, command, "--config", str(cfg),
+                           "--out", str(tmp_path / "x.csv"))
         assert code == 2 and err.startswith("error:")
 
     def test_signal_object_without_kind_is_usage_error(self, tmp_path, capsys):

@@ -23,6 +23,7 @@ from admitsim import (
     solve_iid,
     student_proposing_da,
 )
+from admitsim.fixed_point import _large_market_acceptance, _rank_chain
 from admitsim.market import _rank_within_universities, _throw_proposals
 
 
@@ -200,6 +201,75 @@ class TestEquationMonotonicity:
         assert all(b <= a + 1e-12 for a, b in zip(rhs, rhs[1:]))
 
 
+def gaussian_as_custom(delta: float) -> SignalSpec:
+    """Gaussian signals through the custom-sampler interface."""
+    return SignalSpec.custom(
+        lambda rng: delta + rng.standard_normal(), lambda rng: rng.standard_normal()
+    )
+
+
+class TestLargeMarketAcceptance:
+    """The quadrature model of ``solve_general`` against its oracles."""
+
+    @pytest.mark.parametrize(
+        "delta,capacity,k,m_ratio",
+        [
+            (0.0, 1, 3, 1.0),
+            (1.0, 1, 2, 0.5),
+            (2.0, 1, 5, 1.0),
+            (1.0, 2, 4, 0.5),
+            (2.0, 2, 3, 2.0),
+            (4.0, 1, 3, 1.0),
+            (0.5, 3, 5, 0.5),
+            (3.0, 2, 2, 1.0),
+        ],
+    )
+    def test_agrees_with_monte_carlo(self, delta, capacity, k, m_ratio):
+        cfg = MarketConfig(n=100, m_ratio=m_ratio, capacity=capacity, k=k,
+                           signal=SignalSpec.gaussian(delta), seed=0)
+        # an arbitrary rank vector, not a solution: the model holds for any y
+        y = 0.7 ** np.arange(k)
+        first, later = _large_market_acceptance(delta, m_ratio, capacity)(y[1:].sum())
+        model = y * np.array([first] + [later] * (k - 1))
+        est = estimate_acceptance(y, cfg, n_sim=40_000, trials=6, rng=make_rng(21))
+        for a, mc, se in zip(model, est.fractions, est.std_errors):
+            assert abs(a - mc) <= 4 * se + 5e-4
+
+    @pytest.mark.parametrize("m_ratio", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("capacity", [1, 2, 3])
+    def test_zero_shift_reproduces_accepted_mass(self, m_ratio, capacity):
+        acceptance = _large_market_acceptance(0.0, m_ratio, capacity)
+        for s in np.linspace(0.0, 4.0, 17):
+            first, later = acceptance(s)
+            x = 1.0 + s
+            assert abs(first - later) <= 1e-10
+            assert abs(x * first - expected_accepted_mass(x, m_ratio, capacity)) <= 1e-10
+
+    @pytest.mark.parametrize("delta", [0.0, 1.0, 2.0, 4.0])
+    @pytest.mark.parametrize("m_ratio", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("capacity", [1, 2, 3])
+    def test_excess_has_one_root(self, delta, m_ratio, capacity):
+        # p_r * (S - G(S)) = A(S) - M(S): the accepted mass A = p_1 + S p_r is
+        # the seats filled by Poisson(1 + S) arrivals whatever the signals, so
+        # it rises with S, while the matched fraction M = 1 - (1 - p_1)(1 -
+        # p_r)^(k-1) falls; S - G(S) therefore changes sign once on [0, k-1]
+        acceptance = _large_market_acceptance(delta, m_ratio, capacity)
+        for k in (2, 3, 5, 8, 10):
+            excess, accepted, matched = [], [], []
+            for s in np.linspace(0.0, k - 1, 60):
+                first, later = acceptance(s)
+                excess.append(s - _rank_chain(first, later, k)[1:].sum())
+                accepted.append(first + s * later)
+                matched.append(1.0 - (1.0 - first) * (1.0 - later) ** (k - 1))
+                assert accepted[-1] == pytest.approx(
+                    expected_accepted_mass(1.0 + s, m_ratio, capacity), abs=1e-7
+                )
+            assert all(b > a for a, b in zip(accepted, accepted[1:]))
+            assert all(b <= a + 1e-12 for a, b in zip(matched, matched[1:]))
+            assert excess[0] <= 0.0 <= excess[-1]
+            assert np.count_nonzero(np.diff(np.sign(excess))) == 1
+
+
 class TestSolveGeneral:
     def test_agrees_with_closed_form_on_iid(self):
         cfg = MarketConfig(n=100, k=3, seed=5)
@@ -247,8 +317,58 @@ class TestSolveGeneral:
         cfg = MarketConfig(n=100, k=3, seed=0)
         with pytest.raises(ConvergenceError) as err:
             solve_general(cfg, tol=1e-9, max_iter=2, n_sim=500, trials=1)
+        assert err.value.fractions[0] == 1.0
+        assert len(err.value.fractions) == 3
+        assert max(abs(r) for r in err.value.residuals) > 1e-9
+        assert len(err.value.residuals) == 3
+
+    def test_damped_nonconvergence_raises_with_payload(self):
+        cfg = MarketConfig(n=100, k=3, signal=gaussian_as_custom(0.0), seed=0)
+        with pytest.raises(ConvergenceError) as err:
+            solve_general(cfg, tol=1e-9, max_iter=2, n_sim=500, trials=1)
         assert len(err.value.fractions) == 3
         assert len(err.value.residuals) == 3
+
+    @pytest.mark.parametrize(
+        "signal", [SignalSpec.gaussian(1.0), gaussian_as_custom(1.0)], ids=["bisection", "damped"]
+    )
+    @pytest.mark.parametrize(
+        "bad", [dict(tol=0.0), dict(damping=0.0), dict(n_sim=50), dict(trials=0)]
+    )
+    def test_arguments_validated_on_both_paths(self, signal, bad):
+        with pytest.raises(ValueError):
+            solve_general(MarketConfig(n=100, k=3, signal=signal, seed=0), **bad)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 10])
+    def test_bisection_closes_the_system(self, k):
+        for delta in (0.0, 1.0, 2.0, 4.0):
+            for m_ratio in (0.5, 1.0, 2.0):
+                for capacity in (1, 2, 3):
+                    cfg = MarketConfig(n=100, m_ratio=m_ratio, capacity=capacity, k=k,
+                                       signal=SignalSpec.gaussian(delta), seed=0)
+                    result = solve_general(cfg, tol=1e-9)
+                    assert result.method == "quadrature-bisection"
+                    assert result.max_residual <= 1e-9
+                    assert result.iterations <= 60
+                    if delta == 0.0:
+                        iid = solve_iid(cfg).rank_fractions.fractions
+                        assert result.rank_fractions.fractions == pytest.approx(iid, abs=1e-9)
+
+    def test_custom_gaussian_runs_the_damped_monte_carlo_path(self):
+        # custom samplers drawing Normal(delta, 1) and Normal(0, 1) have no
+        # analytic model, but must land on the same solution as the Gaussian spec
+        delta, tol = 1.5, 0.01
+        base = MarketConfig(n=100, k=3, signal=SignalSpec.gaussian(delta), seed=3)
+        custom = dataclasses.replace(base, signal=gaussian_as_custom(delta))
+        analytic = solve_general(base)
+        damped = solve_general(custom, tol=tol, n_sim=4000, trials=4)
+        assert damped.method == "damped-iteration"
+        est = estimate_acceptance(
+            damped.rank_fractions.fractions, custom, n_sim=4000, trials=4, rng=make_rng(8)
+        )
+        bound = 2 * (max(est.std_errors) + tol)
+        for a, b in zip(analytic.rank_fractions.fractions, damped.rank_fractions.fractions):
+            assert abs(a - b) <= bound
 
     @pytest.mark.parametrize("solver", [solve_iid, solve_general])
     def test_zero_iterations_rejected(self, solver):
