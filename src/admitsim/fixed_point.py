@@ -12,14 +12,13 @@ that rival count is Poisson.  The acceptance rates then depend on the rank
 fractions only through the mass S of proposals beyond rank 1, so the system
 is one scalar equation in S.  With identically distributed signals it has
 a closed form (``solve_iid``); for Gaussian signals ``solve_general``
-evaluates the acceptance rates by Gauss-Hermite quadrature and bisects.
+evaluates the acceptance rates by tanh-sinh quadrature and bisects.
 Custom samplers have no such model: their acceptance rates are estimated by
 Monte Carlo and the system is solved by damped iteration.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -273,18 +272,6 @@ def solve_iid(config: MarketConfig, tol: float = 1e-10, max_iter: int = 200) -> 
     )
 
 
-@functools.cache
-def _normal_quadrature() -> tuple[np.ndarray, np.ndarray]:
-    """80-node Gauss-Hermite rule for the standard normal: E[h(Z)] ~ weights @ h(nodes)."""
-    # imported here so that importing the package does not load numpy.polynomial
-    from numpy.polynomial.hermite_e import hermegauss
-
-    nodes, weights = hermegauss(80)
-    weights = weights / math.sqrt(2.0 * math.pi)
-    nodes.flags.writeable = weights.flags.writeable = False  # cached: shared by every call
-    return nodes, weights
-
-
 def _large_market_acceptance(
     delta: float, m_ratio: float, capacity: int
 ) -> Callable[[float], tuple[float, float]]:
@@ -298,20 +285,31 @@ def _large_market_acceptance(
 
     where rank-1 proposals draw from F_special = Normal(delta, 1) and later
     ranks from F_regular = Normal(0, 1).  Each rate averages
-    P(Poisson < capacity) over the proposal's own signal distribution.  The
-    quadrature error grows with the Poisson mean, at most (1 + S) / m_ratio:
-    below 1e-11 up to 10, about 5e-9 at 20.
+    P(Poisson < capacity) over the proposal's own signal, integrated in its
+    uniform own tail u = 1 - F_own(v), where the other kind's tail is
+    Phi(Phi^-1(u) -+ delta); the error is near 1e-15 for every shift and
+    Poisson means (1 + S) / m_ratio up to 400, about 4e-14 at 1000.
     """
-    nodes, weights = _normal_quadrature()
+    # imported here so that importing the package does not load statistics
+    from statistics import NormalDist
 
-    def above(shift: float) -> np.ndarray:
-        """P(Normal(0, 1) > node + shift) at every node."""
-        return np.array([0.5 * math.erfc((z + shift) / math.sqrt(2.0)) for z in nodes])
+    # Tanh-sinh rule in u: nodes 1 / (1 + exp(-pi sinh t)), t on an even grid
+    # in [-3.3, 3.3], crowd towards both ends, where exp(-c u) for Poisson
+    # means c in the hundreds and the shifted tails have their features.
+    t = (np.arange(120) - 59.5) * (6.6 / 119)
+    x = 0.5 * math.pi * np.sinh(t)
+    u, upper = 1.0 / (1.0 + np.exp(-2.0 * x)), 1.0 / (1.0 + np.exp(2.0 * x))
+    weights = (t[1] - t[0]) * 0.25 * math.pi * np.cosh(t) / np.cosh(x) ** 2
+    inv = NormalDist().inv_cdf  # Phi^-1(u) = -Phi^-1(1 - u), exact where u rounds to 1
+    quantiles = [inv(a) if a < 0.5 else -inv(b) for a, b in zip(u, upper)]
 
-    # row 0: a rank-1 proposal with signal delta + z; row 1: a later one with z
-    same, up, down = above(0.0), above(delta), above(-delta)
-    special_rivals = np.stack([same, down]) / m_ratio
-    regular_rivals = np.stack([up, same]) / m_ratio
+    def below(shift: float) -> np.ndarray:
+        """Phi(Phi^-1(u) + shift) at every node."""
+        return np.array([0.5 * math.erfc(-(z + shift) / math.sqrt(2.0)) for z in quantiles])
+
+    # row 0: a rank-1 proposal with own tail u; row 1: a later one
+    special_rivals = np.stack([u, below(delta)]) / m_ratio
+    regular_rivals = np.stack([below(-delta), u]) / m_ratio
 
     def acceptance(s: float) -> tuple[float, float]:
         lam = special_rivals + s * regular_rivals

@@ -37,6 +37,9 @@ _MAX_SEED = 2**64
 # Fixed stream index used when tiebreaks must be re-derived (JSON reload).
 _TIEBREAK_STREAM = 0x7EB
 
+# Rounds of row rejection in ``_fill_distinct`` before the key sort takes over.
+_REJECTION_ROUNDS = 64
+
 # Max attempts to repair a proposal-to-student assignment whose target
 # university already sits on the student's list.
 _SWAP_ATTEMPTS = 200
@@ -128,12 +131,8 @@ class SignalSpec:
         """One signal per entry of the boolean mask ``special``."""
         special = np.asarray(special, dtype=bool)
         if self.kind == "custom":
-            out = np.empty(special.shape, dtype=np.float64)
-            flat_mask = special.ravel()
-            flat_out = out.ravel()
-            for i, is_special in enumerate(flat_mask):
-                flat_out[i] = self.draw(bool(is_special), rng)
-            return out
+            draws = [self.draw(bool(is_special), rng) for is_special in special.ravel()]
+            return np.array(draws, dtype=np.float64).reshape(special.shape)
         out = rng.standard_normal(special.shape)
         if self.kind == "gaussian" and self.delta != 0.0:
             out = out + self.delta * special
@@ -218,7 +217,12 @@ def _rank_within_universities(
     indices grouped by university in preference order and ``offsets``
     delimits the groups.
     """
-    order = np.lexsort((tiebreaks, -signals, uni))
+    # Stable sorts by signal, then by university, give the 3-key lexsort's order
+    # unless a university sees equal (or NaN) signals; only then run the lexsort.
+    order = np.argsort(-signals, kind="stable")
+    order = order[np.argsort(uni[order], kind="stable")]
+    if ((np.diff(uni[order]) == 0) & ~(np.diff(signals[order]) < 0)).any():
+        order = np.lexsort((tiebreaks, -signals, uni))
     counts = np.bincount(uni, minlength=m)
     offsets = np.concatenate(([0], np.cumsum(counts)))
     ranks_sorted = np.arange(uni.size, dtype=np.int64) - offsets[uni[order]]
@@ -227,22 +231,36 @@ def _rank_within_universities(
     return ranks, order, offsets
 
 
-def _sample_pref_lists(n: int, m: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    """n ordered samples of k distinct universities, uniform over orderings."""
-    if k * max(k - 1, 1) <= m:
-        # Rejection sampling: redraw rows containing duplicates.  Conditioned
-        # on distinctness the rows are exactly uniform ordered samples.
-        prefs = rng.integers(0, m, size=(n, k), dtype=np.int64)
-        while True:
-            srt = np.sort(prefs, axis=1)
-            bad = (srt[:, 1:] == srt[:, :-1]).any(axis=1)
-            if not bad.any():
-                return prefs
-            prefs[bad] = rng.integers(0, m, size=(int(bad.sum()), k), dtype=np.int64)
-    out = np.empty((n, k), dtype=np.int64)
-    for s in range(n):
-        out[s] = rng.permutation(m)[:k]
-    return out
+def _fill_distinct(
+    prefs: np.ndarray, holes: np.ndarray, m: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Fill the ``holes`` cells of ``prefs`` in place so that every row is distinct.
+
+    A row's fresh entries are a uniform ordered sample of the universities
+    its other cells do not list.  When k(k-1) <= m, holes are drawn
+    uniformly and rows that repeat a university (chance <= k(k-1)/2m <= 1/2)
+    redrawn; rows left after ``_REJECTION_ROUNDS`` rounds, and all rows when
+    k(k-1) > m (m < k**2), take the unlisted universities with the smallest
+    of m uniform random keys.  Returns ``prefs``.
+    """
+    k = prefs.shape[1]
+    pending = holes
+    for _ in range(_REJECTION_ROUNDS if k * (k - 1) <= m else 0):
+        prefs[pending] = rng.integers(0, m, size=int(pending.sum()), dtype=np.int64)
+        srt = np.sort(prefs, axis=1)
+        repeats = (srt[:, 1:] == srt[:, :-1]).any(axis=1)
+        if not repeats.any():
+            return prefs
+        pending = holes & repeats[:, None]
+    rows = np.flatnonzero(pending.any(axis=1))
+    if rows.size:
+        block, fill = prefs[rows], holes[rows]
+        keys = rng.random((rows.size, m))
+        keys[np.nonzero(~fill)[0], block[~fill]] = 2.0  # listed universities sort last
+        picks = np.argsort(keys, axis=1)[:, :k]
+        block[fill] = picks[np.arange(k) < fill.sum(axis=1)[:, None]]
+        prefs[rows] = block
+    return prefs
 
 
 class MarketInstance:
@@ -373,7 +391,7 @@ def sample_market(config: MarketConfig, rng: np.random.Generator | None = None) 
     if rng is None:
         rng = make_rng(config.seed)
     n, m, k = config.n, config.m, config.k
-    prefs = _sample_pref_lists(n, m, k, rng)
+    prefs = _fill_distinct(np.empty((n, k), dtype=np.int64), np.ones((n, k), dtype=bool), m, rng)
     special = np.zeros((n, k), dtype=bool)
     special[:, 0] = True
     signals = config.signal.draw_batch(special, rng)
@@ -502,7 +520,7 @@ def build_seeded_plan(
 
     prop_student = np.full(prop_uni.size, -1, dtype=np.int64)
     inconsistent = np.zeros(n, dtype=bool)
-    listed: list[set[int]] = [set() for _ in range(n)]
+    held = np.full((n, k), -1, dtype=np.int64)  # university of each student's rank-r proposal
 
     offsets = np.concatenate(([0], np.cumsum(counts)))
     eligible = np.arange(n, dtype=np.int64)
@@ -510,44 +528,41 @@ def build_seeded_plan(
         props = np.arange(offsets[i], offsets[i + 1], dtype=np.int64)
         if eligible.size >= props.size:
             perm = rng.permutation(eligible.size)
-            chosen = eligible[perm[: props.size]]
+            students = eligible[perm[: props.size]]
             inconsistent[eligible[perm[props.size:]]] = True
         else:
             acc = props[accepted[props]]
             rej = props[~accepted[props]]
             ordered = np.concatenate((rng.permutation(acc), rng.permutation(rej)))
             props = ordered[: eligible.size]
-            chosen = rng.permutation(eligible)
+            students = rng.permutation(eligible)
 
-        pair_props = [int(p) for p in props]
-        pair_students = [int(s) for s in chosen]
-        for idx in range(len(pair_props)):
-            p, s = pair_props[idx], pair_students[idx]
-            if prop_uni[p] not in listed[s]:
+        # A pair clashes when its university is already on the student's list.
+        # Swaps leave both their pairs valid, so they only cure clashes: the
+        # clashes found up front, re-checked in index order, are all to repair.
+        targets = prop_uni[props]
+        listed = held[:, :i]
+        for idx in np.flatnonzero((listed[students] == targets[:, None]).any(axis=1)):
+            s = students[idx]
+            if targets[idx] not in listed[s]:
                 continue
-            # The target university already sits on this student's list;
-            # swap owners with another pair that stays valid both ways.
+            # swap owners with another pair that stays valid both ways
             for _ in range(_SWAP_ATTEMPTS):
-                j = int(rng.integers(len(pair_props)))
+                j = int(rng.integers(props.size))
                 if j == idx:
                     continue
-                p2, s2 = pair_props[j], pair_students[j]
-                if prop_uni[p] not in listed[s2] and prop_uni[p2] not in listed[s]:
-                    pair_students[idx], pair_students[j] = s2, s
+                s2 = students[j]
+                if targets[idx] not in listed[s2] and targets[j] not in listed[s]:
+                    students[idx], students[j] = s2, s
                     break
             else:
-                pair_students[idx] = -1
+                students[idx] = -1
                 inconsistent[s] = True
 
-        next_eligible: list[int] = []
-        for p, s in zip(pair_props, pair_students):
-            if s < 0:
-                continue
-            prop_student[p] = s
-            listed[s].add(int(prop_uni[p]))
-            if not accepted[p]:
-                next_eligible.append(s)
-        eligible = np.asarray(sorted(next_eligible), dtype=np.int64)
+        kept = students >= 0
+        prop_student[props[kept]] = students[kept]
+        held[students[kept], i] = targets[kept]
+        eligible = np.sort(students[kept & ~accepted[props]])
 
     for arr in (prop_uni, prop_rank, prop_signal, prop_tiebreak, accepted, prop_student, inconsistent):
         arr.setflags(write=False)
@@ -571,9 +586,14 @@ def complete_instance(
     """Fill a seeded plan out into a full market instance.
 
     Assigned proposals become the prefix of each student's list, keeping
-    their signals and tiebreaks.  Remaining ranks are drawn uniformly among
-    unlisted universities; their signals come from the regular distribution
-    except for a fresh rank-1 slot, which is a favorite-school application.
+    their signals and tiebreaks.  The remaining ranks (the holes) are drawn
+    uniformly among unlisted universities; their signals come from the
+    regular distribution except for a fresh rank-1 slot, which is a
+    favorite-school application.
+
+    Stream layout: every hole is filled first (``_fill_distinct``), then
+    one signal is drawn per hole, then one tiebreak per hole, both in
+    row-major order.
     """
     config = plan.config
     if rng is None:
@@ -590,27 +610,8 @@ def complete_instance(
     signals[students, ranks] = plan.proposal_signal[assigned]
     tiebreaks[students, ranks] = plan.proposal_tiebreak[assigned]
 
-    prefix_len = plan.assigned_rank_counts()
-    small_market = m <= 4 * k
-    for s in range(n):
-        start = int(prefix_len[s])
-        if start == k:
-            continue
-        taken = set(int(u) for u in prefs[s, :start])
-        if small_market:
-            fresh = [int(u) for u in rng.permutation(m) if int(u) not in taken]
-            picks = fresh[: k - start]
-        else:
-            picks = []
-            while len(picks) < k - start:
-                u = int(rng.integers(m))
-                if u not in taken:
-                    picks.append(u)
-                    taken.add(u)
-        for offset, u in enumerate(picks):
-            r = start + offset
-            prefs[s, r] = u
-            signals[s, r] = config.signal.draw(r == 0, rng)
-            tiebreaks[s, r] = rng.random()
-
+    holes = np.arange(k) >= plan.assigned_rank_counts()[:, None]
+    _fill_distinct(prefs, holes, m, rng)
+    signals[holes] = config.signal.draw_batch(np.nonzero(holes)[1] == 0, rng)
+    tiebreaks[holes] = rng.random(int(holes.sum()))
     return MarketInstance(config, prefs, signals, tiebreaks)

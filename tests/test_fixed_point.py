@@ -245,6 +245,45 @@ class TestLargeMarketAcceptance:
             assert abs(first - later) <= 1e-10
             assert abs(x * first - expected_accepted_mass(x, m_ratio, capacity)) <= 1e-10
 
+    @pytest.mark.parametrize("mean", [100.0, 400.0])
+    @pytest.mark.parametrize("m_ratio", [0.01, 0.05])
+    @pytest.mark.parametrize("capacity", [1, 3])
+    def test_zero_shift_exact_at_large_poisson_means(self, mean, m_ratio, capacity):
+        s = mean * m_ratio - 1.0
+        first, later = _large_market_acceptance(0.0, m_ratio, capacity)(s)
+        exact = expected_accepted_mass(1.0 + s, m_ratio, capacity) / (1.0 + s)
+        assert abs(first - exact) <= 1e-12
+        assert abs(later - exact) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "delta,capacity,m_ratio,s",
+        [
+            (0.5, 1, 1.0, 0.5),
+            (2.0, 2, 0.1, 3.0),
+            (4.0, 3, 0.05, 4.0),
+            (8.0, 1, 2.0, 0.0),
+            (2.0, 2, 0.01, 3.0),
+            (1.0, 5, 0.02, 7.0),
+        ],
+    )
+    def test_shifted_rates_match_adaptive_quadrature(self, delta, capacity, m_ratio, s):
+        # the Monte Carlo tests cannot see errors below ~1e-3; an adaptive
+        # integral over the signal v itself pins the shifted rates to 1e-12
+        integrate = pytest.importorskip("scipy.integrate")
+        stats = pytest.importorskip("scipy.stats")
+
+        def rate(own_shift: float) -> float:
+            def integrand(v: float) -> float:
+                lam = (stats.norm.sf(v - delta) + s * stats.norm.sf(v)) / m_ratio
+                return stats.norm.pdf(v - own_shift) * stats.poisson.cdf(capacity - 1, lam)
+
+            return integrate.quad(integrand, -40.0, 40.0, points=[0.0, delta, 2.0, 3.0],
+                                  epsabs=1e-15, epsrel=1e-13, limit=2000)[0]
+
+        first, later = _large_market_acceptance(delta, m_ratio, capacity)(s)
+        assert abs(first - rate(delta)) <= 1e-12
+        assert abs(later - rate(0.0)) <= 1e-12
+
     @pytest.mark.parametrize("delta", [0.0, 1.0, 2.0, 4.0])
     @pytest.mark.parametrize("m_ratio", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("capacity", [1, 2, 3])

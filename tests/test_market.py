@@ -14,6 +14,7 @@ from admitsim import (
     ConfigurationError,
     MarketConfig,
     MarketInstance,
+    SeededProposalPlan,
     SignalSpec,
     build_seeded_plan,
     child_seed,
@@ -22,6 +23,30 @@ from admitsim import (
     sample_market,
     solve_iid,
 )
+from admitsim import market
+from admitsim.market import _rank_within_universities
+from conftest import random_mixed_config, seeded_plan_oracle
+
+
+def plan_with_prefixes(config: MarketConfig, prefixes: list[list[int]]) -> SeededProposalPlan:
+    """A seeded plan in which student s holds rank 1.. proposals to ``prefixes[s]``.
+
+    Held proposals carry signal -100 and tiebreak 0.5, which no fresh draw gives.
+    """
+    cells = [(s, r + 1, u) for s, row in enumerate(prefixes) for r, u in enumerate(row)]
+    students, ranks, unis = (np.array([c[i] for c in cells], dtype=np.int64) for i in range(3))
+    return SeededProposalPlan(
+        config=config,
+        rank_fractions=(1.0,) + (0.0,) * (config.k - 1),
+        slack=0.0,
+        proposal_uni=unis,
+        proposal_rank=ranks,
+        proposal_signal=np.full(unis.size, -100.0),
+        proposal_tiebreak=np.full(unis.size, 0.5),
+        proposal_accepted=np.zeros(unis.size, dtype=bool),
+        proposal_student=students,
+        inconsistent=np.zeros(config.n, dtype=bool),
+    )
 
 
 class TestConfigValidation:
@@ -106,9 +131,9 @@ class TestSampling:
         chi2 = float(((cells - expected) ** 2 / expected).sum())
         assert chi2 < 320
 
-    def test_list_distribution_uniform_permutation_path(self):
-        # m=4, k=3 falls back to permutations; 24 ordered triples, 0.001
-        # critical for 23 dof ~ 49.7
+    def test_list_distribution_uniform_key_sort_path(self):
+        # m=4, k=3 has k(k-1) > m and takes the random-key sort; 24 ordered
+        # triples, 0.001 critical for 23 dof ~ 49.7
         m, k, rows = 4, 3, 12_000
         inst = sample_market(MarketConfig(n=rows, m_ratio=m / rows, k=k, seed=15))
         counts: dict[tuple[int, ...], int] = {}
@@ -143,6 +168,31 @@ class TestSampling:
             assert sorted(ranks.tolist()) == list(range(counts[u]))
             sigs = inst.signals[here][np.argsort(ranks)].tolist()
             assert sigs == sorted(sigs, reverse=True) or len(set(sigs)) < len(sigs)
+
+
+class TestRanking:
+    @pytest.mark.parametrize("signal_kind", ["continuous", "three_levels", "with_nan"])
+    def test_matches_three_key_lexsort(self, rng, signal_kind):
+        # the two stable sorts must give the lexsort's order, and the
+        # tie fallback must take over whenever a university sees equal signals
+        for _ in range(30):
+            size, m = int(rng.integers(0, 300)), int(rng.integers(1, 40))
+            uni = rng.integers(0, m, size=size)
+            if signal_kind == "three_levels":
+                signals = rng.integers(0, 3, size=size).astype(np.float64)
+            else:
+                signals = rng.standard_normal(size)
+                if signal_kind == "with_nan":  # NaNs compare unequal but tie in the lexsort
+                    signals[rng.random(size) < 0.2] = np.nan
+            ties = rng.random(size)
+            ranks, order, offsets = _rank_within_universities(uni, signals, ties, m)
+            want = np.lexsort((ties, -signals, uni))
+            assert np.array_equal(order, want)
+            counts = np.bincount(uni, minlength=m)
+            assert np.array_equal(offsets, np.concatenate(([0], np.cumsum(counts))))
+            expected = np.empty(size, dtype=np.int64)
+            expected[want] = np.arange(size) - offsets[uni[want]]
+            assert np.array_equal(ranks, expected)
 
 
 class TestSignals:
@@ -300,6 +350,31 @@ class TestSeededPlan:
         for row in inst.prefs:
             assert len(set(row.tolist())) == cfg.k
 
+    def test_matches_per_pair_oracle(self, rng):
+        # byte-identical to the per-pair loop of conftest; every fourth
+        # config is collision-heavy (m_ratio 0.1, little slack), where most
+        # pairs clash and some swaps run out of attempts
+        for trial in range(240):
+            if trial % 4 == 0:
+                n = 10 * int(rng.integers(2, 15))
+                cfg = MarketConfig(n=n, m_ratio=0.1, capacity=int(rng.integers(1, 3)),
+                                   k=int(rng.integers(1, min(4, n // 10) + 1)),
+                                   seed=int(rng.integers(2**63)))
+                slack = float(rng.choice([0.0, 1.0, 2.0]))
+            else:
+                cfg = random_mixed_config(rng, max_n=120)
+                slack = None if trial % 3 else float(rng.integers(0, 4))
+            tail = np.sort(rng.random(cfg.k - 1))[::-1]
+            y = (1.0, *tail.tolist())
+            plan = build_seeded_plan(y, cfg, slack=slack)
+            want = seeded_plan_oracle(y, cfg, slack=slack)
+            for field in dataclasses.fields(SeededProposalPlan):
+                got, exp = getattr(plan, field.name), getattr(want, field.name)
+                if isinstance(exp, np.ndarray):
+                    assert got.dtype == exp.dtype and got.tobytes() == exp.tobytes(), field.name
+                else:
+                    assert got == exp, field.name
+
     def test_collision_heavy_small_market_plan(self, rng):
         # with few universities most assignments collide with the student's
         # existing list, exercising the swap-repair path hard
@@ -316,3 +391,60 @@ class TestSeededPlan:
             inst = complete_instance(plan)
             for row in inst.prefs:
                 assert len(set(row.tolist())) == cfg.k
+
+
+class TestCompletion:
+    @pytest.mark.parametrize("m,k", [(12, 3), (5, 4)])  # rejection; key sort (k(k-1) > m)
+    def test_fresh_picks_uniform_over_unlisted(self, m, k):
+        # student s holds university s % m at rank 1; relabelled relative to
+        # it, the fresh ordered picks must be uniform over the (m-1)!/(m-k)!
+        # tuples of unlisted universities (chi-square, 0.001 critical)
+        n = 12_000 if m == 5 else 11_000
+        cfg = MarketConfig(n=n, m_ratio=m / n, k=k, seed=17)
+        inst = complete_instance(plan_with_prefixes(cfg, [[s % m] for s in range(n)]))
+        held = (np.arange(n) % m)[:, None]
+        relabelled = (inst.prefs[:, 1:] - held - 1) % m
+        assert (inst.prefs[:, 1:] != held).all()
+        _, counts = np.unique(relabelled, axis=0, return_counts=True)
+        cells = math.perm(m - 1, k - 1)
+        assert counts.size == cells
+        expected = n / cells
+        chi2 = float(((counts - expected) ** 2 / expected).sum())
+        assert chi2 < stats.chi2.ppf(0.999, cells - 1)
+
+    def test_fresh_rank_one_slot_draws_the_special_signal(self):
+        cfg = MarketConfig(n=200, m_ratio=1.0, k=3, signal=SignalSpec.gaussian(50.0), seed=3)
+        prefixes = [[s, (s + 1) % 200] if s % 2 else [] for s in range(200)]
+        inst = complete_instance(plan_with_prefixes(cfg, prefixes))
+        held = np.array([[r < len(p) for r in range(3)] for p in prefixes])
+        assert (inst.signals[held] == -100.0).all() and (inst.tiebreaks[held] == 0.5).all()
+        fresh_first = ~held[:, 0]
+        assert (inst.signals[fresh_first, 0] > 40.0).all()
+        assert (inst.signals[~held & ~np.eye(1, 3, dtype=bool)] < 10.0).all()
+        assert ((inst.tiebreaks[~held] >= 0.0) & (inst.tiebreaks[~held] < 1.0)).all()
+
+    def test_key_sort_fills_full_lists_with_permutations(self, rng):
+        # m = k: every completed row is a permutation of all universities,
+        # whatever prefix the student already holds
+        n, k = 500, 5
+        cfg = MarketConfig(n=n, m_ratio=k / n, k=k, seed=8)
+        prefixes = [rng.permutation(k)[: int(rng.integers(0, k + 1))].tolist() for _ in range(n)]
+        inst = complete_instance(plan_with_prefixes(cfg, prefixes))
+        assert (np.sort(inst.prefs, axis=1) == np.arange(k)).all()
+        for s, prefix in enumerate(prefixes):
+            assert inst.prefs[s, : len(prefix)].tolist() == prefix
+
+    @pytest.mark.parametrize("rounds", [0, 1])
+    def test_rejection_rounds_are_bounded(self, monkeypatch, rounds):
+        # with k(k-1) = m about half the rows repeat a university after a
+        # round; rows left over when the rounds run out take the key sort
+        monkeypatch.setattr(market, "_REJECTION_ROUNDS", rounds)
+        cfg = MarketConfig(n=400, m_ratio=0.05, k=5, seed=4)
+        plan = build_seeded_plan((1.0, 0.6, 0.4, 0.2, 0.1), cfg, slack=0.0)
+        inst = complete_instance(plan)
+        assigned = plan.proposal_student >= 0
+        students, ranks = plan.proposal_student[assigned], plan.proposal_rank[assigned] - 1
+        assert np.array_equal(inst.prefs[students, ranks], plan.proposal_uni[assigned])
+        for prefs in (inst.prefs, sample_market(cfg).prefs):
+            srt = np.sort(prefs, axis=1)
+            assert (srt[:, 1:] != srt[:, :-1]).all()
