@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
+
+import numpy as np
 
 from .analytics import (
     ExperimentRecord,
@@ -168,14 +169,6 @@ def _write_text(path: Path | None, text: str) -> None:
         raise OSError(f"cannot write output file {path}: {exc}") from exc
 
 
-def _mean_se(values: list[float]) -> tuple[float, float]:
-    mean = sum(values) / len(values)
-    if len(values) < 2:
-        return mean, 0.0
-    var = sum((v - mean) ** 2 for v in values) / (len(values) - 1)
-    return mean, math.sqrt(var / len(values))
-
-
 def _records_json(records: list[ExperimentRecord]) -> str:
     payload = [
         {
@@ -312,14 +305,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             ]
             cell += 1
             records.extend(cell_records)
-            stats = [
-                _mean_se([float(r.matched) for r in cell_records]),
-                _mean_se([float(r.rank_counts[0]) for r in cell_records]),
-                _mean_se([float(r.synergy) for r in cell_records]),
-                _mean_se([r.student_utility for r in cell_records]),
-                _mean_se([r.university_utility for r in cell_records]),
-            ]
-            flat = [v for pair in stats for v in pair]
+            table = np.array(
+                [[r.matched, r.rank_counts[0], r.synergy, r.student_utility, r.university_utility]
+                 for r in cell_records],
+                dtype=np.float64,
+            )
+            reps = spec.replications
+            se = np.sqrt(table.var(axis=0, ddof=1) / reps) if reps > 1 else np.zeros(5)
+            flat = np.column_stack((table.mean(axis=0), se)).ravel()
             summary_lines.append(
                 ",".join([str(k), format_number(delta)] + [str(spec.replications)]
                          + [format_number(v) for v in flat])

@@ -1,11 +1,15 @@
-"""Deferred-acceptance engines, stability checks, and match accounting."""
+"""Deferred acceptance, stability checks, and match accounting.
+
+One proposal loop, ``_deferred_acceptance``, serves both proposing sides
+and the rejection-chain repair of seeded plans.
+"""
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -123,96 +127,101 @@ def match_rank_indices(instance: MarketInstance, matching: Matching) -> np.ndarr
     return np.where(matched, eq.argmax(axis=1), instance.k)
 
 
+def _deferred_acceptance(
+    instance: MarketInstance,
+    lists: np.ndarray,
+    start: np.ndarray,
+    stop: np.ndarray,
+    quota: int,
+    proposer: np.ndarray,
+    receiver: np.ndarray,
+    key: np.ndarray,
+    capacity: int,
+    turns: Iterable[int],
+) -> Matching:
+    """Proposer-optimal deferred acceptance over application ids ``e = s*k + r``.
+
+    Proposer ``p`` offers the applications ``lists[start[p]:stop[p]]`` in
+    order while it has free slots, ``quota`` at first.  The receiver of
+    offer ``e`` keeps the ``capacity`` offers with the lowest ``key[e]``;
+    each offer it lets go frees a slot of its proposer, which resumes at
+    once.  Proposers enter in ``turns`` order, but the outcome is the
+    proposer-optimal stable matching whatever the order (McVitie and
+    Wilson 1971).  No proposer offers one receiver twice, so an offer never
+    displaces another of its own proposer's.
+    """
+    n_apps = instance.n * instance.k
+    # A receiver's heap holds -(key*N + e): its worst kept offer sits on top.
+    heaps: list[list[int]] = [[] for _ in range(int(receiver.max(initial=-1)) + 1)]
+    # memoryviews read and write Python ints in place: no list copies of the arrays
+    pos = memoryview(np.array(start, dtype=np.int64))
+    free = memoryview(np.full(pos.shape[0], quota, dtype=np.int64))
+    end, lists, proposer, receiver, key = (
+        memoryview(np.ascontiguousarray(a, dtype=np.int64))
+        for a in (stop, lists, proposer, receiver, key)
+    )
+    pending: list[int] = []
+    for first in turns:
+        pending.append(first)
+        while pending:
+            p = pending.pop()
+            i, last, slots = pos[p], end[p], free[p]
+            while slots and i < last:
+                e = lists[i]
+                i += 1
+                heap = heaps[receiver[e]]
+                entry = -(key[e] * n_apps + e)
+                if len(heap) < capacity:
+                    heapq.heappush(heap, entry)
+                    slots -= 1
+                elif entry > heap[0]:
+                    loser = proposer[-heapq.heapreplace(heap, entry) % n_apps]
+                    slots -= 1
+                    free[loser] += 1
+                    pending.append(loser)
+            pos[p], free[p] = i, slots
+    held = -np.fromiter(chain.from_iterable(heaps), dtype=np.int64) % n_apps
+    partner = np.full(instance.n, -1, dtype=np.int64)
+    partner[held // instance.k] = instance.prefs.ravel()[held]
+    return Matching(partner, instance.m)
+
+
 def school_proposing_da(
     instance: MarketInstance, order: Iterable[int] | None = None
 ) -> Matching:
     """University-proposing deferred acceptance over the applied pairs.
 
-    Universities take turns (round-robin) making one offer each to their
-    next-best applicant; students hold their best offer so far.  The
-    resulting matching is university-optimal and does not depend on
-    ``order``, which only fixes the initial turn sequence.
+    Each university offers its seats down its applicants by signal; each
+    student keeps her best offer so far.  The resulting matching is
+    university-optimal and does not depend on ``order``, which only fixes
+    the order in which universities first take their turn.
     """
-    n, m, k, L = instance.n, instance.m, instance.k, instance.capacity
+    m, k = instance.m, instance.k
     if order is None:
-        order_arr = np.arange(m)
+        turns: Iterable[int] = range(m)
     else:
         order_arr = np.asarray(list(order), dtype=np.int64)
         if order_arr.size != m or not np.array_equal(np.sort(order_arr), np.arange(m)):
             raise ValueError("order must be a permutation of all universities")
-
-    uni_order = instance._uni_order
+        turns = order_arr.tolist()
+    apps = np.arange(instance.n * k)
     offsets = instance._uni_offsets
-    held_uni = np.full(n, -1, dtype=np.int64)
-    held_rank = np.full(n, k, dtype=np.int64)
-    ptr = offsets[:-1].copy()
-    filled = np.zeros(m, dtype=np.int64)
-
-    queue: deque[int] = deque(int(u) for u in order_arr if offsets[u + 1] > offsets[u])
-    while queue:
-        u = queue.popleft()
-        if filled[u] >= L or ptr[u] >= offsets[u + 1]:
-            continue
-        flat = uni_order[ptr[u]]
-        ptr[u] += 1
-        s = int(flat // k)
-        r = int(flat % k)
-        if r < held_rank[s]:
-            old = held_uni[s]
-            if old >= 0:
-                filled[old] -= 1
-                queue.append(int(old))
-            held_uni[s] = u
-            held_rank[s] = r
-            filled[u] += 1
-        if filled[u] < L and ptr[u] < offsets[u + 1]:
-            queue.append(u)
-    return Matching(held_uni, m)
+    return _deferred_acceptance(
+        instance, instance._uni_order, offsets[:-1], offsets[1:], quota=instance.capacity,
+        proposer=instance.prefs.ravel(), receiver=apps // k, key=apps % k, capacity=1,
+        turns=turns,
+    )
 
 
-def _run_student_proposals(
-    instance: MarketInstance,
-    partner: np.ndarray,
-    pointer: np.ndarray,
-    heaps: list[list[tuple[int, int]]],
-    filled: np.ndarray,
-    queue: deque[int],
-) -> None:
-    """Advance student-proposing deferred acceptance until the queue drains.
-
-    Heaps hold (-university_rank, student) so the worst current admit sits
-    on top; entries are invalidated lazily when a student is unmatched
-    externally.
-    """
-    prefs = instance.prefs
-    uni_rank = instance.uni_rank
-    k, L = instance.k, instance.capacity
-    while queue:
-        s = queue.popleft()
-        if partner[s] != -1:
-            continue
-        while True:
-            p = pointer[s]
-            if p >= k:
-                break
-            pointer[s] = p + 1
-            u = int(prefs[s, p])
-            r = int(uni_rank[s, p])
-            if filled[u] < L:
-                heapq.heappush(heaps[u], (-r, s))
-                filled[u] += 1
-                partner[s] = u
-                break
-            heap = heaps[u]
-            while heap and partner[heap[0][1]] != u:
-                heapq.heappop(heap)
-            neg_worst, worst_s = heap[0]
-            if r < -neg_worst:
-                heapq.heapreplace(heap, (-r, s))
-                partner[s] = u
-                partner[worst_s] = -1
-                s = worst_s
-            # otherwise rejected: the same student tries her next school
+def _students_propose(instance: MarketInstance, first_rank: np.ndarray | int) -> Matching:
+    """Student-proposing deferred acceptance, student s starting at ``first_rank[s]``."""
+    n, k = instance.n, instance.k
+    apps = np.arange(n * k)
+    return _deferred_acceptance(
+        instance, apps, apps[::k] + first_rank, apps[::k] + k, quota=1,
+        proposer=apps // k, receiver=instance.prefs.ravel(), key=instance.uni_rank.ravel(),
+        capacity=instance.capacity, turns=range(n),
+    )
 
 
 def student_proposing_da(instance: MarketInstance) -> Matching:
@@ -221,13 +230,7 @@ def student_proposing_da(instance: MarketInstance) -> Matching:
     Students rejected by all k listed schools stay unmatched.  The output
     is the student-optimal stable matching of the applied-pairs market.
     """
-    n, m = instance.n, instance.m
-    partner = np.full(n, -1, dtype=np.int64)
-    pointer = np.zeros(n, dtype=np.int64)
-    heaps: list[list[tuple[int, int]]] = [[] for _ in range(m)]
-    filled = np.zeros(m, dtype=np.int64)
-    _run_student_proposals(instance, partner, pointer, heaps, filled, deque(range(n)))
-    return Matching(partner, m)
+    return _students_propose(instance, 0)
 
 
 def find_blocking_pairs(instance: MarketInstance, matching: Matching) -> list[BlockingPair]:
@@ -281,29 +284,20 @@ def continue_rejection_chains(
 ) -> Matching:
     """Resume student-proposing deferred acceptance from a seeded plan.
 
-    The assigned accepted proposals become the tentative matching, every
-    student's proposal pointer starts after her assigned prefix, and each
-    inconsistent student proposes down her remaining list.  Displacements
-    cascade as usual, so the result is stable over the applied pairs.
+    Every student's list is cut to what she has not yet been refused: a
+    student holding an accepted proposal starts at it, every other student
+    after her assigned prefix.  Each university holds at most ``capacity``
+    accepted proposals, so when the holders propose first the seeded
+    matching is the tentative one, and the inconsistent students' proposals
+    then cascade as usual.  The result is stable over the applied pairs.
 
     The instance must be the completion of the plan (see
     ``complete_instance``).
     """
     if plan.config != instance.config:
         raise ValueError("plan and instance were built from different configurations")
-    n, m = instance.n, instance.m
-    partner = plan.accepted_partner_array()
-    pointer = plan.assigned_rank_counts().astype(np.int64)
-    heaps: list[list[tuple[int, int]]] = [[] for _ in range(m)]
-    filled = np.zeros(m, dtype=np.int64)
-    for s in np.flatnonzero(partner >= 0):
-        u = int(partner[s])
-        r = int(instance.uni_rank[s, pointer[s] - 1])
-        heapq.heappush(heaps[u], (-r, int(s)))
-        filled[u] += 1
-    queue = deque(int(s) for s in np.flatnonzero(plan.inconsistent))
-    _run_student_proposals(instance, partner, pointer, heaps, filled, queue)
-    return Matching(partner, m)
+    holds = plan.accepted_partner_array() >= 0
+    return _students_propose(instance, plan.assigned_rank_counts() - holds)
 
 
 def matching_to_csv(instance: MarketInstance, matching: Matching) -> str:

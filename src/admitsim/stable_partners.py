@@ -22,7 +22,6 @@ from .matching import Matching, match_rank_indices, school_proposing_da, student
 __all__ = [
     "MarketSizeError",
     "StablePartnerReport",
-    "has_extra_stable_partners",
     "extra_stable_partner_reports",
     "enumerate_stable_matchings",
     "stable_partner_sets",
@@ -52,13 +51,6 @@ class StablePartnerReport:
     def __post_init__(self) -> None:
         if self.verdict != (self.witness is not None):
             raise ValueError("witness must be present exactly when the verdict is YES")
-
-
-def has_extra_stable_partners(instance: MarketInstance, university: int) -> StablePartnerReport:
-    """Decide whether ``university`` has more stable partners than seats."""
-    if not 0 <= university < instance.m:
-        raise ValueError(f"no university {university} in this instance")
-    return extra_stable_partner_reports(instance)[university]
 
 
 def extra_stable_partner_reports(instance: MarketInstance) -> list[StablePartnerReport]:

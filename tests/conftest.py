@@ -1,10 +1,17 @@
 """Shared helpers: random configurations and slow-path oracles.
 
 The oracles are plain loops kept as references for the package's
-vectorised code: a stability checker and the per-pair seeded-plan builder.
+vectorised code: a stability checker, the per-pair seeded-plan builder, and
+the hand-written deferred-acceptance loops (a round-robin queue of
+universities, a heap loop over students, and the rejection-chain repair
+that seeds that loop's state from a plan).
 """
 
 from __future__ import annotations
+
+import heapq
+from collections import deque
+from collections.abc import Iterable
 
 import numpy as np
 import pytest
@@ -172,6 +179,123 @@ def seeded_plan_oracle(
         proposal_student=prop_student,
         inconsistent=inconsistent,
     )
+
+
+def school_proposing_oracle(
+    instance: MarketInstance, order: Iterable[int] | None = None
+) -> Matching:
+    """University-proposing deferred acceptance as a round-robin queue.
+
+    Universities take turns making one offer each to their next-best
+    applicant; students hold their best offer so far.
+    """
+    n, m, k, L = instance.n, instance.m, instance.k, instance.capacity
+    order_arr = np.arange(m) if order is None else np.asarray(list(order), dtype=np.int64)
+    uni_order = instance._uni_order
+    offsets = instance._uni_offsets
+    held_uni = np.full(n, -1, dtype=np.int64)
+    held_rank = np.full(n, k, dtype=np.int64)
+    ptr = offsets[:-1].copy()
+    filled = np.zeros(m, dtype=np.int64)
+
+    queue: deque[int] = deque(int(u) for u in order_arr if offsets[u + 1] > offsets[u])
+    while queue:
+        u = queue.popleft()
+        if filled[u] >= L or ptr[u] >= offsets[u + 1]:
+            continue
+        flat = uni_order[ptr[u]]
+        ptr[u] += 1
+        s = int(flat // k)
+        r = int(flat % k)
+        if r < held_rank[s]:
+            old = held_uni[s]
+            if old >= 0:
+                filled[old] -= 1
+                queue.append(int(old))
+            held_uni[s] = u
+            held_rank[s] = r
+            filled[u] += 1
+        if filled[u] < L and ptr[u] < offsets[u + 1]:
+            queue.append(u)
+    return Matching(held_uni, m)
+
+
+def _run_student_proposals_oracle(
+    instance: MarketInstance,
+    partner: np.ndarray,
+    pointer: np.ndarray,
+    heaps: list[list[tuple[int, int]]],
+    filled: np.ndarray,
+    queue: deque[int],
+) -> None:
+    """Advance student-proposing deferred acceptance until the queue drains.
+
+    Heaps hold (-university_rank, student) so the worst current admit sits
+    on top; entries are invalidated lazily when a student is unmatched
+    externally.
+    """
+    prefs = instance.prefs
+    uni_rank = instance.uni_rank
+    k, L = instance.k, instance.capacity
+    while queue:
+        s = queue.popleft()
+        if partner[s] != -1:
+            continue
+        while True:
+            p = pointer[s]
+            if p >= k:
+                break
+            pointer[s] = p + 1
+            u = int(prefs[s, p])
+            r = int(uni_rank[s, p])
+            if filled[u] < L:
+                heapq.heappush(heaps[u], (-r, s))
+                filled[u] += 1
+                partner[s] = u
+                break
+            heap = heaps[u]
+            while heap and partner[heap[0][1]] != u:
+                heapq.heappop(heap)
+            neg_worst, worst_s = heap[0]
+            if r < -neg_worst:
+                heapq.heapreplace(heap, (-r, s))
+                partner[s] = u
+                partner[worst_s] = -1
+                s = worst_s
+            # otherwise rejected: the same student tries her next school
+
+
+def student_proposing_oracle(instance: MarketInstance) -> Matching:
+    """Student-proposing deferred acceptance with one heap per university."""
+    n, m = instance.n, instance.m
+    partner = np.full(n, -1, dtype=np.int64)
+    pointer = np.zeros(n, dtype=np.int64)
+    heaps: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+    filled = np.zeros(m, dtype=np.int64)
+    _run_student_proposals_oracle(instance, partner, pointer, heaps, filled, deque(range(n)))
+    return Matching(partner, m)
+
+
+def rejection_chains_oracle(instance: MarketInstance, plan: SeededProposalPlan) -> Matching:
+    """Rejection-chain repair that seeds the student loop's state by hand.
+
+    The assigned accepted proposals fill the university heaps, every
+    pointer starts after the student's assigned prefix, and the
+    inconsistent students are queued.
+    """
+    n, m = instance.n, instance.m
+    partner = plan.accepted_partner_array()
+    pointer = plan.assigned_rank_counts().astype(np.int64)
+    heaps: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+    filled = np.zeros(m, dtype=np.int64)
+    for s in np.flatnonzero(partner >= 0):
+        u = int(partner[s])
+        r = int(instance.uni_rank[s, pointer[s] - 1])
+        heapq.heappush(heaps[u], (-r, int(s)))
+        filled[u] += 1
+    queue = deque(int(s) for s in np.flatnonzero(plan.inconsistent))
+    _run_student_proposals_oracle(instance, partner, pointer, heaps, filled, queue)
+    return Matching(partner, m)
 
 
 @pytest.fixture

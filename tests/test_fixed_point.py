@@ -130,6 +130,15 @@ class TestAcceptedMassClosedForm:
     def test_saturates_at_total_capacity(self, m_ratio, capacity):
         assert abs(expected_accepted_mass(1e3, m_ratio, capacity) - m_ratio * capacity) < 1e-6
 
+    @pytest.mark.parametrize("m_ratio,capacity", [(0.001, 1000), (0.01, 100)])
+    def test_matches_scipy_at_large_poisson_means(self, m_ratio, capacity):
+        # Poisson means x / m_ratio up to 5000, where exp(-mean) underflows
+        stats = pytest.importorskip("scipy.stats")
+        j = np.arange(capacity)
+        for x in (0.05, 0.5, 0.8, 1.0, 1.5, 5.0):
+            exact = m_ratio * stats.poisson.sf(j, x / m_ratio).sum()  # E[min(N, L)]
+            assert abs(expected_accepted_mass(x, m_ratio, capacity) - exact) <= 1e-12
+
     def test_matches_monte_carlo_occupancy(self):
         # independent oracle: average min(count, L) over multinomial throws
         rng = make_rng(12)
@@ -256,6 +265,27 @@ class TestLargeMarketAcceptance:
         assert abs(later - exact) <= 1e-12
 
     @pytest.mark.parametrize(
+        "m_ratio,capacity,s,tol",
+        [
+            (0.01, 100, 0.0, 1e-12),
+            (0.01, 100, 0.5, 1e-12),
+            (0.01, 100, 1.0, 1e-11),
+            (0.001, 1000, 0.0, 1e-12),
+            # mean 2000, twice the capacity: the documented quadrature error
+            (0.001, 1000, 1.0, 2e-4),
+        ],
+    )
+    def test_zero_shift_matches_scipy_at_large_capacity(self, m_ratio, capacity, s, tol):
+        # every proposal's rivals are Poisson(c u) with c = (1 + S) / m_ratio and
+        # u uniform, so the rate is E[min(Poisson(c), L)] / c
+        stats = pytest.importorskip("scipy.stats")
+        c = (1.0 + s) / m_ratio
+        exact = stats.poisson.sf(np.arange(capacity), c).sum() / c
+        first, later = _large_market_acceptance(0.0, m_ratio, capacity)(s)
+        assert abs(first - exact) <= tol
+        assert abs(later - exact) <= tol
+
+    @pytest.mark.parametrize(
         "delta,capacity,m_ratio,s",
         [
             (0.5, 1, 1.0, 0.5),
@@ -264,6 +294,8 @@ class TestLargeMarketAcceptance:
             (8.0, 1, 2.0, 0.0),
             (2.0, 2, 0.01, 3.0),
             (1.0, 5, 0.02, 7.0),
+            (1.0, 1000, 0.001, 0.0),
+            (2.0, 100, 0.01, 0.5),
         ],
     )
     def test_shifted_rates_match_adaptive_quadrature(self, delta, capacity, m_ratio, s):
@@ -320,6 +352,15 @@ class TestSolveGeneral:
         bound = 2 * (max(est.std_errors) + 0.005)
         for a, b in zip(iid.rank_fractions.fractions, general.rank_fractions.fractions):
             assert abs(a - b) <= bound
+
+    def test_quadrature_agrees_with_closed_form_at_large_capacity(self):
+        # Poisson means near 1000: exp(-mean) alone underflows to zero
+        cfg = MarketConfig(n=100_000, m_ratio=0.001, capacity=1000, k=3, seed=0)
+        iid = solve_iid(cfg).rank_fractions.fractions
+        general = solve_general(cfg).rank_fractions.fractions
+        assert iid[1] == pytest.approx(0.0622650574, abs=1e-9)
+        for a, b in zip(iid, general):
+            assert abs(a - b) <= 1e-9
 
     def test_zero_shift_same_as_iid_signal(self):
         base = MarketConfig(n=100, k=3, seed=9)

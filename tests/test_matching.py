@@ -12,6 +12,7 @@ from admitsim import (
     MarketConfig,
     MarketInstance,
     Matching,
+    SignalSpec,
     build_seeded_plan,
     compare_matchings,
     complete_instance,
@@ -27,7 +28,14 @@ from admitsim import (
     stable_partner_sets,
     student_proposing_da,
 )
-from conftest import brute_force_blocking_pairs, random_mixed_config, random_tiny_config
+from conftest import (
+    brute_force_blocking_pairs,
+    rejection_chains_oracle,
+    random_mixed_config,
+    random_tiny_config,
+    school_proposing_oracle,
+    student_proposing_oracle,
+)
 
 
 def small_instance(prefs, signals, n=None, m=None, capacity=1):
@@ -113,6 +121,75 @@ class TestStudentProposingDA:
                 )
                 expected = set(by_pref[: inst.capacity])
                 assert set(school.students_of(u)) == expected
+
+
+def oracle_mix_configs(rng, count):
+    """Random mixed configs with capacities 1-3 and, every fourth one, k = m."""
+    for i in range(count):
+        cfg = random_mixed_config(rng, max_n=60)
+        k = cfg.m if i % 4 == 0 and cfg.m <= 8 else cfg.k
+        yield dataclasses.replace(cfg, capacity=1 + i % 3, k=k)
+
+
+def seeded_oracle_plans(rng, count):
+    """(plan, completed instance) pairs over m_ratio 0.1-2 and capacities 1-3.
+
+    Every other plan uses the solver's fractions, the rest random
+    nonincreasing ones; every fourth plan has m_ratio 0.1 and slack <= 2.
+    """
+    for i in range(count):
+        m_ratio = 0.1 if i % 4 == 0 else float(rng.choice([0.5, 1.0, 2.0]))
+        n = 10 * int(rng.integers(2, 31))
+        m = round(m_ratio * n)
+        k = int(rng.integers(1, min(5, m) + 1))
+        signal = SignalSpec.iid() if i % 2 == 0 else SignalSpec.gaussian(float(rng.choice([1.0, 2.0])))
+        cfg = MarketConfig(n=n, m_ratio=m_ratio, capacity=int(rng.integers(1, 4)), k=k,
+                           signal=signal, seed=int(rng.integers(2**63)))
+        if i % 2 == 0:
+            fractions = solve_iid(cfg).rank_fractions.fractions
+        else:
+            fractions = np.concatenate(([1.0], np.sort(rng.random(k - 1))[::-1]))
+        slack = float(rng.uniform(0.0, 2.0)) if i % 4 == 0 or rng.random() < 0.5 else None
+        plan = build_seeded_plan(fractions, cfg, slack=slack)
+        yield plan, complete_instance(plan)
+
+
+class TestEngineAgainstOracles:
+    def test_school_side_matches_queue_oracle(self, rng):
+        seen = set()
+        for cfg in oracle_mix_configs(rng, 500):
+            inst = sample_market(cfg)
+            want = school_proposing_oracle(inst).partner.tobytes()
+            assert school_proposing_da(inst).partner.tobytes() == want
+            order = rng.permutation(inst.m)
+            assert school_proposing_da(inst, order=order).partner.tobytes() == want
+            seen.add((cfg.capacity, cfg.k == cfg.m))
+        assert {(3, True), (3, False)} <= seen
+
+    def test_student_side_matches_heap_oracle(self, rng):
+        seen = set()
+        for cfg in oracle_mix_configs(rng, 500):
+            inst = sample_market(cfg)
+            want = student_proposing_oracle(inst).partner.tobytes()
+            assert student_proposing_da(inst).partner.tobytes() == want
+            seen.add((cfg.capacity, cfg.k == cfg.m))
+        assert {(3, True), (3, False)} <= seen
+
+    def test_repair_matches_seeded_state_oracle(self, rng):
+        repaired = 0
+        for plan, inst in seeded_oracle_plans(rng, 200):
+            got = continue_rejection_chains(inst, plan)
+            assert got.partner.tobytes() == rejection_chains_oracle(inst, plan).partner.tobytes()
+            repaired += got != seeded_matching(plan)
+        assert repaired >= 50
+
+    def test_inconsistent_students_are_the_unheld_with_ranks_left(self, rng):
+        # the repair cuts lists at the assigned prefix and never reads the
+        # flag, so the flag must mark exactly the students that still propose
+        for plan, _ in seeded_oracle_plans(rng, 200):
+            k = plan.config.k
+            free = (plan.accepted_partner_array() < 0) & (plan.assigned_rank_counts() < k)
+            assert np.array_equal(plan.inconsistent, free)
 
 
 def _own_ranks(inst, matching):

@@ -11,7 +11,6 @@ from admitsim import (
     MarketSizeError,
     enumerate_stable_matchings,
     extra_stable_partner_reports,
-    has_extra_stable_partners,
     sample_market,
     school_proposing_da,
     stable_partner_sets,
@@ -89,18 +88,13 @@ class TestEnumeration:
 class TestVerdicts:
     def test_single_pair_is_no(self):
         inst = sample_market(MarketConfig(n=1, m_ratio=1.0, k=1, seed=0))
-        report = has_extra_stable_partners(inst, 0)
+        (report,) = extra_stable_partner_reports(inst)
         assert not report.verdict and report.witness is None
 
     def test_cyclic_market_yes_everywhere(self):
-        inst = cyclic_instance()
-        for u in range(3):
-            assert has_extra_stable_partners(inst, u).verdict
-
-    def test_unknown_university_rejected(self):
-        inst = sample_market(MarketConfig(n=2, m_ratio=1.0, k=1, seed=0))
-        with pytest.raises(ValueError):
-            has_extra_stable_partners(inst, 5)
+        reports = extra_stable_partner_reports(cyclic_instance())
+        assert [r.university for r in reports] == [0, 1, 2]
+        assert all(r.verdict for r in reports)
 
     def test_matches_enumeration_oracle(self, rng):
         for _ in range(60):
