@@ -20,7 +20,6 @@ __all__ = [
     "compute_utilities",
     "compare_matchings",
     "make_record",
-    "records_header",
     "format_number",
     "write_records_csv",
 ]
@@ -70,25 +69,29 @@ def compute_utilities(
     favorite school.
     """
     ranks = match_rank_indices(instance, matching)
-    return _utility_totals(np.bincount(ranks, minlength=instance.k + 1)[: instance.k], model)
+    counts = np.bincount(ranks, minlength=instance.k + 1)[: instance.k]
+    return _utility_totals(counts[None], model)[0]
 
 
-def _utility_totals(counts: np.ndarray, model: UtilityModel | None) -> UtilityTotals:
-    """Utility totals from the number of students matched at each rank."""
+def _utility_totals(counts: np.ndarray, model: UtilityModel | None) -> list[UtilityTotals]:
+    """Utility totals of each row of a (markets, k) table of students matched per rank."""
     if model is None:
         model = UtilityModel()
-    k = counts.size
+    k = counts.shape[1]
     base_values = [model.base(r) for r in range(1, k + 1)]
     if any(b > a + 1e-12 for a, b in zip(base_values, base_values[1:])):
         raise ValueError("base utility must be nonincreasing in rank")
     uni_base = model.university_base
     uni_values = base_values if uni_base is None else [uni_base(r) for r in range(1, k + 1)]
     uni_bonus = model.bonus if model.university_bonus is None else model.university_bonus
-
-    synergy = int(counts[0])
-    student_total = float(np.dot(counts, base_values)) + model.bonus * synergy
-    university_total = float(np.dot(counts, uni_values)) + uni_bonus * synergy
-    return UtilityTotals(student_total, university_total, synergy)
+    return [
+        UtilityTotals(
+            float(np.dot(row, base_values)) + model.bonus * int(row[0]),
+            float(np.dot(row, uni_values)) + uni_bonus * int(row[0]),
+            int(row[0]),
+        )
+        for row in counts
+    ]
 
 
 def compare_matchings(first: Matching, second: Matching) -> float:
@@ -137,24 +140,32 @@ def make_record(
     seed: int | None = None,
 ) -> ExperimentRecord:
     """Summarize one matching into a sweep row."""
-    k = instance.k
-    # entry k counts the unmatched students
-    counts = np.bincount(match_rank_indices(instance, matching), minlength=k + 1)
-    totals = _utility_totals(counts[:k], model)
-    config = instance.config
-    return ExperimentRecord(
-        k=config.k,
-        delta=config.signal.delta_tag,
-        seed=config.seed if seed is None else seed,
-        n=config.n,
-        m=config.m,
-        capacity=config.capacity,
-        rank_counts=tuple(int(c) for c in counts[:k]),
-        unmatched=int(counts[k]),
-        synergy=totals.synergy_count,
-        student_utility=totals.student_total,
-        university_utility=totals.university_total,
-    )
+    seeds = [instance.config.seed if seed is None else seed]
+    return _block_records(instance, matching, seeds, model)[0]
+
+
+def _block_records(
+    instance: MarketInstance,
+    matching: Matching,
+    seeds: Sequence[int],
+    model: UtilityModel | None = None,
+) -> list[ExperimentRecord]:
+    """One sweep row per block of a stacked instance (see ``market._sample_stack``).
+
+    Block b is tagged ``seeds[b]``; one bincount over the block-offset match
+    ranks counts every block.
+    """
+    blocks, k, config = len(seeds), instance.k, instance.config
+    n = instance.n // blocks
+    # entry k of each block's row counts its unmatched students
+    ranks = match_rank_indices(instance, matching) + (k + 1) * (np.arange(instance.n) // n)
+    counts = np.bincount(ranks, minlength=blocks * (k + 1)).reshape(blocks, k + 1)
+    totals = _utility_totals(counts[:, :k], model)
+    return [
+        ExperimentRecord(k, config.signal.delta_tag, seed, n, instance.m // blocks,
+                         config.capacity, tuple(row[:k]), row[k], synergy, student, university)
+        for seed, row, (student, university, synergy) in zip(seeds, counts.tolist(), totals)
+    ]
 
 
 def format_number(value: float | int | None) -> str:
@@ -166,7 +177,7 @@ def format_number(value: float | int | None) -> str:
     return f"{float(value):.6g}"
 
 
-def records_header(k_max: int) -> list[str]:
+def _records_header(k_max: int) -> list[str]:
     ranks = [f"rank{i}" for i in range(1, k_max + 1)]
     return (
         ["k", "delta", "seed", "n", "m", "l", "matched"]
@@ -184,7 +195,7 @@ def write_records_csv(
     rows = list(records)
     if k_max is None:
         k_max = max((r.k for r in rows), default=1)
-    lines = [",".join(records_header(k_max))]
+    lines = [",".join(_records_header(k_max))]
     for r in rows:
         counts = list(r.rank_counts) + [0] * (k_max - len(r.rank_counts))
         fields = (

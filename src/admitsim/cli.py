@@ -2,7 +2,10 @@
 
 Subcommands: simulate, solve, sweep, stable-partners, compare.  Every
 command is a pure function of its flags and the root seed, so identical
-invocations produce identical output files.
+invocations produce identical output files.  Replications run in stacks
+of up to ``_STACK_APPS`` applications, one block-diagonal instance each;
+every block is the market its replication samples alone, so results,
+split per block, do not depend on the stacking.
 """
 
 from __future__ import annotations
@@ -17,19 +20,22 @@ from typing import Any
 
 import numpy as np
 
-from .analytics import (
+# unused here: compare_matchings, make_record, sample_market (benchmarks/spans.py wraps them)
+from .analytics import (  # noqa: F401
     ExperimentRecord,
+    _block_records,
     compare_matchings,
     format_number,
     make_record,
     write_records_csv,
 )
 from .fixed_point import ConvergenceError, solve_general, solve_iid
-from .market import (
+from .market import (  # noqa: F401
     ConfigurationError,
     MarketConfig,
     MarketInstance,
     SignalSpec,
+    _sample_stack,
     child_seed,
     sample_market,
 )
@@ -37,6 +43,9 @@ from .matching import school_proposing_da, student_proposing_da
 from .stable_partners import extra_stable_partner_reports
 
 __all__ = ["main", "SweepSpec"]
+
+# Most applications in one stacked instance; a stack holds at least one replication.
+_STACK_APPS = 2**14
 
 
 class UsageError(ValueError):
@@ -192,24 +201,33 @@ def _records_json(records: list[ExperimentRecord]) -> str:
 
 def _replications(
     config: MarketConfig, replications: int, first: int = 0
-) -> Iterator[tuple[int, int, MarketInstance]]:
-    """(rep, seed, instance) for each replication of ``config``.
+) -> Iterator[tuple[int, list[int], MarketInstance]]:
+    """(first rep, seeds, stacked instance) per stack of replications of ``config``.
 
     Replication ``rep`` samples from ``child_seed(config.seed, first + rep)``.
     """
     if replications < 1:
         raise UsageError("--reps must be at least 1")
-    for rep in range(replications):
-        seed = child_seed(config.seed, first + rep)
-        yield rep, seed, sample_market(replace(config, seed=seed))
+    seeds = [child_seed(config.seed, first + rep) for rep in range(replications)]
+    size = max(1, _STACK_APPS // (config.n * config.k))
+    for rep in range(0, replications, size):
+        yield rep, seeds[rep : rep + size], _sample_stack(config, seeds[rep : rep + size])
+
+
+def _school_records(
+    config: MarketConfig, replications: int, first: int = 0
+) -> list[ExperimentRecord]:
+    """One record of the school-proposing matching per replication (see ``_replications``)."""
+    return [
+        record
+        for _, seeds, stack in _replications(config, replications, first)
+        for record in _block_records(stack, school_proposing_da(stack), seeds)
+    ]
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _build_market_config(args)
-    records = [
-        make_record(instance, school_proposing_da(instance), seed=seed)
-        for _, seed, instance in _replications(config, args.reps)
-    ]
+    records = _school_records(config, args.reps)
     out = Path(args.out) if args.out else None
     if args.format == "json":
         _write_text(out, _records_json(records))
@@ -297,12 +315,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         signal = _shift_signal(delta)
         for k in spec.k_values:
             config = replace(spec.base, k=k, signal=signal, seed=spec.seed)
-            cell_records = [
-                make_record(instance, school_proposing_da(instance), seed=seed)
-                for _, seed, instance in _replications(
-                    config, spec.replications, first=cell * spec.replications
-                )
-            ]
+            cell_records = _school_records(config, spec.replications, cell * spec.replications)
             cell += 1
             records.extend(cell_records)
             table = np.array(
@@ -331,14 +344,19 @@ def _cmd_stable_partners(args: argparse.Namespace) -> int:
     config = _build_market_config(args)
     lines = ["rep,seed,university,verdict,witness"]
     summary = ["rep,seed,yes_fraction"]
-    for rep, seed, instance in _replications(config, args.reps):
-        reports = extra_stable_partner_reports(instance)
-        yes = 0
-        for r in reports:
-            witness = "NULL" if r.witness is None else str(r.witness)
-            lines.append(f"{rep},{seed},{r.university},{'YES' if r.verdict else 'NO'},{witness}")
-            yes += int(r.verdict)
-        summary.append(f"{rep},{seed},{format_number(yes / config.m)}")
+    n, m = config.n, config.m
+    for first, seeds, stack in _replications(config, args.reps):
+        reports = extra_stable_partner_reports(stack)
+        verdicts = reports.verdict.reshape(len(seeds), m)
+        # witnesses are stack student ids; block b's students start at b * n
+        witnesses = reports.witness.reshape(len(seeds), m) - n * np.arange(len(seeds))[:, None]
+        for rep, seed, verdict, witness in zip(range(first, first + len(seeds)), seeds,
+                                               verdicts.tolist(), witnesses.tolist()):
+            lines.extend(
+                f"{rep},{seed},{u},YES,{w}" if yes else f"{rep},{seed},{u},NO,NULL"
+                for u, (yes, w) in enumerate(zip(verdict, witness))
+            )
+            summary.append(f"{rep},{seed},{format_number(sum(verdict) / m)}")
     out = Path(args.out) if args.out else None
     if out is None:
         sys.stdout.write("\n".join(lines) + "\n")
@@ -352,11 +370,13 @@ def _cmd_stable_partners(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     config = _build_market_config(args)
     lines = ["rep,seed,diff_fraction"]
-    diffs = []
-    for rep, seed, instance in _replications(config, args.reps):
-        diff = compare_matchings(student_proposing_da(instance), school_proposing_da(instance))
-        diffs.append(diff)
-        lines.append(f"{rep},{seed},{format_number(diff)}")
+    diffs: list[float] = []
+    for first, seeds, stack in _replications(config, args.reps):
+        differs = student_proposing_da(stack).partner != school_proposing_da(stack).partner
+        for rep, seed, diff in zip(range(first, first + len(seeds)), seeds,
+                                   differs.reshape(len(seeds), -1).mean(axis=1).tolist()):
+            diffs.append(diff)
+            lines.append(f"{rep},{seed},{format_number(diff)}")
     if args.out:
         _write_text(Path(args.out), "\n".join(lines) + "\n")
     summary = {"replications": args.reps, "mean_difference": sum(diffs) / len(diffs)}

@@ -11,8 +11,8 @@ signal.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np
@@ -206,8 +206,17 @@ class MarketConfig:
         )
 
 
+def _argsort_ids(ids: np.ndarray) -> np.ndarray:
+    """Stable argsort along axis 1 of ids in [0, 2**32), as radix sorts of 16-bit digits."""
+    order = np.argsort((ids & 0xFFFF).astype(np.uint16), axis=1, kind="stable")
+    if ids.max(initial=0) >> 16:
+        high = (np.take_along_axis(ids, order, 1) >> 16).astype(np.uint16)
+        order = np.take_along_axis(order, np.argsort(high, axis=1, kind="stable"), 1)
+    return order
+
+
 def _rank_within_universities(
-    uni: np.ndarray, signals: np.ndarray, tiebreaks: np.ndarray, m: int
+    uni: np.ndarray, signals: np.ndarray, tiebreaks: np.ndarray, m: int, blocks: int = 1
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rank applications within each university: 0 = highest signal.
 
@@ -215,14 +224,19 @@ def _rank_within_universities(
     which realizes a uniformly random ordering among equal signals.
     Returns (ranks, order, offsets) where ``order`` lists application
     indices grouped by university in preference order and ``offsets``
-    delimits the groups.
+    delimits the groups.  ``blocks`` equal runs of applications with
+    increasing universities (a stack) are sorted each along one axis.
     """
-    # Stable sorts by signal, then by university, give the 3-key lexsort's order
-    # unless a university sees equal (or NaN) signals; only then run the lexsort.
-    order = np.argsort(-signals, kind="stable")
-    order = order[np.argsort(uni[order], kind="stable")]
+    # A sort by signal, then a stable sort by university, give the 3-key
+    # lexsort's order unless a university sees equal (or NaN) signals; only
+    # then run the lexsort.  Ties across universities may fall either way.
+    uni2, signals2 = uni.reshape(blocks, -1), signals.reshape(blocks, -1)
+    first = uni2.shape[1] * np.arange(blocks)[:, None]  # first application of each run
+    order = np.argsort(-signals2, axis=1)
+    local = np.take_along_axis(uni2, order, 1) - (m // blocks) * np.arange(blocks)[:, None]
+    order = (np.take_along_axis(order, _argsort_ids(local), 1) + first).ravel()
     if ((np.diff(uni[order]) == 0) & ~(np.diff(signals[order]) < 0)).any():
-        order = np.lexsort((tiebreaks, -signals, uni))
+        order = (np.lexsort((tiebreaks.reshape(blocks, -1), -signals2, uni2)) + first).ravel()
     counts = np.bincount(uni, minlength=m)
     offsets = np.concatenate(([0], np.cumsum(counts)))
     ranks_sorted = np.arange(uni.size, dtype=np.int64) - offsets[uni[order]]
@@ -232,34 +246,42 @@ def _rank_within_universities(
 
 
 def _fill_distinct(
-    prefs: np.ndarray, holes: np.ndarray, m: int, rng: np.random.Generator
+    prefs: np.ndarray, holes: np.ndarray, m: int, rngs: Sequence[np.random.Generator]
 ) -> np.ndarray:
     """Fill the ``holes`` cells of ``prefs`` in place so that every row is distinct.
 
-    A row's fresh entries are a uniform ordered sample of the universities
-    its other cells do not list.  When k(k-1) <= m, holes are drawn
-    uniformly and rows that repeat a university (chance <= k(k-1)/2m <= 1/2)
-    redrawn; rows left after ``_REJECTION_ROUNDS`` rounds, and all rows when
-    k(k-1) > m (m < k**2), take the unlisted universities with the smallest
-    of m uniform random keys.  Returns ``prefs``.
+    ``prefs`` and ``holes`` are (blocks, rows, k); block b draws from
+    ``rngs[b]`` what it would draw alone.  A row's fresh entries are a
+    uniform ordered sample of the universities its other cells do not list.
+    When k(k-1) <= m, holes are drawn uniformly and rows that repeat a
+    university (chance <= k(k-1)/2m <= 1/2) redrawn, in rounds that blocks
+    with such rows join; rows left after ``_REJECTION_ROUNDS`` rounds, and
+    all rows when k(k-1) > m (m < k**2), take the unlisted universities
+    with the smallest of m uniform random keys.  Returns ``prefs``.
     """
-    k = prefs.shape[1]
+    k = prefs.shape[2]
     pending = holes
     for _ in range(_REJECTION_ROUNDS if k * (k - 1) <= m else 0):
-        prefs[pending] = rng.integers(0, m, size=int(pending.sum()), dtype=np.int64)
-        srt = np.sort(prefs, axis=1)
-        repeats = (srt[:, 1:] == srt[:, :-1]).any(axis=1)
-        if not repeats.any():
+        counts = pending.sum(axis=(1, 2)).tolist()
+        prefs[pending] = np.concatenate([
+            rngs[b].integers(0, m, size=count, dtype=np.int64)
+            for b, count in enumerate(counts) if count
+        ] + [np.empty(0, dtype=np.int64)])
+        rows = pending.any(axis=2)
+        srt = np.sort(prefs[rows], axis=1)
+        rows[rows] = (srt[:, 1:] == srt[:, :-1]).any(axis=1)
+        if not rows.any():
             return prefs
-        pending = holes & repeats[:, None]
-    rows = np.flatnonzero(pending.any(axis=1))
-    if rows.size:
-        block, fill = prefs[rows], holes[rows]
-        keys = rng.random((rows.size, m))
-        keys[np.nonzero(~fill)[0], block[~fill]] = 2.0  # listed universities sort last
-        picks = np.argsort(keys, axis=1)[:, :k]
-        block[fill] = picks[np.arange(k) < fill.sum(axis=1)[:, None]]
-        prefs[rows] = block
+        pending = holes & rows[..., None]
+    for rng, block, todo, fresh in zip(rngs, prefs, pending, holes):
+        rows = np.flatnonzero(todo.any(axis=1))
+        if rows.size:
+            row_prefs, fill = block[rows], fresh[rows]
+            keys = rng.random((rows.size, m))
+            keys[np.nonzero(~fill)[0], row_prefs[~fill]] = 2.0  # listed universities sort last
+            picks = np.argsort(keys, axis=1)[:, :k]
+            row_prefs[fill] = picks[np.arange(k) < fill.sum(axis=1)[:, None]]
+            block[rows] = row_prefs
     return prefs
 
 
@@ -269,6 +291,7 @@ class MarketInstance:
     Immutable after construction.  ``prefs[s, r]`` is student ``s``'s
     rank-(r+1) university; ``signals[s, r]`` is the signal that university
     observed for the application; ``tiebreaks[s, r]`` orders equal signals.
+    ``blocks`` > 1 marks that many equal markets side by side (``_sample_stack``).
     """
 
     __slots__ = (
@@ -287,6 +310,7 @@ class MarketInstance:
         prefs: np.ndarray,
         signals: np.ndarray,
         tiebreaks: np.ndarray,
+        blocks: int = 1,
     ) -> None:
         prefs = np.ascontiguousarray(prefs, dtype=np.int64)
         signals = np.ascontiguousarray(signals, dtype=np.float64)
@@ -299,13 +323,18 @@ class MarketInstance:
         srt = np.sort(prefs, axis=1)
         if k > 1 and (srt[:, 1:] == srt[:, :-1]).any():
             raise ConfigurationError("a student lists the same university twice")
+        if blocks > 1 and (
+            n % blocks or m % blocks
+            or (prefs // (m // blocks) != (np.arange(n) // (n // blocks))[:, None]).any()
+        ):
+            raise ConfigurationError("a block's students must list only its universities")
 
         self.config = config
         self.prefs = prefs
         self.signals = signals
         self.tiebreaks = tiebreaks
         ranks, order, offsets = _rank_within_universities(
-            prefs.ravel(), signals.ravel(), tiebreaks.ravel(), m
+            prefs.ravel(), signals.ravel(), tiebreaks.ravel(), m, blocks
         )
         self.uni_rank = ranks.reshape(n, k)
         self._uni_order = order
@@ -328,12 +357,6 @@ class MarketInstance:
     @property
     def capacity(self) -> int:
         return self.config.capacity
-
-    def student_rank_of(self, student: int, university: int) -> int | None:
-        """1-based rank of ``university`` on the student's list, or None."""
-        row = self.prefs[student]
-        hits = np.nonzero(row == university)[0]
-        return int(hits[0]) + 1 if hits.size else None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MarketInstance):
@@ -388,15 +411,31 @@ def sample_market(config: MarketConfig, rng: np.random.Generator | None = None) 
     With ``rng=None`` the generator is seeded from ``config.seed``, so
     identical configurations produce bit-identical instances.
     """
-    if rng is None:
-        rng = make_rng(config.seed)
+    return _sample_stack(config, [config.seed if rng is None else rng])
+
+
+def _sample_stack(config: MarketConfig, seeds: Sequence[Any]) -> MarketInstance:
+    """Markets of ``config`` side by side in one block-diagonal instance.
+
+    Block b (students b*n.., universities b*m..) is the market
+    ``sample_market(replace(config, seed=seeds[b]))``: its own generator
+    (``seeds[b]`` may be one) makes the same calls in the same order, the
+    list draws of ``_fill_distinct``, one ``draw_batch``, one ``random``.
+    """
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     n, m, k = config.n, config.m, config.k
-    prefs = _fill_distinct(np.empty((n, k), dtype=np.int64), np.ones((n, k), dtype=bool), m, rng)
-    special = np.zeros((n, k), dtype=bool)
-    special[:, 0] = True
-    signals = config.signal.draw_batch(special, rng)
-    tiebreaks = rng.random((n, k))
-    return MarketInstance(config, prefs, signals, tiebreaks)
+    shape = (len(rngs), n, k)
+    prefs = _fill_distinct(np.empty(shape, dtype=np.int64), np.ones(shape, dtype=bool), m, rngs)
+    prefs += m * np.arange(len(rngs))[:, None, None]
+    special = np.broadcast_to(np.arange(k) == 0, (n, k))  # rank 1 is the favorite school
+    signals, tiebreaks = np.empty(shape), np.empty(shape)
+    for b, rng in enumerate(rngs):
+        signals[b] = config.signal.draw_batch(special, rng)
+        tiebreaks[b] = rng.random((n, k))
+    return MarketInstance(
+        replace(config, n=len(rngs) * n), prefs.reshape(-1, k),
+        signals.reshape(-1, k), tiebreaks.reshape(-1, k), len(rngs),
+    )
 
 
 @dataclass(frozen=True)
@@ -419,16 +458,6 @@ class SeededProposalPlan:
     proposal_accepted: np.ndarray
     proposal_student: np.ndarray
     inconsistent: np.ndarray  # (n,) bool
-
-    @property
-    def counts_per_rank(self) -> tuple[int, ...]:
-        k = self.config.k
-        counts = np.bincount(self.proposal_rank, minlength=k + 1)
-        return tuple(int(c) for c in counts[1:])
-
-    @property
-    def inconsistent_students(self) -> tuple[int, ...]:
-        return tuple(int(s) for s in np.flatnonzero(self.inconsistent))
 
     def accepted_partner_array(self) -> np.ndarray:
         """Student -> university map following the accepted proposals."""
@@ -546,12 +575,13 @@ def build_seeded_plan(
             s = students[idx]
             if targets[idx] not in listed[s]:
                 continue
-            # swap owners with another pair that stays valid both ways
+            # swap owners with another pair that stays valid both ways; a pair
+            # whose own repair failed has no student and is no partner
             for _ in range(_SWAP_ATTEMPTS):
                 j = int(rng.integers(props.size))
-                if j == idx:
-                    continue
                 s2 = students[j]
+                if j == idx or s2 < 0:
+                    continue
                 if targets[idx] not in listed[s2] and targets[j] not in listed[s]:
                     students[idx], students[j] = s2, s
                     break
@@ -611,7 +641,7 @@ def complete_instance(
     tiebreaks[students, ranks] = plan.proposal_tiebreak[assigned]
 
     holes = np.arange(k) >= plan.assigned_rank_counts()[:, None]
-    _fill_distinct(prefs, holes, m, rng)
+    _fill_distinct(prefs[None], holes[None], m, [rng])
     signals[holes] = config.signal.draw_batch(np.nonzero(holes)[1] == 0, rng)
     tiebreaks[holes] = rng.random(int(holes.sum()))
     return MarketInstance(config, prefs, signals, tiebreaks)

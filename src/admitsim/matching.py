@@ -1,15 +1,13 @@
 """Deferred acceptance, stability checks, and match accounting.
 
-One proposal loop, ``_deferred_acceptance``, serves both proposing sides
-and the rejection-chain repair of seeded plans.
+One round-based engine, ``_deferred_acceptance``, with its state in arrays,
+serves both proposing sides and the rejection-chain repair of seeded plans.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -25,7 +23,6 @@ __all__ = [
     "find_blocking_pairs",
     "rank_profile",
     "match_rank_indices",
-    "seeded_matching",
     "continue_rejection_chains",
     "matching_to_csv",
 ]
@@ -61,17 +58,6 @@ class Matching:
     def matched_count(self) -> int:
         return int((self.partner >= 0).sum())
 
-    @property
-    def assignment(self) -> dict[int, int]:
-        return {int(s): int(u) for s, u in enumerate(self.partner) if u >= 0}
-
-    def university_of(self, student: int) -> int | None:
-        u = int(self.partner[student])
-        return u if u >= 0 else None
-
-    def students_of(self, university: int) -> tuple[int, ...]:
-        return tuple(int(s) for s in np.flatnonzero(self.partner == university))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matching):
             return NotImplemented
@@ -100,10 +86,6 @@ class RankProfile:
     def total(self) -> int:
         return sum(self.counts) + self.unmatched
 
-    @property
-    def matched(self) -> int:
-        return sum(self.counts)
-
     def fractions(self) -> tuple[float, ...]:
         return tuple(c / self.total for c in self.counts)
 
@@ -128,61 +110,72 @@ def match_rank_indices(instance: MarketInstance, matching: Matching) -> np.ndarr
 
 
 def _deferred_acceptance(
-    instance: MarketInstance,
     lists: np.ndarray,
-    start: np.ndarray,
+    pos: np.ndarray,
     stop: np.ndarray,
-    quota: int,
+    free: np.ndarray,
     proposer: np.ndarray,
     receiver: np.ndarray,
-    key: np.ndarray,
-    capacity: int,
-    turns: Iterable[int],
-) -> Matching:
-    """Proposer-optimal deferred acceptance over application ids ``e = s*k + r``.
+    held: np.ndarray,
+    active: np.ndarray,
+) -> np.ndarray:
+    """Proposer-optimal deferred acceptance in rounds; returns the held offers.
 
-    Proposer ``p`` offers the applications ``lists[start[p]:stop[p]]`` in
-    order while it has free slots, ``quota`` at first.  The receiver of
-    offer ``e`` keeps the ``capacity`` offers with the lowest ``key[e]``;
-    each offer it lets go frees a slot of its proposer, which resumes at
-    once.  Proposers enter in ``turns`` order, but the outcome is the
-    proposer-optimal stable matching whatever the order (McVitie and
-    Wilson 1971).  No proposer offers one receiver twice, so an offer never
-    displaces another of its own proposer's.
+    Offer ids sort by receiver, then by the receiver's preference.  Proposer
+    ``p`` offers ``lists[pos[p]:stop[p]]`` in order, one per free slot
+    (``free[p]``); receiver ``r`` holds ``held[r]`` (-1 is an empty seat).
+    Each round every free slot of the ``active`` proposers offers to its
+    next entry, each touched receiver keeps its best ``held.shape[1]``
+    among holders and newcomers (one sort), and every offer let go frees a
+    slot of its proposer, active next round: O(offers + holders touched)
+    per round.  Any proposal order reaches the proposer-optimal stable
+    matching (McVitie and Wilson 1971).  ``pos``, ``free``, ``held`` change
+    in place.
     """
-    n_apps = instance.n * instance.k
-    # A receiver's heap holds -(key*N + e): its worst kept offer sits on top.
-    heaps: list[list[int]] = [[] for _ in range(int(receiver.max(initial=-1)) + 1)]
-    # memoryviews read and write Python ints in place: no list copies of the arrays
-    pos = memoryview(np.array(start, dtype=np.int64))
-    free = memoryview(np.full(pos.shape[0], quota, dtype=np.int64))
-    end, lists, proposer, receiver, key = (
-        memoryview(np.ascontiguousarray(a, dtype=np.int64))
-        for a in (stop, lists, proposer, receiver, key)
-    )
-    pending: list[int] = []
-    for first in turns:
-        pending.append(first)
-        while pending:
-            p = pending.pop()
-            i, last, slots = pos[p], end[p], free[p]
-            while slots and i < last:
-                e = lists[i]
-                i += 1
-                heap = heaps[receiver[e]]
-                entry = -(key[e] * n_apps + e)
-                if len(heap) < capacity:
-                    heapq.heappush(heap, entry)
-                    slots -= 1
-                elif entry > heap[0]:
-                    loser = proposer[-heapq.heapreplace(heap, entry) % n_apps]
-                    slots -= 1
-                    free[loser] += 1
-                    pending.append(loser)
-            pos[p], free[p] = i, slots
-    held = -np.fromiter(chain.from_iterable(heaps), dtype=np.int64) % n_apps
+    capacity = held.shape[1]
+    # with one slot each, no proposer offers or is let go twice in a round
+    single = free.max(initial=0) <= 1
+    # latest[v]: index of the last v written; entries matching it pick each v once
+    latest = np.empty(max(free.size, held.shape[0]), dtype=np.int64)
+    while active.size:
+        if single:
+            active = active[pos[active] < stop[active]]
+            first = pos[active]
+            pos[active] = first + 1
+            offers = lists[first]
+        else:
+            take = np.minimum(free[active], stop[active] - pos[active])
+            active, take = active[take > 0], take[take > 0]
+            first = pos[active]
+            pos[active] = first + take
+            free[active] -= take
+            ends = np.cumsum(take)
+            offers = lists[np.arange(take.sum()) + np.repeat(first - ends + take, take)]
+        # the newcomers and the holders of each receiver they reach, best first
+        to, ids = receiver[offers], np.arange(offers.size)
+        latest[to] = ids
+        holders = held[to[latest[to] == ids]].ravel()
+        cand = np.sort(np.concatenate((offers, holders[holders >= 0])))
+        to = receiver[cand]
+        ids = np.arange(cand.size)
+        opens = np.ones(cand.size, dtype=bool)
+        opens[1:] = to[1:] != to[:-1]
+        seat = ids - np.maximum.accumulate(np.where(opens, ids, 0))
+        kept = seat < capacity
+        held[to] = -1
+        held[to[kept], seat[kept]] = cand[kept]
+        active = proposer[cand[~kept]]
+        if not single:
+            np.add.at(free, active, 1)
+            latest[active] = np.arange(active.size)
+            active = active[latest[active] == np.arange(active.size)]
+    return held[held >= 0]
+
+
+def _matching(instance: MarketInstance, apps: np.ndarray) -> Matching:
+    """The matching that pairs the student and university of each application id."""
     partner = np.full(instance.n, -1, dtype=np.int64)
-    partner[held // instance.k] = instance.prefs.ravel()[held]
+    partner[apps // instance.k] = instance.prefs.ravel()[apps]
     return Matching(partner, instance.m)
 
 
@@ -193,35 +186,56 @@ def school_proposing_da(
 
     Each university offers its seats down its applicants by signal; each
     student keeps her best offer so far.  The resulting matching is
-    university-optimal and does not depend on ``order``, which only fixes
-    the order in which universities first take their turn.
+    university-optimal and does not depend on ``order``, which only sets
+    the order of the first round's offers.
     """
-    m, k = instance.m, instance.k
-    if order is None:
-        turns: Iterable[int] = range(m)
-    else:
-        order_arr = np.asarray(list(order), dtype=np.int64)
-        if order_arr.size != m or not np.array_equal(np.sort(order_arr), np.arange(m)):
-            raise ValueError("order must be a permutation of all universities")
-        turns = order_arr.tolist()
-    apps = np.arange(instance.n * k)
+    n, m, k = instance.n, instance.m, instance.k
+    first = np.arange(m) if order is None else np.asarray(list(order), dtype=np.int64)
+    if order is not None and not np.array_equal(np.sort(first), np.arange(m)):
+        raise ValueError("order must be a permutation of all universities")
+    # offers are application ids s*k + r: by student, then by her own rank
     offsets = instance._uni_offsets
-    return _deferred_acceptance(
-        instance, instance._uni_order, offsets[:-1], offsets[1:], quota=instance.capacity,
-        proposer=instance.prefs.ravel(), receiver=apps // k, key=apps % k, capacity=1,
-        turns=turns,
+    held = _deferred_acceptance(
+        instance._uni_order, offsets[:-1].copy(), offsets[1:], np.full(m, instance.capacity),
+        proposer=instance.prefs.ravel(), receiver=np.arange(n * k) // k,
+        held=np.full((n, 1), -1), active=first,
     )
+    return _matching(instance, held)
 
 
-def _students_propose(instance: MarketInstance, first_rank: np.ndarray | int) -> Matching:
-    """Student-proposing deferred acceptance, student s starting at ``first_rank[s]``."""
-    n, k = instance.n, instance.k
-    apps = np.arange(n * k)
-    return _deferred_acceptance(
-        instance, apps, apps[::k] + first_rank, apps[::k] + k, quota=1,
-        proposer=apps // k, receiver=instance.prefs.ravel(), key=instance.uni_rank.ravel(),
-        capacity=instance.capacity, turns=range(n),
+def _students_propose(
+    instance: MarketInstance, first_rank: np.ndarray | int, holds: np.ndarray | None = None
+) -> Matching:
+    """Student-proposing deferred acceptance, student s starting at ``first_rank[s]``.
+
+    Students flagged in ``holds`` are already kept at their first entry:
+    their seats are filled in one pass, at most ``capacity`` per
+    university, and only the other students with ranks left propose.
+    """
+    n, m, k = instance.n, instance.m, instance.k
+    # offers are positions in the universities' merged preference order
+    by_uni = instance._uni_order
+    lists = np.empty(n * k, dtype=np.int64)
+    lists[by_uni] = np.arange(n * k)
+    receiver = instance.prefs.ravel()[by_uni]
+    pos = np.arange(0, n * k, k) + first_rank
+    stop = np.arange(k, n * k + 1, k)
+    free = np.ones(n, dtype=np.int64)
+    held = np.full((m, instance.capacity), -1)
+    if holds is not None:
+        seated = lists[pos[holds]]
+        for seat in range(instance.capacity):
+            held[receiver[seated], seat] = seated
+            seated = seated[held[receiver[seated], seat] != seated]
+        if seated.size:
+            raise ValueError("more holds than seats at a university")
+        pos[holds] += 1
+        free[holds] = 0
+    held = _deferred_acceptance(
+        lists, pos, stop, free, proposer=by_uni // k, receiver=receiver, held=held,
+        active=np.flatnonzero(free & (pos < stop)),
     )
+    return _matching(instance, by_uni[held])
 
 
 def student_proposing_da(instance: MarketInstance) -> Matching:
@@ -274,11 +288,6 @@ def rank_profile(instance: MarketInstance, matching: Matching) -> RankProfile:
     )
 
 
-def seeded_matching(plan: SeededProposalPlan) -> Matching:
-    """The matching that follows a plan's assigned accepted proposals."""
-    return Matching(plan.accepted_partner_array(), plan.config.m)
-
-
 def continue_rejection_chains(
     instance: MarketInstance, plan: SeededProposalPlan
 ) -> Matching:
@@ -297,7 +306,7 @@ def continue_rejection_chains(
     if plan.config != instance.config:
         raise ValueError("plan and instance were built from different configurations")
     holds = plan.accepted_partner_array() >= 0
-    return _students_propose(instance, plan.assigned_rank_counts() - holds)
+    return _students_propose(instance, plan.assigned_rank_counts() - holds, holds)
 
 
 def matching_to_csv(instance: MarketInstance, matching: Matching) -> str:

@@ -6,8 +6,8 @@ university-proposing deferred acceptance each university ends up with its
 gives it its least favorite stable assignment; a university that is ever
 under capacity keeps the same partners in every stable matching.  Hence a
 university has more stable partners than seats exactly when its admit set
-differs between the two runs.  A brute-force enumerator over tiny markets
-serves as the testing oracle for this equivalence.
+differs between the two runs.  A brute-force enumerator over tiny markets,
+kept with the tests, serves as the oracle for this equivalence.
 """
 
 from __future__ import annotations
@@ -17,50 +17,35 @@ from dataclasses import dataclass
 import numpy as np
 
 from .market import MarketInstance
-from .matching import Matching, match_rank_indices, school_proposing_da, student_proposing_da
+from .matching import match_rank_indices, school_proposing_da, student_proposing_da
 
-__all__ = [
-    "MarketSizeError",
-    "StablePartnerReport",
-    "extra_stable_partner_reports",
-    "enumerate_stable_matchings",
-    "stable_partner_sets",
-]
-
-_ENUM_LIMIT = 10
+__all__ = ["StablePartnerReports", "extra_stable_partner_reports"]
 
 
-class MarketSizeError(ValueError):
-    """The instance is too large for exhaustive enumeration."""
+@dataclass(frozen=True, eq=False)
+class StablePartnerReports:
+    """Verdicts for every university: does it have more stable partners than seats?
 
-
-@dataclass(frozen=True)
-class StablePartnerReport:
-    """Verdict for one university: does it have more stable partners than seats?
-
-    ``witness`` is a student the university admits in the
-    university-optimal matching but not in the student-optimal one; the
-    university prefers the witness to its least favorite student-optimal
-    admit.
+    ``verdict[u]`` is YES or NO.  ``witness[u]`` is -1 with a NO; with a
+    YES, a student u admits in the university-optimal matching but not in
+    the student-optimal one and prefers to its worst student-optimal admit.
+    Both arrays are read-only; ``len()`` is the number of universities.
     """
 
-    university: int
-    verdict: bool
-    witness: int | None
+    verdict: np.ndarray
+    witness: np.ndarray
 
-    def __post_init__(self) -> None:
-        if self.verdict != (self.witness is not None):
-            raise ValueError("witness must be present exactly when the verdict is YES")
+    def __len__(self) -> int:
+        return self.verdict.size
 
 
-def extra_stable_partner_reports(instance: MarketInstance) -> list[StablePartnerReport]:
-    """Reports for every university, read off one pair of extreme matchings.
+def extra_stable_partner_reports(instance: MarketInstance) -> StablePartnerReports:
+    """Verdicts for every university, read off one pair of extreme matchings.
 
     A university has extra stable partners exactly when some student it
     admits in the university-optimal matching sits elsewhere in the
     student-optimal one; the witness is the one among them it ranks highest.
     """
-    m = instance.m
     pessimal = student_proposing_da(instance).partner
     university_optimal = school_proposing_da(instance)
     optimal = university_optimal.partner
@@ -70,84 +55,12 @@ def extra_stable_partner_reports(instance: MarketInstance) -> list[StablePartner
     unis = optimal[extras]
     list_rank = match_rank_indices(instance, university_optimal)[extras]
     rank_at_uni = instance.uni_rank[extras, list_rank]
-    best = np.full(m, instance.n * instance.k, dtype=np.int64)
+    best = np.full(instance.m, instance.n * instance.k, dtype=np.int64)
     np.minimum.at(best, unis, rank_at_uni)
-    witness = np.full(m, -1, dtype=np.int64)
+    witness = np.full(instance.m, -1, dtype=np.int64)
     top = rank_at_uni == best[unis]
     witness[unis[top]] = extras[top]
-    return [
-        StablePartnerReport(u, w >= 0, w if w >= 0 else None)
-        for u, w in enumerate(witness.tolist())
-    ]
-
-
-def enumerate_stable_matchings(instance: MarketInstance) -> list[Matching]:
-    """Every capacity-respecting stable matching over the applied pairs.
-
-    Exhaustive search, guarded to n <= 10 and m <= 10.
-    """
-    n, m, k, L = instance.n, instance.m, instance.k, instance.capacity
-    if n > _ENUM_LIMIT or m > _ENUM_LIMIT:
-        raise MarketSizeError(
-            f"enumeration is limited to {_ENUM_LIMIT} students/universities"
-        )
-    prefs = instance.prefs.tolist()
-    uni_rank = instance.uni_rank.tolist()
-
-    assign = [-1] * n
-    free = [L] * m
-    results: list[Matching] = []
-
-    def is_stable() -> bool:
-        counts = [0] * m
-        worst = [-1] * m
-        own_rank = [k] * n
-        for s in range(n):
-            u = assign[s]
-            if u < 0:
-                continue
-            r = prefs[s].index(u)
-            own_rank[s] = r
-            counts[u] += 1
-            if uni_rank[s][r] > worst[u]:
-                worst[u] = uni_rank[s][r]
-        for s in range(n):
-            for r in range(own_rank[s]):
-                u = prefs[s][r]
-                if counts[u] < L or uni_rank[s][r] < worst[u]:
-                    return False
-        return True
-
-    def recurse(s: int) -> None:
-        if s == n:
-            if is_stable():
-                results.append(Matching(assign, m))
-            return
-        assign[s] = -1
-        recurse(s + 1)
-        for r in range(k):
-            u = prefs[s][r]
-            if free[u] == 0:
-                continue
-            assign[s] = u
-            free[u] -= 1
-            recurse(s + 1)
-            free[u] += 1
-        assign[s] = -1
-
-    recurse(0)
-    return results
-
-
-def stable_partner_sets(
-    instance: MarketInstance, matchings: list[Matching] | None = None
-) -> dict[int, set[int]]:
-    """For each university, the students matched to it in some stable matching."""
-    if matchings is None:
-        matchings = enumerate_stable_matchings(instance)
-    sets: dict[int, set[int]] = {u: set() for u in range(instance.m)}
-    for matching in matchings:
-        for s, u in enumerate(matching.partner):
-            if u >= 0:
-                sets[int(u)].add(int(s))
-    return sets
+    verdict = witness >= 0
+    for arr in (verdict, witness):
+        arr.setflags(write=False)
+    return StablePartnerReports(verdict, witness)

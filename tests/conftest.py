@@ -1,7 +1,8 @@
 """Shared helpers: random configurations and slow-path oracles.
 
 The oracles are plain loops kept as references for the package's
-vectorised code: a stability checker, the per-pair seeded-plan builder, and
+vectorised code: a stability checker, a brute-force enumerator of every
+stable matching of a tiny market, the per-pair seeded-plan builder, and
 the hand-written deferred-acceptance loops (a round-robin queue of
 universities, a heap loop over students, and the rejection-chain repair
 that seeds that loop's state from a plan).
@@ -78,11 +79,10 @@ def brute_force_blocking_pairs(
     partner = matching.partner
 
     def uni_prefers(u: int, s1: int, s2: int) -> bool:
-        r1 = instance.student_rank_of(s1, u)
-        r2 = instance.student_rank_of(s2, u)
-        assert r1 is not None and r2 is not None
-        key1 = (-instance.signals[s1, r1 - 1], instance.tiebreaks[s1, r1 - 1])
-        key2 = (-instance.signals[s2, r2 - 1], instance.tiebreaks[s2, r2 - 1])
+        r1 = instance.prefs[s1].tolist().index(u)
+        r2 = instance.prefs[s2].tolist().index(u)
+        key1 = (-instance.signals[s1, r1], instance.tiebreaks[s1, r1])
+        key2 = (-instance.signals[s2, r2], instance.tiebreaks[s2, r2])
         return key1 < key2
 
     pairs = []
@@ -98,15 +98,110 @@ def brute_force_blocking_pairs(
     return pairs
 
 
+_ENUM_LIMIT = 10
+
+
+class MarketSizeError(ValueError):
+    """The instance is too large for exhaustive enumeration."""
+
+
+def enumerate_stable_matchings(instance: MarketInstance) -> list[Matching]:
+    """Every capacity-respecting stable matching over the applied pairs.
+
+    Exhaustive search, guarded to n <= 10 and m <= 10.
+    """
+    n, m, k, L = instance.n, instance.m, instance.k, instance.capacity
+    if n > _ENUM_LIMIT or m > _ENUM_LIMIT:
+        raise MarketSizeError(
+            f"enumeration is limited to {_ENUM_LIMIT} students/universities"
+        )
+    prefs = instance.prefs.tolist()
+    uni_rank = instance.uni_rank.tolist()
+
+    assign = [-1] * n
+    free = [L] * m
+    results: list[Matching] = []
+
+    def is_stable() -> bool:
+        counts = [0] * m
+        worst = [-1] * m
+        own_rank = [k] * n
+        for s in range(n):
+            u = assign[s]
+            if u < 0:
+                continue
+            r = prefs[s].index(u)
+            own_rank[s] = r
+            counts[u] += 1
+            if uni_rank[s][r] > worst[u]:
+                worst[u] = uni_rank[s][r]
+        for s in range(n):
+            for r in range(own_rank[s]):
+                u = prefs[s][r]
+                if counts[u] < L or uni_rank[s][r] < worst[u]:
+                    return False
+        return True
+
+    def recurse(s: int) -> None:
+        if s == n:
+            if is_stable():
+                results.append(Matching(assign, m))
+            return
+        assign[s] = -1
+        recurse(s + 1)
+        for r in range(k):
+            u = prefs[s][r]
+            if free[u] == 0:
+                continue
+            assign[s] = u
+            free[u] -= 1
+            recurse(s + 1)
+            free[u] += 1
+        assign[s] = -1
+
+    recurse(0)
+    return results
+
+
+def stable_partner_sets(
+    instance: MarketInstance, matchings: list[Matching] | None = None
+) -> dict[int, set[int]]:
+    """For each university, the students matched to it in some stable matching."""
+    if matchings is None:
+        matchings = enumerate_stable_matchings(instance)
+    sets: dict[int, set[int]] = {u: set() for u in range(instance.m)}
+    for matching in matchings:
+        for s, u in enumerate(matching.partner):
+            if u >= 0:
+                sets[int(u)].add(int(s))
+    return sets
+
+
+def own_ranks(instance: MarketInstance, matching: Matching) -> list[int]:
+    """0-based rank of each student's partner on her own list; k if unmatched."""
+    return [
+        instance.prefs[s].tolist().index(u) if u >= 0 else instance.k
+        for s, u in enumerate(matching.partner.tolist())
+    ]
+
+
+def students_of(matching: Matching, university: int) -> set[int]:
+    return {int(s) for s in np.flatnonzero(matching.partner == university)}
+
+
 def seeded_plan_oracle(
-    rank_fractions, config: MarketConfig, rng=None, slack=None
+    rank_fractions, config: MarketConfig, rng=None, slack=None, stats=None
 ) -> SeededProposalPlan:
     """Per-pair loop form of ``build_seeded_plan``, with the same RNG calls.
 
     Every (proposal, student) pair of a rank is checked in index order
     against a set of the universities the student already holds; a clash
-    swaps owners with a random other pair that stays valid both ways, or
-    drops the pair after ``_SWAP_ATTEMPTS`` tries.
+    swaps owners with a random other pair that stays valid both ways (a
+    dropped pair is never a partner), or drops the pair after
+    ``_SWAP_ATTEMPTS`` tries.  ``stats``, a dict, counts in
+    ``"failed_partners"`` the draws of a dropped pair as partner and in
+    ``"dropped"`` the dropped pairs; every pair left without a student must
+    be one of those.
     """
     if rng is None:
         rng = make_rng(config.seed)
@@ -141,21 +236,27 @@ def seeded_plan_oracle(
 
         pair_props = [int(p) for p in props]
         pair_students = [int(s) for s in chosen]
+        dropped: set[int] = set()
         for idx in range(len(pair_props)):
             p, s = pair_props[idx], pair_students[idx]
             if prop_uni[p] not in listed[s]:
                 continue
             for _ in range(_SWAP_ATTEMPTS):
                 j = int(rng.integers(len(pair_props)))
-                if j == idx:
-                    continue
                 p2, s2 = pair_props[j], pair_students[j]
+                if j == idx or s2 < 0:
+                    if stats is not None and s2 < 0:
+                        stats["failed_partners"] += 1
+                    continue
                 if prop_uni[p] not in listed[s2] and prop_uni[p2] not in listed[s]:
                     pair_students[idx], pair_students[j] = s2, s
                     break
             else:
                 pair_students[idx] = -1
                 inconsistent[s] = True
+                dropped.add(idx)
+        # a pair whose student is valid keeps one
+        assert {i for i, s in enumerate(pair_students) if s < 0} == dropped
 
         next_eligible: list[int] = []
         for p, s in zip(pair_props, pair_students):
@@ -166,6 +267,8 @@ def seeded_plan_oracle(
             if not accepted[p]:
                 next_eligible.append(s)
         eligible = np.asarray(sorted(next_eligible), dtype=np.int64)
+        if stats is not None:
+            stats["dropped"] += len(dropped)
 
     return SeededProposalPlan(
         config=config,

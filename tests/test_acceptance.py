@@ -16,12 +16,12 @@ import pytest
 
 from admitsim import (
     MarketConfig,
+    Matching,
     SignalSpec,
     build_seeded_plan,
     compare_matchings,
     complete_instance,
     continue_rejection_chains,
-    enumerate_stable_matchings,
     estimate_acceptance,
     extra_stable_partner_reports,
     find_blocking_pairs,
@@ -29,13 +29,17 @@ from admitsim import (
     rank_profile,
     sample_market,
     school_proposing_da,
-    seeded_matching,
     solve_general,
     solve_iid,
-    stable_partner_sets,
     student_proposing_da,
 )
-from conftest import random_mixed_config, random_tiny_config
+from conftest import (
+    enumerate_stable_matchings,
+    own_ranks,
+    random_mixed_config,
+    random_tiny_config,
+    stable_partner_sets,
+)
 
 
 BUDGET_SECONDS = {1: 60, 2: 60, 3: 120, 4: 60, 5: 300, 6: 300, 7: 300, 8: 300, 9: 180, 10: 600, 11: 180}
@@ -129,23 +133,16 @@ def test_criterion_03_oracle_equivalence():
         if result not in stable:
             da_bad += 1
         else:
-            ranks = [
-                inst.k if result.university_of(s) is None
-                else inst.student_rank_of(s, result.university_of(s))
-                for s in range(inst.n)
-            ]
+            ranks = own_ranks(inst, result)
             for other in stable:
-                other_ranks = [
-                    inst.k if other.university_of(s) is None
-                    else inst.student_rank_of(s, other.university_of(s))
-                    for s in range(inst.n)
-                ]
+                other_ranks = own_ranks(inst, other)
                 if any(r > o for r, o in zip(ranks, other_ranks)):
                     da_bad += 1
                     break
         sets = stable_partner_sets(inst, stable)
-        for rep in extra_stable_partner_reports(inst):
-            if rep.verdict != (len(sets[rep.university]) > inst.capacity):
+        verdicts = extra_stable_partner_reports(inst).verdict
+        for u, verdict in enumerate(verdicts):
+            if verdict != (len(sets[u]) > inst.capacity):
                 verdict_bad += 1
     report(
         3,
@@ -303,7 +300,7 @@ def test_criterion_10_extra_partner_rarity():
         for seed in range(30):
             inst = sample_market(MarketConfig(n=n, k=5, seed=1000 + seed))
             reports = extra_stable_partner_reports(inst)
-            fractions.append(sum(r.verdict for r in reports) / inst.m)
+            fractions.append(int(reports.verdict.sum()) / inst.m)
         means[n] = float(np.mean(fractions))
     ok = means[1000] < means[200]
     report(
@@ -322,8 +319,8 @@ def test_criterion_11_seeded_plan_stability():
         y = solve_iid(cfg).rank_fractions.fractions
         plan = build_seeded_plan(y, cfg)
         inst = complete_instance(plan)
-        seeded = seeded_matching(plan)
-        inconsistent = set(plan.inconsistent_students)
+        seeded = Matching(plan.accepted_partner_array(), cfg.m)
+        inconsistent = set(np.flatnonzero(plan.inconsistent).tolist())
         stray_pairs += sum(
             bp.student not in inconsistent for bp in find_blocking_pairs(inst, seeded)
         )

@@ -17,8 +17,8 @@ from admitsim import (
     school_proposing_da,
     write_records_csv,
 )
-from admitsim.analytics import format_number, records_header
-from conftest import random_mixed_config
+from admitsim.analytics import _records_header, format_number
+from conftest import own_ranks, random_mixed_config
 
 
 class TestComputeUtilities:
@@ -54,11 +54,7 @@ class TestComputeUtilities:
             base = lambda r: 1.0 + 1.0 / r
             model = UtilityModel(base=base, bonus=2.5)
             student_total, _, synergy = compute_utilities(inst, matching, model)
-            ranks = []
-            for s in range(inst.n):
-                u = matching.university_of(s)
-                if u is not None:
-                    ranks.append(inst.student_rank_of(s, u))
+            ranks = [r + 1 for r in own_ranks(inst, matching) if r < inst.k]
             expected_base = sum(base(r) for r in ranks)
             assert student_total == pytest.approx(expected_base + 2.5 * synergy)
 
@@ -126,7 +122,7 @@ class TestRecords:
         assert record.synergy <= record.rank_counts[0]
 
     def test_header_builder(self):
-        assert records_header(1) == [
+        assert _records_header(1) == [
             "k", "delta", "seed", "n", "m", "l", "matched",
             "rank1", "unmatched", "synergy", "u_student", "u_university",
         ]

@@ -214,7 +214,8 @@ class TestStablePartners:
     def test_verdicts_match_enumeration(self, tmp_path, capsys):
         import dataclasses
 
-        from admitsim import MarketConfig, child_seed, sample_market, stable_partner_sets
+        from admitsim import MarketConfig, child_seed, sample_market
+        from conftest import stable_partner_sets
 
         out = tmp_path / "verdicts.csv"
         code, _, _ = run(
@@ -317,3 +318,34 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"n": 8, "k": 2, "signal": {"delta": 2.0}}))
         code, _, err = run(capsys, "simulate", "--config", str(cfg))
         assert code == 2 and err.startswith("error:") and "kind" in err
+
+
+class TestStacking:
+    """Replications run in stacks; the outputs must not depend on how many."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--n", "30", "--k", "3", "--capacity", "2", "--delta", "1",
+             "--reps", "7", "--format", "json"],
+            ["sweep", "--n", "20", "--k-list", "1,4,20", "--deltas", "0,2", "--reps", "5"],
+            ["stable-partners", "--n", "12", "--k", "4", "--m-ratio", "0.5", "--reps", "6"],
+            ["compare", "--n", "25", "--k", "5", "--reps", "6"],
+        ],
+    )
+    def test_outputs_equal_with_one_replication_per_stack(
+        self, tmp_path, capsys, monkeypatch, argv
+    ):
+        from admitsim import cli
+
+        outputs = []
+        for budget in (cli._STACK_APPS, 1):
+            monkeypatch.setattr(cli, "_STACK_APPS", budget)
+            out = tmp_path / f"out-{budget}.csv"
+            code, stdout, _ = run(capsys, *argv, "--seed", "5", "--out", str(out))
+            assert code == 0
+            summary = out.with_suffix(out.suffix + ".summary.csv")
+            outputs.append((stdout, out.read_bytes(),
+                            summary.read_bytes() if summary.exists() else None))
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0][1]) > 100

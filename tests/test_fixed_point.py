@@ -159,12 +159,12 @@ class TestSolveIid:
         result = solve_iid(MarketConfig(n=100, k=1, seed=0))
         assert result.proposals_per_student == pytest.approx(1.0, abs=1e-9)
         assert result.rank_fractions.fractions == (1.0,)
-        assert result.matched_fraction() == pytest.approx(1 - math.exp(-1), abs=1e-9)
+        assert 1.0 - result.unmatched_fraction == pytest.approx(1 - math.exp(-1), abs=1e-9)
 
     def test_k2_residual_and_simulation(self):
         cfg = MarketConfig(n=10_000, k=2, seed=0)
         result = solve_iid(cfg)
-        assert result.max_residual <= 1e-10
+        assert max(map(abs, result.residuals)) <= 1e-10
         sim = simulated_rank_fractions(cfg, range(3)).sum()
         assert abs(sim - result.proposals_per_student) < 0.02
 
@@ -184,7 +184,7 @@ class TestSolveIid:
 
     def test_gaussian_zero_shift_accepted(self):
         cfg = MarketConfig(n=100, k=2, signal=SignalSpec.gaussian(0.0), seed=0)
-        assert solve_iid(cfg).max_residual <= 1e-10
+        assert max(map(abs, solve_iid(cfg).residuals)) <= 1e-10
 
     def test_total_mass_increases_with_k(self):
         masses = [
@@ -271,7 +271,9 @@ class TestLargeMarketAcceptance:
             (0.01, 100, 0.5, 1e-12),
             (0.01, 100, 1.0, 1e-11),
             (0.001, 1000, 0.0, 1e-12),
-            # mean 2000, twice the capacity: the documented quadrature error
+            # mean 2000, twice the capacity: the bound of the rule before it was
+            # split at the step (test_zero_shift_exact_past_large_capacities
+            # holds the split rule to 1e-12)
             (0.001, 1000, 1.0, 2e-4),
         ],
     )
@@ -311,6 +313,50 @@ class TestLargeMarketAcceptance:
 
             return integrate.quad(integrand, -40.0, 40.0, points=[0.0, delta, 2.0, 3.0],
                                   epsabs=1e-15, epsrel=1e-13, limit=2000)[0]
+
+        first, later = _large_market_acceptance(delta, m_ratio, capacity)(s)
+        assert abs(first - rate(delta)) <= 1e-12
+        assert abs(later - rate(0.0)) <= 1e-12
+
+    @pytest.mark.parametrize("capacity", [4, 10, 100, 1000])
+    def test_zero_shift_exact_past_large_capacities(self, capacity):
+        # past the capacity the rate is a step in u at u* = L m_ratio / (1 + S),
+        # and the rule runs on both sides of it; Poisson means up to 2000
+        for mean in sorted({min(f * capacity, 2000.0) for f in (0.5, 1.0, 1.5, 2.0)} | {2000.0}):
+            m_ratio, s = 2.0 / mean, 1.0
+            first, later = _large_market_acceptance(0.0, m_ratio, capacity)(s)
+            exact = expected_accepted_mass(1.0 + s, m_ratio, capacity) / (1.0 + s)
+            assert abs(first - exact) <= 1e-12, mean
+            assert abs(later - exact) <= 1e-12, mean
+
+    @pytest.mark.parametrize(
+        "delta,capacity,m_ratio,s",
+        [
+            (1.0, 1000, 0.001, 1.0),  # mean 2000
+            (2.0, 1000, 0.001, 0.5),  # mean 1500
+            (2.0, 100, 0.01, 3.0),  # mean 400
+            (0.5, 30, 0.02, 9.0),  # mean 500
+            (3.0, 10, 0.05, 4.0),  # mean 100
+            (1.0, 4, 0.01, 2.0),  # mean 300
+        ],
+    )
+    def test_shifted_rates_exact_past_large_capacities(self, delta, capacity, m_ratio, s):
+        integrate = pytest.importorskip("scipy.integrate")
+        optimize = pytest.importorskip("scipy.optimize")
+        stats = pytest.importorskip("scipy.stats")
+
+        def mean(v: float) -> float:
+            return (stats.norm.sf(v - delta) + s * stats.norm.sf(v)) / m_ratio
+
+        # the adaptive integral over the signal v gets the step as a breakpoint
+        step = optimize.brentq(lambda v: mean(v) - capacity, -40.0, 40.0, xtol=1e-14)
+
+        def rate(own_shift: float) -> float:
+            def integrand(v: float) -> float:
+                return stats.norm.pdf(v - own_shift) * stats.poisson.cdf(capacity - 1, mean(v))
+
+            return integrate.quad(integrand, -40.0, 40.0, points=[step, 0.0, delta],
+                                  epsabs=1e-15, epsrel=1e-13, limit=4000)[0]
 
         first, later = _large_market_acceptance(delta, m_ratio, capacity)(s)
         assert abs(first - rate(delta)) <= 1e-12
@@ -428,7 +474,7 @@ class TestSolveGeneral:
                                        signal=SignalSpec.gaussian(delta), seed=0)
                     result = solve_general(cfg, tol=1e-9)
                     assert result.method == "quadrature-bisection"
-                    assert result.max_residual <= 1e-9
+                    assert max(map(abs, result.residuals)) <= 1e-9
                     assert result.iterations <= 60
                     if delta == 0.0:
                         iid = solve_iid(cfg).rank_fractions.fractions

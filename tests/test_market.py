@@ -157,10 +157,7 @@ class TestSampling:
 
     def test_signal_lookup_and_applicant_order(self):
         inst = sample_market(MarketConfig(n=8, m_ratio=1.0, capacity=2, k=3, seed=6))
-        for s in range(inst.n):
-            for r in range(inst.k):
-                u = int(inst.prefs[s, r])
-                assert inst.student_rank_of(s, u) == r + 1
+        assert all(len(set(row)) == inst.k for row in inst.prefs.tolist())
         counts = np.bincount(inst.prefs.ravel(), minlength=inst.m)
         for u in range(inst.m):
             here = inst.prefs == u
@@ -168,6 +165,82 @@ class TestSampling:
             assert sorted(ranks.tolist()) == list(range(counts[u]))
             sigs = inst.signals[here][np.argsort(ranks)].tolist()
             assert sigs == sorted(sigs, reverse=True) or len(set(sigs)) < len(sigs)
+
+
+class RecordingGenerator:
+    """Delegates to a generator and logs each call with its size."""
+
+    def __init__(self, seed: int) -> None:
+        self.rng = make_rng(seed)
+        self.calls: list[tuple[str, object]] = []
+
+    def integers(self, *args, **kwargs):
+        self.calls.append(("integers", kwargs.get("size")))
+        return self.rng.integers(*args, **kwargs)
+
+    def random(self, size):
+        self.calls.append(("random", size))
+        return self.rng.random(size)
+
+
+class TestStack:
+    """A stacked instance is its replications' markets side by side."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            # rejection path, k(k-1) <= m: rows are redrawn in rounds
+            MarketConfig(n=4, m_ratio=3.0, k=4, seed=0),
+            MarketConfig(n=40, m_ratio=1.0, capacity=3, k=6,
+                         signal=SignalSpec.gaussian(1.5), seed=0),
+            # key-sort path, k(k-1) > m
+            MarketConfig(n=10, m_ratio=0.5, capacity=2, k=4, seed=0),
+            MarketConfig(n=6, m_ratio=1.0, k=6, seed=0),
+            # custom samplers draw one signal at a time
+            MarketConfig(n=12, m_ratio=1.0, capacity=2, k=3, seed=0, signal=SignalSpec.custom(
+                lambda g: float(g.integers(0, 3)), lambda g: float(g.exponential()))),
+        ],
+    )
+    def test_every_block_is_the_market_its_seed_samples(self, config):
+        seeds = [child_seed(9, i) for i in range(9)]
+        stack = market._sample_stack(config, seeds)
+        n, m = config.n, config.m
+        assert (stack.n, stack.m) == (9 * n, 9 * m)
+        for b, seed in enumerate(seeds):
+            alone = sample_market(dataclasses.replace(config, seed=seed))
+            rows = slice(b * n, (b + 1) * n)
+            assert np.array_equal(stack.prefs[rows] - b * m, alone.prefs)
+            assert stack.signals[rows].tobytes() == alone.signals.tobytes()
+            assert stack.tiebreaks[rows].tobytes() == alone.tiebreaks.tobytes()
+            assert np.array_equal(stack.uni_rank[rows], alone.uni_rank)
+
+    @pytest.mark.parametrize("m,k", [(12, 4), (5, 4)])
+    def test_blocks_make_the_calls_they_make_alone(self, m, k):
+        # the rejection rounds run in step, and only blocks with rows to
+        # redraw draw; the key sort draws per block
+        seeds = list(range(12))
+        stacked = [RecordingGenerator(seed) for seed in seeds]
+        prefs = np.empty((len(seeds), 3, k), dtype=np.int64)
+        market._fill_distinct(prefs, np.ones(prefs.shape, dtype=bool), m, stacked)
+        rounds = set()
+        for b, seed in enumerate(seeds):
+            alone = RecordingGenerator(seed)
+            block = market._fill_distinct(
+                np.empty((1, 3, k), dtype=np.int64), np.ones((1, 3, k), dtype=bool), m, [alone]
+            )
+            assert np.array_equal(prefs[b], block[0])
+            assert stacked[b].calls == alone.calls
+            rounds.add(len(alone.calls))
+        if k * (k - 1) <= m:
+            assert len(rounds) > 1  # some blocks still drew after others were done
+        else:
+            assert rounds == {1}  # one key draw per block
+
+    def test_mixed_blocks_rejected(self):
+        config = MarketConfig(n=4, m_ratio=1.0, k=1, seed=0)
+        table = np.zeros((4, 1))
+        with pytest.raises(ConfigurationError):
+            MarketInstance(config, np.array([[0], [1], [2], [1]]), table, table, blocks=2)
 
 
 class TestRanking:
@@ -259,13 +332,13 @@ class TestSeededPlan:
     def test_rank_one_only_plan(self):
         cfg = MarketConfig(n=1000, k=3, seed=5)
         plan = build_seeded_plan((1.0, 0.0, 0.0), cfg)
-        counts = plan.counts_per_rank
+        counts = np.bincount(plan.proposal_rank, minlength=cfg.k + 1)[1:]
         assert counts[1] == counts[2] == 0
         assert counts[0] == math.floor(1000 - 1000**0.6)
         rejected = plan.proposal_student[
             (~plan.proposal_accepted) & (plan.proposal_student >= 0)
         ]
-        inconsistent = set(plan.inconsistent_students)
+        inconsistent = set(np.flatnonzero(plan.inconsistent).tolist())
         # with k > 1, every rejected rank-1 student lacks a follow-up
         assert set(rejected.tolist()) <= inconsistent
 
@@ -313,7 +386,7 @@ class TestSeededPlan:
                     held.setdefault(s, {})[int(plan.proposal_rank[p])] = bool(
                         plan.proposal_accepted[p]
                     )
-            inconsistent = set(plan.inconsistent_students)
+            inconsistent = set(np.flatnonzero(plan.inconsistent).tolist())
             for s in range(n):
                 if s in inconsistent:
                     continue
@@ -374,6 +447,25 @@ class TestSeededPlan:
                     assert got.dtype == exp.dtype and got.tobytes() == exp.tobytes(), field.name
                 else:
                     assert got == exp, field.name
+
+    def test_dropped_pair_is_never_a_swap_partner(self, rng):
+        # a pair whose swap repair failed has student -1; a later clash that
+        # took it as partner read the last student's list and dropped its own
+        # proposal, so a proposal with a valid student went unassigned (the
+        # oracle asserts that every unassigned pair was dropped by its repair)
+        stats = {"failed_partners": 0, "dropped": 0}
+        for _ in range(150):
+            n = 10 * int(rng.integers(2, 15))
+            cfg = MarketConfig(n=n, m_ratio=0.1, capacity=int(rng.integers(1, 3)),
+                               k=int(rng.integers(2, min(4, n // 10) + 1)),
+                               seed=int(rng.integers(2**63)))
+            y = (1.0, *np.sort(rng.random(cfg.k - 1))[::-1].tolist())
+            slack = float(rng.choice([0.0, 1.0, 2.0]))
+            plan = build_seeded_plan(y, cfg, slack=slack)
+            want = seeded_plan_oracle(y, cfg, slack=slack, stats=stats)
+            assert plan.proposal_student.tobytes() == want.proposal_student.tobytes()
+            assert np.array_equal(plan.inconsistent, want.inconsistent)
+        assert stats["failed_partners"] > 0 and stats["dropped"] > 0
 
     def test_collision_heavy_small_market_plan(self, rng):
         # with few universities most assignments collide with the student's

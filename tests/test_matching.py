@@ -17,25 +17,33 @@ from admitsim import (
     compare_matchings,
     complete_instance,
     continue_rejection_chains,
-    enumerate_stable_matchings,
+    extra_stable_partner_reports,
     find_blocking_pairs,
     matching_to_csv,
     rank_profile,
     sample_market,
     school_proposing_da,
-    seeded_matching,
     solve_iid,
-    stable_partner_sets,
     student_proposing_da,
 )
+from admitsim.market import _sample_stack
 from conftest import (
     brute_force_blocking_pairs,
+    enumerate_stable_matchings,
+    own_ranks,
     rejection_chains_oracle,
     random_mixed_config,
     random_tiny_config,
     school_proposing_oracle,
+    stable_partner_sets,
     student_proposing_oracle,
+    students_of,
 )
+
+
+def seeded_matching(plan):
+    """The matching that follows a plan's assigned accepted proposals."""
+    return Matching(plan.accepted_partner_array(), plan.config.m)
 
 
 def small_instance(prefs, signals, n=None, m=None, capacity=1):
@@ -50,13 +58,12 @@ def small_instance(prefs, signals, n=None, m=None, capacity=1):
 class TestSchoolProposingDA:
     def test_single_pair(self):
         inst = small_instance([[0]], [[1.0]])
-        assert school_proposing_da(inst).assignment == {0: 0}
+        assert school_proposing_da(inst).partner.tolist() == [0]
 
     def test_two_students_one_seat_better_signal_wins(self):
         inst = small_instance([[0], [0]], [[2.0], [1.0]], m=1)
         matching = school_proposing_da(inst)
-        assert matching.assignment == {0: 0}
-        assert matching.university_of(1) is None
+        assert matching.partner.tolist() == [0, -1]
 
     def test_three_students_two_schools_unique_stable(self):
         # student 2's signal at school 0 outranks both rivals; enumeration
@@ -87,7 +94,7 @@ class TestSchoolProposingDA:
 class TestStudentProposingDA:
     def test_single_pair(self):
         inst = small_instance([[0]], [[1.0]])
-        assert student_proposing_da(inst).assignment == {0: 0}
+        assert student_proposing_da(inst).partner.tolist() == [0]
 
     def test_student_optimal_among_enumerated(self, rng):
         for _ in range(40):
@@ -96,9 +103,9 @@ class TestStudentProposingDA:
             result = student_proposing_da(inst)
             stable = enumerate_stable_matchings(inst)
             assert result in stable
-            ranks = _own_ranks(inst, result)
+            ranks = own_ranks(inst, result)
             for other in stable:
-                other_ranks = _own_ranks(inst, other)
+                other_ranks = own_ranks(inst, other)
                 assert all(r <= o for r, o in zip(ranks, other_ranks))
 
     def test_university_side_gets_worst_among_enumerated(self, rng):
@@ -113,14 +120,14 @@ class TestStudentProposingDA:
             for u in range(inst.m):
                 partners = sets[u]
                 if not partners:
-                    assert school.students_of(u) == ()
+                    assert students_of(school, u) == set()
                     continue
                 by_pref = sorted(
                     partners,
-                    key=lambda s: inst.uni_rank[s, inst.student_rank_of(s, u) - 1],
+                    key=lambda s: inst.uni_rank[s, inst.prefs[s].tolist().index(u)],
                 )
                 expected = set(by_pref[: inst.capacity])
-                assert set(school.students_of(u)) == expected
+                assert students_of(school, u) == expected
 
 
 def oracle_mix_configs(rng, count):
@@ -192,12 +199,28 @@ class TestEngineAgainstOracles:
             assert np.array_equal(plan.inconsistent, free)
 
 
-def _own_ranks(inst, matching):
-    ranks = []
-    for s in range(inst.n):
-        u = matching.university_of(s)
-        ranks.append(inst.k if u is None else inst.student_rank_of(s, u))
-    return ranks
+class TestStacks:
+    def test_da_on_a_stack_is_da_on_each_block(self, rng):
+        seen = set()
+        for cfg in oracle_mix_configs(rng, 60):
+            seeds = [int(s) for s in rng.integers(2**63, size=int(rng.integers(1, 6)))]
+            stack = _sample_stack(cfg, seeds)
+            n, m = cfg.n, cfg.m
+            sides = (school_proposing_da, student_proposing_da)
+            whole = [da(stack).partner.reshape(len(seeds), n) for da in sides]
+            reports = extra_stable_partner_reports(stack)
+            for b, seed in enumerate(seeds):
+                alone = sample_market(dataclasses.replace(cfg, seed=seed))
+                for da, got in zip(sides, whole):
+                    want = da(alone).partner
+                    assert np.array_equal(got[b], np.where(want >= 0, want + b * m, -1))
+                own = extra_stable_partner_reports(alone)
+                block = slice(b * m, (b + 1) * m)
+                assert np.array_equal(reports.verdict[block], own.verdict)
+                witness = reports.witness[block]
+                assert np.array_equal(np.where(witness >= 0, witness - b * n, -1), own.witness)
+            seen.add((cfg.capacity, cfg.k == cfg.m, len(seeds) > 1))
+        assert {(3, True, True), (3, False, True)} <= seen
 
 
 class TestBlockingPairs:
@@ -293,7 +316,7 @@ class TestSeededContinuation:
         inst = complete_instance(plan)
         pairs = find_blocking_pairs(inst, seeded_matching(plan))
         assert pairs, "expected some blocking pairs around inconsistent students"
-        inconsistent = set(plan.inconsistent_students)
+        inconsistent = set(np.flatnonzero(plan.inconsistent).tolist())
         assert all(bp.student in inconsistent for bp in pairs)
 
     def test_continuation_is_stable_and_local(self):

@@ -8,15 +8,19 @@ import pytest
 from admitsim import (
     MarketConfig,
     MarketInstance,
-    MarketSizeError,
-    enumerate_stable_matchings,
     extra_stable_partner_reports,
     sample_market,
     school_proposing_da,
-    stable_partner_sets,
     student_proposing_da,
 )
-from conftest import random_mixed_config, random_tiny_config
+from conftest import (
+    MarketSizeError,
+    enumerate_stable_matchings,
+    random_mixed_config,
+    random_tiny_config,
+    stable_partner_sets,
+    students_of,
+)
 
 
 def cyclic_instance() -> MarketInstance:
@@ -38,16 +42,28 @@ def scanned_reports(instance: MarketInstance) -> list[tuple[int, bool, int | Non
     optimal = school_proposing_da(instance)
     out: list[tuple[int, bool, int | None]] = []
     for u in range(instance.m):
-        admits = set(pessimal.students_of(u))
-        extras = set(optimal.students_of(u)) - admits
+        admits = students_of(pessimal, u)
+        extras = students_of(optimal, u) - admits
         if len(admits) < instance.capacity or not extras:
             out.append((u, False, None))
             continue
-        witness = min(
-            extras, key=lambda s: instance.uni_rank[s, instance.student_rank_of(s, u) - 1]
-        )
+        witness = min(extras, key=lambda s: instance.uni_rank[s, list_rank(instance, s, u)])
         out.append((u, True, witness))
     return out
+
+
+def list_rank(instance: MarketInstance, student: int, university: int) -> int:
+    return instance.prefs[student].tolist().index(university)
+
+
+def verdict_rows(reports) -> list[tuple[int, bool, int | None]]:
+    """(university, verdict, witness or None) per university, read off the arrays."""
+    return [
+        (u, verdict, witness if witness >= 0 else None)
+        for u, (verdict, witness) in enumerate(
+            zip(reports.verdict.tolist(), reports.witness.tolist())
+        )
+    ]
 
 
 class TestEnumeration:
@@ -88,21 +104,31 @@ class TestEnumeration:
 class TestVerdicts:
     def test_single_pair_is_no(self):
         inst = sample_market(MarketConfig(n=1, m_ratio=1.0, k=1, seed=0))
-        (report,) = extra_stable_partner_reports(inst)
-        assert not report.verdict and report.witness is None
+        (report,) = verdict_rows(extra_stable_partner_reports(inst))
+        assert report == (0, False, None)
+
+    def test_reports_are_read_only_arrays(self):
+        inst = sample_market(MarketConfig(n=40, k=3, capacity=2, m_ratio=0.5, seed=3))
+        reports = extra_stable_partner_reports(inst)
+        assert len(reports) == inst.m
+        assert reports.verdict.dtype == bool and reports.witness.dtype == np.int64
+        assert np.array_equal(reports.verdict, reports.witness >= 0)
+        for arr in (reports.verdict, reports.witness):
+            with pytest.raises(ValueError):
+                arr[0] = arr[1]
 
     def test_cyclic_market_yes_everywhere(self):
-        reports = extra_stable_partner_reports(cyclic_instance())
-        assert [r.university for r in reports] == [0, 1, 2]
-        assert all(r.verdict for r in reports)
+        reports = verdict_rows(extra_stable_partner_reports(cyclic_instance()))
+        assert [r[0] for r in reports] == [0, 1, 2]
+        assert all(r[1] for r in reports)
 
     def test_matches_enumeration_oracle(self, rng):
         for _ in range(60):
             cfg = random_tiny_config(rng)
             inst = sample_market(cfg)
             sets = stable_partner_sets(inst)
-            for report in extra_stable_partner_reports(inst):
-                assert report.verdict == (len(sets[report.university]) > inst.capacity)
+            for u, verdict, _ in verdict_rows(extra_stable_partner_reports(inst)):
+                assert verdict == (len(sets[u]) > inst.capacity)
 
     def test_matches_per_university_scan(self, rng):
         instances = [cyclic_instance()]
@@ -115,10 +141,9 @@ class TestVerdicts:
             )))
         yes = 0
         for inst in instances:
-            reports = extra_stable_partner_reports(inst)
-            got = [(r.university, r.verdict, r.witness) for r in reports]
+            got = verdict_rows(extra_stable_partner_reports(inst))
             assert got == scanned_reports(inst)
-            yes += sum(r.verdict for r in reports)
+            yes += sum(r[1] for r in got)
         assert yes >= 10
 
     def test_witness_preferred_to_worst_admit(self, rng):
@@ -128,17 +153,13 @@ class TestVerdicts:
             instances.append(sample_market(random_tiny_config(rng)))
         for inst in instances:
             base = student_proposing_da(inst)
-            for report in extra_stable_partner_reports(inst):
-                if not report.verdict:
+            for u, verdict, witness in verdict_rows(extra_stable_partner_reports(inst)):
+                if not verdict:
                     continue
                 found += 1
-                u = report.university
-                witness_rank = inst.uni_rank[
-                    report.witness, inst.student_rank_of(report.witness, u) - 1
-                ]
+                witness_rank = inst.uni_rank[witness, list_rank(inst, witness, u)]
                 worst = max(
-                    inst.uni_rank[s, inst.student_rank_of(s, u) - 1]
-                    for s in base.students_of(u)
+                    inst.uni_rank[s, list_rank(inst, s, u)] for s in students_of(base, u)
                 )
                 assert witness_rank < worst
         assert found > 0
@@ -150,9 +171,9 @@ class TestVerdicts:
             cfg = random_tiny_config(rng)
             inst = sample_market(cfg)
             base = student_proposing_da(inst)
-            for report in extra_stable_partner_reports(inst):
-                if len(base.students_of(report.university)) < inst.capacity:
-                    assert not report.verdict
+            for u, verdict, _ in verdict_rows(extra_stable_partner_reports(inst)):
+                if len(students_of(base, u)) < inst.capacity:
+                    assert not verdict
 
     def test_yes_fraction_shrinks_with_market_size(self):
         means = {}
@@ -161,7 +182,7 @@ class TestVerdicts:
             for seed in range(20):
                 inst = sample_market(MarketConfig(n=n, k=5, seed=7000 + seed))
                 reports = extra_stable_partner_reports(inst)
-                fractions.append(sum(r.verdict for r in reports) / inst.m)
+                fractions.append(int(reports.verdict.sum()) / inst.m)
             means[n] = float(np.mean(fractions))
         assert means[1000] < means[200]
         assert means[500] <= means[200] and means[1000] <= means[500]
