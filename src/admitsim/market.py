@@ -11,6 +11,7 @@ signal.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 from typing import Any
@@ -168,7 +169,7 @@ class MarketConfig:
         if not isinstance(self.n, int) or self.n < 1:
             raise ConfigurationError("n must be a positive integer")
         m_exact = self.m_ratio * self.n
-        m = round(m_exact)
+        m = round(m_exact) if math.isfinite(m_exact) else 0
         if self.m_ratio <= 0 or abs(m_exact - m) > 1e-9 or m < 1:
             raise ConfigurationError(
                 f"m_ratio * n must be a positive integer, got {m_exact}"
@@ -206,42 +207,42 @@ class MarketConfig:
         )
 
 
-def _argsort_ids(ids: np.ndarray) -> np.ndarray:
-    """Stable argsort along axis 1 of ids in [0, 2**32), as radix sorts of 16-bit digits."""
-    order = np.argsort((ids & 0xFFFF).astype(np.uint16), axis=1, kind="stable")
-    if ids.max(initial=0) >> 16:
-        high = (np.take_along_axis(ids, order, 1) >> 16).astype(np.uint16)
-        order = np.take_along_axis(order, np.argsort(high, axis=1, kind="stable"), 1)
-    return order
-
-
 def _rank_within_universities(
-    uni: np.ndarray, signals: np.ndarray, tiebreaks: np.ndarray, m: int, blocks: int = 1
+    uni: np.ndarray, signals: np.ndarray, tiebreaks: np.ndarray, m: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rank applications within each university: 0 = highest signal.
 
-    Ties on signal fall back to the per-application tiebreak (lower wins),
-    which realizes a uniformly random ordering among equal signals.
-    Returns (ranks, order, offsets) where ``order`` lists application
-    indices grouped by university in preference order and ``offsets``
-    delimits the groups.  ``blocks`` equal runs of applications with
-    increasing universities (a stack) are sorted each along one axis.
+    Returns (ranks, order, offsets): ``order`` lists application indices
+    grouped by university in preference order, signal down and then
+    tiebreak up, exactly as ``np.lexsort((tiebreaks, -signals, uni))``;
+    ``offsets`` delimits the groups.  One value sort of packed 64-bit keys
+    (university, descending signal bits cut to fit, index) does it: the
+    cut is monotone, so only runs of equal university and cut signal can
+    be out of order, and one lexsort of their members sets them right.
+    NaN signals, or ids too wide to leave a signal bit, take the lexsort.
     """
-    # A sort by signal, then a stable sort by university, give the 3-key
-    # lexsort's order unless a university sees equal (or NaN) signals; only
-    # then run the lexsort.  Ties across universities may fall either way.
-    uni2, signals2 = uni.reshape(blocks, -1), signals.reshape(blocks, -1)
-    first = uni2.shape[1] * np.arange(blocks)[:, None]  # first application of each run
-    order = np.argsort(-signals2, axis=1)
-    local = np.take_along_axis(uni2, order, 1) - (m // blocks) * np.arange(blocks)[:, None]
-    order = (np.take_along_axis(order, _argsort_ids(local), 1) + first).ravel()
-    if ((np.diff(uni[order]) == 0) & ~(np.diff(signals[order]) < 0)).any():
-        order = (np.lexsort((tiebreaks.reshape(blocks, -1), -signals2, uni2)) + first).ravel()
-    counts = np.bincount(uni, minlength=m)
-    offsets = np.concatenate(([0], np.cumsum(counts)))
-    ranks_sorted = np.arange(uni.size, dtype=np.int64) - offsets[uni[order]]
+    ub, ib = max(1, (m - 1).bit_length()), max(1, (uni.size - 1).bit_length())
+    if ub + ib < 64 and not np.isnan(signals).any():
+        one, key = np.uint64(1), (signals + 0.0).view(np.uint64)  # + 0.0 folds -0.0 into 0.0
+        key ^= ((key >> np.uint64(63)) - one) >> one  # flips nonnegatives: descending order
+        key >>= np.uint64(ub + ib)
+        key |= uni.astype(np.uint64) << np.uint64(64 - ub - ib)
+        key <<= np.uint64(ib)
+        key |= np.arange(uni.size, dtype=np.uint64)
+        key.sort()
+        order = (key & np.uint64((1 << ib) - 1)).view(np.int64)
+        key >>= np.uint64(ib)  # university and cut signal
+        tie = np.concatenate(([False], key[1:] == key[:-1], [False]))
+        pos = np.flatnonzero(tie[1:] | tie[:-1])
+        members = order[pos]
+        order[pos] = members[np.lexsort((tiebreaks[members], -signals[members], key[pos]))]
+        grouped = np.right_shift(key, np.uint64(64 - ub - ib), out=key).view(np.int64)
+    else:
+        order = np.lexsort((tiebreaks, -signals, uni))
+        grouped = uni[order]
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(grouped, minlength=m))))
     ranks = np.empty(uni.size, dtype=np.int64)
-    ranks[order] = ranks_sorted
+    ranks[order] = np.arange(uni.size, dtype=np.int64) - offsets[grouped]
     return ranks, order, offsets
 
 
@@ -291,7 +292,8 @@ class MarketInstance:
     Immutable after construction.  ``prefs[s, r]`` is student ``s``'s
     rank-(r+1) university; ``signals[s, r]`` is the signal that university
     observed for the application; ``tiebreaks[s, r]`` orders equal signals.
-    ``blocks`` > 1 marks that many equal markets side by side (``_sample_stack``).
+    ``blocks`` > 1 marks that many equal markets side by side (``_sample_stack``),
+    and is checked: block-offset ids already keep the ranking per block.
     """
 
     __slots__ = (
@@ -334,7 +336,7 @@ class MarketInstance:
         self.signals = signals
         self.tiebreaks = tiebreaks
         ranks, order, offsets = _rank_within_universities(
-            prefs.ravel(), signals.ravel(), tiebreaks.ravel(), m, blocks
+            prefs.ravel(), signals.ravel(), tiebreaks.ravel(), m
         )
         self.uni_rank = ranks.reshape(n, k)
         self._uni_order = order
@@ -486,6 +488,8 @@ def _validate_rank_fractions(
         raise ValueError("rank fractions must be a nonempty vector")
     if k is not None and fractions.shape != (k,):
         raise ValueError(f"expected {k} rank fractions, got {fractions.shape}")
+    if not np.isfinite(fractions).all():
+        raise ValueError("rank fractions must be finite")
     if leading_one and abs(fractions[0] - 1.0) > 1e-9:
         raise ValueError("the rank-1 fraction must be 1")
     if (fractions < -1e-12).any() or (fractions > 1 + 1e-12).any():
@@ -538,8 +542,8 @@ def build_seeded_plan(
     fractions = _validate_rank_fractions(rank_fractions, k)
     if slack is None:
         slack = float(n) ** 0.6
-    if slack < 0:
-        raise ValueError("slack must be nonnegative")
+    if not 0 <= slack < math.inf:
+        raise ValueError("slack must be finite and nonnegative")
 
     counts = np.maximum(np.floor(fractions * n - slack), 0.0).astype(np.int64)
     prop_uni, prop_rank, prop_signal, prop_tiebreak, accepted = _throw_proposals(

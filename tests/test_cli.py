@@ -68,6 +68,12 @@ class TestSimulate:
         code, _, err = run(capsys, "simulate", "--n", "3", "--m-ratio", "0.5")
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("m_ratio", ["inf", "-inf", "nan", "1e308"])
+    def test_non_finite_m_ratio_is_usage_error(self, capsys, m_ratio):
+        code, out, err = run(capsys, "simulate", "--n", "10", f"--m-ratio={m_ratio}")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
 
 class TestSolve:
     def test_iid_k1(self, capsys):

@@ -53,6 +53,11 @@ class TestRankVector:
             RankVector(())
         assert len(RankVector((1.0, 0.4))) == 2
 
+    @pytest.mark.parametrize("fractions", [(1.0, math.nan, 0.1), (math.nan,) * 3, (1.0, -math.inf)])
+    def test_non_finite_entries_rejected(self, fractions):
+        with pytest.raises(ValueError, match="finite"):
+            RankVector(fractions)
+
 
 class TestEstimateAcceptance:
     def test_zero_plan_gives_zero(self):
@@ -117,6 +122,12 @@ class TestEstimateAcceptance:
             estimate_acceptance((0.5, 1.0), cfg)
         with pytest.raises(ValueError):
             estimate_acceptance((1.0,), cfg)
+
+    @pytest.mark.parametrize("fractions", [(1.0, math.nan), (math.nan, math.nan), (math.inf, 0.5)])
+    def test_non_finite_fractions_rejected(self, fractions):
+        cfg = MarketConfig(n=100, k=2, seed=0)
+        with pytest.raises(ValueError, match="finite"):
+            estimate_acceptance(fractions, cfg, n_sim=500, trials=2)
 
 
 class TestAcceptedMassClosedForm:

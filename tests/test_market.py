@@ -65,6 +65,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             MarketConfig(**kwargs)
 
+    @pytest.mark.parametrize("m_ratio", [math.inf, -math.inf, math.nan, 1e308])
+    def test_rejects_non_finite_university_count(self, m_ratio):
+        with pytest.raises(ConfigurationError):
+            MarketConfig(n=10, m_ratio=m_ratio)
+
     def test_gaussian_negative_shift_rejected(self):
         with pytest.raises(ConfigurationError):
             SignalSpec.gaussian(-1.0)
@@ -243,11 +248,22 @@ class TestStack:
             MarketInstance(config, np.array([[0], [1], [2], [1]]), table, table, blocks=2)
 
 
+def assert_ranking_is_lexsort(uni, signals, ties, m, got=None):
+    """The ranking gives the order, offsets and ranks of the three-key lexsort."""
+    ranks, order, offsets = got or _rank_within_universities(uni, signals, ties, m)
+    want = np.lexsort((ties, -signals, uni))
+    assert np.array_equal(order, want)
+    counts = np.bincount(uni, minlength=m)
+    assert np.array_equal(offsets, np.concatenate(([0], np.cumsum(counts))))
+    expected = np.empty(uni.size, dtype=np.int64)
+    expected[want] = np.arange(uni.size) - offsets[uni[want]]
+    assert np.array_equal(ranks, expected)
+
+
 class TestRanking:
     @pytest.mark.parametrize("signal_kind", ["continuous", "three_levels", "with_nan"])
     def test_matches_three_key_lexsort(self, rng, signal_kind):
-        # the two stable sorts must give the lexsort's order, and the
-        # tie fallback must take over whenever a university sees equal signals
+        # equal signals must fall to the tiebreak at every university
         for _ in range(30):
             size, m = int(rng.integers(0, 300)), int(rng.integers(1, 40))
             uni = rng.integers(0, m, size=size)
@@ -257,15 +273,57 @@ class TestRanking:
                 signals = rng.standard_normal(size)
                 if signal_kind == "with_nan":  # NaNs compare unequal but tie in the lexsort
                     signals[rng.random(size) < 0.2] = np.nan
-            ties = rng.random(size)
-            ranks, order, offsets = _rank_within_universities(uni, signals, ties, m)
-            want = np.lexsort((ties, -signals, uni))
-            assert np.array_equal(order, want)
-            counts = np.bincount(uni, minlength=m)
-            assert np.array_equal(offsets, np.concatenate(([0], np.cumsum(counts))))
-            expected = np.empty(size, dtype=np.int64)
-            expected[want] = np.arange(size) - offsets[uni[want]]
-            assert np.array_equal(ranks, expected)
+            assert_ranking_is_lexsort(uni, signals, rng.random(size), m)
+
+    def test_signals_one_ulp_apart_are_repaired(self, rng):
+        # one university sees a ladder of adjacent doubles (equal once the key
+        # cuts them) in shuffled order, some of them twice; the others see
+        # well-spread signals
+        ladder = [0.3]
+        for _ in range(199):
+            ladder.append(np.nextafter(ladder[-1], np.inf))
+        near = np.concatenate((ladder, ladder[::7], -np.array(ladder[:50])))
+        size = 20_000
+        uni = rng.integers(1, 500, size=size)
+        uni[: near.size] = 0
+        signals = rng.standard_normal(size)
+        signals[: near.size] = near
+        perm = rng.permutation(size)
+        assert_ranking_is_lexsort(uni[perm], signals[perm], rng.random(size), 500)
+
+    @pytest.mark.parametrize("with_nan", [False, True])
+    def test_signed_zeros_and_infinities(self, rng, with_nan):
+        # -0.0 and 0.0 are equal signals and tie to the tiebreak; infinities
+        # rank first and last; any NaN sends everything to the lexsort
+        values = np.array([0.0, -0.0, np.inf, -np.inf, 1.0, -1.0, 5e-324, -5e-324]
+                          + ([np.nan] if with_nan else []))
+        for m in (1, 3, 1000):
+            size = 5000
+            uni = rng.integers(0, m, size=size)
+            signals = values[rng.integers(0, values.size, size=size)]
+            assert_ranking_is_lexsort(uni, signals, rng.random(size), m)
+            # equal tiebreaks too: the lexsort then keeps index order
+            assert_ranking_is_lexsort(uni, signals, np.zeros(size), m)
+
+    def test_many_universities_and_applications(self, rng):
+        # 18 university bits and 20 index bits leave 26 signal bits: 14 bits of
+        # mantissa, so near signals at one university share a cut key
+        m, size = 2**17 + 1, 2**19 + 1
+        uni = rng.integers(0, m, size=size)
+        uni[-1] = m - 1
+        signals = rng.standard_normal(size)
+        close = rng.random(size) < 0.3
+        signals[close] = np.round(signals[close], 3) * (1 + 2e-16 * rng.integers(-3, 4, close.sum()))
+        assert_ranking_is_lexsort(uni, signals, rng.random(size), m)
+
+    @pytest.mark.parametrize("signal", [SignalSpec.gaussian(1.0), SignalSpec.custom(
+        lambda g: float(g.integers(0, 3)), lambda g: float(g.integers(0, 2)))])
+    def test_stack_ranks_every_block_by_its_offset_ids(self, signal):
+        config = MarketConfig(n=60, m_ratio=0.5, capacity=2, k=4, signal=signal)
+        stack = market._sample_stack(config, [child_seed(5, r) for r in range(7)])
+        uni, signals, ties = (a.ravel() for a in (stack.prefs, stack.signals, stack.tiebreaks))
+        got = stack.uni_rank.ravel(), stack._uni_order, stack._uni_offsets
+        assert_ranking_is_lexsort(uni, signals, ties, stack.m, got)
 
 
 class TestSignals:
@@ -408,6 +466,17 @@ class TestSeededPlan:
             build_seeded_plan((0.9, 0.5, 0.2), cfg)  # first entry must be 1
         with pytest.raises(ValueError):
             build_seeded_plan((1.0, 0.5, 0.7), cfg)  # must be nonincreasing
+
+    @pytest.mark.parametrize("fractions", [(1.0, math.nan, 0.1), (math.nan,) * 3,
+                                           (1.0, 0.5, -math.inf), (1.0, math.inf, 0.1)])
+    def test_non_finite_rank_fractions_rejected(self, fractions):
+        with pytest.raises(ValueError, match="finite"):
+            build_seeded_plan(fractions, MarketConfig(n=100, k=3, seed=0))
+
+    @pytest.mark.parametrize("slack", [math.nan, math.inf, -1.0])
+    def test_bad_slack_rejected(self, slack):
+        with pytest.raises(ValueError, match="slack"):
+            build_seeded_plan((1.0, 0.5, 0.1), MarketConfig(n=100, k=3, seed=0), slack=slack)
 
     def test_completion_extends_prefixes(self):
         cfg = MarketConfig(n=500, k=3, seed=9)
