@@ -311,8 +311,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "mean_u_university,se_u_university"
     ]
     cell = 0
-    for delta in spec.deltas:
-        signal = _shift_signal(delta)
+    signals = [_shift_signal(delta) for delta in spec.deltas]  # check every shift first
+    for delta, signal in zip(spec.deltas, signals):
         for k in spec.k_values:
             config = replace(spec.base, k=k, signal=signal, seed=spec.seed)
             cell_records = _school_records(config, spec.replications, cell * spec.replications)

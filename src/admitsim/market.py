@@ -85,8 +85,8 @@ class SignalSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("iid", "gaussian", "custom"):
             raise ConfigurationError(f"unknown signal kind: {self.kind!r}")
-        if self.kind == "gaussian" and not self.delta >= 0.0:
-            raise ConfigurationError("gaussian signal shift must be >= 0")
+        if self.kind == "gaussian" and not 0.0 <= self.delta < math.inf:
+            raise ConfigurationError("gaussian signal shift must be finite and >= 0")
         if self.kind == "iid" and self.delta != 0.0:
             raise ConfigurationError("iid signals take no shift")
         if self.kind == "custom" and (

@@ -109,6 +109,9 @@ def match_rank_indices(instance: MarketInstance, matching: Matching) -> np.ndarr
     return np.where(matched, eq.argmax(axis=1), instance.k)
 
 
+_EMPTY = np.iinfo(np.int64).max
+
+
 def _deferred_acceptance(
     lists: np.ndarray,
     pos: np.ndarray,
@@ -126,9 +129,11 @@ def _deferred_acceptance(
     (``free[p]``); receiver ``r`` holds ``held[r]`` (-1 is an empty seat).
     Each round every free slot of the ``active`` proposers offers to its
     next entry, each touched receiver keeps its best ``held.shape[1]``
-    among holders and newcomers (one sort), and every offer let go frees a
-    slot of its proposer, active next round: O(offers + holders touched)
-    per round.  Any proposal order reaches the proposer-optimal stable
+    among holders and newcomers, and every offer let go frees a slot of
+    its proposer, active next round: O(offers + holders touched) per round.
+    A receiver with one seat keeps the least offer id it has seen (one
+    ``minimum.at``); with several seats, one sort of holders and newcomers
+    ranks them.  Any proposal order reaches the proposer-optimal stable
     matching (McVitie and Wilson 1971).  ``pos``, ``free``, ``held`` change
     in place.
     """
@@ -137,6 +142,10 @@ def _deferred_acceptance(
     single = free.max(initial=0) <= 1
     # latest[v]: index of the last v written; entries matching it pick each v once
     latest = np.empty(max(free.size, held.shape[0]), dtype=np.int64)
+    if capacity == 1:
+        # an empty seat holds the largest id, so any offer beats it
+        best = held[:, 0]
+        best[best < 0] = _EMPTY
     while active.size:
         if single:
             active = active[pos[active] < stop[active]]
@@ -151,24 +160,36 @@ def _deferred_acceptance(
             free[active] -= take
             ends = np.cumsum(take)
             offers = lists[np.arange(take.sum()) + np.repeat(first - ends + take, take)]
-        # the newcomers and the holders of each receiver they reach, best first
-        to, ids = receiver[offers], np.arange(offers.size)
-        latest[to] = ids
-        holders = held[to[latest[to] == ids]].ravel()
-        cand = np.sort(np.concatenate((offers, holders[holders >= 0])))
-        to = receiver[cand]
-        ids = np.arange(cand.size)
-        opens = np.ones(cand.size, dtype=bool)
-        opens[1:] = to[1:] != to[:-1]
-        seat = ids - np.maximum.accumulate(np.where(opens, ids, 0))
-        kept = seat < capacity
-        held[to] = -1
-        held[to[kept], seat[kept]] = cand[kept]
-        active = proposer[cand[~kept]]
+        to = receiver[offers]
+        if capacity == 1:
+            prior = best[to]
+            np.minimum.at(best, to, offers)
+            kept = best[to] == offers
+            # a kept newcomer lets its receiver's holder go
+            prior = prior[kept]
+            let_go = np.concatenate((offers[~kept], prior[prior != _EMPTY]))
+        else:
+            # the newcomers and the holders of each receiver they reach, best first
+            ids = np.arange(offers.size)
+            latest[to] = ids
+            holders = held[to[latest[to] == ids]].ravel()
+            cand = np.sort(np.concatenate((offers, holders[holders >= 0])))
+            to = receiver[cand]
+            ids = np.arange(cand.size)
+            opens = np.ones(cand.size, dtype=bool)
+            opens[1:] = to[1:] != to[:-1]
+            seat = ids - np.maximum.accumulate(np.where(opens, ids, 0))
+            kept = seat < capacity
+            held[to] = -1
+            held[to[kept], seat[kept]] = cand[kept]
+            let_go = cand[~kept]
+        active = proposer[let_go]
         if not single:
             np.add.at(free, active, 1)
             latest[active] = np.arange(active.size)
             active = active[latest[active] == np.arange(active.size)]
+    if capacity == 1:
+        best[best == _EMPTY] = -1
     return held[held >= 0]
 
 

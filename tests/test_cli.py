@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,6 +77,19 @@ class TestSimulate:
         code, out, err = run(capsys, "simulate", "--n", "10", f"--m-ratio={m_ratio}")
         assert code == 2 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--n", "10", "--k", "2", "--delta=inf"],
+        ["solve", "--n", "10", "--k", "2", "--method", "general", "--delta=inf"],
+        ["sweep", "--n", "10", "--k-list", "2", "--deltas", "0,inf"],
+    ])
+    def test_infinite_shift_is_usage_error(self, tmp_path, capsys, argv):
+        if argv[0] == "sweep":
+            argv = [*argv, "--out", str(tmp_path / "sweep.csv")]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "shift" in err
+        assert not list(tmp_path.iterdir())
 
 
 class TestSolve:
@@ -355,3 +372,35 @@ class TestStacking:
                             summary.read_bytes() if summary.exists() else None))
         assert outputs[0] == outputs[1]
         assert len(outputs[0][1]) > 100
+
+
+# Run in a fresh interpreter; prints the third-party top-level modules the
+# package loaded.  Modules present at start-up (site hooks) are not counted.
+_DEPENDENCY_PROBE = """
+import sys
+startup = set(sys.modules)
+import admitsim
+from admitsim.cli import main
+out = sys.argv[1]
+assert main(["solve", "--n", "100", "--k", "3", "--delta", "1", "--method", "general",
+             "--out", out + ".json"]) == 0
+assert main(["sweep", "--n", "20", "--k-list", "1,2", "--deltas", "0,1", "--reps", "2",
+             "--out", out + ".csv"]) == 0
+# numpy.random's Cython extensions register the Cython runtime under these names
+allowed = set(sys.stdlib_module_names) | {"numpy", "admitsim", "cython_runtime"}
+loaded = {name.split(".")[0] for name in set(sys.modules) - startup}
+print(sorted(name for name in loaded if name not in allowed and not name.startswith("_cython_")))
+"""
+
+
+class TestRuntimeDependencies:
+    def test_numpy_is_the_only_third_party_module(self, tmp_path):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = [src, os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+        proc = subprocess.run(
+            [sys.executable, "-c", _DEPENDENCY_PROBE, str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert proc.stdout == "[]\n"
+        assert (tmp_path / "out.csv").stat().st_size > 0

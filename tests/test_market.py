@@ -8,7 +8,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from admitsim import (
     ConfigurationError,
@@ -73,6 +72,15 @@ class TestConfigValidation:
     def test_gaussian_negative_shift_rejected(self):
         with pytest.raises(ConfigurationError):
             SignalSpec.gaussian(-1.0)
+
+    @pytest.mark.parametrize("delta", [math.inf, -math.inf, math.nan])
+    def test_gaussian_non_finite_shift_rejected(self, delta):
+        with pytest.raises(ConfigurationError):
+            SignalSpec.gaussian(delta)
+
+    def test_json_shift_must_be_finite(self):
+        with pytest.raises(ConfigurationError):
+            SignalSpec.from_json_dict({"kind": "gaussian", "delta": math.inf})
 
     def test_custom_needs_both_samplers(self):
         with pytest.raises(ConfigurationError):
@@ -343,6 +351,7 @@ class TestSignals:
         spec = SignalSpec.iid()
         special = spec.draw_batch(np.ones(10_000, dtype=bool), rng)
         regular = spec.draw_batch(np.zeros(10_000, dtype=bool), rng)
+        stats = pytest.importorskip("scipy.stats")
         stat = stats.ks_2samp(special, regular).statistic
         critical_1pct = 1.628 * math.sqrt(2 / 10_000)
         assert stat < critical_1pct
@@ -571,6 +580,7 @@ class TestCompletion:
         assert counts.size == cells
         expected = n / cells
         chi2 = float(((counts - expected) ** 2 / expected).sum())
+        stats = pytest.importorskip("scipy.stats")
         assert chi2 < stats.chi2.ppf(0.999, cells - 1)
 
     def test_fresh_rank_one_slot_draws_the_special_signal(self):

@@ -138,11 +138,12 @@ def oracle_mix_configs(rng, count):
         yield dataclasses.replace(cfg, capacity=1 + i % 3, k=k)
 
 
-def seeded_oracle_plans(rng, count):
+def seeded_oracle_plans(rng, count, capacity=None):
     """(plan, completed instance) pairs over m_ratio 0.1-2 and capacities 1-3.
 
     Every other plan uses the solver's fractions, the rest random
     nonincreasing ones; every fourth plan has m_ratio 0.1 and slack <= 2.
+    A given ``capacity`` replaces the drawn one.
     """
     for i in range(count):
         m_ratio = 0.1 if i % 4 == 0 else float(rng.choice([0.5, 1.0, 2.0]))
@@ -150,7 +151,8 @@ def seeded_oracle_plans(rng, count):
         m = round(m_ratio * n)
         k = int(rng.integers(1, min(5, m) + 1))
         signal = SignalSpec.iid() if i % 2 == 0 else SignalSpec.gaussian(float(rng.choice([1.0, 2.0])))
-        cfg = MarketConfig(n=n, m_ratio=m_ratio, capacity=int(rng.integers(1, 4)), k=k,
+        drawn = int(rng.integers(1, 4))
+        cfg = MarketConfig(n=n, m_ratio=m_ratio, capacity=capacity or drawn, k=k,
                            signal=signal, seed=int(rng.integers(2**63)))
         if i % 2 == 0:
             fractions = solve_iid(cfg).rank_fractions.fractions
@@ -197,6 +199,59 @@ class TestEngineAgainstOracles:
             k = plan.config.k
             free = (plan.accepted_partner_array() < 0) & (plan.assigned_rank_counts() < k)
             assert np.array_equal(plan.inconsistent, free)
+
+
+class TestOneSeatReceivers:
+    """Receivers with one seat keep the least offer id; checked against the oracles."""
+
+    @pytest.mark.parametrize("capacity", [2, 3])
+    def test_school_side_with_multi_slot_proposers(self, rng, capacity):
+        for _ in range(150):
+            cfg = dataclasses.replace(random_mixed_config(rng, max_n=60), capacity=capacity)
+            inst = sample_market(cfg)
+            assert school_proposing_da(inst) == school_proposing_oracle(inst)
+
+    def test_few_universities_of_large_capacity(self):
+        # ten universities with 100 seats: over a thousand school-side rounds
+        inst = sample_market(MarketConfig(n=1000, m_ratio=0.01, capacity=100, k=10, seed=5))
+        assert school_proposing_da(inst) == school_proposing_oracle(inst)
+        assert student_proposing_da(inst) == student_proposing_oracle(inst)
+
+    def test_repair_lets_pre_seated_holders_go(self, rng):
+        # at capacity 1 the plan's holds fill the one-seat state before any offer
+        displaced = 0
+        for plan, inst in seeded_oracle_plans(rng, 120, capacity=1):
+            got = continue_rejection_chains(inst, plan)
+            assert got == rejection_chains_oracle(inst, plan)
+            seeded = plan.accepted_partner_array()
+            displaced += int(((seeded >= 0) & (got.partner != seeded)).sum())
+        assert displaced > 0
+
+    def test_stack_block_by_block(self, rng):
+        extra = 0
+        for _ in range(40):
+            cfg = dataclasses.replace(random_tiny_config(rng), capacity=1)
+            seeds = [int(s) for s in rng.integers(2**63, size=int(rng.integers(2, 6)))]
+            stack = _sample_stack(cfg, seeds)
+            n, m = cfg.n, cfg.m
+            school = school_proposing_da(stack).partner.reshape(len(seeds), n)
+            student = student_proposing_da(stack).partner.reshape(len(seeds), n)
+            reports = extra_stable_partner_reports(stack)
+            for b, seed in enumerate(seeds):
+                alone = sample_market(dataclasses.replace(cfg, seed=seed))
+                optimal = school_proposing_oracle(alone).partner
+                pessimal = student_proposing_oracle(alone).partner
+                for got, want in ((school[b], optimal), (student[b], pessimal)):
+                    assert np.array_equal(got, np.where(want >= 0, want + b * m, -1))
+                sets = stable_partner_sets(alone)
+                verdict = reports.verdict[b * m:(b + 1) * m]
+                witness = reports.witness[b * m:(b + 1) * m]
+                for u in range(m):
+                    assert verdict[u] == (len(sets[u]) > 1)
+                    if verdict[u]:
+                        assert witness[u] - b * n == np.flatnonzero(optimal == u)[0]
+                extra += int(verdict.sum())
+        assert extra > 0
 
 
 class TestStacks:
