@@ -10,9 +10,10 @@ In the large-market limit a proposal keeps its seat when fewer than
 ``capacity`` rival proposals at its university carry a higher signal, and
 that rival count is Poisson.  The acceptance rates then depend on the rank
 fractions only through the mass S of proposals beyond rank 1, so the system
-is one scalar equation in S.  With identically distributed signals it has
-a closed form (``solve_iid``); for Gaussian signals ``solve_general``
-evaluates the acceptance rates by tanh-sinh quadrature and bisects.
+is one scalar equation in S, which both analytic solvers bisect.  With
+identically distributed signals every rank is accepted at one closed-form
+rate (``solve_iid``); for Gaussian signals ``solve_general`` evaluates the
+acceptance rates by tanh-sinh quadrature.
 Custom samplers have no such model: their acceptance rates are estimated by
 Monte Carlo and the system is solved by damped iteration.
 """
@@ -82,7 +83,8 @@ class SolverResult:
     ``residuals[i]`` is the consistency gap at rank i+1; for the Monte
     Carlo method it includes sampling noise.  ``method`` is
     "closed-form-iid", "quadrature-bisection" or "damped-iteration";
-    ``iterations`` counts bisection steps or damped iterations.
+    ``iterations`` counts the bisection steps in S (both analytic methods)
+    or the damped iterations.
     """
 
     rank_fractions: RankVector
@@ -177,8 +179,12 @@ def expected_accepted_mass(
     means above ~745.
     """
     x = float(proposals_per_student)
-    if x < 0:
-        raise ValueError("proposal mass must be nonnegative")
+    if not 0.0 <= x < math.inf:
+        raise ValueError("proposal mass must be finite and nonnegative")
+    if not 0.0 < m_ratio < math.inf:
+        raise ValueError("m_ratio must be finite and positive")
+    if not isinstance(capacity, int) or capacity < 1:
+        raise ValueError("capacity must be a positive integer")
     if x == 0.0:
         return 0.0
     lam = x / m_ratio
@@ -188,79 +194,6 @@ def expected_accepted_mass(
     for j in range(capacity):
         shortfall += (capacity - j) * math.exp(j * log_lam - lam - math.lgamma(j + 1))
     return m_ratio * (capacity - shortfall)
-
-
-def _consistency_gap(x: float, m_ratio: float, capacity: int, k: int) -> float:
-    """Accepted mass minus matched fraction implied by x total proposals.
-
-    Zero exactly when x solves the scalar consistency equation; increasing
-    in x on the left side and decreasing on the right, so the root is
-    unique and bracketed by (0, k].
-    """
-    g = expected_accepted_mass(x, m_ratio, capacity)
-    return g - (1.0 - (1.0 - g / x) ** k)
-
-
-def solve_iid(config: MarketConfig, tol: float = 1e-10, max_iter: int = 200) -> SolverResult:
-    """Closed-form solution of the rank-fraction system for identical signals.
-
-    Bisects the scalar consistency equation for the total proposal mass x,
-    then reads off the geometric rank fractions: with survival ratio
-    a = 1 - accepted_mass(x)/x, rank j carries a**(j-1).
-
-    Raises ConvergenceError with the last iterate when the bracket is lost
-    or the bisection ends above ``tol``.
-    """
-    if not config.signal.is_iid_equivalent:
-        raise ValueError("solve_iid requires identically distributed signals")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
-    k, m_ratio, L = config.k, config.m_ratio, config.capacity
-
-    lo, hi = 1e-12, float(k)
-    iterations = 0
-    x = hi
-    failure = None
-    if abs(_consistency_gap(hi, m_ratio, L, k)) > 0.0:
-        if _consistency_gap(lo, m_ratio, L, k) > 0:
-            failure = "consistency equation lost its bracket"
-        else:
-            # run the bracket down to rounding so the reported residuals are
-            # far below any practical tolerance
-            for _ in range(max_iter):
-                iterations += 1
-                x = 0.5 * (lo + hi)
-                fx = _consistency_gap(x, m_ratio, L, k)
-                if fx == 0.0 or hi - lo <= 1e-14 * max(1.0, x):
-                    break
-                if fx < 0:
-                    lo = x
-                else:
-                    hi = x
-            if abs(_consistency_gap(x, m_ratio, L, k)) > tol:
-                failure = "bisection did not reach tolerance"
-
-    g = expected_accepted_mass(x, m_ratio, L)
-    alpha = 1.0 - g / x
-    fractions = tuple(alpha**j for j in range(k))
-    # residuals re-derive the survival ratio from the solution's own total
-    # mass, so they expose how well the bisection closed the equation
-    total = sum(fractions)
-    alpha_check = 1.0 - expected_accepted_mass(total, m_ratio, L) / total
-    residuals = tuple(
-        fractions[i] - fractions[i - 1] * alpha_check if i else 0.0
-        for i in range(k)
-    )
-    if failure is not None:
-        raise ConvergenceError(failure, fractions=fractions, residuals=residuals)
-    return SolverResult(
-        rank_fractions=RankVector(fractions),
-        residuals=residuals,
-        iterations=iterations,
-        method="closed-form-iid",
-        proposals_per_student=float(x),
-        unmatched_fraction=float(alpha**k),
-    )
 
 
 # Up to this capacity P(Poisson < capacity) has no step that the 120-node
@@ -365,35 +298,48 @@ def _rank_chain(first: float, later: float, k: int) -> np.ndarray:
     return y
 
 
-def _solve_by_bisection(config: MarketConfig, tol: float, max_iter: int) -> SolverResult:
-    """The quadrature-bisection path of ``solve_general``."""
+def _chain_from_accepted(accepted: np.ndarray) -> np.ndarray:
+    """Rank fractions implied by per-rank accepted fractions: 1 minus all accepted earlier."""
+    return 1.0 - np.concatenate(([0.0], np.cumsum(accepted[:-1])))
+
+
+def _check_stopping(tol: float, max_iter: int) -> None:
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+
+
+def _solve_by_bisection(config: MarketConfig, tol: float, max_iter: int,
+                        acceptance: Callable[[float], tuple[float, float]],
+                        method: str) -> SolverResult:
+    """Bisect S = G(S) for the rates (rank 1, ranks >= 2) that ``acceptance``
+    gives at mass S beyond rank 1, down to rounding."""
     k = config.k
-    acceptance = _large_market_acceptance(config.signal.delta, config.m_ratio, config.capacity)
     lo, hi = 0.0, float(k - 1)
-    s = 0.0
-    iterations = 0
-    if k > 1:
-        for _ in range(max_iter):
-            iterations += 1
-            s = 0.5 * (lo + hi)
-            excess = s - float(_rank_chain(*acceptance(s), k)[1:].sum())
-            if excess == 0.0 or hi - lo <= 1e-14 * max(1.0, s):
-                break
-            if excess < 0:
-                lo = s
-            else:
-                hi = s
+    s, iterations = 0.0, 0
+    while k > 1 and iterations < max_iter:
+        iterations += 1
+        s = 0.5 * (lo + hi)
+        excess = s - float(_rank_chain(*acceptance(s), k)[1:].sum())
+        if excess == 0.0 or hi - lo <= 1e-14 * max(1.0, s):
+            break
+        if excess < 0:
+            lo = s
+        else:
+            hi = s
 
     y = _rank_chain(*acceptance(s), k)
     # residuals re-derive the rates from the solution's own mass, so they
     # expose how well the bisection closed the equation
     first, later = acceptance(float(y[1:].sum()))
     accepted = y * np.array([first] + [later] * (k - 1))
-    residuals = y - (1.0 - np.concatenate(([0.0], np.cumsum(accepted[:-1]))))
+    residuals = y - _chain_from_accepted(accepted)
     worst = float(np.abs(residuals).max())
     if worst > tol:
         raise ConvergenceError(
-            f"bisection did not reach {tol} within {max_iter} steps (last residual {worst:.3g})",
+            f"bisection did not reach tolerance {tol} within {max_iter} steps "
+            f"(last residual {worst:.3g})",
             fractions=tuple(float(v) for v in y),
             residuals=tuple(float(r) for r in residuals),
         )
@@ -401,10 +347,31 @@ def _solve_by_bisection(config: MarketConfig, tol: float, max_iter: int) -> Solv
         rank_fractions=RankVector(tuple(float(v) for v in y)),
         residuals=tuple(float(r) for r in residuals),
         iterations=iterations,
-        method="quadrature-bisection",
+        method=method,
         proposals_per_student=float(y.sum()),
         unmatched_fraction=float(y[-1] - accepted[-1]),
     )
+
+
+def solve_iid(config: MarketConfig, tol: float = 1e-10, max_iter: int = 200) -> SolverResult:
+    """Solve the rank-fraction system for identically distributed signals.
+
+    Every proposal is equally likely to win a seat, so every rank is
+    accepted at the closed-form rate expected_accepted_mass(1 + S) / (1 + S)
+    and the rank fractions are geometric.  S is bisected as in
+    ``solve_general`` (method "closed-form-iid"; ``iterations`` counts the
+    bisection steps).  Raises ConvergenceError with the last iterate when
+    the worst consistency gap is above ``tol`` after ``max_iter`` steps.
+    """
+    if not config.signal.is_iid_equivalent:
+        raise ValueError("solve_iid requires identically distributed signals")
+    _check_stopping(tol, max_iter)
+
+    def acceptance(s: float) -> tuple[float, float]:
+        rate = expected_accepted_mass(1.0 + s, config.m_ratio, config.capacity) / (1.0 + s)
+        return rate, rate
+
+    return _solve_by_bisection(config, tol, max_iter, acceptance, "closed-form-iid")
 
 
 def solve_general(
@@ -441,43 +408,34 @@ def solve_general(
     Raises ConvergenceError with the last iterate when the worst
     consistency gap is still above ``tol`` after ``max_iter`` steps.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
+    _check_stopping(tol, max_iter)
     if not 0 < damping <= 1:
         raise ValueError("damping must be in (0, 1]")
     _check_sampling(n_sim, trials)
     if config.signal.kind != "custom":
-        return _solve_by_bisection(config, tol, max_iter)
+        acceptance = _large_market_acceptance(config.signal.delta, config.m_ratio, config.capacity)
+        return _solve_by_bisection(config, tol, max_iter, acceptance, "quadrature-bisection")
     if rng is None:
         rng = make_rng(config.seed)
-    k = config.k
-
-    y = np.ones(k, dtype=np.float64)
-    residuals = np.zeros(k, dtype=np.float64)
+    y = np.ones(config.k)
+    residuals = np.zeros(config.k)
     for iteration in range(1, max_iter + 1):
         estimate = estimate_acceptance(y, config, n_sim=n_sim, trials=trials, rng=rng)
         accepted = np.asarray(estimate.fractions)
-        # Self-consistent chain for the current acceptance estimates: each
-        # rank carries the previous target minus its accepted fraction, so a
+        # Self-consistent chain for the current acceptance estimates, so a
         # correction at one rank propagates through all later ones at once.
-        target = np.empty(k, dtype=np.float64)
-        target[0] = 1.0
-        for i in range(1, k):
-            target[i] = target[i - 1] - accepted[i - 1]
+        target = _chain_from_accepted(accepted)
         np.clip(target, 0.0, 1.0, out=target)
         np.minimum.accumulate(target, out=target)
         residuals = y - target
         if np.abs(residuals).max() <= tol:
-            unmatched = max(0.0, float(y[-1] - accepted[-1]))
             return SolverResult(
                 rank_fractions=RankVector(tuple(float(v) for v in y)),
                 residuals=tuple(float(r) for r in residuals),
                 iterations=iteration,
                 method="damped-iteration",
                 proposals_per_student=float(y.sum()),
-                unmatched_fraction=unmatched,
+                unmatched_fraction=max(0.0, float(y[-1] - accepted[-1])),
             )
         y = (1.0 - damping) * y + damping * target
         y[0] = 1.0

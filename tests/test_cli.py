@@ -127,6 +127,16 @@ class TestSolve:
         diag = json.loads(err.strip().split("\n")[-1])
         assert len(diag["rank_fractions"]) == 3 and len(diag["residuals"]) == 3
 
+    @pytest.mark.parametrize("method,delta", [("iid", "0"), ("general", "1")])
+    @pytest.mark.parametrize("tol", ["0", "-0.5", "nan"])
+    def test_bad_tolerance_is_usage_error(self, capsys, method, delta, tol):
+        code, out, err = run(
+            capsys, "solve", "--n", "100", "--k", "3", "--delta", delta, "--method", method,
+            "--tol", tol, "--max-iter", "1",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "tol" in err
+
     def test_zero_iterations_is_usage_error(self, capsys):
         code, out, err = run(
             capsys, "solve", "--n", "100", "--k", "3", "--delta", "1", "--method", "general",

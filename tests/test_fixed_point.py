@@ -150,6 +150,25 @@ class TestAcceptedMassClosedForm:
             exact = m_ratio * stats.poisson.sf(j, x / m_ratio).sum()  # E[min(N, L)]
             assert abs(expected_accepted_mass(x, m_ratio, capacity) - exact) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "x,m_ratio,capacity",
+        [
+            (1.0, 0.0, 1),
+            (1.0, -0.5, 1),
+            (1.0, math.nan, 1),
+            (1.0, math.inf, 1),
+            (math.nan, 1.0, 1),
+            (math.inf, 1.0, 1),
+            (-1.0, 1.0, 1),
+            (1.0, 1.0, 0),
+            (1.0, 1.0, -2),
+            (1.0, 1.0, 1.5),
+        ],
+    )
+    def test_bad_inputs_rejected(self, x, m_ratio, capacity):
+        with pytest.raises(ValueError):
+            expected_accepted_mass(x, m_ratio, capacity)
+
     def test_matches_monte_carlo_occupancy(self):
         # independent oracle: average min(count, L) over multinomial throws
         rng = make_rng(12)
@@ -196,6 +215,20 @@ class TestSolveIid:
     def test_gaussian_zero_shift_accepted(self):
         cfg = MarketConfig(n=100, k=2, signal=SignalSpec.gaussian(0.0), seed=0)
         assert max(map(abs, solve_iid(cfg).residuals)) <= 1e-10
+
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_total_mass_closes_the_consistency_equation(self, k):
+        # independent of the solver's rank chain: the accepted mass g at the
+        # total proposal mass x must equal the matched fraction
+        # 1 - (1 - g / x)^k that geometric rank fractions imply
+        for m_ratio in (0.001, 0.1, 0.5, 1.0, 2.0):
+            for capacity in (1, 2, 3, 10, 100, 1000):
+                cfg = MarketConfig(n=100_000, m_ratio=m_ratio, capacity=capacity, k=k, seed=0)
+                result = solve_iid(cfg)
+                assert result.method == "closed-form-iid"
+                x = result.proposals_per_student
+                g = expected_accepted_mass(x, m_ratio, capacity)
+                assert abs(g - (1.0 - (1.0 - g / x) ** k)) <= 1e-12, (m_ratio, capacity)
 
     def test_total_mass_increases_with_k(self):
         masses = [
@@ -452,7 +485,7 @@ class TestSolveGeneral:
 
     def test_nonconvergence_raises_with_payload(self):
         cfg = MarketConfig(n=100, k=3, seed=0)
-        with pytest.raises(ConvergenceError) as err:
+        with pytest.raises(ConvergenceError, match="did not reach tolerance") as err:
             solve_general(cfg, tol=1e-9, max_iter=2, n_sim=500, trials=1)
         assert err.value.fractions[0] == 1.0
         assert len(err.value.fractions) == 3
@@ -470,7 +503,8 @@ class TestSolveGeneral:
         "signal", [SignalSpec.gaussian(1.0), gaussian_as_custom(1.0)], ids=["bisection", "damped"]
     )
     @pytest.mark.parametrize(
-        "bad", [dict(tol=0.0), dict(damping=0.0), dict(n_sim=50), dict(trials=0)]
+        "bad",
+        [dict(tol=0.0), dict(tol=math.nan), dict(damping=0.0), dict(n_sim=50), dict(trials=0)],
     )
     def test_arguments_validated_on_both_paths(self, signal, bad):
         with pytest.raises(ValueError):
@@ -511,6 +545,12 @@ class TestSolveGeneral:
     def test_zero_iterations_rejected(self, solver):
         with pytest.raises(ValueError, match="max_iter"):
             solver(MarketConfig(n=100, k=3, seed=0), max_iter=0)
+
+    @pytest.mark.parametrize("solver", [solve_iid, solve_general])
+    @pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan])
+    def test_nonpositive_or_nan_tolerance_rejected(self, solver, tol):
+        with pytest.raises(ValueError, match="tol"):
+            solver(MarketConfig(n=100, k=3, seed=0), tol=tol)
 
     def test_iid_unreachable_tolerance_raises_with_payload(self):
         with pytest.raises(ConvergenceError) as err:
