@@ -191,10 +191,17 @@ def write_records_csv(
     target: Path | str | io.TextIOBase,
     k_max: int | None = None,
 ) -> None:
-    """Write records with the fixed header; rank columns padded to k_max."""
+    """Write records with the fixed header; rank columns padded to k_max.
+
+    Raises ValueError, writing nothing, when a record has more rank
+    columns than ``k_max``.
+    """
     rows = list(records)
     if k_max is None:
         k_max = max((r.k for r in rows), default=1)
+    widest = max((len(r.rank_counts) for r in rows), default=0)
+    if widest > k_max:
+        raise ValueError(f"k_max = {k_max} is below a record's {widest} rank columns")
     lines = [",".join(_records_header(k_max))]
     for r in rows:
         counts = list(r.rank_counts) + [0] * (k_max - len(r.rank_counts))

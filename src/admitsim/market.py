@@ -246,43 +246,67 @@ def _rank_within_universities(
     return ranks, order, offsets
 
 
-def _fill_distinct(
-    prefs: np.ndarray, holes: np.ndarray, m: int, rngs: Sequence[np.random.Generator]
-) -> np.ndarray:
-    """Fill the ``holes`` cells of ``prefs`` in place so that every row is distinct.
+def _repeats(table: np.ndarray) -> np.ndarray:
+    """Row mask of a (rows, k) table: True where a row holds some value twice.
 
-    ``prefs`` and ``holes`` are (blocks, rows, k); block b draws from
-    ``rngs[b]`` what it would draw alone.  A row's fresh entries are a
-    uniform ordered sample of the universities its other cells do not list.
-    When k(k-1) <= m, holes are drawn uniformly and rows that repeat a
+    Many rows take the k(k-1)/2 compares of contiguous columns, O(1) per
+    entry and pair; a few rows, where each compare costs mostly its call,
+    take one sort of every row.
+    """
+    rows, k = table.shape
+    if rows <= 100 * (k - 1):
+        srt = np.sort(table, axis=1)
+        return (srt[:, 1:] == srt[:, :-1]).any(axis=1)
+    cols = table.T.copy()
+    out, same = np.zeros(rows, dtype=bool), np.empty(rows, dtype=bool)
+    for i in range(k - 1):
+        for j in range(i + 1, k):
+            out |= np.equal(cols[i], cols[j], out=same)
+    return out
+
+
+def _fill_distinct(
+    prefs: np.ndarray, first: np.ndarray, m: int, rngs: Sequence[np.random.Generator]
+) -> np.ndarray:
+    """Fill each row's cells ``prefs[s, first[s]:]`` in place so that every row is distinct.
+
+    ``prefs`` is (blocks * rows, k); block b (rows b*rows..) draws from
+    ``rngs[b]`` what it would draw alone, its hole cells in the order of
+    their flat ids s*k + r.  A row's fresh entries are a uniform ordered
+    sample of the universities its other cells do not list.  When
+    k(k-1) <= m, holes are drawn uniformly and rows that repeat a
     university (chance <= k(k-1)/2m <= 1/2) redrawn, in rounds that blocks
-    with such rows join; rows left after ``_REJECTION_ROUNDS`` rounds, and
-    all rows when k(k-1) > m (m < k**2), take the unlisted universities
+    with such rows join; the pending rows are an index array, so a round
+    costs O(pending rows).  Rows left after ``_REJECTION_ROUNDS`` rounds,
+    and all rows when k(k-1) > m (m < k**2), take the unlisted universities
     with the smallest of m uniform random keys.  Returns ``prefs``.
     """
-    k = prefs.shape[2]
-    pending = holes
+    k = prefs.shape[1]
+    bounds = prefs.shape[0] // len(rngs) * np.arange(len(rngs) + 1)
+    cells = prefs.reshape(-1)
+    rows = np.flatnonzero(first < k)
     for _ in range(_REJECTION_ROUNDS if k * (k - 1) <= m else 0):
-        counts = pending.sum(axis=(1, 2)).tolist()
-        prefs[pending] = np.concatenate([
-            rngs[b].integers(0, m, size=count, dtype=np.int64)
-            for b, count in enumerate(counts) if count
-        ] + [np.empty(0, dtype=np.int64)])
-        rows = pending.any(axis=2)
-        srt = np.sort(prefs[rows], axis=1)
-        rows[rows] = (srt[:, 1:] == srt[:, :-1]).any(axis=1)
-        if not rows.any():
+        if not rows.size:
             return prefs
-        pending = holes & rows[..., None]
-    for rng, block, todo, fresh in zip(rngs, prefs, pending, holes):
-        rows = np.flatnonzero(todo.any(axis=1))
-        if rows.size:
-            row_prefs, fill = block[rows], fresh[rows]
-            keys = rng.random((rows.size, m))
+        lengths = k - first[rows]
+        ends = np.cumsum(lengths)
+        # the hole cells of the pending rows by flat id, and their count per block
+        holes = np.arange(ends[-1]) + np.repeat((rows + 1) * k - ends, lengths)
+        counts = np.diff(np.concatenate(([0], ends))[np.searchsorted(rows, bounds)])
+        cells[holes] = np.concatenate([
+            rng.integers(0, m, size=count, dtype=np.int64)
+            for rng, count in zip(rngs, counts.tolist()) if count
+        ])
+        rows = rows[_repeats(prefs[rows])]
+    cuts = np.searchsorted(rows, bounds)
+    for rng, todo in zip(rngs, np.split(rows, cuts[1:-1])):
+        if todo.size:
+            row_prefs, fill = prefs[todo], np.arange(k) >= first[todo][:, None]
+            keys = rng.random((todo.size, m))
             keys[np.nonzero(~fill)[0], row_prefs[~fill]] = 2.0  # listed universities sort last
             picks = np.argsort(keys, axis=1)[:, :k]
             row_prefs[fill] = picks[np.arange(k) < fill.sum(axis=1)[:, None]]
-            block[rows] = row_prefs
+            prefs[todo] = row_prefs
     return prefs
 
 
@@ -322,8 +346,7 @@ class MarketInstance:
             raise ConfigurationError("preference/signal tables must be (n, k)")
         if prefs.min(initial=0) < 0 or prefs.max(initial=0) >= m:
             raise ConfigurationError("university ids out of range")
-        srt = np.sort(prefs, axis=1)
-        if k > 1 and (srt[:, 1:] == srt[:, :-1]).any():
+        if _repeats(prefs).any():
             raise ConfigurationError("a student lists the same university twice")
         if blocks > 1 and (
             n % blocks or m % blocks
@@ -396,12 +419,26 @@ class MarketInstance:
         behave identically.
         """
         config = MarketConfig.from_json_dict(data["config"])
-        prefs = np.asarray(data["preferences"], dtype=np.int64)
-        table = {(int(u), int(s)): float(v) for u, s, v in data["signals"]}
-        signals = np.empty_like(prefs, dtype=np.float64)
-        for s in range(config.n):
-            for r in range(config.k):
-                signals[s, r] = table[(int(prefs[s, r]), s)]
+        for s, row in enumerate(data["preferences"]):
+            if len(row) != config.k:
+                raise ConfigurationError(
+                    f"preference row {s} lists {len(row)} universities, not k = {config.k}"
+                )
+        prefs = np.asarray(data["preferences"], dtype=np.int64).reshape(-1, config.k)
+        table: dict[tuple[int, int], float] = {}
+        for u, s, v in data["signals"]:
+            if (int(u), int(s)) in table:
+                raise ConfigurationError(f"two signals for university {u}, student {s}")
+            table[int(u), int(s)] = float(v)
+        listed = [(u, s) for s, row in enumerate(prefs.tolist()) for u in row]
+        for u, s in listed:
+            if (u, s) not in table:
+                raise ConfigurationError(f"no signal for university {u}, student {s}")
+        unlisted = sorted(table.keys() - set(listed))
+        if unlisted:
+            u, s = unlisted[0]
+            raise ConfigurationError(f"a signal for university {u}, student {s}, not on her list")
+        signals = np.array([table[pair] for pair in listed], dtype=np.float64).reshape(prefs.shape)
         rng = make_rng(child_seed(config.seed, _TIEBREAK_STREAM))
         tiebreaks = rng.random((config.n, config.k))
         return cls(config, prefs, signals, tiebreaks)
@@ -427,15 +464,16 @@ def _sample_stack(config: MarketConfig, seeds: Sequence[Any]) -> MarketInstance:
     rngs = [np.random.default_rng(seed) for seed in seeds]
     n, m, k = config.n, config.m, config.k
     shape = (len(rngs), n, k)
-    prefs = _fill_distinct(np.empty(shape, dtype=np.int64), np.ones(shape, dtype=bool), m, rngs)
-    prefs += m * np.arange(len(rngs))[:, None, None]
+    first = np.zeros(len(rngs) * n, dtype=np.int64)  # every cell is a hole
+    prefs = _fill_distinct(np.empty((first.size, k), dtype=np.int64), first, m, rngs)
+    prefs += np.repeat(m * np.arange(len(rngs)), n)[:, None]
     special = np.broadcast_to(np.arange(k) == 0, (n, k))  # rank 1 is the favorite school
     signals, tiebreaks = np.empty(shape), np.empty(shape)
     for b, rng in enumerate(rngs):
         signals[b] = config.signal.draw_batch(special, rng)
         tiebreaks[b] = rng.random((n, k))
     return MarketInstance(
-        replace(config, n=len(rngs) * n), prefs.reshape(-1, k),
+        replace(config, n=len(rngs) * n), prefs,
         signals.reshape(-1, k), tiebreaks.reshape(-1, k), len(rngs),
     )
 
@@ -626,26 +664,31 @@ def complete_instance(
     favorite-school application.
 
     Stream layout: every hole is filled first (``_fill_distinct``), then
-    one signal is drawn per hole, then one tiebreak per hole, both in
-    row-major order.
+    one signal is drawn per hole, then one tiebreak per hole, both in the
+    order of the holes' flat ids s*k + r.  Every table is addressed by that
+    id: the proposals land through one cell index, and the holes are one
+    ``flatnonzero``.
     """
     config = plan.config
     if rng is None:
         rng = make_rng(child_seed(config.seed, 1))
     n, m, k = config.n, config.m, config.k
-    prefs = np.full((n, k), -1, dtype=np.int64)
-    signals = np.zeros((n, k), dtype=np.float64)
-    tiebreaks = np.zeros((n, k), dtype=np.float64)
+    prefs = np.full(n * k, -1, dtype=np.int64)
+    signals = np.zeros(n * k, dtype=np.float64)
+    tiebreaks = np.zeros(n * k, dtype=np.float64)
 
-    assigned = plan.proposal_student >= 0
-    students = plan.proposal_student[assigned]
-    ranks = plan.proposal_rank[assigned] - 1
-    prefs[students, ranks] = plan.proposal_uni[assigned]
-    signals[students, ranks] = plan.proposal_signal[assigned]
-    tiebreaks[students, ranks] = plan.proposal_tiebreak[assigned]
+    # each assigned proposal fills the cell s*k + r of its student and rank
+    assigned = np.flatnonzero(plan.proposal_student >= 0)
+    cells = plan.proposal_student[assigned] * k + plan.proposal_rank[assigned] - 1
+    prefs[cells] = plan.proposal_uni[assigned]
+    signals[cells] = plan.proposal_signal[assigned]
+    tiebreaks[cells] = plan.proposal_tiebreak[assigned]
 
-    holes = np.arange(k) >= plan.assigned_rank_counts()[:, None]
-    _fill_distinct(prefs[None], holes[None], m, [rng])
-    signals[holes] = config.signal.draw_batch(np.nonzero(holes)[1] == 0, rng)
-    tiebreaks[holes] = rng.random(int(holes.sum()))
-    return MarketInstance(config, prefs, signals, tiebreaks)
+    first = plan.assigned_rank_counts()
+    _fill_distinct(prefs.reshape(n, k), first, m, [rng])
+    holes = np.flatnonzero(np.arange(k) >= first[:, None])
+    signals[holes] = config.signal.draw_batch(holes % k == 0, rng)
+    tiebreaks[holes] = rng.random(holes.size)
+    return MarketInstance(
+        config, prefs.reshape(n, k), signals.reshape(n, k), tiebreaks.reshape(n, k)
+    )

@@ -98,15 +98,17 @@ def match_rank_indices(instance: MarketInstance, matching: Matching) -> np.ndarr
     partner = matching.partner
     if partner.size != instance.n or matching.n_universities != instance.m:
         raise InvalidMatchingError("matching size does not fit the instance")
-    eq = instance.prefs == partner[:, None]
-    listed = eq.any(axis=1)
-    matched = partner >= 0
-    if bool((matched & ~listed).any()):
-        bad = int(np.flatnonzero(matched & ~listed)[0])
+    k = instance.k
+    # lists are distinct and ids nonnegative: one hit per listed partner
+    hits = np.flatnonzero(instance.prefs == partner[:, None])
+    ranks = np.full(partner.size, k, dtype=np.int64)
+    ranks[hits // k] = hits % k
+    if hits.size < np.count_nonzero(partner >= 0):
+        bad = int(np.flatnonzero((partner >= 0) & (ranks == k))[0])
         raise InvalidMatchingError(
             f"student {bad} is matched to a university she never applied to"
         )
-    return np.where(matched, eq.argmax(axis=1), instance.k)
+    return ranks
 
 
 _EMPTY = np.iinfo(np.int64).max
@@ -275,27 +277,24 @@ def find_blocking_pairs(instance: MarketInstance, matching: Matching) -> list[Bl
     has a free seat or ranks s above its worst admitted student.  An empty
     result means the matching is stable over the applied pairs.
     """
-    n, m, k, L = instance.n, instance.m, instance.k, instance.capacity
+    m, k, L = instance.m, instance.k, instance.capacity
     ranks = match_rank_indices(instance, matching)
     partner = matching.partner
-    matched = partner >= 0
+    matched = np.flatnonzero(partner >= 0)
 
     counts = np.bincount(partner[matched], minlength=m)
-    if counts.size and counts.max(initial=0) > L:
+    if counts.max(initial=0) > L:
         raise InvalidMatchingError("a university exceeds its capacity")
+    # a university takes any applicant while a seat is free, else one it
+    # ranks above its worst admitted student
     worst = np.full(m, -1, dtype=np.int64)
-    if matched.any():
-        match_ranks = instance.uni_rank[np.flatnonzero(matched), ranks[matched]]
-        np.maximum.at(worst, partner[matched], match_ranks)
+    np.maximum.at(worst, partner[matched], instance.uni_rank.ravel()[matched * k + ranks[matched]])
+    threshold = np.where(counts < L, np.iinfo(np.int64).max, worst)
 
-    prefers = np.arange(k)[None, :] < ranks[:, None]
-    targets = instance.prefs
-    uni_side = (counts[targets] < L) | (instance.uni_rank < worst[targets])
-    blocking = prefers & uni_side
-    return [
-        BlockingPair(int(s), int(instance.prefs[s, r]))
-        for s, r in np.argwhere(blocking)
-    ]
+    prefers = np.arange(k) < ranks[:, None]
+    blocking = np.flatnonzero(prefers & (instance.uni_rank < threshold[instance.prefs]))
+    unis = instance.prefs.ravel()[blocking]
+    return [BlockingPair(int(s), int(u)) for s, u in zip(blocking // k, unis)]
 
 
 def rank_profile(instance: MarketInstance, matching: Matching) -> RankProfile:

@@ -109,6 +109,14 @@ class TestRecords:
         header = buf.getvalue().split("\n")[0]
         assert header.split(",")[7:11] == ["rank1", "rank2", "rank3", "rank4"]
 
+    def test_k_max_below_a_record_k_is_refused(self, tmp_path):
+        inst = sample_market(MarketConfig(n=20, m_ratio=1.0, k=5, seed=3))
+        record = make_record(inst, school_proposing_da(inst))
+        out = tmp_path / "records.csv"
+        with pytest.raises(ValueError, match="k_max = 3"):
+            write_records_csv([record], out, k_max=3)
+        assert not out.exists()
+
     def test_six_significant_digits(self):
         assert format_number(0.12345678) == "0.123457"
         assert format_number(1234567.0) == "1.23457e+06"

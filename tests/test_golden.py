@@ -7,9 +7,23 @@ changelog; they exist to make silent drift loud.
 
 from __future__ import annotations
 
+import hashlib
 import json
 
-from admitsim import MarketConfig, matching_to_csv, sample_market, school_proposing_da
+import numpy as np
+
+from admitsim import (
+    MarketConfig,
+    SignalSpec,
+    build_seeded_plan,
+    complete_instance,
+    continue_rejection_chains,
+    matching_to_csv,
+    sample_market,
+    school_proposing_da,
+    solve_iid,
+    student_proposing_da,
+)
 from admitsim.cli import main
 
 SIMULATE_CSV = (
@@ -116,3 +130,44 @@ def test_compare_golden(tmp_path, capsys):
                  "--out", str(out)]) == 0
     assert out.read_text() == COMPARE_CSV
     assert capsys.readouterr().out == COMPARE_STDOUT
+
+
+# sha256 of the little-endian int64 / float64 bytes of each table, for the
+# n = 10^5 markets of the large benchmark item (seed 1): rejection rounds,
+# the ranking's tie repair and the completion's holes all run at this scale.
+LARGE_DIGESTS = {
+    "prefs": "f7238f9c74e572d286b449d305c49eaf6c59d63f574be47fedfd8bca661dca32",
+    "signals": "4314b9456cf91f9244c4fc9515907f61f7cfadabb330d7af16dc8d6300c5004b",
+    "tiebreaks": "7f38e2087e1ef75de276617ddc0aeb0bd85ec8bc1bdc7ee4fc43e1ac49d9cade",
+    "uni_rank": "98eef1c6ba8317edc95e58b314b3a91f5fe63a32e35570a7359fd88661beb92f",
+    "_uni_order": "90f644347fa1d4abab0e1f307342b75731e922a85825eefa65da6a077cc5c354",
+    "school": "d259ead35dd1fa3fd8a6a731faf5a68d35da0062247a88d05c3c69bf078d6348",
+    "student": "d259ead35dd1fa3fd8a6a731faf5a68d35da0062247a88d05c3c69bf078d6348",
+    "seeded prefs": "c29136f8e73c4e9e5b531067ab3c1364e2538154c3587b0e895ec61dd309432e",
+    "seeded signals": "368c2779c2ead12adfee3f80b5a20c8ef145be0cd148e40771e3ba15c25619b0",
+    "seeded tiebreaks": "7423d519ef290143f0847f9f800a896cbc39b9710bd769687d0b576f831e05ab",
+    "seeded uni_rank": "34e58675a4d71051e14e04c0462d7c3e8b37a31950f01896902871460f4dca87",
+    "seeded repair": "59ba9f0d0ef38bac7dc48612d71d0b374f26677ab82bf7e2d76d418343ef456d",
+}
+
+
+def _digest(table: np.ndarray) -> str:
+    kind = "<f8" if np.issubdtype(table.dtype, np.floating) else "<i8"
+    return hashlib.sha256(np.ascontiguousarray(table, dtype=kind).tobytes()).hexdigest()
+
+
+def test_large_market_digests():
+    inst = sample_market(
+        MarketConfig(n=100_000, m_ratio=1.0, k=5, signal=SignalSpec.gaussian(1.0), seed=1)
+    )
+    got = {name: _digest(getattr(inst, name))
+           for name in ("prefs", "signals", "tiebreaks", "uni_rank", "_uni_order")}
+    got["school"] = _digest(school_proposing_da(inst).partner)
+    got["student"] = _digest(student_proposing_da(inst).partner)
+    config = MarketConfig(n=100_000, m_ratio=0.5, capacity=2, k=5, seed=1)
+    plan = build_seeded_plan(solve_iid(config).rank_fractions.fractions, config)
+    seeded = complete_instance(plan)
+    for name in ("prefs", "signals", "tiebreaks", "uni_rank"):
+        got[f"seeded {name}"] = _digest(getattr(seeded, name))
+    got["seeded repair"] = _digest(continue_rejection_chains(seeded, plan).partner)
+    assert got == LARGE_DIGESTS

@@ -233,15 +233,15 @@ class TestStack:
         # redraw draw; the key sort draws per block
         seeds = list(range(12))
         stacked = [RecordingGenerator(seed) for seed in seeds]
-        prefs = np.empty((len(seeds), 3, k), dtype=np.int64)
-        market._fill_distinct(prefs, np.ones(prefs.shape, dtype=bool), m, stacked)
+        prefs = np.empty((len(seeds) * 3, k), dtype=np.int64)
+        market._fill_distinct(prefs, np.zeros(len(seeds) * 3, dtype=np.int64), m, stacked)
         rounds = set()
         for b, seed in enumerate(seeds):
             alone = RecordingGenerator(seed)
             block = market._fill_distinct(
-                np.empty((1, 3, k), dtype=np.int64), np.ones((1, 3, k), dtype=bool), m, [alone]
+                np.empty((3, k), dtype=np.int64), np.zeros(3, dtype=np.int64), m, [alone]
             )
-            assert np.array_equal(prefs[b], block[0])
+            assert np.array_equal(prefs[3 * b : 3 * b + 3], block)
             assert stacked[b].calls == alone.calls
             rounds.add(len(alone.calls))
         if k * (k - 1) <= m:
@@ -393,6 +393,88 @@ class TestSerialization:
         cfg = MarketConfig(n=2, m_ratio=1.0, k=1, signal=spec, seed=0)
         with pytest.raises(ConfigurationError):
             sample_market(cfg).to_json_dict()
+
+    @staticmethod
+    def _doc():
+        inst = sample_market(MarketConfig(n=4, m_ratio=1.0, k=2, seed=21))
+        return json.loads(json.dumps(inst.to_json_dict())), inst
+
+    def test_missing_signal_names_the_pair(self):
+        doc, inst = self._doc()
+        u, s, _ = doc["signals"].pop(5)
+        with pytest.raises(ConfigurationError, match=f"no signal for university {u}, student {s}"):
+            MarketInstance.from_json_dict(doc)
+
+    def test_ragged_preferences_name_the_row(self):
+        doc, _ = self._doc()
+        doc["preferences"][2].pop()
+        with pytest.raises(ConfigurationError, match="preference row 2 lists 1 "):
+            MarketInstance.from_json_dict(doc)
+
+    def test_repeated_signal_names_the_pair(self):
+        doc, _ = self._doc()
+        u, s, v = doc["signals"][3]
+        doc["signals"].append([u, s, v + 1.0])
+        message = f"two signals for university {u}, student {s}$"
+        with pytest.raises(ConfigurationError, match=message):
+            MarketInstance.from_json_dict(doc)
+
+    def test_signal_for_unlisted_pair_names_the_pair(self):
+        doc, inst = self._doc()
+        u = next(u for u in range(inst.m) if u not in inst.prefs[1])
+        doc["signals"].append([u, 1, 0.5])
+        with pytest.raises(ConfigurationError, match=f"university {u}, student 1, not on her"):
+            MarketInstance.from_json_dict(doc)
+
+
+class TestRepeatedUniversity:
+    """A list that names a university twice is refused, and never sampled."""
+
+    # few rows sort each row, many rows compare columns
+    @pytest.mark.parametrize("n", [3, 2000])
+    @pytest.mark.parametrize("k", [2, 5, 10])
+    def test_every_column_pair_is_checked(self, n, k):
+        config = MarketConfig(n=n, m_ratio=4.0, k=k, seed=k)
+        inst = sample_market(config)
+        for i in range(k):
+            for j in range(i + 1, k):
+                prefs = inst.prefs.copy()
+                prefs[n - 1, j] = prefs[n - 1, i]
+                with pytest.raises(ConfigurationError, match="twice"):
+                    MarketInstance(config, prefs, inst.signals, inst.tiebreaks)
+
+    @pytest.mark.parametrize("k", [2, 5, 10])
+    def test_every_column_pair_is_checked_in_a_stack(self, k):
+        config = MarketConfig(n=50, m_ratio=1.0, k=k, seed=0)
+        stack = market._sample_stack(config, list(range(4)))
+        for i in range(k):
+            for j in range(i + 1, k):
+                prefs = stack.prefs.copy()
+                prefs[120, j] = prefs[120, i]  # a student of block 2
+                with pytest.raises(ConfigurationError, match="twice"):
+                    MarketInstance(stack.config, prefs, stack.signals, stack.tiebreaks, blocks=4)
+
+    @pytest.mark.parametrize("k", [2, 5, 10])
+    def test_sampling_at_m_equal_to_k_k_minus_1_leaves_no_repeat(self, k):
+        # m = k(k-1) still takes the rejection rounds, with the most rows to redraw
+        n = 3000
+        config = MarketConfig(n=n, m_ratio=k * (k - 1) / n, k=k, seed=k)
+        gen = RecordingGenerator(k)
+        prefs = market._fill_distinct(
+            np.empty((n, k), dtype=np.int64), np.zeros(n, dtype=np.int64), config.m, [gen]
+        )
+        assert {name for name, _ in gen.calls} == {"integers"}
+        assert len(gen.calls) > (3 if k > 2 else 1)
+        stack = market._sample_stack(config, [1, 2])
+        for table in (prefs, sample_market(config).prefs, stack.prefs):
+            srt = np.sort(table, axis=1)
+            assert (srt[:, 1:] != srt[:, :-1]).all()
+        # a completion keeps each student's prefix and draws the rest distinct
+        prefixes = [list(range(r % k)) for r in range(n)]
+        completed = complete_instance(plan_with_prefixes(config, prefixes)).prefs
+        srt = np.sort(completed, axis=1)
+        assert (srt[:, 1:] != srt[:, :-1]).all()
+        assert all(completed[s, : len(p)].tolist() == p for s, p in enumerate(prefixes))
 
 
 class TestSeededPlan:
