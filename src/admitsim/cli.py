@@ -35,6 +35,7 @@ from .market import (  # noqa: F401
     MarketConfig,
     MarketInstance,
     SignalSpec,
+    _convert,
     _sample_stack,
     child_seed,
     sample_market,
@@ -118,22 +119,6 @@ def _build_signal(args: argparse.Namespace, file_cfg: dict[str, Any]) -> SignalS
             raise UsageError("--signal iid does not take a shift")
         return SignalSpec.iid()
     raise UsageError(f"unknown signal kind {kind!r}")
-
-
-def _convert(kind: type, name: str, value: Any) -> Any:
-    """``kind(value)``; a config value of the wrong JSON type is a usage error.
-
-    The conversion must not change the value, so strings and fractional
-    numbers are rejected rather than parsed or truncated.
-    """
-    try:
-        converted = kind(value)
-        if converted == value:
-            return converted
-    except (TypeError, ValueError):
-        pass
-    expected = "an integer" if kind is int else "a number"
-    raise UsageError(f"{name} must be {expected}, got {value!r}")
 
 
 def _convert_list(kind: type, name: str, values: Any) -> tuple[Any, ...]:

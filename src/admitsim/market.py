@@ -50,6 +50,22 @@ class ConfigurationError(ValueError):
     """A market configuration violates its invariants."""
 
 
+def _convert(kind: type, name: str, value: Any) -> Any:
+    """``kind(value)``, where ``kind`` is int or float, for a configuration field.
+
+    The conversion must not change the value, so strings and fractional
+    numbers are rejected rather than parsed or truncated.
+    """
+    try:
+        converted = kind(value)
+        if converted == value:
+            return converted
+    except (TypeError, ValueError, OverflowError):
+        pass
+    expected = "an integer" if kind is int else "a number"
+    raise ConfigurationError(f"{name} must be {expected}, got {value!r}")
+
+
 def child_seed(root: int, index: int) -> int:
     """Derive an independent 64-bit seed for replication ``index``.
 
@@ -136,7 +152,7 @@ class SignalSpec:
             return np.array(draws, dtype=np.float64).reshape(special.shape)
         out = rng.standard_normal(special.shape)
         if self.kind == "gaussian" and self.delta != 0.0:
-            out = out + self.delta * special
+            out += self.delta * special  # in place; faster than a masked add
         return out
 
     def to_json_dict(self) -> dict[str, Any]:
@@ -146,7 +162,7 @@ class SignalSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict[str, Any]) -> "SignalSpec":
-        return cls(kind=data["kind"], delta=float(data.get("delta", 0.0)))
+        return cls(kind=data["kind"], delta=_convert(float, "signal delta", data.get("delta", 0.0)))
 
 
 @dataclass(frozen=True)
@@ -198,12 +214,12 @@ class MarketConfig:
     @classmethod
     def from_json_dict(cls, data: dict[str, Any]) -> "MarketConfig":
         return cls(
-            n=int(data["n"]),
-            m_ratio=float(data.get("m_ratio", 1.0)),
-            capacity=int(data.get("capacity", 1)),
-            k=int(data.get("k", 1)),
+            n=_convert(int, "n", data["n"]),
+            m_ratio=_convert(float, "m_ratio", data.get("m_ratio", 1.0)),
+            capacity=_convert(int, "capacity", data.get("capacity", 1)),
+            k=_convert(int, "k", data.get("k", 1)),
             signal=SignalSpec.from_json_dict(data.get("signal", {"kind": "iid"})),
-            seed=int(data.get("seed", 0)),
+            seed=_convert(int, "seed", data.get("seed", 0)),
         )
 
 
@@ -420,13 +436,20 @@ class MarketInstance:
         """
         config = MarketConfig.from_json_dict(data["config"])
         for s, row in enumerate(data["preferences"]):
+            if not isinstance(row, (list, tuple)):
+                raise ConfigurationError(f"preference row {s} is not a list: {row!r}")
             if len(row) != config.k:
                 raise ConfigurationError(
                     f"preference row {s} lists {len(row)} universities, not k = {config.k}"
                 )
         prefs = np.asarray(data["preferences"], dtype=np.int64).reshape(-1, config.k)
         table: dict[tuple[int, int], float] = {}
-        for u, s, v in data["signals"]:
+        for i, entry in enumerate(data["signals"]):
+            if not isinstance(entry, (list, tuple)) or len(entry) != 3:
+                raise ConfigurationError(
+                    f"signal entry {i} is not a [university, student, signal] triple: {entry!r}"
+                )
+            u, s, v = entry
             if (int(u), int(s)) in table:
                 raise ConfigurationError(f"two signals for university {u}, student {s}")
             table[int(u), int(s)] = float(v)

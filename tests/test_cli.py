@@ -334,6 +334,7 @@ class TestConfigFile:
             ("simulate", {"n": [1]}),
             ("simulate", {"n": 10.5}),
             ("simulate", {"n": "10"}),
+            ("simulate", {"n": math.inf}),
             ("simulate", {"n": 8, "k": 2, "signal": {"kind": "gaussian", "delta": [2]}}),
             ("sweep", {"n": 10, "k_values": 5}),
             ("sweep", {"n": 10, "deltas": [[1.0]]}),

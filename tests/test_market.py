@@ -82,6 +82,24 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             SignalSpec.from_json_dict({"kind": "gaussian", "delta": math.inf})
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("n", 100.7), ("k", "3"), ("seed", 2.9), ("capacity", "2"), ("m_ratio", "1.0")],
+    )
+    def test_json_fields_are_not_truncated(self, field, value):
+        doc = {"n": 100, "k": 3, "seed": 2, field: value}
+        with pytest.raises(ConfigurationError, match=f"^{field} must be .*got {value!r}$"):
+            MarketConfig.from_json_dict(doc)
+
+    def test_json_integral_values_load_unchanged(self):
+        config = MarketConfig.from_json_dict({"n": 100.0, "k": 3, "m_ratio": 1, "seed": 2})
+        assert (config.n, config.k, config.m_ratio, config.seed) == (100, 3, 1.0, 2)
+        assert isinstance(config.n, int) and isinstance(config.m_ratio, float)
+
+    def test_json_shift_is_not_parsed(self):
+        with pytest.raises(ConfigurationError, match="^signal delta must be a number"):
+            SignalSpec.from_json_dict({"kind": "gaussian", "delta": "1"})
+
     def test_custom_needs_both_samplers(self):
         with pytest.raises(ConfigurationError):
             SignalSpec(kind="custom", special_sampler=lambda rng: 1.0)
@@ -424,6 +442,18 @@ class TestSerialization:
         u = next(u for u in range(inst.m) if u not in inst.prefs[1])
         doc["signals"].append([u, 1, 0.5])
         with pytest.raises(ConfigurationError, match=f"university {u}, student 1, not on her"):
+            MarketInstance.from_json_dict(doc)
+
+    def test_short_signal_triple_names_the_entry(self):
+        doc, _ = self._doc()
+        doc["signals"][4] = doc["signals"][4][:2]
+        with pytest.raises(ConfigurationError, match="^signal entry 4 is not a .* triple"):
+            MarketInstance.from_json_dict(doc)
+
+    def test_numeric_preference_row_names_the_row(self):
+        doc, _ = self._doc()
+        doc["preferences"][3] = 7
+        with pytest.raises(ConfigurationError, match="^preference row 3 is not a list: 7$"):
             MarketInstance.from_json_dict(doc)
 
 
