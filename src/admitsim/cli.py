@@ -236,13 +236,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             config, tol=args.tol if args.tol is not None else 1e-10, max_iter=args.max_iter
         )
     else:
+        if args.trials < 1:
+            raise UsageError("--trials must be at least 1")
         result = solve_general(
             config,
             tol=args.tol if args.tol is not None else 0.01,
             max_iter=args.max_iter,
             n_sim=args.n_sim,
-            trials=args.trials,
-            damping=args.damping,
         )
     text = json.dumps(result.to_json_dict(), indent=2) + "\n"
     _write_text(Path(args.out) if args.out else None, text)
@@ -403,14 +403,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--method", choices=["iid", "general"], default="iid")
     p_solve.add_argument("--tol", type=float, help="largest consistency gap accepted")
     p_solve.add_argument("--max-iter", dest="max_iter", type=int, default=80,
-                         help="bisection steps (or damped iterations for custom signals)")
-    monte_carlo = "; only Monte Carlo acceptance uses it (custom signals, Python API only)"
+                         help="most bisection steps in the mass beyond rank 1")
     p_solve.add_argument("--n-sim", dest="n_sim", type=int, default=20_000,
-                         help="students per Monte Carlo trial" + monte_carlo)
+                         help="draws of each signal distribution for sampled acceptance "
+                              "(at least 100); only custom samplers use it, Python API only")
     p_solve.add_argument("--trials", type=int, default=4,
-                         help="Monte Carlo trials per iteration" + monte_carlo)
-    p_solve.add_argument("--damping", type=float, default=0.5,
-                         help="damped-iteration step size" + monte_carlo)
+                         help="accepted for older invocations and ignored; must be at least 1")
     p_solve.add_argument("--out", help="output path (stdout when omitted)")
     p_solve.set_defaults(func=_cmd_solve)
 

@@ -13,9 +13,9 @@ fractions only through the mass S of proposals beyond rank 1, so the system
 is one scalar equation in S, which both analytic solvers bisect.  With
 identically distributed signals every rank is accepted at one closed-form
 rate (``solve_iid``); for Gaussian signals ``solve_general`` evaluates the
-acceptance rates by tanh-sinh quadrature.
-Custom samplers have no such model: their acceptance rates are estimated by
-Monte Carlo and the system is solved by damped iteration.
+acceptance rates by tanh-sinh quadrature, and for custom samplers it
+averages them over one fixed sample of each signal distribution.
+``estimate_acceptance``, the finite-market Monte Carlo oracle, tests them.
 """
 
 from __future__ import annotations
@@ -27,7 +27,13 @@ from typing import Any
 
 import numpy as np
 
-from .market import MarketConfig, _throw_proposals, _validate_rank_fractions, make_rng
+from .market import (
+    MarketConfig,
+    _rank_within_universities,
+    _throw_proposals,
+    _validate_rank_fractions,
+    make_rng,
+)
 
 __all__ = [
     "RankVector",
@@ -80,11 +86,9 @@ class ConvergenceError(RuntimeError):
 class SolverResult:
     """Solution of the rank-fraction system.
 
-    ``residuals[i]`` is the consistency gap at rank i+1; for the Monte
-    Carlo method it includes sampling noise.  ``method`` is
-    "closed-form-iid", "quadrature-bisection" or "damped-iteration";
-    ``iterations`` counts the bisection steps in S (both analytic methods)
-    or the damped iterations.
+    ``residuals[i]`` is the consistency gap at rank i+1.  ``method`` is
+    "closed-form-iid", "quadrature-bisection" or "sampled-bisection";
+    ``iterations`` counts the bisection steps in S.
     """
 
     rank_fractions: RankVector
@@ -112,7 +116,7 @@ class SolverResult:
         }
 
 
-def _check_sampling(n_sim: int, trials: int) -> None:
+def _check_sampling(n_sim: int, trials: int = 1) -> None:
     if n_sim < 100:
         raise ValueError("n_sim must be at least 100")
     if trials < 1:
@@ -150,10 +154,7 @@ def estimate_acceptance(
         samples[t] = np.bincount(ranks[accepted], minlength=config.k) / n_sim
         del _, ranks, accepted  # free this trial's proposals before the next throw
     mean = samples.mean(axis=0)
-    if trials > 1:
-        se = samples.std(axis=0, ddof=1) / math.sqrt(trials)
-    else:
-        se = np.zeros(config.k)
+    se = samples.std(axis=0, ddof=1) / math.sqrt(trials) if trials > 1 else np.zeros(config.k)
     return AcceptanceEstimate(
         fractions=tuple(float(v) for v in mean),
         std_errors=tuple(float(v) for v in se),
@@ -196,6 +197,21 @@ def expected_accepted_mass(
     return m_ratio * (capacity - shortfall)
 
 
+def _poisson_below(lam: np.ndarray, capacity: int) -> np.ndarray:
+    """P(Poisson(lam) < capacity), elementwise.
+
+    Each term comes from its logarithm, so means past ~745, where
+    exp(-lam) underflows, are safe.
+    """
+    with np.errstate(divide="ignore"):
+        log_lam = np.log(lam)
+    # a zero mean has log -inf, which leaves only the j = 0 term
+    out = np.exp(-lam)
+    for j in range(1, capacity):
+        out += np.exp(j * log_lam - lam - math.lgamma(j + 1))
+    return out
+
+
 # Up to this capacity P(Poisson < capacity) has no step that the 120-node
 # rule misses: within 4e-14 of the closed form at every mean up to 2000.
 _SMOOTH_CAPACITY = 3
@@ -216,14 +232,12 @@ def _large_market_acceptance(
     ranks from F_regular = Normal(0, 1).  Each rate averages
     P(Poisson < capacity) over the proposal's own signal, integrated in its
     uniform own tail u = 1 - F_own(v), where the other kind's tail is
-    Phi(Phi^-1(u) -+ delta), with a 120-node tanh-sinh rule.  The Poisson
-    terms come from their logarithms, so means (1 + S) / m_ratio past ~745,
-    where exp(-mean) underflows, are safe.  Past a capacity above
-    ``_SMOOTH_CAPACITY`` P(Poisson < capacity) is a step in u, at the u*
-    where the mean is the capacity (L * m_ratio / (1 + S) at delta = 0,
-    bisected otherwise), and the rule runs on [0, u*] and on [u*, 1].  The
-    rates are within about 1e-13 of exact for capacities up to 1000 and
-    means up to 2000.
+    Phi(Phi^-1(u) -+ delta), with a 120-node tanh-sinh rule.  Past a
+    capacity above ``_SMOOTH_CAPACITY`` P(Poisson < capacity) is a step in
+    u, at the u* where the mean is the capacity (L * m_ratio / (1 + S) at
+    delta = 0, bisected otherwise), and the rule runs on [0, u*] and on
+    [u*, 1].  The rates are within about 1e-13 of exact for capacities up
+    to 1000 and means up to 2000.
     """
     # imported here so that importing the package does not load statistics
     from statistics import NormalDist
@@ -251,16 +265,6 @@ def _large_market_acceptance(
         special, regular = np.stack([u, up]), np.stack([down, u])
         return (hi - lo) * weights, special / m_ratio, regular / m_ratio
 
-    def kept(lam: np.ndarray) -> np.ndarray:
-        """P(Poisson(lam) < capacity), elementwise."""
-        with np.errstate(divide="ignore"):
-            log_lam = np.log(lam)
-        # a zero mean has log -inf, which leaves only the j = 0 term
-        out = np.exp(-lam)
-        for j in range(1, capacity):
-            out += np.exp(j * log_lam - lam - math.lgamma(j + 1))
-        return out
-
     def step(row: int, s: float) -> float:
         """The u where the row's Poisson mean is the capacity."""
         if delta == 0.0:
@@ -279,13 +283,46 @@ def _large_market_acceptance(
     def acceptance(s: float) -> tuple[float, float]:
         if capacity > _SMOOTH_CAPACITY and (1.0 + s) / m_ratio > capacity:
             first, later = (
-                sum(float(kept(special[row] + s * regular[row]) @ w)
+                sum(float(_poisson_below(special[row] + s * regular[row], capacity) @ w)
                     for w, special, regular in (rule(0.0, cut), rule(cut, 1.0)))
                 for row, cut in ((0, step(0, s)), (1, step(1, s)))
             )
             return first, later
         w, special, regular = whole
-        first, later = kept(special + s * regular) @ w
+        first, later = _poisson_below(special + s * regular, capacity) @ w
+        return float(first), float(later)
+
+    return acceptance
+
+
+def _sampled_acceptance(
+    config: MarketConfig, n_sim: int, rng: np.random.Generator | None
+) -> Callable[[float], tuple[float, float]]:
+    """The rates of ``_large_market_acceptance`` from ``n_sim`` draws of each signal kind.
+
+    One university ranks the pooled draws, so ties break as in a market.  A
+    draw's rival tails count the draws of each kind ranked above it, itself
+    as one half, over ``n_sim``; each rate averages P(Poisson < capacity)
+    over its own kind's draws.  The half makes the accepted mass p_1 + S p_r
+    a midpoint sum, equal to ``expected_accepted_mass`` to O(n_sim**-2).
+    """
+    if rng is None:
+        rng = make_rng(config.seed)
+    special = np.repeat([True, False], n_sim)
+    signals = config.signal.draw_batch(special, rng)
+    tiebreaks = rng.random(2 * n_sim)
+    _, order, _ = _rank_within_universities(
+        np.zeros(2 * n_sim, dtype=np.int64), signals, tiebreaks, 1
+    )
+    ranked = special[order]
+    tails = np.empty((2, 2 * n_sim))
+    for row, kind in enumerate((ranked, ~ranked)):
+        tails[row, order] = (np.cumsum(kind) - 0.5 * kind) / (n_sim * config.m_ratio)
+    # [rival kind, own kind, draw]: own kind 0 is special (rank 1), 1 regular
+    special_tail, regular_tail = tails.reshape(2, 2, n_sim)
+
+    def acceptance(s: float) -> tuple[float, float]:
+        first, later = _poisson_below(special_tail + s * regular_tail, config.capacity).mean(axis=1)
         return float(first), float(later)
 
     return acceptance
@@ -296,11 +333,6 @@ def _rank_chain(first: float, later: float, k: int) -> np.ndarray:
     y = np.ones(k, dtype=np.float64)
     y[1:] = (1.0 - first) * (1.0 - later) ** np.arange(k - 1)
     return y
-
-
-def _chain_from_accepted(accepted: np.ndarray) -> np.ndarray:
-    """Rank fractions implied by per-rank accepted fractions: 1 minus all accepted earlier."""
-    return 1.0 - np.concatenate(([0.0], np.cumsum(accepted[:-1])))
 
 
 def _check_stopping(tol: float, max_iter: int) -> None:
@@ -334,7 +366,7 @@ def _solve_by_bisection(config: MarketConfig, tol: float, max_iter: int,
     # expose how well the bisection closed the equation
     first, later = acceptance(float(y[1:].sum()))
     accepted = y * np.array([first] + [later] * (k - 1))
-    residuals = y - _chain_from_accepted(accepted)
+    residuals = y - (1.0 - np.concatenate(([0.0], np.cumsum(accepted[:-1]))))
     worst = float(np.abs(residuals).max())
     if worst > tol:
         raise ConvergenceError(
@@ -379,70 +411,34 @@ def solve_general(
     tol: float = 0.01,
     max_iter: int = 80,
     n_sim: int = 20_000,
-    trials: int = 4,
-    damping: float = 0.5,
     rng: np.random.Generator | None = None,
 ) -> SolverResult:
     """Solve the rank-fraction system for any signal model.
 
-    For iid and Gaussian signals the acceptance rates come from the
-    large-market model of ``_large_market_acceptance``.  They depend on the
-    rank fractions y only through S = y_2 + ... + y_k, so the chain
-    y_2 = 1 - p_1(S), y_(i+1) = y_i * (1 - p_r(S)) turns the system into
-    the scalar equation S = G(S).  p_r * (S - G(S)) is the accepted mass
-    p_1 + S * p_r, which rises with S, minus the matched fraction
+    The large-market acceptance rates depend on the rank fractions y only
+    through S = y_2 + ... + y_k, so the chain y_2 = 1 - p_1(S),
+    y_(i+1) = y_i * (1 - p_r(S)) turns the system into the scalar equation
+    S = G(S).  p_r * (S - G(S)) is the accepted mass p_1 + S * p_r, which
+    rises with S, minus the matched fraction
     1 - (1 - p_1) * (1 - p_r)**(k-1), which falls, so the root is unique.
-    It is bisected on [0, k - 1] down to rounding (method
-    "quadrature-bisection"; ``iterations`` counts the bisection steps), and
-    the residuals are deterministic and below 1e-12.  ``n_sim``, ``trials``,
-    ``damping`` and ``rng`` are validated but unused on this path.
+    It is bisected on [0, k - 1] down to rounding (``iterations`` counts
+    the bisection steps), and the residuals are below 1e-12.
 
-    For custom samplers the rates are estimated by ``estimate_acceptance``
-    and the system is solved by damped iteration (method
-    "damped-iteration"): y <- (1 - damping) * y + damping * T(y), where
-    T(y) is the self-consistent chain of the rates estimated at y,
-    projected onto [0, 1] and nonincreasing order.  Its residuals carry
-    Monte Carlo noise of order the estimate's standard error, so ``tol``
-    should not be set far below it.
+    For iid and Gaussian signals the rates come from the quadrature of
+    ``_large_market_acceptance`` (method "quadrature-bisection"), and
+    ``n_sim`` and ``rng`` are unused.  Custom samplers get the same rates
+    from ``n_sim`` draws of each signal distribution (``_sampled_acceptance``,
+    method "sampled-bisection"), taken from ``rng`` or, when it is None,
+    from the config seed; the solution is deterministic for a given
+    generator and carries sampling error of order n_sim**-0.5.
 
     Raises ConvergenceError with the last iterate when the worst
     consistency gap is still above ``tol`` after ``max_iter`` steps.
     """
     _check_stopping(tol, max_iter)
-    if not 0 < damping <= 1:
-        raise ValueError("damping must be in (0, 1]")
-    _check_sampling(n_sim, trials)
-    if config.signal.kind != "custom":
-        acceptance = _large_market_acceptance(config.signal.delta, config.m_ratio, config.capacity)
-        return _solve_by_bisection(config, tol, max_iter, acceptance, "quadrature-bisection")
-    if rng is None:
-        rng = make_rng(config.seed)
-    y = np.ones(config.k)
-    residuals = np.zeros(config.k)
-    for iteration in range(1, max_iter + 1):
-        estimate = estimate_acceptance(y, config, n_sim=n_sim, trials=trials, rng=rng)
-        accepted = np.asarray(estimate.fractions)
-        # Self-consistent chain for the current acceptance estimates, so a
-        # correction at one rank propagates through all later ones at once.
-        target = _chain_from_accepted(accepted)
-        np.clip(target, 0.0, 1.0, out=target)
-        np.minimum.accumulate(target, out=target)
-        residuals = y - target
-        if np.abs(residuals).max() <= tol:
-            return SolverResult(
-                rank_fractions=RankVector(tuple(float(v) for v in y)),
-                residuals=tuple(float(r) for r in residuals),
-                iterations=iteration,
-                method="damped-iteration",
-                proposals_per_student=float(y.sum()),
-                unmatched_fraction=max(0.0, float(y[-1] - accepted[-1])),
-            )
-        y = (1.0 - damping) * y + damping * target
-        y[0] = 1.0
-
-    raise ConvergenceError(
-        f"no convergence to {tol} within {max_iter} iterations "
-        f"(last residual {np.abs(residuals).max():.3g})",
-        fractions=tuple(float(v) for v in y),
-        residuals=tuple(float(r) for r in residuals),
-    )
+    _check_sampling(n_sim)
+    if config.signal.kind == "custom":
+        acceptance = _sampled_acceptance(config, n_sim, rng)
+        return _solve_by_bisection(config, tol, max_iter, acceptance, "sampled-bisection")
+    acceptance = _large_market_acceptance(config.signal.delta, config.m_ratio, config.capacity)
+    return _solve_by_bisection(config, tol, max_iter, acceptance, "quadrature-bisection")

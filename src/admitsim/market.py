@@ -53,12 +53,12 @@ class ConfigurationError(ValueError):
 def _convert(kind: type, name: str, value: Any) -> Any:
     """``kind(value)``, where ``kind`` is int or float, for a configuration field.
 
-    The conversion must not change the value, so strings and fractional
-    numbers are rejected rather than parsed or truncated.
+    The conversion must not change the value, so strings, booleans and
+    fractional numbers are rejected rather than parsed or truncated.
     """
     try:
         converted = kind(value)
-        if converted == value:
+        if converted == value and not isinstance(value, bool):
             return converted
     except (TypeError, ValueError, OverflowError):
         pass
@@ -435,6 +435,7 @@ class MarketInstance:
         behave identically.
         """
         config = MarketConfig.from_json_dict(data["config"])
+        rows = []
         for s, row in enumerate(data["preferences"]):
             if not isinstance(row, (list, tuple)):
                 raise ConfigurationError(f"preference row {s} is not a list: {row!r}")
@@ -442,17 +443,21 @@ class MarketInstance:
                 raise ConfigurationError(
                     f"preference row {s} lists {len(row)} universities, not k = {config.k}"
                 )
-        prefs = np.asarray(data["preferences"], dtype=np.int64).reshape(-1, config.k)
+            rows.append([_convert(int, f"preference row {s} entry {r}", u)
+                         for r, u in enumerate(row)])
+        prefs = np.array(rows, dtype=np.int64).reshape(-1, config.k)
         table: dict[tuple[int, int], float] = {}
         for i, entry in enumerate(data["signals"]):
             if not isinstance(entry, (list, tuple)) or len(entry) != 3:
                 raise ConfigurationError(
                     f"signal entry {i} is not a [university, student, signal] triple: {entry!r}"
                 )
-            u, s, v = entry
-            if (int(u), int(s)) in table:
+            u = _convert(int, f"signal entry {i} university", entry[0])
+            s = _convert(int, f"signal entry {i} student", entry[1])
+            v = _convert(float, f"signal entry {i} signal", entry[2])
+            if (u, s) in table:
                 raise ConfigurationError(f"two signals for university {u}, student {s}")
-            table[int(u), int(s)] = float(v)
+            table[u, s] = v
         listed = [(u, s) for s, row in enumerate(prefs.tolist()) for u in row]
         for u, s in listed:
             if (u, s) not in table:

@@ -161,7 +161,7 @@ class TestSolve:
         assert max(abs(r) for r in doc["residuals"]) <= 1e-10
         assert run(capsys, *argv, "--seed", "2")[1] == out
 
-    @pytest.mark.parametrize("flag", [["--n-sim", "50"], ["--trials", "0"], ["--damping", "0"]])
+    @pytest.mark.parametrize("flag", [["--n-sim", "50"], ["--trials", "0"]])
     def test_bad_monte_carlo_flags_rejected(self, capsys, flag):
         code, out, err = run(
             capsys, "solve", "--n", "100", "--k", "3", "--delta", "1", "--method", "general",
@@ -338,6 +338,9 @@ class TestConfigFile:
             ("simulate", {"n": 8, "k": 2, "signal": {"kind": "gaussian", "delta": [2]}}),
             ("sweep", {"n": 10, "k_values": 5}),
             ("sweep", {"n": 10, "deltas": [[1.0]]}),
+            ("simulate", {"n": True}),
+            ("simulate", {"n": 8, "k": True}),
+            ("sweep", {"n": 10, "k_values": [True]}),
         ],
     )
     def test_wrong_json_type_is_usage_error(self, tmp_path, capsys, command, doc):

@@ -23,7 +23,7 @@ from admitsim import (
     solve_iid,
     student_proposing_da,
 )
-from admitsim.fixed_point import _large_market_acceptance, _rank_chain
+from admitsim.fixed_point import _large_market_acceptance, _rank_chain, _sampled_acceptance
 from admitsim.market import _rank_within_universities, _throw_proposals
 
 
@@ -261,6 +261,43 @@ def gaussian_as_custom(delta: float) -> SignalSpec:
     )
 
 
+def integer_custom() -> SignalSpec:
+    """Signals 0, 1 or 2 for both kinds: identically distributed and often tied."""
+    return SignalSpec.custom(lambda g: float(g.integers(0, 3)), lambda g: float(g.integers(0, 3)))
+
+
+def assert_chain_agrees_with_monte_carlo(y, config: MarketConfig) -> None:
+    """Each rank fraction is the previous one minus its accepted fraction,
+    as ``estimate_acceptance`` measures it at y, within 4 standard errors
+    plus the finite market's bias."""
+    est = estimate_acceptance(y, config, n_sim=40_000, trials=8, rng=make_rng(8))
+    for i in range(1, config.k):
+        assert abs(y[i] - (y[i - 1] - est.fractions[i - 1])) <= 4 * est.std_errors[i - 1] + 5e-4
+
+
+def assert_excess_has_one_root(acceptance, m_ratio: float, capacity: int,
+                               dip: float = 0.0) -> None:
+    """p_r * (S - G(S)) = A(S) - M(S): the accepted mass A = p_1 + S p_r is
+    the seats filled by Poisson(1 + S) arrivals whatever the signals, so it
+    rises with S, while the matched fraction M = 1 - (1 - p_1)(1 - p_r)^(k-1)
+    falls; S - G(S) therefore changes sign once on [0, k-1].  A step of A may
+    fall by ``dip`` where the exact mass rises by less than the rule's error."""
+    for k in (2, 3, 5, 8, 10):
+        excess, accepted, matched = [], [], []
+        for s in np.linspace(0.0, k - 1, 60):
+            first, later = acceptance(s)
+            excess.append(s - _rank_chain(first, later, k)[1:].sum())
+            accepted.append(first + s * later)
+            matched.append(1.0 - (1.0 - first) * (1.0 - later) ** (k - 1))
+            assert accepted[-1] == pytest.approx(
+                expected_accepted_mass(1.0 + s, m_ratio, capacity), abs=1e-7
+            )
+        assert all(b > a - dip for a, b in zip(accepted, accepted[1:]))
+        assert all(b <= a + 1e-12 for a, b in zip(matched, matched[1:]))
+        assert excess[0] <= 0.0 <= excess[-1]
+        assert np.count_nonzero(np.diff(np.sign(excess))) == 1
+
+
 class TestLargeMarketAcceptance:
     """The quadrature model of ``solve_general`` against its oracles."""
 
@@ -410,32 +447,34 @@ class TestLargeMarketAcceptance:
     @pytest.mark.parametrize("m_ratio", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("capacity", [1, 2, 3])
     def test_excess_has_one_root(self, delta, m_ratio, capacity):
-        # p_r * (S - G(S)) = A(S) - M(S): the accepted mass A = p_1 + S p_r is
-        # the seats filled by Poisson(1 + S) arrivals whatever the signals, so
-        # it rises with S, while the matched fraction M = 1 - (1 - p_1)(1 -
-        # p_r)^(k-1) falls; S - G(S) therefore changes sign once on [0, k-1]
-        acceptance = _large_market_acceptance(delta, m_ratio, capacity)
-        for k in (2, 3, 5, 8, 10):
-            excess, accepted, matched = [], [], []
-            for s in np.linspace(0.0, k - 1, 60):
-                first, later = acceptance(s)
-                excess.append(s - _rank_chain(first, later, k)[1:].sum())
-                accepted.append(first + s * later)
-                matched.append(1.0 - (1.0 - first) * (1.0 - later) ** (k - 1))
-                assert accepted[-1] == pytest.approx(
-                    expected_accepted_mass(1.0 + s, m_ratio, capacity), abs=1e-7
-                )
-            assert all(b > a for a, b in zip(accepted, accepted[1:]))
-            assert all(b <= a + 1e-12 for a, b in zip(matched, matched[1:]))
-            assert excess[0] <= 0.0 <= excess[-1]
-            assert np.count_nonzero(np.diff(np.sign(excess))) == 1
+        assert_excess_has_one_root(
+            _large_market_acceptance(delta, m_ratio, capacity), m_ratio, capacity
+        )
+
+
+class TestSampledAcceptance:
+    """The sample-based model that ``solve_general`` runs for custom samplers."""
+
+    @pytest.mark.parametrize(
+        "signal",
+        [gaussian_as_custom(0.0), gaussian_as_custom(2.0), integer_custom()],
+        ids=["normal", "shifted", "tied"],
+    )
+    @pytest.mark.parametrize("m_ratio,capacity", [(0.5, 1), (1.0, 2), (2.0, 3)])
+    def test_excess_has_one_root(self, signal, m_ratio, capacity):
+        # the accepted-mass identity holds for the sampled tails as well, to
+        # about 2e-8; near saturation (m_ratio 0.5, S near 9) the exact mass
+        # rises by only 4e-10 per step, so a step may dip by that error
+        cfg = MarketConfig(n=100, m_ratio=m_ratio, capacity=capacity, k=2, signal=signal, seed=0)
+        acceptance = _sampled_acceptance(cfg, 20_000, None)
+        assert_excess_has_one_root(acceptance, m_ratio, capacity, dip=1e-9)
 
 
 class TestSolveGeneral:
     def test_agrees_with_closed_form_on_iid(self):
         cfg = MarketConfig(n=100, k=3, seed=5)
         iid = solve_iid(cfg)
-        general = solve_general(cfg, tol=0.005, n_sim=20_000, trials=6)
+        general = solve_general(cfg, tol=0.005, n_sim=20_000)
         est = estimate_acceptance(
             general.rank_fractions.fractions, cfg, n_sim=20_000, trials=6
         )
@@ -455,14 +494,14 @@ class TestSolveGeneral:
     def test_zero_shift_same_as_iid_signal(self):
         base = MarketConfig(n=100, k=3, seed=9)
         shifted = dataclasses.replace(base, signal=SignalSpec.gaussian(0.0))
-        a = solve_general(base, tol=0.005, n_sim=20_000, trials=6)
-        b = solve_general(shifted, tol=0.005, n_sim=20_000, trials=6)
+        a = solve_general(base, tol=0.005, n_sim=20_000)
+        b = solve_general(shifted, tol=0.005, n_sim=20_000)
         for x, y in zip(a.rank_fractions.fractions, b.rank_fractions.fractions):
             assert abs(x - y) <= 0.02
 
     def test_shifted_signal_profile_matches_simulation(self):
         cfg = MarketConfig(n=10_000, k=3, signal=SignalSpec.gaussian(2.0), seed=2)
-        result = solve_general(cfg, tol=0.005, n_sim=40_000, trials=6)
+        result = solve_general(cfg, tol=0.005, n_sim=40_000)
         predicted = result.match_fractions()
         profiles = []
         for seed in range(3):
@@ -474,7 +513,7 @@ class TestSolveGeneral:
 
     def test_conservation_at_solution(self):
         cfg = MarketConfig(n=100, k=4, seed=1)
-        result = solve_general(cfg, tol=0.005, n_sim=20_000, trials=6)
+        result = solve_general(cfg, tol=0.005, n_sim=20_000)
         y = result.rank_fractions.fractions
         est = estimate_acceptance(y, cfg, n_sim=40_000, trials=8, rng=make_rng(77))
         for i in range(1, cfg.k):
@@ -483,29 +522,22 @@ class TestSolveGeneral:
         total = sum(est.fractions)
         assert total <= min(1.0, cfg.m_ratio * cfg.capacity) + 0.01
 
-    def test_nonconvergence_raises_with_payload(self):
-        cfg = MarketConfig(n=100, k=3, seed=0)
+    @pytest.mark.parametrize(
+        "signal", [SignalSpec.iid(), gaussian_as_custom(0.0)], ids=["quadrature", "sampled"]
+    )
+    def test_nonconvergence_raises_with_payload(self, signal):
+        cfg = MarketConfig(n=100, k=3, signal=signal, seed=0)
         with pytest.raises(ConvergenceError, match="did not reach tolerance") as err:
-            solve_general(cfg, tol=1e-9, max_iter=2, n_sim=500, trials=1)
+            solve_general(cfg, tol=1e-9, max_iter=2, n_sim=500)
         assert err.value.fractions[0] == 1.0
         assert len(err.value.fractions) == 3
         assert max(abs(r) for r in err.value.residuals) > 1e-9
         assert len(err.value.residuals) == 3
 
-    def test_damped_nonconvergence_raises_with_payload(self):
-        cfg = MarketConfig(n=100, k=3, signal=gaussian_as_custom(0.0), seed=0)
-        with pytest.raises(ConvergenceError) as err:
-            solve_general(cfg, tol=1e-9, max_iter=2, n_sim=500, trials=1)
-        assert len(err.value.fractions) == 3
-        assert len(err.value.residuals) == 3
-
     @pytest.mark.parametrize(
-        "signal", [SignalSpec.gaussian(1.0), gaussian_as_custom(1.0)], ids=["bisection", "damped"]
+        "signal", [SignalSpec.gaussian(1.0), gaussian_as_custom(1.0)], ids=["bisection", "sampled"]
     )
-    @pytest.mark.parametrize(
-        "bad",
-        [dict(tol=0.0), dict(tol=math.nan), dict(damping=0.0), dict(n_sim=50), dict(trials=0)],
-    )
+    @pytest.mark.parametrize("bad", [dict(tol=0.0), dict(tol=math.nan), dict(n_sim=50)])
     def test_arguments_validated_on_both_paths(self, signal, bad):
         with pytest.raises(ValueError):
             solve_general(MarketConfig(n=100, k=3, signal=signal, seed=0), **bad)
@@ -525,21 +557,34 @@ class TestSolveGeneral:
                         iid = solve_iid(cfg).rank_fractions.fractions
                         assert result.rank_fractions.fractions == pytest.approx(iid, abs=1e-9)
 
-    def test_custom_gaussian_runs_the_damped_monte_carlo_path(self):
-        # custom samplers drawing Normal(delta, 1) and Normal(0, 1) have no
-        # analytic model, but must land on the same solution as the Gaussian spec
-        delta, tol = 1.5, 0.01
-        base = MarketConfig(n=100, k=3, signal=SignalSpec.gaussian(delta), seed=3)
+    @pytest.mark.parametrize(
+        "delta,capacity,k,m_ratio",
+        [(1.5, 1, 3, 1.0), (0.0, 1, 3, 1.0), (1.0, 2, 4, 0.5), (3.0, 2, 2, 1.0)],
+    )
+    def test_custom_gaussian_runs_the_sampled_bisection(self, delta, capacity, k, m_ratio):
+        # custom samplers drawing Normal(delta, 1) and Normal(0, 1) solve on a
+        # sample of each distribution; they must land on the quadrature's solution
+        base = MarketConfig(n=100, m_ratio=m_ratio, capacity=capacity, k=k,
+                            signal=SignalSpec.gaussian(delta), seed=3)
         custom = dataclasses.replace(base, signal=gaussian_as_custom(delta))
-        analytic = solve_general(base)
-        damped = solve_general(custom, tol=tol, n_sim=4000, trials=4)
-        assert damped.method == "damped-iteration"
-        est = estimate_acceptance(
-            damped.rank_fractions.fractions, custom, n_sim=4000, trials=4, rng=make_rng(8)
-        )
-        bound = 2 * (max(est.std_errors) + tol)
-        for a, b in zip(analytic.rank_fractions.fractions, damped.rank_fractions.fractions):
-            assert abs(a - b) <= bound
+        sampled = solve_general(custom)
+        assert sampled.method == "sampled-bisection"
+        assert max(map(abs, sampled.residuals)) <= 1e-12
+        y = sampled.rank_fractions.fractions
+        assert y == pytest.approx(solve_general(base).rank_fractions.fractions, abs=2e-3)
+        assert_chain_agrees_with_monte_carlo(y, custom)
+        # deterministic for a given config and generator
+        assert solve_general(custom) == sampled
+        again = solve_general(custom, rng=make_rng(11))
+        assert again == solve_general(custom, rng=make_rng(11)) != sampled
+
+    def test_tied_custom_signals_solve_consistently(self):
+        # the sampler of test_matching's tie test; ties break by tiebreak, as in a market
+        cfg = MarketConfig(n=12, m_ratio=0.5, capacity=2, k=3, signal=integer_custom(), seed=0)
+        result = solve_general(cfg)
+        assert result.method == "sampled-bisection"
+        assert max(map(abs, result.residuals)) <= 1e-12
+        assert_chain_agrees_with_monte_carlo(result.rank_fractions.fractions, cfg)
 
     @pytest.mark.parametrize("solver", [solve_iid, solve_general])
     def test_zero_iterations_rejected(self, solver):

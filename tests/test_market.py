@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -95,6 +96,17 @@ class TestConfigValidation:
         config = MarketConfig.from_json_dict({"n": 100.0, "k": 3, "m_ratio": 1, "seed": 2})
         assert (config.n, config.k, config.m_ratio, config.seed) == (100, 3, 1.0, 2)
         assert isinstance(config.n, int) and isinstance(config.m_ratio, float)
+
+    @pytest.mark.parametrize("field", ["n", "k", "seed", "capacity", "m_ratio"])
+    def test_json_booleans_are_not_numbers(self, field):
+        # int(True) == True, so a boolean would otherwise load as 1
+        doc = {"n": 100, "k": 3, "seed": 2, field: True}
+        with pytest.raises(ConfigurationError, match=f"^{field} must be .*got True$"):
+            MarketConfig.from_json_dict(doc)
+        with pytest.raises(ConfigurationError, match="^n must be an integer, got True$"):
+            MarketConfig.from_json_dict({"n": True, "k": True})
+        with pytest.raises(ConfigurationError, match="^signal delta must be a number"):
+            SignalSpec.from_json_dict({"kind": "gaussian", "delta": False})
 
     def test_json_shift_is_not_parsed(self):
         with pytest.raises(ConfigurationError, match="^signal delta must be a number"):
@@ -448,6 +460,34 @@ class TestSerialization:
         doc, _ = self._doc()
         doc["signals"][4] = doc["signals"][4][:2]
         with pytest.raises(ConfigurationError, match="^signal entry 4 is not a .* triple"):
+            MarketInstance.from_json_dict(doc)
+
+    def test_fractional_university_in_both_places_names_the_entry(self):
+        doc, _ = self._doc()
+        u = doc["preferences"][1][0]
+        triple = next(t for t in doc["signals"] if t[:2] == [u, 1])
+        doc["preferences"][1][0] = triple[0] = u + 0.5
+        message = f"^preference row 1 entry 0 must be an integer, got {u + 0.5}$"
+        with pytest.raises(ConfigurationError, match=message):
+            MarketInstance.from_json_dict(doc)
+
+    @pytest.mark.parametrize(
+        "field,column,bad",
+        [
+            ("university", 0, 0.5),
+            ("student", 1, 1.5),
+            ("university", 0, True),
+            ("signal", 2, "0.25"),
+            ("signal", 2, math.nan),
+        ],
+    )
+    def test_unconvertible_signal_triple_names_the_entry(self, field, column, bad):
+        # JSON has no NaN, so a NaN signal cannot have come from a saved instance
+        doc, _ = self._doc()
+        doc["signals"][3][column] = bad
+        expected = "an integer" if column < 2 else "a number"
+        message = f"signal entry 3 {field} must be {expected}, got {bad!r}"
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
             MarketInstance.from_json_dict(doc)
 
     def test_numeric_preference_row_names_the_row(self):
