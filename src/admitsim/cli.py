@@ -13,8 +13,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from collections.abc import Callable, Iterator
+from functools import partial
 from pathlib import Path
 from typing import Any
 
@@ -34,7 +34,6 @@ from .market import (  # noqa: F401
     ConfigurationError,
     MarketConfig,
     MarketInstance,
-    SignalSpec,
     _convert,
     _sample_stack,
     child_seed,
@@ -43,7 +42,7 @@ from .market import (  # noqa: F401
 from .matching import school_proposing_da, student_proposing_da
 from .stable_partners import extra_stable_partner_reports
 
-__all__ = ["main", "SweepSpec"]
+__all__ = ["main"]
 
 # Most applications in one stacked instance; a stack holds at least one replication.
 _STACK_APPS = 2**14
@@ -51,27 +50,6 @@ _STACK_APPS = 2**14
 
 class UsageError(ValueError):
     """Bad flag combination or out-of-contract parameter."""
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """Grid of (k, delta) cells replicated from one root seed."""
-
-    base: MarketConfig
-    k_values: tuple[int, ...]
-    deltas: tuple[float, ...]
-    replications: int
-    seed: int
-    out: Path
-
-    def __post_init__(self) -> None:
-        if not self.k_values or not self.deltas:
-            raise UsageError("sweep grid must be nonempty")
-        if self.replications < 1:
-            raise UsageError("replications must be at least 1")
-        for k in self.k_values:
-            if not 1 <= k <= self.base.m:
-                raise UsageError(f"k={k} exceeds the number of universities")
 
 
 def _load_config_file(path: str | None) -> dict[str, Any]:
@@ -88,37 +66,26 @@ def _load_config_file(path: str | None) -> dict[str, Any]:
     return data
 
 
-def _pick(args: argparse.Namespace, file_cfg: dict[str, Any], name: str, default: Any) -> Any:
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    if name in file_cfg:
-        return file_cfg[name]
-    return default
+def _market_config(args: argparse.Namespace, doc: dict[str, Any] | None = None) -> MarketConfig:
+    """The market of ``doc`` (default: the ``--config`` file) with each market
+    flag given set over its field, built by ``MarketConfig.from_json_dict``.
 
-
-def _build_signal(args: argparse.Namespace, file_cfg: dict[str, Any]) -> SignalSpec:
-    flag_kind = getattr(args, "signal", None)
-    flag_delta = getattr(args, "delta", None)
-    file_signal = file_cfg.get("signal")
-    if isinstance(file_signal, dict) and "kind" not in file_signal:
-        raise UsageError('the config "signal" object needs a "kind"')
-    if flag_kind is None and flag_delta is None and isinstance(file_signal, dict):
-        delta = _convert(float, "signal delta", file_signal.get("delta", 0.0))
-        return SignalSpec(kind=file_signal["kind"], delta=delta)
-    kind = flag_kind if flag_kind is not None else (
-        file_signal if isinstance(file_signal, str) else None
-    )
-    delta = flag_delta if flag_delta is not None else file_cfg.get("delta")
-    if delta is None and isinstance(file_signal, dict):
-        delta = file_signal.get("delta")
-    if kind in (None, "gaussian"):
-        return _shift_signal(_convert(float, "delta", delta) if delta is not None else 0.0, kind)
-    if kind == "iid":
-        if delta not in (None, 0, 0.0):
-            raise UsageError("--signal iid does not take a shift")
-        return SignalSpec.iid()
-    raise UsageError(f"unknown signal kind {kind!r}")
+    A flag's destination is its field's name; ``--signal`` sets the kind and
+    ``--delta`` the shift, inside the document's "signal" object if it has one.
+    """
+    if doc is None:
+        doc = _load_config_file(args.config)
+    flags = {
+        name: value for name, value in vars(args).items()
+        if name in ("n", "m_ratio", "capacity", "k", "signal", "delta", "seed") and value is not None
+    }
+    fields = {**doc, **flags}
+    if "n" not in fields:
+        raise UsageError("--n is required (flag or config file)")
+    if isinstance(doc.get("signal"), dict):
+        given = {"kind": flags.get("signal"), "delta": flags.get("delta")}
+        fields["signal"] = {**doc["signal"], **{k: v for k, v in given.items() if v is not None}}
+    return MarketConfig.from_json_dict(fields)
 
 
 def _convert_list(kind: type, name: str, values: Any) -> tuple[Any, ...]:
@@ -127,40 +94,28 @@ def _convert_list(kind: type, name: str, values: Any) -> tuple[Any, ...]:
     return tuple(_convert(kind, name, v) for v in values)
 
 
-def _shift_signal(delta: float, kind: str | None = None) -> SignalSpec:
-    """Gaussian signals with shift ``delta``; iid when unshifted and not named gaussian."""
-    return SignalSpec.gaussian(delta) if delta != 0.0 or kind == "gaussian" else SignalSpec.iid()
-
-
-def _build_market_config(
-    args: argparse.Namespace, file_cfg: dict[str, Any] | None = None
-) -> MarketConfig:
-    if file_cfg is None:
-        file_cfg = _load_config_file(args.config)
-    n = _pick(args, file_cfg, "n", None)
-    if n is None:
-        raise UsageError("--n is required (flag or config file)")
-    try:
-        return MarketConfig(
-            n=_convert(int, "n", n),
-            m_ratio=_convert(float, "m_ratio", _pick(args, file_cfg, "m_ratio", 1.0)),
-            capacity=_convert(int, "capacity", _pick(args, file_cfg, "capacity", 1)),
-            k=_convert(int, "k", _pick(args, file_cfg, "k", 1)),
-            signal=_build_signal(args, file_cfg),
-            seed=_convert(int, "seed", _pick(args, file_cfg, "seed", 0)),
-        )
-    except ConfigurationError as exc:
-        raise UsageError(str(exc)) from exc
-
-
-def _write_text(path: Path | None, text: str) -> None:
-    if path is None:
-        sys.stdout.write(text)
+def _write(out: str | None, body: str | Callable[[Any], None], summary: str = "") -> None:
+    """Write ``body`` to ``out`` and ``summary`` to ``<out>.summary.csv``, or both
+    to stdout when there is no ``out``.  A callable ``body`` writes itself to the
+    path or stream it is given.
+    """
+    if not out:
+        if callable(body):
+            body(sys.stdout)
+        else:
+            sys.stdout.write(body)
+        sys.stdout.write(summary)
         return
+    path = Path(out)
     try:
-        path.write_text(text, encoding="utf-8")
+        if callable(body):
+            body(path)
+        else:
+            path.write_text(body, encoding="utf-8")
+        if summary:
+            path.with_suffix(path.suffix + ".summary.csv").write_text(summary, encoding="utf-8")
     except OSError as exc:
-        raise OSError(f"cannot write output file {path}: {exc}") from exc
+        raise OSError(f"cannot write output file {out}: {exc}") from exc
 
 
 def _records_json(records: list[ExperimentRecord]) -> str:
@@ -211,24 +166,17 @@ def _school_records(
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    config = _build_market_config(args)
+    config = _market_config(args)
     records = _school_records(config, args.reps)
-    out = Path(args.out) if args.out else None
     if args.format == "json":
-        _write_text(out, _records_json(records))
+        _write(args.out, _records_json(records))
     else:
-        if out is None:
-            write_records_csv(records, sys.stdout, k_max=config.k)
-        else:
-            try:
-                write_records_csv(records, out, k_max=config.k)
-            except OSError as exc:
-                raise OSError(f"cannot write output file {out}: {exc}") from exc
+        _write(args.out, partial(write_records_csv, records, k_max=config.k))
     return 0
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    config = _build_market_config(args)
+    config = _market_config(args)
     if args.method == "iid":
         if not config.signal.is_iid_equivalent:
             raise UsageError("method 'iid' requires identical signal distributions (delta 0)")
@@ -244,89 +192,80 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             max_iter=args.max_iter,
             n_sim=args.n_sim,
         )
-    text = json.dumps(result.to_json_dict(), indent=2) + "\n"
-    _write_text(Path(args.out) if args.out else None, text)
+    _write(args.out, json.dumps(result.to_json_dict(), indent=2) + "\n")
     return 0
 
 
-def _build_sweep_spec(args: argparse.Namespace) -> SweepSpec:
-    file_cfg = _load_config_file(args.config)
-    base_cfg = file_cfg.get("base", file_cfg)
-    if not isinstance(base_cfg, dict):
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    """Grid of (k, delta) cells, each replicated from the root seed."""
+    doc = _load_config_file(args.config)
+    grid = {key: doc.pop(key) for key in ("k_values", "deltas", "reps", "replications", "out")
+            if key in doc}
+    base = doc.pop("base", {})
+    if not isinstance(base, dict):
         raise UsageError('the config "base" entry must be a JSON object')
-    # the grid sets k and the signal; the root seed sits at the top level
-    fields = {key: base_cfg[key] for key in ("n", "m_ratio", "capacity") if key in base_cfg}
-    if "seed" in file_cfg:
-        fields["seed"] = file_cfg["seed"]
-    base = _build_market_config(args, fields)
+    doc = {**base, **doc}  # market fields sit in "base" or at the top level
+    for key in ("k", "delta", "signal"):
+        if key in doc:
+            raise UsageError(f"config key {key!r} is not read by sweep: its grid sets k and delta")
+    market = _market_config(args, doc)
 
     if args.k_list:
         k_values = tuple(int(v) for v in args.k_list.split(","))
-    elif "k_values" in file_cfg:
-        k_values = _convert_list(int, "k_values", file_cfg["k_values"])
+    elif "k_values" in grid:
+        k_values = _convert_list(int, "k_values", grid["k_values"])
     else:
         k_min = args.k_min if args.k_min is not None else 1
-        k_max = args.k_max if args.k_max is not None else min(10, base.m)
+        k_max = args.k_max if args.k_max is not None else min(10, market.m)
         k_values = tuple(range(k_min, k_max + 1))
     if args.deltas:
         deltas = tuple(float(v) for v in args.deltas.split(","))
     else:
-        deltas = _convert_list(float, "deltas", file_cfg.get("deltas", [0.0]))
-    out = args.out or file_cfg.get("out")
-    if out is None:
+        deltas = _convert_list(float, "deltas", grid.get("deltas", [0.0]))
+    reps = args.reps if args.reps is not None else grid.get("reps", grid.get("replications", 1))
+    reps = _convert(int, "reps", reps)
+    out = args.out or grid.get("out")
+    if not isinstance(out, str):
         raise UsageError("--out is required for sweeps")
-    return SweepSpec(
-        base=base,
-        k_values=k_values,
-        deltas=deltas,
-        replications=_convert(
-            int, "reps", _pick(args, file_cfg, "reps", file_cfg.get("replications", 1))
-        ),
-        seed=base.seed,
-        out=Path(out),
-    )
+    if not k_values or not deltas:
+        raise UsageError("sweep grid must be nonempty")
+    if reps < 1:
+        raise UsageError("replications must be at least 1")
+    for k in k_values:
+        if k < 1:
+            raise UsageError(f"k must be at least 1, got k={k}")
+        if k > market.m:
+            raise UsageError(f"k={k} exceeds the number of universities")
+    # every cell's market is built, and its shift checked, before any runs
+    cells = [(delta, _market_config(args, {**doc, "k": k, "delta": delta}))
+             for delta in deltas for k in k_values]
 
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    spec = _build_sweep_spec(args)
     records: list[ExperimentRecord] = []
-    summary_lines = [
+    summary = [
         "k,delta,reps,mean_matched,se_matched,mean_rank1,se_rank1,"
         "mean_synergy,se_synergy,mean_u_student,se_u_student,"
         "mean_u_university,se_u_university"
     ]
-    cell = 0
-    signals = [_shift_signal(delta) for delta in spec.deltas]  # check every shift first
-    for delta, signal in zip(spec.deltas, signals):
-        for k in spec.k_values:
-            config = replace(spec.base, k=k, signal=signal, seed=spec.seed)
-            cell_records = _school_records(config, spec.replications, cell * spec.replications)
-            cell += 1
-            records.extend(cell_records)
-            table = np.array(
-                [[r.matched, r.rank_counts[0], r.synergy, r.student_utility, r.university_utility]
-                 for r in cell_records],
-                dtype=np.float64,
-            )
-            reps = spec.replications
-            se = np.sqrt(table.var(axis=0, ddof=1) / reps) if reps > 1 else np.zeros(5)
-            flat = np.column_stack((table.mean(axis=0), se)).ravel()
-            summary_lines.append(
-                ",".join([str(k), format_number(delta)] + [str(spec.replications)]
-                         + [format_number(v) for v in flat])
-            )
-    k_max = max(spec.k_values)
-    try:
-        write_records_csv(records, spec.out, k_max=k_max)
-        summary_path = spec.out.with_suffix(spec.out.suffix + ".summary.csv")
-        summary_path.write_text("\n".join(summary_lines) + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise OSError(f"cannot write output file {spec.out}: {exc}") from exc
+    for cell, (delta, config) in enumerate(cells):
+        cell_records = _school_records(config, reps, cell * reps)
+        records.extend(cell_records)
+        table = np.array(
+            [[r.matched, r.rank_counts[0], r.synergy, r.student_utility, r.university_utility]
+             for r in cell_records],
+            dtype=np.float64,
+        )
+        se = np.sqrt(table.var(axis=0, ddof=1) / reps) if reps > 1 else np.zeros(5)
+        flat = np.column_stack((table.mean(axis=0), se)).ravel()
+        summary.append(",".join([str(config.k), format_number(delta), str(reps)]
+                                + [format_number(v) for v in flat]))
+    # write_records_csv gets the path, which benchmarks/spans.py sizes
+    _write(out, partial(write_records_csv, records, k_max=max(k_values)),
+           "\n".join(summary) + "\n")
     return 0
 
 
 def _cmd_stable_partners(args: argparse.Namespace) -> int:
-    config = _build_market_config(args)
+    config = _market_config(args)
     lines = ["rep,seed,university,verdict,witness"]
     summary = ["rep,seed,yes_fraction"]
     n, m = config.n, config.m
@@ -342,18 +281,12 @@ def _cmd_stable_partners(args: argparse.Namespace) -> int:
                 for u, (yes, w) in enumerate(zip(verdict, witness))
             )
             summary.append(f"{rep},{seed},{format_number(sum(verdict) / m)}")
-    out = Path(args.out) if args.out else None
-    if out is None:
-        sys.stdout.write("\n".join(lines) + "\n")
-        sys.stdout.write("\n".join(summary) + "\n")
-    else:
-        _write_text(out, "\n".join(lines) + "\n")
-        _write_text(out.with_suffix(out.suffix + ".summary.csv"), "\n".join(summary) + "\n")
+    _write(args.out, "\n".join(lines) + "\n", "\n".join(summary) + "\n")
     return 0
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    config = _build_market_config(args)
+    config = _market_config(args)
     lines = ["rep,seed,diff_fraction"]
     diffs: list[float] = []
     for first, seeds, stack in _replications(config, args.reps):
@@ -363,7 +296,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             diffs.append(diff)
             lines.append(f"{rep},{seed},{format_number(diff)}")
     if args.out:
-        _write_text(Path(args.out), "\n".join(lines) + "\n")
+        _write(args.out, "\n".join(lines) + "\n")
     summary = {"replications": args.reps, "mean_difference": sum(diffs) / len(diffs)}
     sys.stdout.write(json.dumps(summary) + "\n")
     return 0

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Any
 
 import numpy as np
@@ -66,6 +66,16 @@ def _convert(kind: type, name: str, value: Any) -> Any:
     raise ConfigurationError(f"{name} must be {expected}, got {value!r}")
 
 
+def _json_object(name: str, data: Any, keys: Sequence[str]) -> dict[str, Any]:
+    """``data`` checked to be a JSON object whose keys are all in ``keys``."""
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"{name} must be a JSON object, got {data!r}")
+    unknown = [key for key in data if key not in keys]
+    if unknown:
+        raise ConfigurationError(f"unknown {name} field {unknown[0]!r}")
+    return data
+
+
 def child_seed(root: int, index: int) -> int:
     """Derive an independent 64-bit seed for replication ``index``.
 
@@ -103,8 +113,10 @@ class SignalSpec:
             raise ConfigurationError(f"unknown signal kind: {self.kind!r}")
         if self.kind == "gaussian" and not 0.0 <= self.delta < math.inf:
             raise ConfigurationError("gaussian signal shift must be finite and >= 0")
-        if self.kind == "iid" and self.delta != 0.0:
-            raise ConfigurationError("iid signals take no shift")
+        if self.kind == "iid":
+            if self.delta != 0.0:
+                raise ConfigurationError("iid signals take no shift")
+            object.__setattr__(self, "delta", 0.0)  # not -0.0, which tables print as "-0"
         if self.kind == "custom" and (
             self.special_sampler is None or self.regular_sampler is None
         ):
@@ -162,6 +174,9 @@ class SignalSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict[str, Any]) -> "SignalSpec":
+        """Inverse of ``to_json_dict``; the shift defaults to 0."""
+        if "kind" not in _json_object("signal", data, ("kind", "delta")):
+            raise ConfigurationError('signal needs a "kind"')
         return cls(kind=data["kind"], delta=_convert(float, "signal delta", data.get("delta", 0.0)))
 
 
@@ -213,12 +228,28 @@ class MarketConfig:
 
     @classmethod
     def from_json_dict(cls, data: dict[str, Any]) -> "MarketConfig":
+        """Inverse of ``to_json_dict``; every field but ``n`` has its default.
+
+        Shorthands: "signal" may be a kind name, and a top-level "delta" is
+        the shift wherever "signal" sets none.  A kind left unnamed is
+        "gaussian" for a non-zero shift and "iid" otherwise.
+        """
+        keys = [f.name for f in fields(cls)] + ["delta"]
+        if "n" not in _json_object("market configuration", data, keys):
+            raise ConfigurationError('market configuration needs "n"')
+        signal = data.get("signal")
+        if isinstance(signal, dict):
+            signal = {"delta": data.get("delta", 0.0), **signal}
+        elif signal is None or isinstance(signal, str):
+            delta = _convert(float, "delta", data.get("delta", 0.0))
+            kind = signal if signal is not None else "gaussian" if delta != 0.0 else "iid"
+            signal = {"kind": kind, "delta": delta}
         return cls(
             n=_convert(int, "n", data["n"]),
             m_ratio=_convert(float, "m_ratio", data.get("m_ratio", 1.0)),
             capacity=_convert(int, "capacity", data.get("capacity", 1)),
             k=_convert(int, "k", data.get("k", 1)),
-            signal=SignalSpec.from_json_dict(data.get("signal", {"kind": "iid"})),
+            signal=SignalSpec.from_json_dict(signal),
             seed=_convert(int, "seed", data.get("seed", 0)),
         )
 

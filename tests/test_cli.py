@@ -213,6 +213,15 @@ class TestSweep:
         )
         assert code == 2 and "exceeds" in err
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_k_below_one_rejected(self, tmp_path, capsys, source):
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"n": 4, "k_values": [0]}))
+        grid = ["--n", "4", "--k-list", "0"] if source == "flag" else ["--config", str(cfg)]
+        code, _, err = run(capsys, "sweep", *grid, "--out", str(tmp_path / "x.csv"))
+        assert code == 2 and "at least 1" in err and "exceeds" not in err
+        assert not (tmp_path / "x.csv").exists()
+
     @pytest.mark.parametrize(
         "flags", [["--k", "2"], ["--delta", "2"], ["--signal", "gaussian"]]
     )
@@ -282,6 +291,33 @@ class TestCompare:
         assert summary["replications"] == 4
         assert 0.0 <= summary["mean_difference"] <= 1.0
         assert len(out.read_text().strip().split("\n")) == 5
+
+
+# Shift printed by `simulate --config` for each signal form in the file
+# (rows) under each set of signal flags (columns); None is exit 2.
+_SIGNAL_FLAGS = [
+    [], ["--signal", "iid"], ["--signal", "gaussian"], ["--delta", "0"], ["--delta", "2"],
+    ["--signal", "iid", "--delta", "2"], ["--signal", "gaussian", "--delta", "2"],
+]
+_SIGNAL_FORMS = {
+    "none": ({}, [0.0, 0.0, 0.0, 0.0, 2.0, None, 2.0]),
+    "kind string": ({"signal": "gaussian"}, [0.0, 0.0, 0.0, 0.0, 2.0, None, 2.0]),
+    # --delta sets the shift and keeps the object's kind
+    "kind object": ({"signal": {"kind": "iid"}}, [0.0, 0.0, 0.0, 0.0, None, None, 2.0]),
+    "kind object with shift": (
+        {"signal": {"kind": "gaussian", "delta": 1}}, [1.0, None, 1.0, 0.0, 2.0, None, 2.0]
+    ),
+    "top-level delta": ({"delta": 1}, [1.0, None, 1.0, 0.0, 2.0, None, 2.0]),
+    "null": ({"signal": None}, [0.0, 0.0, 0.0, 0.0, 2.0, None, 2.0]),
+    # custom samplers cannot come from a file, with or without a shift
+    "custom": ({"signal": {"kind": "custom"}}, [None, 0.0, 0.0, None, None, None, 2.0]),
+    "unknown kind": ({"signal": "foo"}, [None, 0.0, 0.0, None, None, None, 2.0]),
+    # signal.delta wins over the top-level delta; --signal leaves it in place
+    "both shifts": (
+        {"signal": {"kind": "gaussian", "delta": 1}, "delta": 3},
+        [1.0, None, 1.0, 0.0, 2.0, None, 2.0],
+    ),
+}
 
 
 class TestConfigFile:
@@ -356,6 +392,48 @@ class TestConfigFile:
         code, _, err = run(capsys, "simulate", "--config", str(cfg))
         assert code == 2 and err.startswith("error:") and "kind" in err
 
+    @pytest.mark.parametrize(
+        "command,doc,key",
+        [
+            ("simulate", {"n": 10, "capactiy": 2, "k": 2}, "capactiy"),
+            ("simulate", {"n": 10, "k": 2, "reps": 3}, "reps"),
+            ("sweep", {"n": 10, "k": 3, "delta": 2, "k_values": [1]}, "k"),
+            ("sweep", {"n": 10, "signal": "gaussian", "k_values": [1]}, "signal"),
+            ("sweep", {"base": {"n": 10, "delta": 1}, "k_values": [1]}, "delta"),
+            ("sweep", {"n": 10, "k_min": 2}, "k_min"),
+        ],
+    )
+    def test_key_the_command_does_not_read_is_usage_error(
+        self, tmp_path, capsys, command, doc, key
+    ):
+        cfg = tmp_path / "market.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "x.csv"
+        code, stdout, err = run(capsys, command, "--config", str(cfg), "--out", str(out))
+        assert code == 2 and stdout == "" and repr(key) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "form,flags,expected",
+        [
+            pytest.param(form, flags, shifts[i], id=f"{name}|{' '.join(flags) or 'no flags'}")
+            for name, (form, shifts) in _SIGNAL_FORMS.items()
+            for i, flags in enumerate(_SIGNAL_FLAGS)
+        ],
+    )
+    def test_signal_flags_set_fields_over_the_file(
+        self, tmp_path, capsys, form, flags, expected
+    ):
+        cfg = tmp_path / "market.json"
+        cfg.write_text(json.dumps({"n": 4, "k": 2, **form}))
+        code, out, err = run(capsys, "simulate", "--config", str(cfg), "--format", "json", *flags)
+        if expected is None:
+            assert code == 2 and out == "" and err.startswith("error:")
+        else:
+            assert code == 0 and json.loads(out)[0]["delta"] == expected
+        if flags == ["--signal", "iid", "--delta", "2"]:
+            assert "iid signals take no shift" in err
+
 
 class TestStacking:
     """Replications run in stacks; the outputs must not depend on how many."""
@@ -407,14 +485,32 @@ print(sorted(name for name in loaded if name not in allowed and not name.startsw
 """
 
 
+def _source_env() -> dict[str, str]:
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = [src, os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+
+
 class TestRuntimeDependencies:
     def test_numpy_is_the_only_third_party_module(self, tmp_path):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = [src, os.environ.get("PYTHONPATH")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
         proc = subprocess.run(
             [sys.executable, "-c", _DEPENDENCY_PROBE, str(tmp_path / "out")],
-            capture_output=True, text=True, env=env, check=True,
+            capture_output=True, text=True, env=_source_env(), check=True,
         )
         assert proc.stdout == "[]\n"
         assert (tmp_path / "out.csv").stat().st_size > 0
+
+
+class TestEntryPoint:
+    def test_python_dash_m_admitsim(self, tmp_path, capsys):
+        cfg = tmp_path / "market.json"
+        argv = [sys.executable, "-m", "admitsim", "simulate", "--config", str(cfg)]
+        cfg.write_text(json.dumps({"n": 10, "k": 2, "seed": 4}))
+        proc = subprocess.run(argv, capture_output=True, text=True, env=_source_env())
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout == run(capsys, "simulate", "--config", str(cfg))[1]
+        cfg.write_text(json.dumps({"n": 10, "capactiy": 2}))
+        proc = subprocess.run(argv, capture_output=True, text=True, env=_source_env())
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error:") and "capactiy" in proc.stderr

@@ -112,6 +112,46 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError, match="^signal delta must be a number"):
             SignalSpec.from_json_dict({"kind": "gaussian", "delta": "1"})
 
+    @pytest.mark.parametrize(
+        "doc,field",
+        [
+            ({}, '"n"'),
+            ({"n": 5, "signal": {"delta": 1}}, '"kind"'),
+            ({"n": 5, "signal": 5}, "signal"),
+            ({"n": 5, "signal": ["gaussian"]}, "signal"),
+            ({"n": 5, "capactiy": 2}, "'capactiy'"),
+            ({"n": 5, "signal": {"kind": "gaussian", "shift": 1}}, "'shift'"),
+            ([5], "market configuration"),
+        ],
+    )
+    def test_json_errors_name_the_field(self, doc, field):
+        with pytest.raises(ConfigurationError, match=re.escape(field)):
+            MarketConfig.from_json_dict(doc)
+
+    def test_json_signal_must_be_an_object(self):
+        with pytest.raises(ConfigurationError, match="^signal must be a JSON object"):
+            SignalSpec.from_json_dict("gaussian")
+
+    @pytest.mark.parametrize(
+        "doc,signal",
+        [
+            ({"signal": "gaussian"}, SignalSpec.gaussian(0.0)),
+            ({"signal": "iid", "delta": 0}, SignalSpec.iid()),
+            ({"delta": 1.5}, SignalSpec.gaussian(1.5)),
+            ({"delta": 0}, SignalSpec.iid()),
+            ({"signal": None}, SignalSpec.iid()),
+            ({"signal": {"kind": "gaussian"}, "delta": 2}, SignalSpec.gaussian(2.0)),
+            ({"signal": {"kind": "gaussian", "delta": 1}, "delta": 3}, SignalSpec.gaussian(1.0)),
+        ],
+    )
+    def test_json_signal_shorthands(self, doc, signal):
+        assert MarketConfig.from_json_dict({"n": 5, **doc}).signal == signal
+
+    def test_iid_shift_is_positive_zero(self):
+        # a -0.0 shift would print as "-0" in the records' delta column
+        spec = MarketConfig.from_json_dict({"n": 5, "signal": {"kind": "iid", "delta": -0.0}})
+        assert math.copysign(1.0, spec.signal.delta) == 1.0
+
     def test_custom_needs_both_samplers(self):
         with pytest.raises(ConfigurationError):
             SignalSpec(kind="custom", special_sampler=lambda rng: 1.0)
