@@ -203,14 +203,20 @@ def write_records_csv(
     if widest > k_max:
         raise ValueError(f"k_max = {k_max} is below a record's {widest} rank columns")
     lines = [",".join(_records_header(k_max))]
+    # "{:d}" prints an integer field as format_number does; a row with a
+    # field that is not an integer takes format_number field by field
+    row = ("{:d},{},{:d},{:d},{:d},{:d},{:d}," + "{:d}," * k_max + "{:d},{:d},{},{}").format
     for r in rows:
-        counts = list(r.rank_counts) + [0] * (k_max - len(r.rank_counts))
-        fields = (
-            [r.k, r.delta, r.seed, r.n, r.m, r.capacity, r.matched]
-            + counts
-            + [r.unmatched, r.synergy, r.student_utility, r.university_utility]
-        )
-        lines.append(",".join(format_number(v) for v in fields))
+        counts = [*r.rank_counts] + [0] * (k_max - len(r.rank_counts))
+        try:
+            line = row(r.k, format_number(r.delta), r.seed, r.n, r.m, r.capacity, r.matched,
+                       *counts, r.unmatched, r.synergy,
+                       format_number(r.student_utility), format_number(r.university_utility))
+        except (TypeError, ValueError):
+            fields = [r.k, r.delta, r.seed, r.n, r.m, r.capacity, r.matched, *counts,
+                      r.unmatched, r.synergy, r.student_utility, r.university_utility]
+            line = ",".join(format_number(v) for v in fields)
+        lines.append(line)
     text = "\n".join(lines) + "\n"
     if isinstance(target, (str, Path)):
         Path(target).write_text(text, encoding="utf-8")

@@ -34,9 +34,10 @@ from .market import (  # noqa: F401
     ConfigurationError,
     MarketConfig,
     MarketInstance,
+    _child_streams,
     _convert,
     _sample_stack,
-    child_seed,
+    _seeded_generator,
     sample_market,
 )
 from .matching import school_proposing_da, student_proposing_da
@@ -139,35 +140,41 @@ def _records_json(records: list[ExperimentRecord]) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _streams(root: int, replications: int) -> tuple[list[int], np.ndarray]:
+    """Seeds ``child_seed(root, rep)`` of replications 0.. and their PCG64 state words."""
+    if replications < 1:
+        raise UsageError("--reps must be at least 1")
+    return _child_streams(root, 0, replications)
+
+
 def _replications(
-    config: MarketConfig, replications: int, first: int = 0
+    config: MarketConfig, seeds: list[int], words: np.ndarray
 ) -> Iterator[tuple[int, list[int], MarketInstance]]:
     """(first rep, seeds, stacked instance) per stack of replications of ``config``.
 
-    Replication ``rep`` samples from ``child_seed(config.seed, first + rep)``.
+    Replication ``rep`` samples from ``default_rng(seeds[rep])``, built from
+    its state words ``words[rep]`` (see ``market._child_streams``).
     """
-    if replications < 1:
-        raise UsageError("--reps must be at least 1")
-    seeds = [child_seed(config.seed, first + rep) for rep in range(replications)]
     size = max(1, _STACK_APPS // (config.n * config.k))
-    for rep in range(0, replications, size):
-        yield rep, seeds[rep : rep + size], _sample_stack(config, seeds[rep : rep + size])
+    for rep in range(0, len(seeds), size):
+        rngs = [_seeded_generator(row) for row in words[rep : rep + size]]
+        yield rep, seeds[rep : rep + size], _sample_stack(config, rngs)
 
 
 def _school_records(
-    config: MarketConfig, replications: int, first: int = 0
+    config: MarketConfig, seeds: list[int], words: np.ndarray
 ) -> list[ExperimentRecord]:
     """One record of the school-proposing matching per replication (see ``_replications``)."""
     return [
         record
-        for _, seeds, stack in _replications(config, replications, first)
-        for record in _block_records(stack, school_proposing_da(stack), seeds)
+        for _, stack_seeds, stack in _replications(config, seeds, words)
+        for record in _block_records(stack, school_proposing_da(stack), stack_seeds)
     ]
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _market_config(args)
-    records = _school_records(config, args.reps)
+    records = _school_records(config, *_streams(config.seed, args.reps))
     if args.format == "json":
         _write(args.out, _records_json(records))
     else:
@@ -212,7 +219,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     if args.k_list:
         k_values = tuple(int(v) for v in args.k_list.split(","))
-    elif "k_values" in grid:
+    elif "k_values" in grid and args.k_min is None and args.k_max is None:
         k_values = _convert_list(int, "k_values", grid["k_values"])
     else:
         k_min = args.k_min if args.k_min is not None else 1
@@ -240,6 +247,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     cells = [(delta, _market_config(args, {**doc, "k": k, "delta": delta}))
              for delta in deltas for k in k_values]
 
+    seeds, words = _child_streams(market.seed, 0, len(cells) * reps)
     records: list[ExperimentRecord] = []
     summary = [
         "k,delta,reps,mean_matched,se_matched,mean_rank1,se_rank1,"
@@ -247,7 +255,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "mean_u_university,se_u_university"
     ]
     for cell, (delta, config) in enumerate(cells):
-        cell_records = _school_records(config, reps, cell * reps)
+        reps_of_cell = slice(cell * reps, (cell + 1) * reps)
+        cell_records = _school_records(config, seeds[reps_of_cell], words[reps_of_cell])
         records.extend(cell_records)
         table = np.array(
             [[r.matched, r.rank_counts[0], r.synergy, r.student_utility, r.university_utility]
@@ -269,18 +278,22 @@ def _cmd_stable_partners(args: argparse.Namespace) -> int:
     lines = ["rep,seed,university,verdict,witness"]
     summary = ["rep,seed,yes_fraction"]
     n, m = config.n, config.m
-    for first, seeds, stack in _replications(config, args.reps):
+    rows_no = [f"{u},NO,NULL" for u in range(m)]
+    for first, seeds, stack in _replications(config, *_streams(config.seed, args.reps)):
         reports = extra_stable_partner_reports(stack)
-        verdicts = reports.verdict.reshape(len(seeds), m)
-        # witnesses are stack student ids; block b's students start at b * n
-        witnesses = reports.witness.reshape(len(seeds), m) - n * np.arange(len(seeds))[:, None]
-        for rep, seed, verdict, witness in zip(range(first, first + len(seeds)), seeds,
-                                               verdicts.tolist(), witnesses.tolist()):
-            lines.extend(
-                f"{rep},{seed},{u},YES,{w}" if yes else f"{rep},{seed},{u},NO,NULL"
-                for u, (yes, w) in enumerate(zip(verdict, witness))
-            )
-            summary.append(f"{rep},{seed},{format_number(sum(verdict) / m)}")
+        # the YES verdicts by stack id: block b's universities start at b * m,
+        # its students (the witnesses) at b * n
+        yes = np.flatnonzero(reports.verdict)
+        cuts = np.searchsorted(yes, m * np.arange(len(seeds) + 1)).tolist()
+        unis = (yes % m).tolist()
+        witnesses = (reports.witness[yes] - n * (yes // m)).tolist()
+        for b, (rep, seed) in enumerate(zip(range(first, first + len(seeds)), seeds)):
+            rows = rows_no.copy()
+            for i in range(cuts[b], cuts[b + 1]):
+                rows[unis[i]] = f"{unis[i]},YES,{witnesses[i]}"
+            prefix = f"{rep},{seed},"
+            lines.append(prefix + ("\n" + prefix).join(rows))
+            summary.append(f"{rep},{seed},{format_number((cuts[b + 1] - cuts[b]) / m)}")
     _write(args.out, "\n".join(lines) + "\n", "\n".join(summary) + "\n")
     return 0
 
@@ -289,7 +302,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     config = _market_config(args)
     lines = ["rep,seed,diff_fraction"]
     diffs: list[float] = []
-    for first, seeds, stack in _replications(config, args.reps):
+    for first, seeds, stack in _replications(config, *_streams(config.seed, args.reps)):
         differs = student_proposing_da(stack).partner != school_proposing_da(stack).partner
         for rep, seed, diff in zip(range(first, first + len(seeds)), seeds,
                                    differs.reshape(len(seeds), -1).mean(axis=1).tolist()):

@@ -66,13 +66,19 @@ def _convert(kind: type, name: str, value: Any) -> Any:
     raise ConfigurationError(f"{name} must be {expected}, got {value!r}")
 
 
-def _json_object(name: str, data: Any, keys: Sequence[str]) -> dict[str, Any]:
-    """``data`` checked to be a JSON object whose keys are all in ``keys``."""
+def _json_object(
+    name: str, data: Any, keys: Sequence[str], required: Sequence[str] = ()
+) -> dict[str, Any]:
+    """``data`` checked to be a JSON object whose keys are all in ``keys``
+    and include every key in ``required``."""
     if not isinstance(data, dict):
         raise ConfigurationError(f"{name} must be a JSON object, got {data!r}")
     unknown = [key for key in data if key not in keys]
     if unknown:
         raise ConfigurationError(f"unknown {name} field {unknown[0]!r}")
+    missing = [key for key in required if key not in data]
+    if missing:
+        raise ConfigurationError(f'{name} needs "{missing[0]}"')
     return data
 
 
@@ -89,6 +95,94 @@ def child_seed(root: int, index: int) -> int:
 
 def make_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(int(seed))
+
+
+# The hash constants of numpy's SeedSequence (pool of four 32-bit words).
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _seed_words(entropy: list[np.ndarray], n_words: int) -> list[np.ndarray]:
+    """``SeedSequence(e).generate_state(n_words, np.uint32)`` for each column ``e``
+    of ``entropy``, four uint32 arrays of words (missing words are 0).
+
+    The hash runs on whole uint32 arrays, which wrap silently where numpy
+    scalars would warn.
+    """
+    const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * _MULT_A & _MASK32
+        value *= np.uint32(const)
+        value ^= value >> np.uint32(16)
+        return value
+
+    pool = [hashmix(word) for word in entropy]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = np.uint32(_MIX_L) * pool[dst] - np.uint32(_MIX_R) * hashmix(pool[src])
+                pool[dst] = mixed ^ (mixed >> np.uint32(16))
+    const, out = _INIT_B, []
+    for i in range(n_words):
+        word = pool[i % 4] ^ np.uint32(const)
+        const = const * _MULT_B & _MASK32
+        word *= np.uint32(const)
+        out.append(word ^ (word >> np.uint32(16)))
+    return out
+
+
+def _uint64_words(words: list[np.ndarray]) -> np.ndarray:
+    """(N, len(words) // 2) uint64 table of the uint32 words taken low, high."""
+    lo = np.stack(words[0::2], axis=1).astype(np.uint64)
+    return lo | np.stack(words[1::2], axis=1).astype(np.uint64) << np.uint64(32)
+
+
+def _child_streams(root: int, first: int, count: int) -> tuple[list[int], np.ndarray]:
+    """``child_seed(root, first + i)`` for each i < ``count``, and the PCG64
+    state words, ``SeedSequence(seed).generate_state(4, np.uint64)``, of each.
+
+    One vectorised pass of the SeedSequence hash.  A seed of at most four
+    32-bit words hashes as if padded with zero words, so (root, index) is
+    the words of root followed by the low and high word of index, and a
+    child seed is its low and high word.  ``_seeded_generator`` of a row of
+    words is then ``default_rng(seed)``.  ``child_seed`` stays the reference.
+    """
+    if not 0 <= root < _MAX_SEED or not 0 <= first <= first + count <= _MAX_SEED:
+        raise ValueError("root and replication indices must be 64-bit unsigned integers")
+    index = np.arange(first, first + count, dtype=np.uint64)
+    root_words = [np.full(count, root >> shift & _MASK32, dtype=np.uint32)
+                  for shift in ((0, 32) if root >> 32 else (0,))]
+    index_words = [(index & np.uint64(_MASK32)).astype(np.uint32),
+                   (index >> np.uint64(32)).astype(np.uint32)]
+    zeros = np.zeros(count, dtype=np.uint32)
+    seeds = _uint64_words(_seed_words((root_words + index_words + [zeros])[:4], 2))[:, 0]
+    seed_words = [(seeds & np.uint64(_MASK32)).astype(np.uint32),
+                  (seeds >> np.uint64(32)).astype(np.uint32), zeros, zeros]
+    return seeds.tolist(), _uint64_words(_seed_words(seed_words, 8))
+
+
+class _StateWords(np.random.bit_generator.ISeedSequence):
+    """A seed sequence that hands out state words computed ahead of time."""
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words  # uint64
+
+    def generate_state(self, n_words: int, dtype: Any = np.uint32) -> np.ndarray:
+        words = self.words
+        if np.dtype(dtype) == np.uint32:
+            words = words.astype("<u8").view("<u4")
+        if n_words > words.size:
+            raise ValueError(f"only {words.size} state words were computed")
+        return words[:n_words].astype(dtype)
+
+
+def _seeded_generator(words: np.ndarray) -> np.random.Generator:
+    """The generator that ``default_rng`` builds from the seed of these PCG64 state words."""
+    return np.random.Generator(np.random.PCG64(_StateWords(words)))
 
 
 @dataclass(frozen=True)
@@ -175,8 +269,7 @@ class SignalSpec:
     @classmethod
     def from_json_dict(cls, data: dict[str, Any]) -> "SignalSpec":
         """Inverse of ``to_json_dict``; the shift defaults to 0."""
-        if "kind" not in _json_object("signal", data, ("kind", "delta")):
-            raise ConfigurationError('signal needs a "kind"')
+        _json_object("signal", data, ("kind", "delta"), required=("kind",))
         return cls(kind=data["kind"], delta=_convert(float, "signal delta", data.get("delta", 0.0)))
 
 
@@ -235,8 +328,7 @@ class MarketConfig:
         "gaussian" for a non-zero shift and "iid" otherwise.
         """
         keys = [f.name for f in fields(cls)] + ["delta"]
-        if "n" not in _json_object("market configuration", data, keys):
-            raise ConfigurationError('market configuration needs "n"')
+        _json_object("market configuration", data, keys, required=("n",))
         signal = data.get("signal")
         if isinstance(signal, dict):
             signal = {"delta": data.get("delta", 0.0), **signal}
@@ -332,18 +424,26 @@ def _fill_distinct(
     bounds = prefs.shape[0] // len(rngs) * np.arange(len(rngs) + 1)
     cells = prefs.reshape(-1)
     rows = np.flatnonzero(first < k)
+    whole = not first[rows].any()  # every hole row is a whole row
     for _ in range(_REJECTION_ROUNDS if k * (k - 1) <= m else 0):
         if not rows.size:
             return prefs
-        lengths = k - first[rows]
-        ends = np.cumsum(lengths)
-        # the hole cells of the pending rows by flat id, and their count per block
-        holes = np.arange(ends[-1]) + np.repeat((rows + 1) * k - ends, lengths)
-        counts = np.diff(np.concatenate(([0], ends))[np.searchsorted(rows, bounds)])
-        cells[holes] = np.concatenate([
+        if whole:
+            counts = k * np.diff(np.searchsorted(rows, bounds))
+        else:
+            lengths = k - first[rows]
+            ends = np.cumsum(lengths)
+            # the hole cells of the pending rows by flat id, and their count per block
+            holes = np.arange(ends[-1]) + np.repeat((rows + 1) * k - ends, lengths)
+            counts = np.diff(np.concatenate(([0], ends))[np.searchsorted(rows, bounds)])
+        draws = np.concatenate([
             rng.integers(0, m, size=count, dtype=np.int64)
             for rng, count in zip(rngs, counts.tolist()) if count
         ])
+        if whole:
+            prefs[rows] = draws.reshape(-1, k)
+        else:
+            cells[holes] = draws
         rows = rows[_repeats(prefs[rows])]
     cuts = np.searchsorted(rows, bounds)
     for rng, todo in zip(rngs, np.split(rows, cuts[1:-1])):
@@ -463,8 +563,12 @@ class MarketInstance:
         Tiebreaks are not part of the schema; they are re-derived
         deterministically from the config seed.  With continuous signal
         distributions ties have probability zero, so reloaded instances
-        behave identically.
+        behave identically.  The document holds exactly the three fields
+        that ``to_json_dict`` writes; a missing or unknown one raises a
+        ConfigurationError that names it.
         """
+        keys = ("config", "preferences", "signals")
+        _json_object("market instance", data, keys, required=keys)
         config = MarketConfig.from_json_dict(data["config"])
         rows = []
         for s, row in enumerate(data["preferences"]):
@@ -518,19 +622,26 @@ def _sample_stack(config: MarketConfig, seeds: Sequence[Any]) -> MarketInstance:
     Block b (students b*n.., universities b*m..) is the market
     ``sample_market(replace(config, seed=seeds[b]))``: its own generator
     (``seeds[b]`` may be one) makes the same calls in the same order, the
-    list draws of ``_fill_distinct``, one ``draw_batch``, one ``random``.
+    list draws of ``_fill_distinct``, one ``draw_batch`` and one ``random``,
+    the last two straight into the stack's tables, with the Gaussian shift
+    added to the whole stack at once.
     """
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    n, m, k = config.n, config.m, config.k
+    n, m, k, signal = config.n, config.m, config.k, config.signal
     shape = (len(rngs), n, k)
     first = np.zeros(len(rngs) * n, dtype=np.int64)  # every cell is a hole
     prefs = _fill_distinct(np.empty((first.size, k), dtype=np.int64), first, m, rngs)
     prefs += np.repeat(m * np.arange(len(rngs)), n)[:, None]
-    special = np.broadcast_to(np.arange(k) == 0, (n, k))  # rank 1 is the favorite school
+    special = np.arange(k) == 0  # rank 1 is the favorite school
     signals, tiebreaks = np.empty(shape), np.empty(shape)
     for b, rng in enumerate(rngs):
-        signals[b] = config.signal.draw_batch(special, rng)
-        tiebreaks[b] = rng.random((n, k))
+        if signal.kind == "custom":
+            signals[b] = signal.draw_batch(np.broadcast_to(special, (n, k)), rng)
+        else:
+            rng.standard_normal(out=signals[b])
+        rng.random(out=tiebreaks[b])
+    if signal.kind == "gaussian" and signal.delta != 0.0:
+        signals += signal.delta * special  # what draw_batch adds, for every block at once
     return MarketInstance(
         replace(config, n=len(rngs) * n), prefs,
         signals.reshape(-1, k), tiebreaks.reshape(-1, k), len(rngs),

@@ -111,9 +111,6 @@ def match_rank_indices(instance: MarketInstance, matching: Matching) -> np.ndarr
     return ranks
 
 
-_EMPTY = np.iinfo(np.int64).max
-
-
 def _deferred_acceptance(
     lists: np.ndarray,
     pos: np.ndarray,
@@ -142,12 +139,13 @@ def _deferred_acceptance(
     capacity = held.shape[1]
     # with one slot each, no proposer offers or is let go twice in a round
     single = free.max(initial=0) <= 1
+    if capacity == 1:
+        # an empty seat holds offer id N, past every real offer, so any offer beats it
+        empty = proposer.size
+        best = held[:, 0]
+        best[best < 0] = empty
     # latest[v]: index of the last v written; entries matching it pick each v once
     latest = np.empty(max(free.size, held.shape[0]), dtype=np.int64)
-    if capacity == 1:
-        # an empty seat holds the largest id, so any offer beats it
-        best = held[:, 0]
-        best[best < 0] = _EMPTY
     while active.size:
         if single:
             active = active[pos[active] < stop[active]]
@@ -166,10 +164,9 @@ def _deferred_acceptance(
         if capacity == 1:
             prior = best[to]
             np.minimum.at(best, to, offers)
-            kept = best[to] == offers
-            # a kept newcomer lets its receiver's holder go
-            prior = prior[kept]
-            let_go = np.concatenate((offers[~kept], prior[prior != _EMPTY]))
+            # a kept newcomer lets its receiver's holder go, any other itself
+            let_go = np.where(best[to] == offers, prior, offers)
+            let_go = let_go[let_go != empty]
         else:
             # the newcomers and the holders of each receiver they reach, best first
             ids = np.arange(offers.size)
@@ -191,7 +188,7 @@ def _deferred_acceptance(
             latest[active] = np.arange(active.size)
             active = active[latest[active] == np.arange(active.size)]
     if capacity == 1:
-        best[best == _EMPTY] = -1
+        best[best == empty] = -1
     return held[held >= 0]
 
 
@@ -331,12 +328,10 @@ def continue_rejection_chains(
 
 def matching_to_csv(instance: MarketInstance, matching: Matching) -> str:
     """CSV rows (student_id, university_id, rank); NULL when unmatched."""
-    ranks = match_rank_indices(instance, matching)
+    ranks = (match_rank_indices(instance, matching) + 1).tolist()
     lines = ["student_id,university_id,rank"]
-    for s in range(instance.n):
-        u = matching.partner[s]
-        if u >= 0:
-            lines.append(f"{s},{int(u)},{int(ranks[s]) + 1}")
-        else:
-            lines.append(f"{s},NULL,NULL")
+    lines.extend(
+        f"{s},{u},{rank}" if u >= 0 else f"{s},NULL,NULL"
+        for s, (u, rank) in enumerate(zip(matching.partner.tolist(), ranks))
+    )
     return "\n".join(lines) + "\n"

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import io
 
+import numpy as np
 import pytest
 
 from admitsim import (
+    ExperimentRecord,
     MarketConfig,
     Matching,
     UtilityModel,
@@ -116,6 +118,26 @@ class TestRecords:
         with pytest.raises(ValueError, match="k_max = 3"):
             write_records_csv([record], out, k_max=3)
         assert not out.exists()
+
+    def test_fields_of_other_types_print_as_format_number_prints_them(self):
+        base = dict(k=2, delta=1.0, seed=2**64 - 1, n=3, m=3, capacity=1, rank_counts=(2, 1),
+                    unmatched=0, synergy=2, student_utility=5.0, university_utility=5.5)
+        records = [
+            ExperimentRecord(**base),
+            ExperimentRecord(**{**base, "delta": None, "student_utility": 1234567.0}),
+            ExperimentRecord(**{**base, "k": np.int64(2), "rank_counts": (np.int32(2), True),
+                                "university_utility": np.float32(0.1)}),
+            ExperimentRecord(**{**base, "k": 2.0, "n": 3.0, "student_utility": 4}),
+        ]
+        buf = io.StringIO()
+        write_records_csv(records, buf, k_max=3)
+        expected = [
+            ",".join(format_number(v) for v in (
+                r.k, r.delta, r.seed, r.n, r.m, r.capacity, r.matched, *r.rank_counts, 0,
+                r.unmatched, r.synergy, r.student_utility, r.university_utility))
+            for r in records
+        ]
+        assert buf.getvalue().split("\n")[1:] == expected + [""]
 
     def test_six_significant_digits(self):
         assert format_number(0.12345678) == "0.123457"

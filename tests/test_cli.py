@@ -223,6 +223,25 @@ class TestSweep:
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize(
+        "flags,k_values",
+        [
+            ([], [1]),
+            (["--k-max", "3"], [1, 2, 3]),
+            (["--k-min", "9"], [9, 10]),
+            (["--k-min", "2", "--k-max", "3"], [2, 3]),
+            (["--k-list", "4,2"], [4, 2]),
+        ],
+    )
+    def test_k_flags_override_file_k_values(self, tmp_path, capsys, flags, k_values):
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"n": 10, "k_values": [1]}))
+        out = tmp_path / "s.csv"
+        code, _, _ = run(capsys, "sweep", "--config", str(cfg), *flags, "--out", str(out))
+        assert code == 0
+        rows = (tmp_path / "s.csv.summary.csv").read_text().strip().split("\n")[1:]
+        assert [int(row.split(",")[0]) for row in rows] == k_values
+
+    @pytest.mark.parametrize(
         "flags", [["--k", "2"], ["--delta", "2"], ["--signal", "gaussian"]]
     )
     def test_per_market_flags_rejected(self, tmp_path, capsys, flags):

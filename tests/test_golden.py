@@ -171,3 +171,29 @@ def test_large_market_digests():
         got[f"seeded {name}"] = _digest(getattr(seeded, name))
     got["seeded repair"] = _digest(continue_rejection_chains(seeded, plan).partner)
     assert got == LARGE_DIGESTS
+
+
+# sha256 of every file that the three commands of one cli_small benchmark
+# item write, at root seed 1: the sweep's records and means, the
+# stable-partner verdicts and fractions, and the solver's JSON.
+CLI_SMALL_DIGESTS = {
+    "solve.json": "571ab0d1e6e521903b45d32054e645a6732e525f728aaedfa8e1e0a2a1d470b6",
+    "sweep.csv": "03039125e196f60673df1ed86c0237484a1c09b558bfd2660ff6d7dc74f98ad6",
+    "sweep.csv.summary.csv": "ee8773130dc5c3dc184940e118a0d1ba8f52b1ad794936cbc70aa0aba5f1ff77",
+    "verdicts.csv": "2b584dd4d83302f60e6e699275c97fe7365019e87a7e781fcc8df0a9f70bd99e",
+    "verdicts.csv.summary.csv": "304c1a27907863762a37e37aac32698b53e39c928821437ff1c9606c0c582edf",
+}
+
+
+def test_cli_small_digests(tmp_path):
+    seed = ["--seed", "1"]
+    assert main(["sweep", "--n", "100", "--k-min", "1", "--k-max", "10", "--deltas", "0,1,2",
+                 "--reps", "50", *seed, "--out", str(tmp_path / "sweep.csv")]) == 0
+    assert main(["stable-partners", "--n", "2000", "--k", "5", "--reps", "20", *seed,
+                 "--out", str(tmp_path / "verdicts.csv")]) == 0
+    assert main(["solve", "--n", "100", "--k", "5", "--delta", "2.0", "--m-ratio", "1.0",
+                 "--capacity", "1", "--method", "general", "--n-sim", "40000", "--trials", "8",
+                 *seed, "--out", str(tmp_path / "solve.json")]) == 0
+    got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+           for path in tmp_path.iterdir()}
+    assert got == CLI_SMALL_DIGESTS

@@ -238,6 +238,19 @@ class TestSampling:
         assert child_seed(7, 3) == child_seed(7, 3)
         assert child_seed(7, 3) != child_seed(8, 3)
 
+    @pytest.mark.parametrize("signal", [SignalSpec.iid(), SignalSpec.gaussian(1.5), SignalSpec.custom(
+        lambda g: float(g.integers(0, 3)), lambda g: float(g.integers(0, 2)))])
+    def test_stack_blocks_are_the_markets_sampled_alone(self, signal):
+        config = MarketConfig(n=30, m_ratio=1.0, capacity=2, k=4, signal=signal, seed=8)
+        seeds, words = market._child_streams(config.seed, 0, 5)
+        stack = market._sample_stack(config, [market._seeded_generator(w) for w in words])
+        for b, seed in enumerate(seeds):
+            alone = sample_market(dataclasses.replace(config, seed=seed))
+            block = slice(b * config.n, (b + 1) * config.n)
+            assert np.array_equal(stack.prefs[block] - b * config.m, alone.prefs)
+            assert np.array_equal(stack.signals[block], alone.signals)
+            assert np.array_equal(stack.tiebreaks[block], alone.tiebreaks)
+
     def test_signal_lookup_and_applicant_order(self):
         inst = sample_market(MarketConfig(n=8, m_ratio=1.0, capacity=2, k=3, seed=6))
         assert all(len(set(row)) == inst.k for row in inst.prefs.tolist())
@@ -404,6 +417,41 @@ class TestRanking:
         assert_ranking_is_lexsort(uni, signals, ties, stack.m, got)
 
 
+# Roots at the edges of one and two 32-bit words, where the seed hash
+# switches from one entropy word to two.
+_ROOTS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+
+class TestChildStreams:
+    """The vectorised seeding against numpy's SeedSequence and default_rng."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("root", _ROOTS)
+    def test_matches_seed_sequence(self, root):
+        seeds, words = market._child_streams(root, 0, 5000)
+        assert seeds == [child_seed(root, i) for i in range(5000)]
+        assert words.dtype == np.uint64 and words.shape == (5000, 4)
+        for seed, row in zip(seeds, words):
+            assert np.array_equal(row, np.random.SeedSequence(seed).generate_state(4, np.uint64))
+            got = market._seeded_generator(row).bit_generator.random_raw(100)
+            assert np.array_equal(got, np.random.default_rng(seed).bit_generator.random_raw(100))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("root", _ROOTS)
+    def test_indices_past_one_word(self, root):
+        first = 2**32 - 2
+        seeds, _ = market._child_streams(root, first, 4)
+        assert seeds == [child_seed(root, first + i) for i in range(4)]
+
+    def test_state_words_as_uint32(self):
+        seed = child_seed(3, 4)
+        _, words = market._child_streams(3, 4, 1)
+        got = market._StateWords(words[0]).generate_state(5)
+        assert np.array_equal(got, np.random.SeedSequence(seed).generate_state(5))
+        with pytest.raises(ValueError, match="only 8 state words"):
+            market._StateWords(words[0]).generate_state(9)
+
+
 class TestSignals:
     def test_gaussian_zero_shift_matches_iid(self):
         rng_a, rng_b = make_rng(3), make_rng(3)
@@ -529,6 +577,23 @@ class TestSerialization:
         message = f"signal entry 3 {field} must be {expected}, got {bad!r}"
         with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
             MarketInstance.from_json_dict(doc)
+
+    @pytest.mark.parametrize("field", ["config", "preferences", "signals"])
+    def test_missing_field_is_named(self, field):
+        doc, _ = self._doc()
+        del doc[field]
+        with pytest.raises(ConfigurationError, match=f'^market instance needs "{field}"$'):
+            MarketInstance.from_json_dict(doc)
+
+    def test_unknown_field_is_named(self):
+        doc, _ = self._doc()
+        doc["tiebreaks"] = []
+        with pytest.raises(ConfigurationError, match="^unknown market instance field 'tiebreaks'$"):
+            MarketInstance.from_json_dict(doc)
+
+    def test_document_must_be_an_object(self):
+        with pytest.raises(ConfigurationError, match="^market instance must be a JSON object"):
+            MarketInstance.from_json_dict([])
 
     def test_numeric_preference_row_names_the_row(self):
         doc, _ = self._doc()
