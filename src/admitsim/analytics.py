@@ -84,6 +84,21 @@ def _utility_totals(counts: np.ndarray, model: UtilityModel | None) -> list[Util
     uni_base = model.university_base
     uni_values = base_values if uni_base is None else [uni_base(r) for r in range(1, k + 1)]
     uni_bonus = model.bonus if model.university_bonus is None else model.university_bonus
+    values = [*base_values, *uni_values, model.bonus, uni_bonus]
+    # Sums of integers below 2^53 are exact in any order, so one matrix pass
+    # gives the per-row sums bit for bit; a row's partial sums stay within
+    # 2 * max|value| * its count.  Other values keep the per-row np.dot,
+    # whose rounding a matrix product does not share.
+    if (
+        all(float(v).is_integer() for v in values)
+        and 2 * max(abs(float(v)) for v in values) * counts.sum(axis=1).max(initial=0) < 2**53
+    ):
+        table = counts.astype(np.float64)
+        synergy = table[:, 0]
+        student = table @ np.array(base_values, dtype=np.float64) + float(model.bonus) * synergy
+        university = table @ np.array(uni_values, dtype=np.float64) + float(uni_bonus) * synergy
+        return list(map(UtilityTotals, student.tolist(), university.tolist(),
+                        counts[:, 0].tolist()))
     return [
         UtilityTotals(
             float(np.dot(row, base_values)) + model.bonus * int(row[0]),

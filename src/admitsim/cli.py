@@ -46,7 +46,11 @@ from .stable_partners import extra_stable_partner_reports
 __all__ = ["main"]
 
 # Most applications in one stacked instance; a stack holds at least one replication.
-_STACK_APPS = 2**14
+# Each stack, and each of its DA rounds, pays a fixed numpy overhead, so fewer,
+# larger stacks are faster: at 2^16 every cli_small sweep cell is one stack (30,
+# against 66 at 2^14) and the workload runs about 1.2x the items per second.
+# 2^17 is no faster, and its peak RSS is 10% above that at 2^14 (BENCH_15.json).
+_STACK_APPS = 2**16
 
 
 class UsageError(ValueError):

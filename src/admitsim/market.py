@@ -12,6 +12,7 @@ signal.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, fields, replace
 from typing import Any
@@ -290,7 +291,15 @@ class MarketConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
+        # bool is an int subclass, and math.isfinite takes no strings: both are
+        # rejected by name here rather than failing later in sampling
+        for name in ("n", "capacity", "k", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.m_ratio, numbers.Real) or isinstance(self.m_ratio, bool):
+            raise ConfigurationError(f"m_ratio must be a number, got {self.m_ratio!r}")
+        if self.n < 1:
             raise ConfigurationError("n must be a positive integer")
         m_exact = self.m_ratio * self.n
         m = round(m_exact) if math.isfinite(m_exact) else 0
@@ -298,11 +307,11 @@ class MarketConfig:
             raise ConfigurationError(
                 f"m_ratio * n must be a positive integer, got {m_exact}"
             )
-        if not isinstance(self.capacity, int) or self.capacity < 1:
+        if self.capacity < 1:
             raise ConfigurationError("capacity must be a positive integer")
-        if not isinstance(self.k, int) or not 1 <= self.k <= m:
+        if not 1 <= self.k <= m:
             raise ConfigurationError(f"k must satisfy 1 <= k <= {m}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < _MAX_SEED:
+        if not 0 <= self.seed < _MAX_SEED:
             raise ConfigurationError("seed must be a 64-bit unsigned integer")
 
     @property

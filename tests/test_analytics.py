@@ -19,7 +19,7 @@ from admitsim import (
     school_proposing_da,
     write_records_csv,
 )
-from admitsim.analytics import _records_header, format_number
+from admitsim.analytics import _records_header, _utility_totals, format_number
 from conftest import own_ranks, random_mixed_config
 
 
@@ -59,6 +59,35 @@ class TestComputeUtilities:
             ranks = [r + 1 for r in own_ranks(inst, matching) if r < inst.k]
             expected_base = sum(base(r) for r in ranks)
             assert student_total == pytest.approx(expected_base + 2.5 * synergy)
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            # integer values, sums below 2^53: one matrix pass
+            UtilityModel(),
+            UtilityModel(base=lambda r: 12 - r, bonus=3, university_base=lambda r: -2.0 * r),
+            # row by row: fractions and sums past 2^53
+            UtilityModel(base=lambda r: 1.0 + 1.0 / r, bonus=2.5),
+            UtilityModel(base=lambda r: 0.1 * (11 - r), bonus=0.3, university_bonus=1e-3),
+            UtilityModel(base=lambda r: 2.0**52, bonus=1.0),
+            # a -0.0 bonus leaves zero totals at 0.0 on either path
+            UtilityModel(base=lambda r: -1.0, bonus=-0.0),
+        ],
+    )
+    def test_totals_equal_the_per_row_sums(self, rng, model):
+        counts = rng.integers(0, 60, size=(3000, 10))
+        counts[::5] = 0
+        base = [model.base(r) for r in range(1, 11)]
+        uni = base if model.university_base is None else [
+            model.university_base(r) for r in range(1, 11)]
+        uni_bonus = model.bonus if model.university_bonus is None else model.university_bonus
+        expected = [
+            (float(np.dot(row, base)) + model.bonus * int(row[0]),
+             float(np.dot(row, uni)) + uni_bonus * int(row[0]), int(row[0]))
+            for row in counts
+        ]
+        # repr tells -0.0 from 0.0, which == does not
+        assert repr([tuple(t) for t in _utility_totals(counts, model)]) == repr(expected)
 
     def test_increasing_base_rejected(self):
         inst = sample_market(MarketConfig(n=4, m_ratio=1.0, k=2, seed=1))

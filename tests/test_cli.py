@@ -457,31 +457,45 @@ class TestConfigFile:
 class TestStacking:
     """Replications run in stacks; the outputs must not depend on how many."""
 
+    # Each case's third budget packs several replications per stack and leaves
+    # a partial last one (reps 7 -> 2, 2, 2, 1; 6 -> 4, 2; sweep k = 4: 5 -> 2, 2, 1).
     @pytest.mark.parametrize(
-        "argv",
+        "argv,partial",
         [
-            ["simulate", "--n", "30", "--k", "3", "--capacity", "2", "--delta", "1",
-             "--reps", "7", "--format", "json"],
-            ["sweep", "--n", "20", "--k-list", "1,4,20", "--deltas", "0,2", "--reps", "5"],
-            ["stable-partners", "--n", "12", "--k", "4", "--m-ratio", "0.5", "--reps", "6"],
-            ["compare", "--n", "25", "--k", "5", "--reps", "6"],
+            (["simulate", "--n", "30", "--k", "3", "--capacity", "2", "--delta", "1",
+              "--reps", "7", "--format", "json"], 180),
+            (["sweep", "--n", "20", "--k-list", "1,4,20", "--deltas", "0,2", "--reps", "5"], 160),
+            (["stable-partners", "--n", "12", "--k", "4", "--m-ratio", "0.5", "--reps", "6"],
+             192),
+            (["compare", "--n", "25", "--k", "5", "--reps", "6"], 500),
         ],
     )
-    def test_outputs_equal_with_one_replication_per_stack(
-        self, tmp_path, capsys, monkeypatch, argv
+    def test_outputs_equal_at_every_stack_budget(
+        self, tmp_path, capsys, monkeypatch, argv, partial
     ):
         from admitsim import cli
 
-        outputs = []
-        for budget in (cli._STACK_APPS, 1):
+        outputs, stacks = [], {}
+        original = cli._sample_stack
+
+        def sample_stack(config, rngs):
+            stacks.setdefault(config, []).append(len(rngs))
+            return original(config, rngs)
+
+        monkeypatch.setattr(cli, "_sample_stack", sample_stack)
+        for budget in (cli._STACK_APPS, 1, partial):
             monkeypatch.setattr(cli, "_STACK_APPS", budget)
             out = tmp_path / f"out-{budget}.csv"
+            stacks.clear()
             code, stdout, _ = run(capsys, *argv, "--seed", "5", "--out", str(out))
             assert code == 0
             summary = out.with_suffix(out.suffix + ".summary.csv")
             outputs.append((stdout, out.read_bytes(),
                             summary.read_bytes() if summary.exists() else None))
-        assert outputs[0] == outputs[1]
+        # the last budget split some market's replications into stacks of
+        # several, the last of them partial
+        assert any(1 < sizes[0] > sizes[-1] for sizes in stacks.values())
+        assert outputs[0] == outputs[1] == outputs[2]
         assert len(outputs[0][1]) > 100
 
 

@@ -65,6 +65,17 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             MarketConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("n", True), ("capacity", True), ("k", True), ("seed", False),
+         ("m_ratio", "1"), ("m_ratio", True)],
+    )
+    def test_rejects_booleans_and_strings_by_name(self, field, value):
+        kwargs = dict(n=4, m_ratio=1.0, capacity=1, k=2, seed=0)
+        kwargs[field] = value
+        with pytest.raises(ConfigurationError, match=f"^{field} must be .*got {value!r}$"):
+            MarketConfig(**kwargs)
+
     @pytest.mark.parametrize("m_ratio", [math.inf, -math.inf, math.nan, 1e308])
     def test_rejects_non_finite_university_count(self, m_ratio):
         with pytest.raises(ConfigurationError):

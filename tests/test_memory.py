@@ -1,4 +1,4 @@
-"""Importing admitsim keeps freed heap mapped, so same-sized tables reuse their pages."""
+"""Memory: freed heap stays mapped, and the CLI's replication stacks stay small."""
 
 from __future__ import annotations
 
@@ -31,12 +31,36 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
 
-@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's malloc only")
-def test_freed_tables_are_not_faulted_in_again():
+# Prints the peak traced memory, in MB above the start, of the benchmark's
+# stable-partner census: 20 markets of 10 000 applications.
+_CENSUS = """
+import sys
+import tracemalloc
+from admitsim.cli import main
+
+tracemalloc.start()
+start = tracemalloc.get_traced_memory()[0]
+assert main(["stable-partners", "--n", "2000", "--k", "5", "--reps", "20",
+             "--out", sys.argv[1]]) == 0
+print((tracemalloc.get_traced_memory()[1] - start) / 2**20)
+"""
+
+
+def _run(code: str, *args: str) -> str:
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
-    proc = subprocess.run(
-        [sys.executable, "-c", _ROUNDS], capture_output=True, text=True, env=env, check=True
-    )
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, check=True
+    ).stdout
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's malloc only")
+def test_freed_tables_are_not_faulted_in_again():
+    faults = _run(_ROUNDS)
     # glibc's defaults hand part of them back and fault it in again: about 9500
-    assert int(proc.stdout) < 1000
+    assert int(faults) < 1000
+
+
+def test_stable_partner_stacks_stay_within_their_memory_bound(tmp_path):
+    # 4.8 MB at 2^14 applications per stack, 7.5 MB at 2^16, 11.2 MB at 2^17
+    assert float(_run(_CENSUS, str(tmp_path / "partners.csv"))) < 10
