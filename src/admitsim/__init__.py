@@ -28,7 +28,6 @@ from .market import (
     build_seeded_plan,
     child_seed,
     complete_instance,
-    make_rng,
     sample_market,
 )
 from .matching import (
@@ -80,7 +79,6 @@ __all__ = [
     "extra_stable_partner_reports",
     "find_blocking_pairs",
     "make_record",
-    "make_rng",
     "match_rank_indices",
     "matching_to_csv",
     "rank_profile",

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import io
+import math
+import numbers
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,9 +36,9 @@ def constant_base(rank: int) -> float:
 class UtilityModel:
     """Base utility per match rank plus a bonus for rank-1 (synergy) matches.
 
-    ``base`` must be nonincreasing in rank; unmatched students get 0.  The
-    bonus is credited to both sides.  The university side reuses ``base``
-    and ``bonus`` unless overridden.
+    ``base`` must be finite and nonincreasing in rank; unmatched students
+    get 0.  The bonus, a finite number >= 0, is credited to both sides.
+    The university side reuses ``base`` and ``bonus`` unless overridden.
     """
 
     base: Callable[[int], float] = constant_base
@@ -45,10 +47,10 @@ class UtilityModel:
     university_bonus: float | None = None
 
     def __post_init__(self) -> None:
-        if self.bonus < 0:
-            raise ValueError("bonus must be nonnegative")
-        if self.university_bonus is not None and self.university_bonus < 0:
-            raise ValueError("university bonus must be nonnegative")
+        for name, value in (("bonus", self.bonus), ("university_bonus", self.university_bonus)):
+            valid = isinstance(value, numbers.Real) and 0 <= value < math.inf
+            if not valid and (value is not None or name == "bonus"):
+                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
 class UtilityTotals(NamedTuple):
@@ -79,10 +81,13 @@ def _utility_totals(counts: np.ndarray, model: UtilityModel | None) -> list[Util
         model = UtilityModel()
     k = counts.shape[1]
     base_values = [model.base(r) for r in range(1, k + 1)]
-    if any(b > a + 1e-12 for a, b in zip(base_values, base_values[1:])):
-        raise ValueError("base utility must be nonincreasing in rank")
     uni_base = model.university_base
     uni_values = base_values if uni_base is None else [uni_base(r) for r in range(1, k + 1)]
+    for name, got in (("base", base_values), ("university_base", uni_values)):
+        if not all(math.isfinite(v) for v in got):
+            raise ValueError(f"{name} utility must be finite, got {got}")
+    if any(b > a + 1e-12 for a, b in zip(base_values, base_values[1:])):
+        raise ValueError("base utility must be nonincreasing in rank")
     uni_bonus = model.bonus if model.university_bonus is None else model.university_bonus
     values = [*base_values, *uni_values, model.bonus, uni_bonus]
     # Sums of integers below 2^53 are exact in any order, so one matrix pass

@@ -32,7 +32,6 @@ from .market import (
     _rank_within_universities,
     _throw_proposals,
     _validate_rank_fractions,
-    make_rng,
 )
 
 __all__ = [
@@ -144,7 +143,7 @@ def estimate_acceptance(
     fractions = _validate_rank_fractions(rank_fractions, config.k, leading_one=False)
     _check_sampling(n_sim, trials)
     if rng is None:
-        rng = make_rng(config.seed)
+        rng = np.random.default_rng(config.seed)
 
     m_sim = max(1, round(config.m_ratio * n_sim))
     counts = np.floor(fractions * n_sim).astype(np.int64)
@@ -307,7 +306,7 @@ def _sampled_acceptance(
     a midpoint sum, equal to ``expected_accepted_mass`` to O(n_sim**-2).
     """
     if rng is None:
-        rng = make_rng(config.seed)
+        rng = np.random.default_rng(config.seed)
     special = np.repeat([True, False], n_sim)
     signals = config.signal.draw_batch(special, rng)
     tiebreaks = rng.random(2 * n_sim)

@@ -26,13 +26,12 @@ __all__ = [
     "MarketInstance",
     "SeededProposalPlan",
     "child_seed",
-    "make_rng",
     "sample_market",
     "build_seeded_plan",
     "complete_instance",
 ]
 
-SignalSampler = Callable[[np.random.Generator], float]
+SignalSampler = Callable[[np.random.Generator, int], "np.typing.ArrayLike"]
 
 _MAX_SEED = 2**64
 
@@ -92,10 +91,6 @@ def child_seed(root: int, index: int) -> int:
     """
     seq = np.random.SeedSequence([int(root), int(index)])
     return int(seq.generate_state(1, np.uint64)[0])
-
-
-def make_rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(int(seed))
 
 
 # The hash constants of numpy's SeedSequence (pool of four 32-bit words).
@@ -194,8 +189,8 @@ class SignalSpec:
     preferences are uniformly random and applications carry no signal
     about fit.  kind "gaussian": favorite-school applications draw
     Normal(delta, 1), all others Normal(0, 1).  kind "custom": caller
-    supplies both samplers; they must be deterministic functions of the
-    generator state.
+    supplies both samplers; ``sampler(rng, size)`` returns ``size`` signals
+    as a deterministic function of the generator state.
     """
 
     kind: str = "iid"
@@ -212,10 +207,9 @@ class SignalSpec:
             if self.delta != 0.0:
                 raise ConfigurationError("iid signals take no shift")
             object.__setattr__(self, "delta", 0.0)  # not -0.0, which tables print as "-0"
-        if self.kind == "custom" and (
-            self.special_sampler is None or self.regular_sampler is None
-        ):
-            raise ConfigurationError("custom signals need both samplers")
+        for name in ("special", "regular") if self.kind == "custom" else ():
+            if not callable(sampler := getattr(self, f"{name}_sampler")):
+                raise ConfigurationError(f"{name} sampler is not callable: {sampler!r}")
 
     @classmethod
     def iid(cls) -> "SignalSpec":
@@ -241,25 +235,25 @@ class SignalSpec:
             return None
         return float(self.delta)
 
-    def draw(self, is_special: bool, rng: np.random.Generator) -> float:
-        if self.kind == "custom":
-            sampler = self.special_sampler if is_special else self.regular_sampler
-            assert sampler is not None
-            return float(sampler(rng))
-        value = float(rng.standard_normal())
-        if is_special and self.kind == "gaussian":
-            value += self.delta
-        return value
-
     def draw_batch(self, special: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """One signal per entry of the boolean mask ``special``."""
+        """One signal per entry of the boolean mask ``special``; custom samplers are
+        called once each, the special one for ``out[special]``, then the regular one."""
         special = np.asarray(special, dtype=bool)
-        if self.kind == "custom":
-            draws = [self.draw(bool(is_special), rng) for is_special in special.ravel()]
-            return np.array(draws, dtype=np.float64).reshape(special.shape)
-        out = rng.standard_normal(special.shape)
-        if self.kind == "gaussian" and self.delta != 0.0:
-            out += self.delta * special  # in place; faster than a masked add
+        if self.kind != "custom":
+            out = rng.standard_normal(special.shape)
+            if self.kind == "gaussian" and self.delta != 0.0:
+                out += self.delta * special  # in place; faster than a masked add
+            return out
+        out = np.empty(special.shape)
+        for name, mask in (("special", special), ("regular", ~special)):
+            drawn = getattr(self, f"{name}_sampler")(rng, size := int(mask.sum()))
+            try:
+                values = np.asarray(drawn, dtype=np.float64)
+            except (TypeError, ValueError):
+                values = None
+            if values is None or values.shape != (size,):
+                raise ConfigurationError(f"{name} sampler must give a flat array of {size} numbers")
+            out[mask] = values
         return out
 
     def to_json_dict(self) -> dict[str, Any]:
@@ -578,6 +572,9 @@ class MarketInstance:
         """
         keys = ("config", "preferences", "signals")
         _json_object("market instance", data, keys, required=keys)
+        for key in keys[1:]:
+            if not isinstance(data[key], (list, tuple)):
+                raise ConfigurationError(f"{key} is not a list: {data[key]!r}")
         config = MarketConfig.from_json_dict(data["config"])
         rows = []
         for s, row in enumerate(data["preferences"]):
@@ -611,7 +608,7 @@ class MarketInstance:
             u, s = unlisted[0]
             raise ConfigurationError(f"a signal for university {u}, student {s}, not on her list")
         signals = np.array([table[pair] for pair in listed], dtype=np.float64).reshape(prefs.shape)
-        rng = make_rng(child_seed(config.seed, _TIEBREAK_STREAM))
+        rng = np.random.default_rng(child_seed(config.seed, _TIEBREAK_STREAM))
         tiebreaks = rng.random((config.n, config.k))
         return cls(config, prefs, signals, tiebreaks)
 
@@ -754,7 +751,7 @@ def build_seeded_plan(
     keeps the accepted labels binding for the students that do hold them.
     """
     if rng is None:
-        rng = make_rng(config.seed)
+        rng = np.random.default_rng(config.seed)
     n, m, k = config.n, config.m, config.k
     fractions = _validate_rank_fractions(rank_fractions, k)
     if slack is None:
@@ -850,7 +847,7 @@ def complete_instance(
     """
     config = plan.config
     if rng is None:
-        rng = make_rng(child_seed(config.seed, 1))
+        rng = np.random.default_rng(child_seed(config.seed, 1))
     n, m, k = config.n, config.m, config.k
     prefs = np.full(n * k, -1, dtype=np.int64)
     signals = np.zeros(n * k, dtype=np.float64)

@@ -22,7 +22,6 @@ from admitsim.market import (
     _SWAP_ATTEMPTS,
     _throw_proposals,
     _validate_rank_fractions,
-    make_rng,
 )
 
 
@@ -204,7 +203,7 @@ def seeded_plan_oracle(
     be one of those.
     """
     if rng is None:
-        rng = make_rng(config.seed)
+        rng = np.random.default_rng(config.seed)
     n, m, k = config.n, config.m, config.k
     fractions = _validate_rank_fractions(rank_fractions, k)
     if slack is None:

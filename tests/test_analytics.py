@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import math
 
 import numpy as np
 import pytest
@@ -93,6 +94,21 @@ class TestComputeUtilities:
         inst = sample_market(MarketConfig(n=4, m_ratio=1.0, k=2, seed=1))
         model = UtilityModel(base=lambda r: float(r))
         with pytest.raises(ValueError):
+            compute_utilities(inst, school_proposing_da(inst), model)
+
+    @pytest.mark.parametrize("field", ["bonus", "university_bonus"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0, "1"])
+    def test_bonus_must_be_finite_and_nonnegative(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be a finite number >= 0, got"):
+            UtilityModel(**{field: value})
+
+    @pytest.mark.parametrize("field", ["base", "university_base"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_base_values_must_be_finite(self, field, value):
+        # a NaN also slips past the nonincreasing check; -inf passes it outright
+        inst = sample_market(MarketConfig(n=4, m_ratio=1.0, k=3, seed=1))
+        model = UtilityModel(**{field: lambda r: value if r == 3 else 1.0})
+        with pytest.raises(ValueError, match=f"^{field} utility must be finite"):
             compute_utilities(inst, school_proposing_da(inst), model)
 
     def test_university_override(self):

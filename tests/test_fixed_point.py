@@ -16,7 +16,6 @@ from admitsim import (
     build_seeded_plan,
     estimate_acceptance,
     expected_accepted_mass,
-    make_rng,
     rank_profile,
     sample_market,
     solve_general,
@@ -81,7 +80,7 @@ class TestEstimateAcceptance:
         cfg = MarketConfig(
             n=100, m_ratio=1.0, capacity=1, k=2, signal=SignalSpec.gaussian(10.0), seed=7
         )
-        rng = make_rng(7)
+        rng = np.random.default_rng(7)
         n_sim = 20_000
         counts = np.array([n_sim, n_sim])
         uni = rng.integers(0, n_sim, size=2 * n_sim)
@@ -171,7 +170,7 @@ class TestAcceptedMassClosedForm:
 
     def test_matches_monte_carlo_occupancy(self):
         # independent oracle: average min(count, L) over multinomial throws
-        rng = make_rng(12)
+        rng = np.random.default_rng(12)
         m, L = 500, 2
         x = 1.7
         total = int(x * m)
@@ -257,20 +256,24 @@ class TestEquationMonotonicity:
 def gaussian_as_custom(delta: float) -> SignalSpec:
     """Gaussian signals through the custom-sampler interface."""
     return SignalSpec.custom(
-        lambda rng: delta + rng.standard_normal(), lambda rng: rng.standard_normal()
+        lambda rng, size: delta + rng.standard_normal(size),
+        lambda rng, size: rng.standard_normal(size),
     )
 
 
 def integer_custom() -> SignalSpec:
     """Signals 0, 1 or 2 for both kinds: identically distributed and often tied."""
-    return SignalSpec.custom(lambda g: float(g.integers(0, 3)), lambda g: float(g.integers(0, 3)))
+    return SignalSpec.custom(
+        lambda g, size: g.integers(0, 3, size),
+        lambda g, size: g.integers(0, 3, size),
+    )
 
 
 def assert_chain_agrees_with_monte_carlo(y, config: MarketConfig) -> None:
     """Each rank fraction is the previous one minus its accepted fraction,
     as ``estimate_acceptance`` measures it at y, within 4 standard errors
     plus the finite market's bias."""
-    est = estimate_acceptance(y, config, n_sim=40_000, trials=8, rng=make_rng(8))
+    est = estimate_acceptance(y, config, n_sim=40_000, trials=8, rng=np.random.default_rng(8))
     for i in range(1, config.k):
         assert abs(y[i] - (y[i - 1] - est.fractions[i - 1])) <= 4 * est.std_errors[i - 1] + 5e-4
 
@@ -321,7 +324,7 @@ class TestLargeMarketAcceptance:
         y = 0.7 ** np.arange(k)
         first, later = _large_market_acceptance(delta, m_ratio, capacity)(y[1:].sum())
         model = y * np.array([first] + [later] * (k - 1))
-        est = estimate_acceptance(y, cfg, n_sim=40_000, trials=6, rng=make_rng(21))
+        est = estimate_acceptance(y, cfg, n_sim=40_000, trials=6, rng=np.random.default_rng(21))
         for a, mc, se in zip(model, est.fractions, est.std_errors):
             assert abs(a - mc) <= 4 * se + 5e-4
 
@@ -515,7 +518,7 @@ class TestSolveGeneral:
         cfg = MarketConfig(n=100, k=4, seed=1)
         result = solve_general(cfg, tol=0.005, n_sim=20_000)
         y = result.rank_fractions.fractions
-        est = estimate_acceptance(y, cfg, n_sim=40_000, trials=8, rng=make_rng(77))
+        est = estimate_acceptance(y, cfg, n_sim=40_000, trials=8, rng=np.random.default_rng(77))
         for i in range(1, cfg.k):
             assert abs(y[i] - (y[i - 1] - est.fractions[i - 1])) < 0.01
         # accepted mass stays within feasibility bounds at the fixed point
@@ -575,8 +578,8 @@ class TestSolveGeneral:
         assert_chain_agrees_with_monte_carlo(y, custom)
         # deterministic for a given config and generator
         assert solve_general(custom) == sampled
-        again = solve_general(custom, rng=make_rng(11))
-        assert again == solve_general(custom, rng=make_rng(11)) != sampled
+        again = solve_general(custom, rng=np.random.default_rng(11))
+        assert again == solve_general(custom, rng=np.random.default_rng(11)) != sampled
 
     def test_tied_custom_signals_solve_consistently(self):
         # the sampler of test_matching's tie test; ties break by tiebreak, as in a market
@@ -623,7 +626,7 @@ class TestThrowProposals:
     )
     def test_counts_empty_draw_nothing(self, signal):
         cfg = MarketConfig(n=100, k=2, signal=signal, seed=0)
-        rng = make_rng(0)
+        rng = np.random.default_rng(0)
         state = rng.bit_generator.state
         uni, ranks, _, _, accepted = _throw_proposals(np.array([0, 0]), 100, cfg, rng)
         assert uni.size == ranks.size == accepted.size == 0
@@ -634,7 +637,7 @@ class TestThrowProposals:
         cfg = MarketConfig(n=500, m_ratio=0.5, capacity=2, k=3,
                            signal=SignalSpec.gaussian(1.0), seed=0)
         y = (1.0, 0.6, 0.3)
-        est = estimate_acceptance(y, cfg, n_sim=cfg.n, trials=1, rng=make_rng(5))
-        plan = build_seeded_plan(y, cfg, rng=make_rng(5), slack=0.0)
+        est = estimate_acceptance(y, cfg, n_sim=cfg.n, trials=1, rng=np.random.default_rng(5))
+        plan = build_seeded_plan(y, cfg, rng=np.random.default_rng(5), slack=0.0)
         accepted = np.bincount(plan.proposal_rank[plan.proposal_accepted] - 1, minlength=3)
         assert est.fractions == tuple(float(c) for c in accepted / cfg.n)

@@ -21,6 +21,7 @@ from admitsim import (
     matching_to_csv,
     sample_market,
     school_proposing_da,
+    solve_general,
     solve_iid,
     student_proposing_da,
 )
@@ -197,3 +198,25 @@ def test_cli_small_digests(tmp_path):
     got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
            for path in tmp_path.iterdir()}
     assert got == CLI_SMALL_DIGESTS
+
+
+# The custom-sampler stream: each sampler is called once per kind with the
+# number of signals it draws, the special one first.
+CUSTOM_DIGESTS = {
+    "prefs": "2ed67b45a8ccf0f4141a5e5a77eec1e85b52b9371eb135aac7b5593948e369eb",
+    "signals": "0f20cc028e53b34da5400c599df039396b7c074c0055d8fe5001fc04b8f544d6",
+    "tiebreaks": "e8fe7acf257fea3f3160440856ef734b67db78ea9d1a8f8f71b71be74f08bd51",
+    "uni_rank": "8fc32379851146bc48764e74ac1133fe92e135543f58e1ba3908740cf58db528",
+}
+CUSTOM_SOLVE = (1.0, 0.4376941308320187, 0.28024598842141835)
+
+
+def test_custom_sampler_digests():
+    signal = SignalSpec.custom(lambda rng, size: 1.0 + rng.standard_normal(size),
+                               lambda rng, size: rng.standard_normal(size))
+    config = MarketConfig(n=50, m_ratio=1.0, k=3, signal=signal, seed=5)
+    inst = sample_market(config)
+    got = {name: _digest(getattr(inst, name)) for name in CUSTOM_DIGESTS}
+    assert got == CUSTOM_DIGESTS
+    result = solve_general(config)
+    assert (result.method, result.rank_fractions.fractions) == ("sampled-bisection", CUSTOM_SOLVE)

@@ -19,8 +19,9 @@ from admitsim import (
     build_seeded_plan,
     child_seed,
     complete_instance,
-    make_rng,
+    estimate_acceptance,
     sample_market,
+    solve_general,
     solve_iid,
 )
 from admitsim import market
@@ -165,7 +166,7 @@ class TestConfigValidation:
 
     def test_custom_needs_both_samplers(self):
         with pytest.raises(ConfigurationError):
-            SignalSpec(kind="custom", special_sampler=lambda rng: 1.0)
+            SignalSpec(kind="custom", special_sampler=lambda rng, size: np.ones(size))
 
 
 class TestSampling:
@@ -250,7 +251,7 @@ class TestSampling:
         assert child_seed(7, 3) != child_seed(8, 3)
 
     @pytest.mark.parametrize("signal", [SignalSpec.iid(), SignalSpec.gaussian(1.5), SignalSpec.custom(
-        lambda g: float(g.integers(0, 3)), lambda g: float(g.integers(0, 2)))])
+        lambda g, size: g.integers(0, 3, size), lambda g, size: g.integers(0, 2, size))])
     def test_stack_blocks_are_the_markets_sampled_alone(self, signal):
         config = MarketConfig(n=30, m_ratio=1.0, capacity=2, k=4, signal=signal, seed=8)
         seeds, words = market._child_streams(config.seed, 0, 5)
@@ -278,7 +279,7 @@ class RecordingGenerator:
     """Delegates to a generator and logs each call with its size."""
 
     def __init__(self, seed: int) -> None:
-        self.rng = make_rng(seed)
+        self.rng = np.random.default_rng(seed)
         self.calls: list[tuple[str, object]] = []
 
     def integers(self, *args, **kwargs):
@@ -303,9 +304,9 @@ class TestStack:
             # key-sort path, k(k-1) > m
             MarketConfig(n=10, m_ratio=0.5, capacity=2, k=4, seed=0),
             MarketConfig(n=6, m_ratio=1.0, k=6, seed=0),
-            # custom samplers draw one signal at a time
+            # custom samplers draw each kind in one call
             MarketConfig(n=12, m_ratio=1.0, capacity=2, k=3, seed=0, signal=SignalSpec.custom(
-                lambda g: float(g.integers(0, 3)), lambda g: float(g.exponential()))),
+                lambda g, size: g.integers(0, 3, size), lambda g, size: g.exponential(size=size))),
         ],
     )
     def test_every_block_is_the_market_its_seed_samples(self, config):
@@ -419,7 +420,7 @@ class TestRanking:
         assert_ranking_is_lexsort(uni, signals, rng.random(size), m)
 
     @pytest.mark.parametrize("signal", [SignalSpec.gaussian(1.0), SignalSpec.custom(
-        lambda g: float(g.integers(0, 3)), lambda g: float(g.integers(0, 2)))])
+        lambda g, size: g.integers(0, 3, size), lambda g, size: g.integers(0, 2, size))])
     def test_stack_ranks_every_block_by_its_offset_ids(self, signal):
         config = MarketConfig(n=60, m_ratio=0.5, capacity=2, k=4, signal=signal)
         stack = market._sample_stack(config, [child_seed(5, r) for r in range(7)])
@@ -465,18 +466,18 @@ class TestChildStreams:
 
 class TestSignals:
     def test_gaussian_zero_shift_matches_iid(self):
-        rng_a, rng_b = make_rng(3), make_rng(3)
-        a = [SignalSpec.gaussian(0.0).draw(True, rng_a) for _ in range(1000)]
-        b = [SignalSpec.iid().draw(True, rng_b) for _ in range(1000)]
-        assert a == b
+        special = np.arange(1000) % 3 == 0
+        a = SignalSpec.gaussian(0.0).draw_batch(special, np.random.default_rng(3))
+        b = SignalSpec.iid().draw_batch(special, np.random.default_rng(3))
+        assert a.tobytes() == b.tobytes()
 
     def test_gaussian_special_mean(self):
-        rng = make_rng(11)
+        rng = np.random.default_rng(11)
         draws = SignalSpec.gaussian(2.0).draw_batch(np.ones(100_000, dtype=bool), rng)
         assert abs(draws.mean() - 2.0) < 0.02
 
     def test_iid_branches_identically_distributed(self):
-        rng = make_rng(4)
+        rng = np.random.default_rng(4)
         spec = SignalSpec.iid()
         special = spec.draw_batch(np.ones(10_000, dtype=bool), rng)
         regular = spec.draw_batch(np.zeros(10_000, dtype=bool), rng)
@@ -488,7 +489,7 @@ class TestSignals:
     def test_special_signal_gap_at_shift_three(self):
         spec = SignalSpec.gaussian(3.0)
         rank1, other = [], []
-        rng = make_rng(8)
+        rng = np.random.default_rng(8)
         for seed in range(5):
             inst = sample_market(MarketConfig(n=1000, k=3, signal=spec, seed=seed), rng)
             rank1.extend(inst.signals[:, 0].tolist())
@@ -496,10 +497,86 @@ class TestSignals:
         assert abs(np.mean(rank1) - np.mean(other) - 3.0) < 0.1
 
     def test_custom_sampler_used(self):
-        spec = SignalSpec.custom(lambda rng: 10.0, lambda rng: float(rng.random()))
-        rng = make_rng(0)
-        assert spec.draw(True, rng) == 10.0
-        assert spec.draw(False, rng) < 1.5
+        spec = SignalSpec.custom(lambda rng, size: np.full(size, 10.0),
+                                 lambda rng, size: rng.random(size))
+        draws = spec.draw_batch(np.array([True, False, True, False]), np.random.default_rng(0))
+        assert draws[0] == draws[2] == 10.0
+        assert (draws[[1, 3]] < 1.5).all()
+
+
+def normal_sampler(shift: float, log: list[int] | None = None):
+    """A batch Normal(shift, 1) sampler that appends each call's size to ``log``."""
+
+    def draw(rng, size):
+        if log is not None:
+            log.append(size)
+        return shift + rng.standard_normal(size)
+
+    return draw
+
+
+_Y = (1.0, 0.5, 0.2)
+
+
+class TestCustomSamplers:
+    """Custom samplers draw each kind in one call, and what they return is checked."""
+
+    # each caller of draw_batch, and how many times it calls it
+    @pytest.mark.parametrize(
+        "run,batches",
+        [
+            (lambda cfg: market._sample_stack(cfg, [child_seed(1, b) for b in range(4)]), 4),
+            (lambda cfg: build_seeded_plan(_Y, cfg), 1),
+            (lambda cfg: complete_instance(build_seeded_plan(_Y, cfg)), 2),
+            (lambda cfg: estimate_acceptance(_Y, cfg, n_sim=1000, trials=3), 3),
+            (lambda cfg: solve_general(cfg, n_sim=1000), 1),
+        ],
+        ids=["stack", "seeded plan", "completion", "estimate", "sampled solve"],
+    )
+    def test_each_sampler_is_called_once_per_batch(self, monkeypatch, run, batches):
+        special, regular, batch_calls = [], [], []
+        draw_batch = SignalSpec.draw_batch
+
+        def counted(spec, mask, rng):
+            batch_calls.append(np.count_nonzero(mask))
+            return draw_batch(spec, mask, rng)
+
+        monkeypatch.setattr(SignalSpec, "draw_batch", counted)
+        signal = SignalSpec.custom(normal_sampler(1.0, special), normal_sampler(0.0, regular))
+        run(MarketConfig(n=40, m_ratio=0.5, capacity=2, k=3, signal=signal, seed=3))
+        assert len(batch_calls) == batches
+        assert len(special) <= batches and len(regular) <= batches
+        assert sum(special) == sum(batch_calls)  # each call draws its kind in full
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            lambda rng, size: np.zeros((size, 1)),
+            lambda rng, size: np.zeros(size + 1),
+            lambda rng, size: 0.0,
+            lambda rng, size: ["high"] * size,
+            lambda rng, size: [[0.0, 1.0]] + [0.0] * (size - 1),
+        ],
+        ids=["shape", "length", "scalar", "non-numeric", "ragged"],
+    )
+    @pytest.mark.parametrize("kind", ["special", "regular"])
+    def test_output_must_be_one_number_per_signal(self, kind, bad):
+        samplers = {"special": normal_sampler(1.0), "regular": normal_sampler(0.0), kind: bad}
+        config = MarketConfig(n=10, k=2, signal=SignalSpec.custom(**samplers))
+        message = f"^{kind} sampler must give a flat array of 10 numbers$"
+        with pytest.raises(ConfigurationError, match=message):
+            sample_market(config)
+
+    def test_nan_signals_pass(self):
+        nan = SignalSpec.custom(lambda rng, size: np.full(size, math.nan), normal_sampler(0.0))
+        inst = sample_market(MarketConfig(n=10, k=2, signal=nan))
+        assert np.isnan(inst.signals[:, 0]).all() and np.isfinite(inst.signals[:, 1]).all()
+
+    @pytest.mark.parametrize("kind", ["special", "regular"])
+    def test_sampler_must_be_callable(self, kind):
+        samplers = {"special": normal_sampler(1.0), "regular": normal_sampler(0.0), kind: 1.0}
+        with pytest.raises(ConfigurationError, match=f"^{kind} sampler is not callable: 1.0$"):
+            SignalSpec.custom(**samplers)
 
 
 class TestSerialization:
@@ -518,7 +595,7 @@ class TestSerialization:
         assert all(len(t) == 3 for t in doc["signals"])
 
     def test_custom_signals_not_serializable(self):
-        spec = SignalSpec.custom(lambda rng: 1.0, lambda rng: 0.0)
+        spec = SignalSpec.custom(lambda rng, size: np.ones(size), lambda rng, size: np.zeros(size))
         cfg = MarketConfig(n=2, m_ratio=1.0, k=1, signal=spec, seed=0)
         with pytest.raises(ConfigurationError):
             sample_market(cfg).to_json_dict()
@@ -610,6 +687,14 @@ class TestSerialization:
         doc, _ = self._doc()
         doc["preferences"][3] = 7
         with pytest.raises(ConfigurationError, match="^preference row 3 is not a list: 7$"):
+            MarketInstance.from_json_dict(doc)
+
+    @pytest.mark.parametrize("field", ["preferences", "signals"])
+    @pytest.mark.parametrize("bad", [5, "abc"])
+    def test_field_that_is_not_a_list_is_named(self, field, bad):
+        doc, _ = self._doc()
+        doc[field] = bad
+        with pytest.raises(ConfigurationError, match=f"^{field} is not a list: {bad!r}$"):
             MarketInstance.from_json_dict(doc)
 
 

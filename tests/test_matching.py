@@ -411,7 +411,7 @@ class TestDiscreteSignals:
         from admitsim import SignalSpec
 
         spec = SignalSpec.custom(
-            lambda g: float(g.integers(0, 3)), lambda g: float(g.integers(0, 3))
+            lambda g, size: g.integers(0, 3, size), lambda g, size: g.integers(0, 3, size)
         )
         for seed in range(20):
             cfg = MarketConfig(n=12, m_ratio=0.5, capacity=2, k=3, signal=spec, seed=seed)
