@@ -36,9 +36,10 @@ def constant_base(rank: int) -> float:
 class UtilityModel:
     """Base utility per match rank plus a bonus for rank-1 (synergy) matches.
 
-    ``base`` must be finite and nonincreasing in rank; unmatched students
-    get 0.  The bonus, a finite number >= 0, is credited to both sides.
-    The university side reuses ``base`` and ``bonus`` unless overridden.
+    ``base`` maps each rank to a finite real number, nonincreasing in
+    rank; unmatched students get 0.  The bonus, a finite number >= 0, is
+    credited to both sides.  The university side reuses ``base`` and
+    ``bonus`` unless overridden.
     """
 
     base: Callable[[int], float] = constant_base
@@ -47,6 +48,9 @@ class UtilityModel:
     university_bonus: float | None = None
 
     def __post_init__(self) -> None:
+        for name, value in (("base", self.base), ("university_base", self.university_base)):
+            if not callable(value) and (value is not None or name == "base"):
+                raise ValueError(f"{name} must be callable, got {value!r}")
         for name, value in (("bonus", self.bonus), ("university_bonus", self.university_bonus)):
             valid = isinstance(value, numbers.Real) and 0 <= value < math.inf
             if not valid and (value is not None or name == "bonus"):
@@ -84,8 +88,10 @@ def _utility_totals(counts: np.ndarray, model: UtilityModel | None) -> list[Util
     uni_base = model.university_base
     uni_values = base_values if uni_base is None else [uni_base(r) for r in range(1, k + 1)]
     for name, got in (("base", base_values), ("university_base", uni_values)):
-        if not all(math.isfinite(v) for v in got):
-            raise ValueError(f"{name} utility must be finite, got {got}")
+        finite = (isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+                  for v in got)
+        if not all(finite):
+            raise ValueError(f"{name} utility must be finite real numbers, got {got}")
     if any(b > a + 1e-12 for a, b in zip(base_values, base_values[1:])):
         raise ValueError("base utility must be nonincreasing in rank")
     uni_bonus = model.bonus if model.university_bonus is None else model.university_bonus

@@ -99,6 +99,18 @@ def _convert_list(kind: type, name: str, values: Any) -> tuple[Any, ...]:
     return tuple(_convert(kind, name, v) for v in values)
 
 
+def _split_flag(kind: type, flag: str, text: str) -> tuple[Any, ...]:
+    """The comma-separated entries of ``flag``, each parsed as ``kind`` (int or float)."""
+    values = []
+    for entry in text.split(","):
+        try:
+            values.append(kind(entry))
+        except ValueError:
+            expected = "an integer" if kind is int else "a number"
+            raise UsageError(f"{flag} entry {entry!r} is not {expected}") from None
+    return tuple(values)
+
+
 def _write(out: str | None, body: str | Callable[[Any], None], summary: str = "") -> None:
     """Write ``body`` to ``out`` and ``summary`` to ``<out>.summary.csv``, or both
     to stdout when there is no ``out``.  A callable ``body`` writes itself to the
@@ -222,7 +234,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     market = _market_config(args, doc)
 
     if args.k_list:
-        k_values = tuple(int(v) for v in args.k_list.split(","))
+        k_values = _split_flag(int, "--k-list", args.k_list)
     elif "k_values" in grid and args.k_min is None and args.k_max is None:
         k_values = _convert_list(int, "k_values", grid["k_values"])
     else:
@@ -230,7 +242,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         k_max = args.k_max if args.k_max is not None else min(10, market.m)
         k_values = tuple(range(k_min, k_max + 1))
     if args.deltas:
-        deltas = tuple(float(v) for v in args.deltas.split(","))
+        deltas = _split_flag(float, "--deltas", args.deltas)
     else:
         deltas = _convert_list(float, "deltas", grid.get("deltas", [0.0]))
     reps = args.reps if args.reps is not None else grid.get("reps", grid.get("replications", 1))

@@ -127,7 +127,6 @@ def estimate_acceptance(
     config: MarketConfig,
     n_sim: int = 10_000,
     trials: int = 8,
-    rng: np.random.Generator | None = None,
 ) -> AcceptanceEstimate:
     """Estimate the accepted fraction of each proposal rank by Monte Carlo.
 
@@ -135,15 +134,15 @@ def estimate_acceptance(
     ``m_ratio * n_sim`` uniformly random universities, draws their signals
     (rank-1 proposals from the special distribution), and lets every
     university accept its top-``capacity`` proposals.  Fractions are
-    normalized by ``n_sim``.
+    normalized by ``n_sim``.  The trials draw in turn from
+    ``default_rng(config.seed)``.
 
     Unlike a full rank vector, the input may be all-zero; it only has to
     be nonincreasing with entries in [0, 1].
     """
     fractions = _validate_rank_fractions(rank_fractions, config.k, leading_one=False)
     _check_sampling(n_sim, trials)
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(config.seed)
 
     m_sim = max(1, round(config.m_ratio * n_sim))
     counts = np.floor(fractions * n_sim).astype(np.int64)
@@ -295,9 +294,10 @@ def _large_market_acceptance(
 
 
 def _sampled_acceptance(
-    config: MarketConfig, n_sim: int, rng: np.random.Generator | None
+    config: MarketConfig, n_sim: int
 ) -> Callable[[float], tuple[float, float]]:
-    """The rates of ``_large_market_acceptance`` from ``n_sim`` draws of each signal kind.
+    """The rates of ``_large_market_acceptance`` from ``n_sim`` draws of each signal
+    kind, taken from ``default_rng(config.seed)``.
 
     One university ranks the pooled draws, so ties break as in a market.  A
     draw's rival tails count the draws of each kind ranked above it, itself
@@ -305,8 +305,7 @@ def _sampled_acceptance(
     over its own kind's draws.  The half makes the accepted mass p_1 + S p_r
     a midpoint sum, equal to ``expected_accepted_mass`` to O(n_sim**-2).
     """
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(config.seed)
     special = np.repeat([True, False], n_sim)
     signals = config.signal.draw_batch(special, rng)
     tiebreaks = rng.random(2 * n_sim)
@@ -410,7 +409,6 @@ def solve_general(
     tol: float = 0.01,
     max_iter: int = 80,
     n_sim: int = 20_000,
-    rng: np.random.Generator | None = None,
 ) -> SolverResult:
     """Solve the rank-fraction system for any signal model.
 
@@ -425,11 +423,11 @@ def solve_general(
 
     For iid and Gaussian signals the rates come from the quadrature of
     ``_large_market_acceptance`` (method "quadrature-bisection"), and
-    ``n_sim`` and ``rng`` are unused.  Custom samplers get the same rates
-    from ``n_sim`` draws of each signal distribution (``_sampled_acceptance``,
-    method "sampled-bisection"), taken from ``rng`` or, when it is None,
-    from the config seed; the solution is deterministic for a given
-    generator and carries sampling error of order n_sim**-0.5.
+    ``n_sim`` is unused.  Custom samplers get the same rates from ``n_sim``
+    draws of each signal distribution (``_sampled_acceptance``, method
+    "sampled-bisection"), taken from the config seed; the solution is
+    deterministic for a given configuration and carries sampling error of
+    order n_sim**-0.5.
 
     Raises ConvergenceError with the last iterate when the worst
     consistency gap is still above ``tol`` after ``max_iter`` steps.
@@ -437,7 +435,7 @@ def solve_general(
     _check_stopping(tol, max_iter)
     _check_sampling(n_sim)
     if config.signal.kind == "custom":
-        acceptance = _sampled_acceptance(config, n_sim, rng)
+        acceptance = _sampled_acceptance(config, n_sim)
         return _solve_by_bisection(config, tol, max_iter, acceptance, "sampled-bisection")
     acceptance = _large_market_acceptance(config.signal.delta, config.m_ratio, config.capacity)
     return _solve_by_bisection(config, tol, max_iter, acceptance, "quadrature-bisection")

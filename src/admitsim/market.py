@@ -50,20 +50,37 @@ class ConfigurationError(ValueError):
     """A market configuration violates its invariants."""
 
 
-def _convert(kind: type, name: str, value: Any) -> Any:
+def _convert(
+    kind: type, name: str, value: Any, error: type[ValueError] = ConfigurationError
+) -> Any:
     """``kind(value)``, where ``kind`` is int or float, for a configuration field.
 
     The conversion must not change the value, so strings, booleans and
-    fractional numbers are rejected rather than parsed or truncated.
+    fractional numbers are rejected, with ``error``, rather than parsed or
+    truncated.
     """
     try:
         converted = kind(value)
-        if converted == value and not isinstance(value, bool):
+        if converted == value and not isinstance(value, (bool, np.bool_)):
             return converted
     except (TypeError, ValueError, OverflowError):
         pass
     expected = "an integer" if kind is int else "a number"
-    raise ConfigurationError(f"{name} must be {expected}, got {value!r}")
+    raise error(f"{name} must be {expected}, got {value!r}")
+
+
+def _id_table(name: str, table: Any, error: type[ValueError] = ConfigurationError) -> np.ndarray:
+    """``table`` as an int64 array of ids, each entry checked by ``_convert``.
+
+    An int64 array is returned as it is, in O(1).  Any other table is
+    converted entry by entry, so an integral float passes and a bool,
+    string, object, fractional or non-finite entry raises ``error``.
+    """
+    if isinstance(table, np.ndarray) and table.dtype == np.int64:
+        return table
+    entries = np.asarray(table, dtype=object)
+    ids = [_convert(int, f"{name} entry", value, error) for value in entries.flat]
+    return np.array(ids, dtype=np.int64).reshape(entries.shape)
 
 
 def _json_object(
@@ -167,13 +184,11 @@ class _StateWords(np.random.bit_generator.ISeedSequence):
     def __init__(self, words: np.ndarray) -> None:
         self.words = words  # uint64
 
-    def generate_state(self, n_words: int, dtype: Any = np.uint32) -> np.ndarray:
-        words = self.words
-        if np.dtype(dtype) == np.uint32:
-            words = words.astype("<u8").view("<u4")
-        if n_words > words.size:
-            raise ValueError(f"only {words.size} state words were computed")
-        return words[:n_words].astype(dtype)
+    def generate_state(self, n_words: int, dtype: Any = np.uint64) -> np.ndarray:
+        """The first ``n_words`` words; PCG64 asks for four uint64 words."""
+        if np.dtype(dtype) != np.uint64 or n_words > self.words.size:
+            raise ValueError(f"only {self.words.size} uint64 state words were computed")
+        return self.words[:n_words].copy()
 
 
 def _seeded_generator(words: np.ndarray) -> np.random.Generator:
@@ -203,12 +218,15 @@ class SignalSpec:
             raise ConfigurationError(f"unknown signal kind: {self.kind!r}")
         if self.kind == "gaussian" and not 0.0 <= self.delta < math.inf:
             raise ConfigurationError("gaussian signal shift must be finite and >= 0")
-        if self.kind == "iid":
+        if self.kind != "gaussian":
             if self.delta != 0.0:
-                raise ConfigurationError("iid signals take no shift")
+                raise ConfigurationError(f"{self.kind} signals take no shift, got {self.delta!r}")
             object.__setattr__(self, "delta", 0.0)  # not -0.0, which tables print as "-0"
-        for name in ("special", "regular") if self.kind == "custom" else ():
-            if not callable(sampler := getattr(self, f"{name}_sampler")):
+        for name in ("special", "regular"):
+            sampler = getattr(self, f"{name}_sampler")
+            if self.kind != "custom" and sampler is not None:
+                raise ConfigurationError(f"{self.kind} signals take no {name}_sampler")
+            if self.kind == "custom" and not callable(sampler):
                 raise ConfigurationError(f"{name} sampler is not callable: {sampler!r}")
 
     @classmethod
@@ -488,7 +506,7 @@ class MarketInstance:
         tiebreaks: np.ndarray,
         blocks: int = 1,
     ) -> None:
-        prefs = np.ascontiguousarray(prefs, dtype=np.int64)
+        prefs = np.ascontiguousarray(_id_table("preference table", prefs))
         signals = np.ascontiguousarray(signals, dtype=np.float64)
         tiebreaks = np.ascontiguousarray(tiebreaks, dtype=np.float64)
         n, m, k = config.n, config.m, config.k
@@ -613,13 +631,11 @@ class MarketInstance:
         return cls(config, prefs, signals, tiebreaks)
 
 
-def sample_market(config: MarketConfig, rng: np.random.Generator | None = None) -> MarketInstance:
-    """Sample one market instance.
-
-    With ``rng=None`` the generator is seeded from ``config.seed``, so
+def sample_market(config: MarketConfig) -> MarketInstance:
+    """Sample one market instance from ``default_rng(config.seed)``, so
     identical configurations produce bit-identical instances.
     """
-    return _sample_stack(config, [config.seed if rng is None else rng])
+    return _sample_stack(config, [config.seed])
 
 
 def _sample_stack(config: MarketConfig, seeds: Sequence[Any]) -> MarketInstance:
@@ -734,10 +750,10 @@ def _throw_proposals(
 def build_seeded_plan(
     rank_fractions: Any,
     config: MarketConfig,
-    rng: np.random.Generator | None = None,
     slack: float | None = None,
 ) -> SeededProposalPlan:
-    """Draw pre-made proposals per rank and label acceptances.
+    """Draw pre-made proposals per rank, from ``default_rng(config.seed)``,
+    and label acceptances.
 
     For each rank i, ``floor(fraction_i * n - slack)`` proposals are thrown
     at uniformly random universities (slack defaults to n**0.6).  Each
@@ -750,8 +766,7 @@ def build_seeded_plan(
     proposals are assigned first and the surplus stays unassigned; this
     keeps the accepted labels binding for the students that do hold them.
     """
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(config.seed)
     n, m, k = config.n, config.m, config.k
     fractions = _validate_rank_fractions(rank_fractions, k)
     if slack is None:
@@ -828,10 +843,9 @@ def build_seeded_plan(
     )
 
 
-def complete_instance(
-    plan: SeededProposalPlan, rng: np.random.Generator | None = None
-) -> MarketInstance:
-    """Fill a seeded plan out into a full market instance.
+def complete_instance(plan: SeededProposalPlan) -> MarketInstance:
+    """Fill a seeded plan out into a full market instance, drawing from
+    ``default_rng(child_seed(plan.config.seed, 1))``.
 
     Assigned proposals become the prefix of each student's list, keeping
     their signals and tiebreaks.  The remaining ranks (the holes) are drawn
@@ -846,8 +860,7 @@ def complete_instance(
     ``flatnonzero``.
     """
     config = plan.config
-    if rng is None:
-        rng = np.random.default_rng(child_seed(config.seed, 1))
+    rng = np.random.default_rng(child_seed(config.seed, 1))
     n, m, k = config.n, config.m, config.k
     prefs = np.full(n * k, -1, dtype=np.int64)
     signals = np.zeros(n * k, dtype=np.float64)

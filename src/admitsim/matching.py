@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market import MarketInstance, SeededProposalPlan
+from .market import MarketInstance, SeededProposalPlan, _convert, _id_table
 
 __all__ = [
     "InvalidMatchingError",
@@ -41,14 +41,15 @@ class Matching:
     __slots__ = ("partner", "n_universities")
 
     def __init__(self, partner: np.ndarray | Sequence[int], n_universities: int) -> None:
-        arr = np.array(partner, dtype=np.int64, copy=True)
+        arr = _id_table("partner table", partner, InvalidMatchingError).copy()
+        n_universities = _convert(int, "n_universities", n_universities, InvalidMatchingError)
         if arr.ndim != 1:
             raise InvalidMatchingError("partner table must be one-dimensional")
         if arr.size and (arr.min() < -1 or arr.max() >= n_universities):
             raise InvalidMatchingError("university ids out of range")
         arr.setflags(write=False)
         self.partner = arr
-        self.n_universities = int(n_universities)
+        self.n_universities = n_universities
 
     @property
     def n(self) -> int:

@@ -103,9 +103,16 @@ class TestComputeUtilities:
             UtilityModel(**{field: value})
 
     @pytest.mark.parametrize("field", ["base", "university_base"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("value", [5, "x"])
+    def test_base_must_be_callable(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be callable, got {value!r}$"):
+            UtilityModel(**{field: value})
+
+    @pytest.mark.parametrize("field", ["base", "university_base"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "1", True, None])
     def test_base_values_must_be_finite(self, field, value):
-        # a NaN also slips past the nonincreasing check; -inf passes it outright
+        # a NaN also slips past the nonincreasing check; -inf passes it outright;
+        # a string or None would fail the sums with a bare TypeError, a bool count as 1
         inst = sample_market(MarketConfig(n=4, m_ratio=1.0, k=3, seed=1))
         model = UtilityModel(**{field: lambda r: value if r == 3 else 1.0})
         with pytest.raises(ValueError, match=f"^{field} utility must be finite"):

@@ -223,6 +223,18 @@ class TestSweep:
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize(
+        "flag,text,message",
+        [("--k-list", "1,,2", "--k-list entry '' is not an integer"),
+         ("--k-list", "2,1.5", "--k-list entry '1.5' is not an integer"),
+         ("--deltas", "0,abc", "--deltas entry 'abc' is not a number")],
+    )
+    def test_bad_list_entry_is_named(self, tmp_path, capsys, flag, text, message):
+        out = tmp_path / "x.csv"
+        code, _, err = run(capsys, "sweep", "--n", "4", flag, text, "--out", str(out))
+        assert (code, err) == (2, f"error: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "flags,k_values",
         [
             ([], [1]),

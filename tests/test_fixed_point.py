@@ -273,7 +273,7 @@ def assert_chain_agrees_with_monte_carlo(y, config: MarketConfig) -> None:
     """Each rank fraction is the previous one minus its accepted fraction,
     as ``estimate_acceptance`` measures it at y, within 4 standard errors
     plus the finite market's bias."""
-    est = estimate_acceptance(y, config, n_sim=40_000, trials=8, rng=np.random.default_rng(8))
+    est = estimate_acceptance(y, dataclasses.replace(config, seed=8), n_sim=40_000, trials=8)
     for i in range(1, config.k):
         assert abs(y[i] - (y[i - 1] - est.fractions[i - 1])) <= 4 * est.std_errors[i - 1] + 5e-4
 
@@ -324,7 +324,7 @@ class TestLargeMarketAcceptance:
         y = 0.7 ** np.arange(k)
         first, later = _large_market_acceptance(delta, m_ratio, capacity)(y[1:].sum())
         model = y * np.array([first] + [later] * (k - 1))
-        est = estimate_acceptance(y, cfg, n_sim=40_000, trials=6, rng=np.random.default_rng(21))
+        est = estimate_acceptance(y, dataclasses.replace(cfg, seed=21), n_sim=40_000, trials=6)
         for a, mc, se in zip(model, est.fractions, est.std_errors):
             assert abs(a - mc) <= 4 * se + 5e-4
 
@@ -469,7 +469,7 @@ class TestSampledAcceptance:
         # about 2e-8; near saturation (m_ratio 0.5, S near 9) the exact mass
         # rises by only 4e-10 per step, so a step may dip by that error
         cfg = MarketConfig(n=100, m_ratio=m_ratio, capacity=capacity, k=2, signal=signal, seed=0)
-        acceptance = _sampled_acceptance(cfg, 20_000, None)
+        acceptance = _sampled_acceptance(cfg, 20_000)
         assert_excess_has_one_root(acceptance, m_ratio, capacity, dip=1e-9)
 
 
@@ -518,7 +518,7 @@ class TestSolveGeneral:
         cfg = MarketConfig(n=100, k=4, seed=1)
         result = solve_general(cfg, tol=0.005, n_sim=20_000)
         y = result.rank_fractions.fractions
-        est = estimate_acceptance(y, cfg, n_sim=40_000, trials=8, rng=np.random.default_rng(77))
+        est = estimate_acceptance(y, dataclasses.replace(cfg, seed=77), n_sim=40_000, trials=8)
         for i in range(1, cfg.k):
             assert abs(y[i] - (y[i - 1] - est.fractions[i - 1])) < 0.01
         # accepted mass stays within feasibility bounds at the fixed point
@@ -576,10 +576,10 @@ class TestSolveGeneral:
         y = sampled.rank_fractions.fractions
         assert y == pytest.approx(solve_general(base).rank_fractions.fractions, abs=2e-3)
         assert_chain_agrees_with_monte_carlo(y, custom)
-        # deterministic for a given config and generator
+        # deterministic for a given config, and its seed is its stream
         assert solve_general(custom) == sampled
-        again = solve_general(custom, rng=np.random.default_rng(11))
-        assert again == solve_general(custom, rng=np.random.default_rng(11)) != sampled
+        again = solve_general(dataclasses.replace(custom, seed=11))
+        assert again == solve_general(dataclasses.replace(custom, seed=11)) != sampled
 
     def test_tied_custom_signals_solve_consistently(self):
         # the sampler of test_matching's tie test; ties break by tiebreak, as in a market
@@ -637,7 +637,8 @@ class TestThrowProposals:
         cfg = MarketConfig(n=500, m_ratio=0.5, capacity=2, k=3,
                            signal=SignalSpec.gaussian(1.0), seed=0)
         y = (1.0, 0.6, 0.3)
-        est = estimate_acceptance(y, cfg, n_sim=cfg.n, trials=1, rng=np.random.default_rng(5))
-        plan = build_seeded_plan(y, cfg, rng=np.random.default_rng(5), slack=0.0)
+        seeded = dataclasses.replace(cfg, seed=5)
+        est = estimate_acceptance(y, seeded, n_sim=cfg.n, trials=1)
+        plan = build_seeded_plan(y, seeded, slack=0.0)
         accepted = np.bincount(plan.proposal_rank[plan.proposal_accepted] - 1, minlength=3)
         assert est.fractions == tuple(float(c) for c in accepted / cfg.n)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 import math
 import re
@@ -10,6 +11,7 @@ import re
 import numpy as np
 import pytest
 
+import admitsim
 from admitsim import (
     ConfigurationError,
     MarketConfig,
@@ -167,6 +169,42 @@ class TestConfigValidation:
     def test_custom_needs_both_samplers(self):
         with pytest.raises(ConfigurationError):
             SignalSpec(kind="custom", special_sampler=lambda rng, size: np.ones(size))
+
+    @pytest.mark.parametrize(
+        "fields,message",
+        [
+            ({"kind": "gaussian", "delta": 1.0, "special_sampler": 5},
+             "gaussian signals take no special_sampler"),
+            ({"kind": "iid", "regular_sampler": lambda rng, size: np.ones(size)},
+             "iid signals take no regular_sampler"),
+            ({"kind": "custom", "delta": 2.0, "special_sampler": lambda rng, size: np.ones(size),
+              "regular_sampler": lambda rng, size: np.ones(size)},
+             "custom signals take no shift, got 2.0"),
+        ],
+    )
+    def test_fields_the_kind_ignores_are_refused(self, fields, message):
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            SignalSpec(**fields)
+
+    @pytest.mark.parametrize(
+        "prefs,entry",
+        [([[0.9], [1.2]], "0.9"), ([["0"], ["1"]], "'0'"), ([[0], [True]], "True"),
+         (np.array([[0.0], [np.nan]]), "nan"), (np.array([[True], [False]]), "True"),
+         ([[0], [None]], "None"), ([[0], [1, 2]], r"\[0\]")],
+    )
+    def test_preference_ids_must_be_integers(self, prefs, entry):
+        config, table = MarketConfig(n=2, m_ratio=1.5, k=1), np.zeros((2, 1))
+        message = f"^preference table entry must be an integer, got {entry}$"
+        with pytest.raises(ConfigurationError, match=message):
+            MarketInstance(config, prefs, table, table)
+
+    def test_integral_preference_ids_pass(self):
+        config, table = MarketConfig(n=2, m_ratio=1.5, k=1), np.zeros((2, 1))
+        for prefs in ([[0.0], [2.0]], np.array([[0], [2]], dtype=np.uint8)):
+            assert MarketInstance(config, prefs, table, table).prefs.tolist() == [[0], [2]]
+        # an int64 table is taken as it is, with no pass over its entries
+        ids = np.array([[0], [2]])
+        assert market._id_table("preference table", ids) is ids
 
 
 class TestSampling:
@@ -455,13 +493,19 @@ class TestChildStreams:
         seeds, _ = market._child_streams(root, first, 4)
         assert seeds == [child_seed(root, first + i) for i in range(4)]
 
-    def test_state_words_as_uint32(self):
-        seed = child_seed(3, 4)
+    @pytest.mark.parametrize("n_words,dtype", [(5, np.uint64), (4, np.uint32)])
+    def test_state_words_serve_only_those_computed(self, n_words, dtype):
         _, words = market._child_streams(3, 4, 1)
-        got = market._StateWords(words[0]).generate_state(5)
-        assert np.array_equal(got, np.random.SeedSequence(seed).generate_state(5))
-        with pytest.raises(ValueError, match="only 8 state words"):
-            market._StateWords(words[0]).generate_state(9)
+        with pytest.raises(ValueError, match="only 4 uint64 state words"):
+            market._StateWords(words[0]).generate_state(n_words, dtype)
+
+
+def test_no_public_callable_takes_a_generator():
+    # a result's seed is its only stream, so every row comes back from its seed
+    for name in admitsim.__all__:
+        obj = getattr(admitsim, name)
+        if callable(obj) and not (isinstance(obj, type) and issubclass(obj, Exception)):
+            assert "rng" not in inspect.signature(obj).parameters, name
 
 
 class TestSignals:
@@ -489,9 +533,8 @@ class TestSignals:
     def test_special_signal_gap_at_shift_three(self):
         spec = SignalSpec.gaussian(3.0)
         rank1, other = [], []
-        rng = np.random.default_rng(8)
         for seed in range(5):
-            inst = sample_market(MarketConfig(n=1000, k=3, signal=spec, seed=seed), rng)
+            inst = sample_market(MarketConfig(n=1000, k=3, signal=spec, seed=seed))
             rank1.extend(inst.signals[:, 0].tolist())
             other.extend(inst.signals[:, 1:].ravel().tolist())
         assert abs(np.mean(rank1) - np.mean(other) - 3.0) < 0.1

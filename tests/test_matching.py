@@ -440,3 +440,29 @@ class TestCsv:
         assert lines[0] == "student_id,university_id,rank"
         assert lines[1] == "0,0,1"
         assert lines[2] == "1,NULL,NULL"
+
+
+class TestMatchingIds:
+    """A matching keeps the ids it is given, or refuses them by name."""
+
+    @pytest.mark.parametrize(
+        "partner,entry",
+        [([0, 1.7, -1], "1.7"), (["2", True], "'2'"), ([0, True], "True"),
+         ([0, float("nan")], "nan"), (np.array([0.0, np.inf]), "inf"),
+         (np.array([True, False]), "True"), ([0, None], "None")],
+    )
+    def test_entries_that_are_not_integers_are_refused(self, partner, entry):
+        with pytest.raises(InvalidMatchingError,
+                           match=f"^partner table entry must be an integer, got {entry}$"):
+            Matching(partner, 3)
+
+    @pytest.mark.parametrize("n_universities", [2.5, True, "3", None])
+    def test_university_count_must_be_an_integer(self, n_universities):
+        with pytest.raises(InvalidMatchingError, match="^n_universities must be an integer"):
+            Matching([0, -1], n_universities)
+
+    def test_integral_ids_pass_unchanged(self):
+        for partner in ([0, 1.0, -1], np.array([0, 1, -1], dtype=np.int32), np.array([0, 1, -1])):
+            matching = Matching(partner, 3.0)
+            assert matching.partner.tolist() == [0, 1, -1] and matching.n_universities == 3
+            assert matching.partner.dtype == np.int64 and type(matching.n_universities) is int
