@@ -52,7 +52,8 @@ class UtilityModel:
             if not callable(value) and (value is not None or name == "base"):
                 raise ValueError(f"{name} must be callable, got {value!r}")
         for name, value in (("bonus", self.bonus), ("university_bonus", self.university_bonus)):
-            valid = isinstance(value, numbers.Real) and 0 <= value < math.inf
+            valid = (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                     and 0 <= value < math.inf)
             if not valid and (value is not None or name == "bonus"):
                 raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
 

@@ -29,6 +29,7 @@ import numpy as np
 
 from .market import (
     MarketConfig,
+    _convert,
     _rank_within_universities,
     _throw_proposals,
     _validate_rank_fractions,
@@ -115,11 +116,14 @@ class SolverResult:
         }
 
 
-def _check_sampling(n_sim: int, trials: int = 1) -> None:
+def _check_sampling(n_sim: int, trials: int = 1) -> tuple[int, int]:
+    n_sim = _convert(int, "n_sim", n_sim, ValueError)
+    trials = _convert(int, "trials", trials, ValueError)
     if n_sim < 100:
         raise ValueError("n_sim must be at least 100")
     if trials < 1:
         raise ValueError("trials must be positive")
+    return n_sim, trials
 
 
 def estimate_acceptance(
@@ -141,7 +145,7 @@ def estimate_acceptance(
     be nonincreasing with entries in [0, 1].
     """
     fractions = _validate_rank_fractions(rank_fractions, config.k, leading_one=False)
-    _check_sampling(n_sim, trials)
+    n_sim, trials = _check_sampling(n_sim, trials)
     rng = np.random.default_rng(config.seed)
 
     m_sim = max(1, round(config.m_ratio * n_sim))
@@ -182,7 +186,8 @@ def expected_accepted_mass(
         raise ValueError("proposal mass must be finite and nonnegative")
     if not 0.0 < m_ratio < math.inf:
         raise ValueError("m_ratio must be finite and positive")
-    if not isinstance(capacity, int) or capacity < 1:
+    capacity = _convert(int, "capacity", capacity, ValueError)
+    if capacity < 1:
         raise ValueError("capacity must be a positive integer")
     if x == 0.0:
         return 0.0
@@ -333,11 +338,13 @@ def _rank_chain(first: float, later: float, k: int) -> np.ndarray:
     return y
 
 
-def _check_stopping(tol: float, max_iter: int) -> None:
+def _check_stopping(tol: float, max_iter: int) -> int:
     if not tol > 0:
         raise ValueError("tol must be positive")
+    max_iter = _convert(int, "max_iter", max_iter, ValueError)
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
+    return max_iter
 
 
 def _solve_by_bisection(config: MarketConfig, tol: float, max_iter: int,
@@ -395,7 +402,7 @@ def solve_iid(config: MarketConfig, tol: float = 1e-10, max_iter: int = 200) -> 
     """
     if not config.signal.is_iid_equivalent:
         raise ValueError("solve_iid requires identically distributed signals")
-    _check_stopping(tol, max_iter)
+    max_iter = _check_stopping(tol, max_iter)
 
     def acceptance(s: float) -> tuple[float, float]:
         rate = expected_accepted_mass(1.0 + s, config.m_ratio, config.capacity) / (1.0 + s)
@@ -432,8 +439,8 @@ def solve_general(
     Raises ConvergenceError with the last iterate when the worst
     consistency gap is still above ``tol`` after ``max_iter`` steps.
     """
-    _check_stopping(tol, max_iter)
-    _check_sampling(n_sim)
+    max_iter = _check_stopping(tol, max_iter)
+    n_sim, _ = _check_sampling(n_sim)
     if config.signal.kind == "custom":
         acceptance = _sampled_acceptance(config, n_sim)
         return _solve_by_bisection(config, tol, max_iter, acceptance, "sampled-bisection")

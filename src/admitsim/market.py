@@ -35,9 +35,6 @@ SignalSampler = Callable[[np.random.Generator, int], "np.typing.ArrayLike"]
 
 _MAX_SEED = 2**64
 
-# Fixed stream index used when tiebreaks must be re-derived (JSON reload).
-_TIEBREAK_STREAM = 0x7EB
-
 # Rounds of row rejection in ``_fill_distinct`` before the key sort takes over.
 _REJECTION_ROUNDS = 64
 
@@ -69,18 +66,28 @@ def _convert(
     raise error(f"{name} must be {expected}, got {value!r}")
 
 
-def _id_table(name: str, table: Any, error: type[ValueError] = ConfigurationError) -> np.ndarray:
-    """``table`` as an int64 array of ids, each entry checked by ``_convert``.
+def _id_table(
+    name: str, table: Any, error: type[ValueError] = ConfigurationError, kind: type = int
+) -> np.ndarray:
+    """``table`` as an int64 array of ids, or with ``kind=float`` a float64
+    array of values, each entry checked by ``_convert``.
 
-    An int64 array is returned as it is, in O(1).  Any other table is
-    converted entry by entry, so an integral float passes and a bool,
-    string, object, fractional or non-finite entry raises ``error``.
+    An array of that dtype is returned as it is, in O(1).  Any other table
+    is converted entry by entry, so an integral float or int passes and a
+    bool, string, ``None``, object or ragged entry raises ``error``, as does
+    a fractional or non-finite id.  A NaN value passes, as it does in a
+    float64 array.
     """
-    if isinstance(table, np.ndarray) and table.dtype == np.int64:
+    dtype = np.int64 if kind is int else np.float64
+    if isinstance(table, np.ndarray) and table.dtype == dtype:
         return table
     entries = np.asarray(table, dtype=object)
-    ids = [_convert(int, f"{name} entry", value, error) for value in entries.flat]
-    return np.array(ids, dtype=np.int64).reshape(entries.shape)
+    values = [
+        value if kind is float and isinstance(value, (float, np.floating)) and math.isnan(value)
+        else _convert(kind, f"{name} entry", value, error)
+        for value in entries.flat
+    ]
+    return np.array(values, dtype=dtype).reshape(entries.shape)
 
 
 def _json_object(
@@ -216,12 +223,14 @@ class SignalSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("iid", "gaussian", "custom"):
             raise ConfigurationError(f"unknown signal kind: {self.kind!r}")
+        if not isinstance(self.delta, numbers.Real) or isinstance(self.delta, bool):
+            raise ConfigurationError(f"signal shift must be a number, got {self.delta!r}")
         if self.kind == "gaussian" and not 0.0 <= self.delta < math.inf:
             raise ConfigurationError("gaussian signal shift must be finite and >= 0")
-        if self.kind != "gaussian":
-            if self.delta != 0.0:
-                raise ConfigurationError(f"{self.kind} signals take no shift, got {self.delta!r}")
-            object.__setattr__(self, "delta", 0.0)  # not -0.0, which tables print as "-0"
+        if self.kind != "gaussian" and self.delta != 0.0:
+            raise ConfigurationError(f"{self.kind} signals take no shift, got {self.delta!r}")
+        # a float, and 0.0 rather than -0.0, which tables print as "-0"
+        object.__setattr__(self, "delta", float(self.delta) if self.kind == "gaussian" else 0.0)
         for name in ("special", "regular"):
             sampler = getattr(self, f"{name}_sampler")
             if self.kind != "custom" and sampler is not None:
@@ -235,7 +244,7 @@ class SignalSpec:
 
     @classmethod
     def gaussian(cls, delta: float) -> "SignalSpec":
-        return cls(kind="gaussian", delta=float(delta))
+        return cls(kind="gaussian", delta=delta)
 
     @classmethod
     def custom(cls, special: SignalSampler, regular: SignalSampler) -> "SignalSpec":
@@ -274,14 +283,10 @@ class SignalSpec:
             out[mask] = values
         return out
 
-    def to_json_dict(self) -> dict[str, Any]:
-        if self.kind == "custom":
-            raise ConfigurationError("custom signal specs are not serializable")
-        return {"kind": self.kind, "delta": self.delta}
-
     @classmethod
     def from_json_dict(cls, data: dict[str, Any]) -> "SignalSpec":
-        """Inverse of ``to_json_dict``; the shift defaults to 0."""
+        """A spec from a JSON object ``{"kind": ..., "delta": ...}``, the "signal"
+        object of a market configuration document; the shift defaults to 0."""
         _json_object("signal", data, ("kind", "delta"), required=("kind",))
         return cls(kind=data["kind"], delta=_convert(float, "signal delta", data.get("delta", 0.0)))
 
@@ -330,19 +335,10 @@ class MarketConfig:
     def m(self) -> int:
         return round(self.m_ratio * self.n)
 
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "n": self.n,
-            "m_ratio": self.m_ratio,
-            "capacity": self.capacity,
-            "k": self.k,
-            "signal": self.signal.to_json_dict(),
-            "seed": self.seed,
-        }
-
     @classmethod
     def from_json_dict(cls, data: dict[str, Any]) -> "MarketConfig":
-        """Inverse of ``to_json_dict``; every field but ``n`` has its default.
+        """A configuration from a JSON object of its fields, the document that
+        the CLI's ``--config`` reads; every field but ``n`` has its default.
 
         Shorthands: "signal" may be a kind name, and a top-level "delta" is
         the shift wherever "signal" sets none.  A kind left unnamed is
@@ -507,8 +503,11 @@ class MarketInstance:
         blocks: int = 1,
     ) -> None:
         prefs = np.ascontiguousarray(_id_table("preference table", prefs))
-        signals = np.ascontiguousarray(signals, dtype=np.float64)
-        tiebreaks = np.ascontiguousarray(tiebreaks, dtype=np.float64)
+        signals = np.ascontiguousarray(_id_table("signal table", signals, kind=float))
+        tiebreaks = np.ascontiguousarray(_id_table("tiebreak table", tiebreaks, kind=float))
+        blocks = _convert(int, "blocks", blocks)
+        if blocks < 1:
+            raise ConfigurationError(f"blocks must be positive, got {blocks}")
         n, m, k = config.n, config.m, config.k
         if prefs.shape != (n, k) or signals.shape != (n, k) or tiebreaks.shape != (n, k):
             raise ConfigurationError("preference/signal tables must be (n, k)")
@@ -563,72 +562,6 @@ class MarketInstance:
 
     def __repr__(self) -> str:
         return f"MarketInstance(n={self.n}, m={self.m}, k={self.k}, L={self.capacity})"
-
-    def to_json_dict(self) -> dict[str, Any]:
-        """Schema: config object, preference lists, sparse signal triples."""
-        triples = [
-            [int(self.prefs[s, r]), s, float(self.signals[s, r])]
-            for s in range(self.n)
-            for r in range(self.k)
-        ]
-        return {
-            "config": self.config.to_json_dict(),
-            "preferences": self.prefs.tolist(),
-            "signals": triples,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict[str, Any]) -> "MarketInstance":
-        """Rebuild an instance from its JSON document.
-
-        Tiebreaks are not part of the schema; they are re-derived
-        deterministically from the config seed.  With continuous signal
-        distributions ties have probability zero, so reloaded instances
-        behave identically.  The document holds exactly the three fields
-        that ``to_json_dict`` writes; a missing or unknown one raises a
-        ConfigurationError that names it.
-        """
-        keys = ("config", "preferences", "signals")
-        _json_object("market instance", data, keys, required=keys)
-        for key in keys[1:]:
-            if not isinstance(data[key], (list, tuple)):
-                raise ConfigurationError(f"{key} is not a list: {data[key]!r}")
-        config = MarketConfig.from_json_dict(data["config"])
-        rows = []
-        for s, row in enumerate(data["preferences"]):
-            if not isinstance(row, (list, tuple)):
-                raise ConfigurationError(f"preference row {s} is not a list: {row!r}")
-            if len(row) != config.k:
-                raise ConfigurationError(
-                    f"preference row {s} lists {len(row)} universities, not k = {config.k}"
-                )
-            rows.append([_convert(int, f"preference row {s} entry {r}", u)
-                         for r, u in enumerate(row)])
-        prefs = np.array(rows, dtype=np.int64).reshape(-1, config.k)
-        table: dict[tuple[int, int], float] = {}
-        for i, entry in enumerate(data["signals"]):
-            if not isinstance(entry, (list, tuple)) or len(entry) != 3:
-                raise ConfigurationError(
-                    f"signal entry {i} is not a [university, student, signal] triple: {entry!r}"
-                )
-            u = _convert(int, f"signal entry {i} university", entry[0])
-            s = _convert(int, f"signal entry {i} student", entry[1])
-            v = _convert(float, f"signal entry {i} signal", entry[2])
-            if (u, s) in table:
-                raise ConfigurationError(f"two signals for university {u}, student {s}")
-            table[u, s] = v
-        listed = [(u, s) for s, row in enumerate(prefs.tolist()) for u in row]
-        for u, s in listed:
-            if (u, s) not in table:
-                raise ConfigurationError(f"no signal for university {u}, student {s}")
-        unlisted = sorted(table.keys() - set(listed))
-        if unlisted:
-            u, s = unlisted[0]
-            raise ConfigurationError(f"a signal for university {u}, student {s}, not on her list")
-        signals = np.array([table[pair] for pair in listed], dtype=np.float64).reshape(prefs.shape)
-        rng = np.random.default_rng(child_seed(config.seed, _TIEBREAK_STREAM))
-        tiebreaks = rng.random((config.n, config.k))
-        return cls(config, prefs, signals, tiebreaks)
 
 
 def sample_market(config: MarketConfig) -> MarketInstance:
@@ -769,8 +702,7 @@ def build_seeded_plan(
     rng = np.random.default_rng(config.seed)
     n, m, k = config.n, config.m, config.k
     fractions = _validate_rank_fractions(rank_fractions, k)
-    if slack is None:
-        slack = float(n) ** 0.6
+    slack = float(n) ** 0.6 if slack is None else _convert(float, "slack", slack, ValueError)
     if not 0 <= slack < math.inf:
         raise ValueError("slack must be finite and nonnegative")
 

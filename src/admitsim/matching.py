@@ -43,6 +43,8 @@ class Matching:
     def __init__(self, partner: np.ndarray | Sequence[int], n_universities: int) -> None:
         arr = _id_table("partner table", partner, InvalidMatchingError).copy()
         n_universities = _convert(int, "n_universities", n_universities, InvalidMatchingError)
+        if n_universities < 0:
+            raise InvalidMatchingError(f"n_universities must be nonnegative, got {n_universities}")
         if arr.ndim != 1:
             raise InvalidMatchingError("partner table must be one-dimensional")
         if arr.size and (arr.min() < -1 or arr.max() >= n_universities):

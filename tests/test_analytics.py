@@ -102,6 +102,11 @@ class TestComputeUtilities:
         with pytest.raises(ValueError, match=f"^{field} must be a finite number >= 0, got"):
             UtilityModel(**{field: value})
 
+    @pytest.mark.parametrize("field", ["bonus", "university_bonus"])
+    def test_bonus_must_not_be_a_boolean(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must be a finite number >= 0, got True$"):
+            UtilityModel(**{field: True})
+
     @pytest.mark.parametrize("field", ["base", "university_base"])
     @pytest.mark.parametrize("value", [5, "x"])
     def test_base_must_be_callable(self, field, value):

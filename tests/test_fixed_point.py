@@ -129,6 +129,34 @@ class TestEstimateAcceptance:
             estimate_acceptance(fractions, cfg, n_sim=500, trials=2)
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda c: estimate_acceptance((1.0, 0.5, 0.2), c, n_sim=100.5),
+         "n_sim must be an integer, got 100.5"),
+        (lambda c: solve_general(c, n_sim="20000"), "n_sim must be an integer, got '20000'"),
+        (lambda c: estimate_acceptance((1.0, 0.5, 0.2), c, trials=True),
+         "trials must be an integer, got True"),
+        (lambda c: solve_iid(c, max_iter=2.5), "max_iter must be an integer, got 2.5"),
+        (lambda c: solve_general(c, max_iter=None), "max_iter must be an integer, got None"),
+        (lambda c: expected_accepted_mass(1.0, 1.0, True), "capacity must be an integer, got True"),
+    ],
+    ids=["n_sim", "n_sim-general", "trials", "max_iter", "max_iter-general", "capacity"],
+)
+def test_integer_arguments_are_checked_by_name(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(MarketConfig(n=100, k=3, seed=0))
+
+
+def test_integral_arguments_pass_as_integers():
+    cfg = MarketConfig(n=100, k=3, seed=0)
+    estimate = estimate_acceptance((1.0, 0.5, 0.2), cfg, n_sim=500.0, trials=np.int64(2))
+    assert type(estimate.n_sim) is int and type(estimate.trials) is int
+    assert estimate == estimate_acceptance((1.0, 0.5, 0.2), cfg, n_sim=500, trials=2)
+    assert solve_iid(cfg, max_iter=200.0) == solve_iid(cfg)
+    assert expected_accepted_mass(1.0, 1.0, 2.0) == expected_accepted_mass(1.0, 1.0, 2)
+
+
 class TestAcceptedMassClosedForm:
     def test_zero(self):
         assert expected_accepted_mass(0.0, 1.0, 1) == 0.0

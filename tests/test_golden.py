@@ -1,14 +1,13 @@
-"""Golden outputs pinning serialization schemas and seeded streams.
+"""Golden outputs pinning the seeded streams and the CLI's output formats.
 
-If one of these fails after an intentional change to a schema or to the
-random stream layout, regenerate the constants and note the break in the
-changelog; they exist to make silent drift loud.
+If one of these fails after an intentional change to an output format or
+to the random stream layout, regenerate the constants and note the break
+in the changelog; they exist to make silent drift loud.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 
 import numpy as np
 
@@ -33,14 +32,14 @@ SIMULATE_CSV = (
     "2,0,77803131892610477,3,3,1,3,2,1,0,2,5,5\n"
 )
 
-INSTANCE_JSON = (
-    '{"config": {"capacity": 1, "k": 2, "m_ratio": 1.0, "n": 3, "seed": 1, '
-    '"signal": {"delta": 0.0, "kind": "iid"}}, '
-    '"preferences": [[0, 2], [0, 1], [2, 1]], '
-    '"signals": [[0, 0, 0.36457239618607573], [2, 0, 0.294132496655526], '
-    "[0, 1, 0.02842224131579679], [1, 1, 0.5467129866124469], "
-    "[2, 2, -0.7364540870016669], [1, 2, -0.16290994799305278]]}"
-)
+INSTANCE_PREFS = [[0, 2], [0, 1], [2, 1]]
+
+# the signal table row by row, each value as its repr, so every bit is pinned
+INSTANCE_SIGNALS = [
+    "0.36457239618607573", "0.294132496655526",
+    "0.02842224131579679", "0.5467129866124469",
+    "-0.7364540870016669", "-0.16290994799305278",
+]
 
 MATCHING_CSV = "student_id,university_id,rank\n0,0,1\n1,1,2\n2,2,1\n"
 
@@ -99,9 +98,10 @@ def test_simulate_csv_golden(tmp_path, capsys):
     assert out.read_text() == SIMULATE_CSV
 
 
-def test_instance_json_golden():
+def test_instance_golden():
     inst = sample_market(MarketConfig(n=3, m_ratio=1.0, k=2, seed=1))
-    assert json.dumps(inst.to_json_dict(), sort_keys=True) == INSTANCE_JSON
+    assert inst.prefs.tolist() == INSTANCE_PREFS
+    assert [repr(v) for v in inst.signals.ravel().tolist()] == INSTANCE_SIGNALS
 
 
 def test_matching_csv_golden():

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
-import json
 import math
 import re
 
@@ -92,6 +91,18 @@ class TestConfigValidation:
     def test_gaussian_non_finite_shift_rejected(self, delta):
         with pytest.raises(ConfigurationError):
             SignalSpec.gaussian(delta)
+
+    @pytest.mark.parametrize("kind", ["iid", "gaussian"])
+    @pytest.mark.parametrize("delta", [True, np.bool_(False), "1", None, [1.0]])
+    def test_shift_must_be_a_real_number(self, kind, delta):
+        message = f"^signal shift must be a number, got {re.escape(repr(delta))}$"
+        with pytest.raises(ConfigurationError, match=message):
+            SignalSpec(kind=kind, delta=delta)
+
+    def test_shift_is_stored_as_a_float(self):
+        for delta in (1, np.float32(0.5), np.int64(2)):
+            spec = SignalSpec(kind="gaussian", delta=delta)
+            assert type(spec.delta) is float and spec.delta == delta
 
     def test_json_shift_must_be_finite(self):
         with pytest.raises(ConfigurationError):
@@ -198,6 +209,31 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError, match=message):
             MarketInstance(config, prefs, table, table)
 
+    @pytest.mark.parametrize("table", ["signal", "tiebreak"])
+    @pytest.mark.parametrize(
+        "values,entry",
+        [([["1.5"], [0.5]], "'1.5'"), ([[0.5], [True]], "True"), ([[0.5], [None]], "None"),
+         (np.array([[0.5], [False]], dtype=object), "False"), ([[0.5], [{}]], r"\{\}"),
+         ([[0.5], [0.5, 1.0]], r"\[0.5\]")],
+    )
+    def test_signal_and_tiebreak_entries_must_be_numbers(self, table, values, entry):
+        config, prefs, zeros = MarketConfig(n=2, m_ratio=1.5, k=1), [[0], [1]], np.zeros((2, 1))
+        tables = {"signal": zeros, "tiebreak": zeros, table: values}
+        message = f"^{table} table entry must be a number, got {entry}$"
+        with pytest.raises(ConfigurationError, match=message):
+            MarketInstance(config, prefs, tables["signal"], tables["tiebreak"])
+
+    def test_numeric_signal_and_tiebreak_entries_pass(self):
+        config, prefs = MarketConfig(n=2, m_ratio=1.5, k=1), [[0], [1]]
+        inst = MarketInstance(config, prefs, [[2], [math.nan]], np.array([[1], [0]], np.int32))
+        assert inst.signals.dtype == inst.tiebreaks.dtype == np.float64
+        assert inst.signals[0, 0] == 2.0 and math.isnan(inst.signals[1, 0])
+        assert inst.tiebreaks.tolist() == [[1.0], [0.0]]
+        assert inst.uni_rank.tolist() == [[0], [0]]
+        # a float64 table is taken as it is, with no pass over its entries
+        values = np.array([[0.5], [math.nan]])
+        assert market._id_table("signal table", values, kind=float) is values
+
     def test_integral_preference_ids_pass(self):
         config, table = MarketConfig(n=2, m_ratio=1.5, k=1), np.zeros((2, 1))
         for prefs in ([[0.0], [2.0]], np.array([[0], [2]], dtype=np.uint8)):
@@ -249,7 +285,6 @@ class TestSampling:
         cfg = MarketConfig(n=40, m_ratio=2.0, capacity=2, k=4, seed=99)
         a, b = sample_market(cfg), sample_market(cfg)
         assert a == b
-        assert json.dumps(a.to_json_dict()) == json.dumps(b.to_json_dict())
 
     def test_list_distribution_uniform_rejection_path(self):
         # m=16, k=2 uses duplicate rejection; all 240 ordered pairs should be
@@ -381,6 +416,17 @@ class TestStack:
             assert len(rounds) > 1  # some blocks still drew after others were done
         else:
             assert rounds == {1}  # one key draw per block
+
+    @pytest.mark.parametrize(
+        "blocks,message",
+        [(0, "blocks must be positive, got 0"), (-1, "blocks must be positive, got -1"),
+         (True, "blocks must be an integer, got True"), ("2", "blocks must be an integer, got '2'"),
+         (2.5, "blocks must be an integer, got 2.5")],
+    )
+    def test_block_count_must_be_a_positive_integer(self, blocks, message):
+        config, table = MarketConfig(n=4, m_ratio=1.0, k=1, seed=0), np.zeros((4, 1))
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            MarketInstance(config, np.array([[0], [1], [2], [3]]), table, table, blocks=blocks)
 
     def test_mixed_blocks_rejected(self):
         config = MarketConfig(n=4, m_ratio=1.0, k=1, seed=0)
@@ -622,125 +668,6 @@ class TestCustomSamplers:
             SignalSpec.custom(**samplers)
 
 
-class TestSerialization:
-    def test_round_trip_preserves_preferences_and_signals(self):
-        inst = sample_market(MarketConfig(n=12, m_ratio=1.0, capacity=2, k=3, seed=21))
-        doc = json.loads(json.dumps(inst.to_json_dict()))
-        back = MarketInstance.from_json_dict(doc)
-        assert np.array_equal(back.prefs, inst.prefs)
-        assert np.array_equal(back.signals, inst.signals)
-        assert back.config == inst.config
-
-    def test_schema_keys(self):
-        inst = sample_market(MarketConfig(n=2, m_ratio=1.0, k=1, seed=0))
-        doc = inst.to_json_dict()
-        assert set(doc) == {"config", "preferences", "signals"}
-        assert all(len(t) == 3 for t in doc["signals"])
-
-    def test_custom_signals_not_serializable(self):
-        spec = SignalSpec.custom(lambda rng, size: np.ones(size), lambda rng, size: np.zeros(size))
-        cfg = MarketConfig(n=2, m_ratio=1.0, k=1, signal=spec, seed=0)
-        with pytest.raises(ConfigurationError):
-            sample_market(cfg).to_json_dict()
-
-    @staticmethod
-    def _doc():
-        inst = sample_market(MarketConfig(n=4, m_ratio=1.0, k=2, seed=21))
-        return json.loads(json.dumps(inst.to_json_dict())), inst
-
-    def test_missing_signal_names_the_pair(self):
-        doc, inst = self._doc()
-        u, s, _ = doc["signals"].pop(5)
-        with pytest.raises(ConfigurationError, match=f"no signal for university {u}, student {s}"):
-            MarketInstance.from_json_dict(doc)
-
-    def test_ragged_preferences_name_the_row(self):
-        doc, _ = self._doc()
-        doc["preferences"][2].pop()
-        with pytest.raises(ConfigurationError, match="preference row 2 lists 1 "):
-            MarketInstance.from_json_dict(doc)
-
-    def test_repeated_signal_names_the_pair(self):
-        doc, _ = self._doc()
-        u, s, v = doc["signals"][3]
-        doc["signals"].append([u, s, v + 1.0])
-        message = f"two signals for university {u}, student {s}$"
-        with pytest.raises(ConfigurationError, match=message):
-            MarketInstance.from_json_dict(doc)
-
-    def test_signal_for_unlisted_pair_names_the_pair(self):
-        doc, inst = self._doc()
-        u = next(u for u in range(inst.m) if u not in inst.prefs[1])
-        doc["signals"].append([u, 1, 0.5])
-        with pytest.raises(ConfigurationError, match=f"university {u}, student 1, not on her"):
-            MarketInstance.from_json_dict(doc)
-
-    def test_short_signal_triple_names_the_entry(self):
-        doc, _ = self._doc()
-        doc["signals"][4] = doc["signals"][4][:2]
-        with pytest.raises(ConfigurationError, match="^signal entry 4 is not a .* triple"):
-            MarketInstance.from_json_dict(doc)
-
-    def test_fractional_university_in_both_places_names_the_entry(self):
-        doc, _ = self._doc()
-        u = doc["preferences"][1][0]
-        triple = next(t for t in doc["signals"] if t[:2] == [u, 1])
-        doc["preferences"][1][0] = triple[0] = u + 0.5
-        message = f"^preference row 1 entry 0 must be an integer, got {u + 0.5}$"
-        with pytest.raises(ConfigurationError, match=message):
-            MarketInstance.from_json_dict(doc)
-
-    @pytest.mark.parametrize(
-        "field,column,bad",
-        [
-            ("university", 0, 0.5),
-            ("student", 1, 1.5),
-            ("university", 0, True),
-            ("signal", 2, "0.25"),
-            ("signal", 2, math.nan),
-        ],
-    )
-    def test_unconvertible_signal_triple_names_the_entry(self, field, column, bad):
-        # JSON has no NaN, so a NaN signal cannot have come from a saved instance
-        doc, _ = self._doc()
-        doc["signals"][3][column] = bad
-        expected = "an integer" if column < 2 else "a number"
-        message = f"signal entry 3 {field} must be {expected}, got {bad!r}"
-        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
-            MarketInstance.from_json_dict(doc)
-
-    @pytest.mark.parametrize("field", ["config", "preferences", "signals"])
-    def test_missing_field_is_named(self, field):
-        doc, _ = self._doc()
-        del doc[field]
-        with pytest.raises(ConfigurationError, match=f'^market instance needs "{field}"$'):
-            MarketInstance.from_json_dict(doc)
-
-    def test_unknown_field_is_named(self):
-        doc, _ = self._doc()
-        doc["tiebreaks"] = []
-        with pytest.raises(ConfigurationError, match="^unknown market instance field 'tiebreaks'$"):
-            MarketInstance.from_json_dict(doc)
-
-    def test_document_must_be_an_object(self):
-        with pytest.raises(ConfigurationError, match="^market instance must be a JSON object"):
-            MarketInstance.from_json_dict([])
-
-    def test_numeric_preference_row_names_the_row(self):
-        doc, _ = self._doc()
-        doc["preferences"][3] = 7
-        with pytest.raises(ConfigurationError, match="^preference row 3 is not a list: 7$"):
-            MarketInstance.from_json_dict(doc)
-
-    @pytest.mark.parametrize("field", ["preferences", "signals"])
-    @pytest.mark.parametrize("bad", [5, "abc"])
-    def test_field_that_is_not_a_list_is_named(self, field, bad):
-        doc, _ = self._doc()
-        doc[field] = bad
-        with pytest.raises(ConfigurationError, match=f"^{field} is not a list: {bad!r}$"):
-            MarketInstance.from_json_dict(doc)
-
-
 class TestRepeatedUniversity:
     """A list that names a university twice is refused, and never sampled."""
 
@@ -881,6 +808,12 @@ class TestSeededPlan:
     @pytest.mark.parametrize("slack", [math.nan, math.inf, -1.0])
     def test_bad_slack_rejected(self, slack):
         with pytest.raises(ValueError, match="slack"):
+            build_seeded_plan((1.0, 0.5, 0.1), MarketConfig(n=100, k=3, seed=0), slack=slack)
+
+    @pytest.mark.parametrize("slack", [True, np.bool_(True), "1", [1.0]])
+    def test_slack_must_be_a_number(self, slack):
+        message = f"^slack must be a number, got {re.escape(repr(slack))}$"
+        with pytest.raises(ValueError, match=message):
             build_seeded_plan((1.0, 0.5, 0.1), MarketConfig(n=100, k=3, seed=0), slack=slack)
 
     def test_completion_extends_prefixes(self):

@@ -421,17 +421,6 @@ class TestDiscreteSignals:
                 assert brute_force_blocking_pairs(inst, matching) == []
 
 
-class TestJsonReload:
-    def test_reloaded_instance_matches_behaviour(self):
-        from admitsim import MarketInstance
-
-        cfg = MarketConfig(n=25, m_ratio=1.0, capacity=2, k=4, seed=44)
-        inst = sample_market(cfg)
-        back = MarketInstance.from_json_dict(inst.to_json_dict())
-        assert student_proposing_da(back) == student_proposing_da(inst)
-        assert school_proposing_da(back) == school_proposing_da(inst)
-
-
 class TestCsv:
     def test_matching_csv_shape(self):
         inst = small_instance([[0], [0]], [[2.0], [1.0]], m=1)
@@ -460,6 +449,12 @@ class TestMatchingIds:
     def test_university_count_must_be_an_integer(self, n_universities):
         with pytest.raises(InvalidMatchingError, match="^n_universities must be an integer"):
             Matching([0, -1], n_universities)
+
+    def test_university_count_must_be_nonnegative(self):
+        message = "^n_universities must be nonnegative, got -1$"
+        with pytest.raises(InvalidMatchingError, match=message):
+            Matching([], -1)
+        assert Matching([-1], 0).n_universities == 0
 
     def test_integral_ids_pass_unchanged(self):
         for partner in ([0, 1.0, -1], np.array([0, 1, -1], dtype=np.int32), np.array([0, 1, -1])):
