@@ -203,18 +203,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if args.method == "iid":
         if not config.signal.is_iid_equivalent:
             raise UsageError("method 'iid' requires identical signal distributions (delta 0)")
-        result = solve_iid(
-            config, tol=args.tol if args.tol is not None else 1e-10, max_iter=args.max_iter
-        )
+        result = solve_iid(config)
     else:
         if args.trials < 1:
             raise UsageError("--trials must be at least 1")
-        result = solve_general(
-            config,
-            tol=args.tol if args.tol is not None else 0.01,
-            max_iter=args.max_iter,
-            n_sim=args.n_sim,
-        )
+        result = solve_general(config, n_sim=args.n_sim)
     _write(args.out, json.dumps(result.to_json_dict(), indent=2) + "\n")
     return 0
 
@@ -363,9 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve the rank-fraction system")
     _add_market_flags(p_solve)
     p_solve.add_argument("--method", choices=["iid", "general"], default="iid")
-    p_solve.add_argument("--tol", type=float, help="largest consistency gap accepted")
-    p_solve.add_argument("--max-iter", dest="max_iter", type=int, default=80,
-                         help="most bisection steps in the mass beyond rank 1")
     p_solve.add_argument("--n-sim", dest="n_sim", type=int, default=20_000,
                          help="draws of each signal distribution for sampled acceptance "
                               "(at least 100); only custom samplers use it, Python API only")

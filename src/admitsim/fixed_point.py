@@ -74,7 +74,7 @@ class AcceptanceEstimate:
 
 
 class ConvergenceError(RuntimeError):
-    """A solver did not reach its tolerance; carries the last iterate."""
+    """A solution leaves a gap above ``_MAX_RESIDUAL``; carries it and its residuals."""
 
     def __init__(self, message: str, fractions: tuple[float, ...], residuals: tuple[float, ...]):
         super().__init__(message)
@@ -86,9 +86,9 @@ class ConvergenceError(RuntimeError):
 class SolverResult:
     """Solution of the rank-fraction system.
 
-    ``residuals[i]`` is the consistency gap at rank i+1.  ``method`` is
-    "closed-form-iid", "quadrature-bisection" or "sampled-bisection";
-    ``iterations`` counts the bisection steps in S.
+    ``residuals[i]`` is the consistency gap at rank i+1, closed to rounding.
+    ``method`` is "closed-form-iid", "quadrature-bisection" or
+    "sampled-bisection"; ``iterations`` counts the bisection steps in S.
     """
 
     rank_fractions: RankVector
@@ -181,9 +181,10 @@ def expected_accepted_mass(
     taken from its logarithm: exp(-x / m_ratio) alone underflows to zero for
     means above ~745.
     """
-    x = float(proposals_per_student)
+    x = _convert(float, "proposals_per_student", proposals_per_student, ValueError)
     if not 0.0 <= x < math.inf:
         raise ValueError("proposal mass must be finite and nonnegative")
+    m_ratio = _convert(float, "m_ratio", m_ratio, ValueError)
     if not 0.0 < m_ratio < math.inf:
         raise ValueError("m_ratio must be finite and positive")
     capacity = _convert(int, "capacity", capacity, ValueError)
@@ -193,10 +194,22 @@ def expected_accepted_mass(
         return 0.0
     lam = x / m_ratio
     log_lam = math.log(lam)
+
+    def poisson(j: int) -> float:
+        return math.exp(j * log_lam - lam - math.lgamma(j + 1))
+
+    if lam < capacity:
+        # E[min(N, L)] = lam - E[(N - L)+]: with L - shortfall both terms would
+        # be near L and lose the small mass.  The tail terms (j - L) P(N = j)
+        # rise and then fall, so the first that leaves the sum unchanged ends it.
+        excess, j = 0.0, capacity + 1
+        while excess + (term := (j - capacity) * poisson(j)) != excess:
+            excess, j = excess + term, j + 1
+        return x - m_ratio * excess
     # E[min(N, L)] = L - sum_{j<L} (L - j) P(N = j)
     shortfall = 0.0
     for j in range(capacity):
-        shortfall += (capacity - j) * math.exp(j * log_lam - lam - math.lgamma(j + 1))
+        shortfall += (capacity - j) * poisson(j)
     return m_ratio * (capacity - shortfall)
 
 
@@ -338,24 +351,17 @@ def _rank_chain(first: float, later: float, k: int) -> np.ndarray:
     return y
 
 
-def _check_stopping(tol: float, max_iter: int) -> int:
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    max_iter = _convert(int, "max_iter", max_iter, ValueError)
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
-    return max_iter
+_MAX_RESIDUAL = 1e-10  # largest gap a solution may leave; only an equation with no root does
 
 
-def _solve_by_bisection(config: MarketConfig, tol: float, max_iter: int,
-                        acceptance: Callable[[float], tuple[float, float]],
+def _solve_by_bisection(config: MarketConfig, acceptance: Callable[[float], tuple[float, float]],
                         method: str) -> SolverResult:
     """Bisect S = G(S) for the rates (rank 1, ranks >= 2) that ``acceptance``
     gives at mass S beyond rank 1, down to rounding."""
     k = config.k
     lo, hi = 0.0, float(k - 1)
     s, iterations = 0.0, 0
-    while k > 1 and iterations < max_iter:
+    while k > 1:
         iterations += 1
         s = 0.5 * (lo + hi)
         excess = s - float(_rank_chain(*acceptance(s), k)[1:].sum())
@@ -373,10 +379,10 @@ def _solve_by_bisection(config: MarketConfig, tol: float, max_iter: int,
     accepted = y * np.array([first] + [later] * (k - 1))
     residuals = y - (1.0 - np.concatenate(([0.0], np.cumsum(accepted[:-1]))))
     worst = float(np.abs(residuals).max())
-    if worst > tol:
+    if not worst <= _MAX_RESIDUAL:
         raise ConvergenceError(
-            f"bisection did not reach tolerance {tol} within {max_iter} steps "
-            f"(last residual {worst:.3g})",
+            f"bisection did not close the system: worst residual {worst:.3g} "
+            f"above {_MAX_RESIDUAL:g} after {iterations} steps",
             fractions=tuple(float(v) for v in y),
             residuals=tuple(float(r) for r in residuals),
         )
@@ -390,33 +396,26 @@ def _solve_by_bisection(config: MarketConfig, tol: float, max_iter: int,
     )
 
 
-def solve_iid(config: MarketConfig, tol: float = 1e-10, max_iter: int = 200) -> SolverResult:
+def solve_iid(config: MarketConfig) -> SolverResult:
     """Solve the rank-fraction system for identically distributed signals.
 
     Every proposal is equally likely to win a seat, so every rank is
     accepted at the closed-form rate expected_accepted_mass(1 + S) / (1 + S)
     and the rank fractions are geometric.  S is bisected as in
-    ``solve_general`` (method "closed-form-iid"; ``iterations`` counts the
-    bisection steps).  Raises ConvergenceError with the last iterate when
-    the worst consistency gap is above ``tol`` after ``max_iter`` steps.
+    ``solve_general``, down to rounding (method "closed-form-iid";
+    ``iterations`` counts the bisection steps); raises ConvergenceError as it does.
     """
     if not config.signal.is_iid_equivalent:
         raise ValueError("solve_iid requires identically distributed signals")
-    max_iter = _check_stopping(tol, max_iter)
 
     def acceptance(s: float) -> tuple[float, float]:
         rate = expected_accepted_mass(1.0 + s, config.m_ratio, config.capacity) / (1.0 + s)
         return rate, rate
 
-    return _solve_by_bisection(config, tol, max_iter, acceptance, "closed-form-iid")
+    return _solve_by_bisection(config, acceptance, "closed-form-iid")
 
 
-def solve_general(
-    config: MarketConfig,
-    tol: float = 0.01,
-    max_iter: int = 80,
-    n_sim: int = 20_000,
-) -> SolverResult:
+def solve_general(config: MarketConfig, n_sim: int = 20_000) -> SolverResult:
     """Solve the rank-fraction system for any signal model.
 
     The large-market acceptance rates depend on the rank fractions y only
@@ -436,13 +435,12 @@ def solve_general(
     deterministic for a given configuration and carries sampling error of
     order n_sim**-0.5.
 
-    Raises ConvergenceError with the last iterate when the worst
-    consistency gap is still above ``tol`` after ``max_iter`` steps.
+    Raises ConvergenceError, with the solution, if a gap is above
+    ``_MAX_RESIDUAL``: only rates that jump in S, so that no root exists, do that.
     """
-    max_iter = _check_stopping(tol, max_iter)
     n_sim, _ = _check_sampling(n_sim)
     if config.signal.kind == "custom":
         acceptance = _sampled_acceptance(config, n_sim)
-        return _solve_by_bisection(config, tol, max_iter, acceptance, "sampled-bisection")
+        return _solve_by_bisection(config, acceptance, "sampled-bisection")
     acceptance = _large_market_acceptance(config.signal.delta, config.m_ratio, config.capacity)
-    return _solve_by_bisection(config, tol, max_iter, acceptance, "quadrature-bisection")
+    return _solve_by_bisection(config, acceptance, "quadrature-bisection")

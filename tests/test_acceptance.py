@@ -188,7 +188,7 @@ def test_criterion_05_fixed_point_vs_simulation():
         )
 
         small = dataclasses.replace(cfg, n=100)
-        general = solve_general(small, tol=tol, n_sim=40_000)
+        general = solve_general(small, n_sim=40_000)
         est = estimate_acceptance(
             general.rank_fractions.fractions, small, n_sim=40_000, trials=8
         )

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from admitsim import fixed_point
 from admitsim.cli import main
 
 
@@ -107,50 +108,51 @@ class TestSolve:
         assert max(abs(r) for r in doc["residuals"]) <= 1e-10
 
     def test_general_with_shift_converges_or_diagnoses(self, capsys):
-        code, out, err = run(
+        code, out, _ = run(
             capsys,
             "solve", "--n", "100", "--k", "3", "--delta", "2", "--method", "general",
-            "--n-sim", "5000", "--trials", "2", "--tol", "0.02", "--seed", "1",
+            "--n-sim", "5000", "--trials", "2", "--seed", "1",
         )
-        if code == 0:
-            doc = json.loads(out)
-            assert max(abs(r) for r in doc["residuals"]) <= 0.02
-        else:
-            assert code == 1 and "residual" in err
+        assert code == 0
+        doc = json.loads(out)
+        assert max(abs(r) for r in doc["residuals"]) <= 1e-10
 
-    def test_iid_tolerance_out_of_reach_diagnoses(self, capsys):
-        code, out, err = run(
-            capsys, "solve", "--n", "100", "--k", "3", "--method", "iid", "--tol", "1e-20"
-        )
+    @staticmethod
+    def assert_diagnosed(code: int, out: str, err: str) -> None:
         assert code == 1 and out == ""
-        assert "did not reach tolerance" in err
-        diag = json.loads(err.strip().split("\n")[-1])
-        assert len(diag["rank_fractions"]) == 3 and len(diag["residuals"]) == 3
+        message, line = err.strip().split("\n")
+        assert message.startswith("error: bisection did not close the system")
+        diag = json.loads(line)
+        assert "error: " + diag["error"] == message
+        assert diag["rank_fractions"][0] == 1.0 and len(diag["rank_fractions"]) == 3
+        assert max(abs(r) for r in diag["residuals"]) > 0.01 and len(diag["residuals"]) == 3
 
-    @pytest.mark.parametrize("method,delta", [("iid", "0"), ("general", "1")])
-    @pytest.mark.parametrize("tol", ["0", "-0.5", "nan"])
-    def test_bad_tolerance_is_usage_error(self, capsys, method, delta, tol):
-        code, out, err = run(
-            capsys, "solve", "--n", "100", "--k", "3", "--delta", delta, "--method", method,
-            "--tol", tol, "--max-iter", "1",
+    def test_iid_tolerance_out_of_reach_diagnoses(self, capsys, monkeypatch):
+        # a rate that jumps from 0.5 to 0.9 at total mass 1.3 leaves S = G(S)
+        # without a root (G falls from 0.75 to 0.11 at S = 0.3)
+        monkeypatch.setattr(fixed_point, "expected_accepted_mass",
+                            lambda x, m_ratio, capacity: x * (0.5 if x < 1.3 else 0.9))
+        self.assert_diagnosed(
+            *run(capsys, "solve", "--n", "100", "--k", "3", "--method", "iid")
         )
-        assert code == 2 and out == ""
-        assert err.startswith("error:") and "tol" in err
 
-    def test_zero_iterations_is_usage_error(self, capsys):
-        code, out, err = run(
-            capsys, "solve", "--n", "100", "--k", "3", "--delta", "1", "--method", "general",
-            "--max-iter", "0",
-        )
-        assert code == 2 and out == ""
-        assert "max_iter" in err
+    def test_general_without_root_diagnoses(self, capsys, monkeypatch):
+        # a later-rank rate that jumps from 0.1 to 0.9 at S = 0.3 takes G(S)
+        # from 0.38 to 0.22 there
+        def jumping(s: float) -> tuple[float, float]:
+            return 0.8, (0.1 if s < 0.3 else 0.9)
 
-    def test_iid_zero_iterations_is_usage_error(self, capsys):
-        code, out, err = run(
-            capsys, "solve", "--n", "100", "--k", "3", "--method", "iid", "--max-iter", "0"
-        )
-        assert code == 2 and out == ""
-        assert "max_iter" in err
+        monkeypatch.setattr(fixed_point, "_large_market_acceptance", lambda *args: jumping)
+        self.assert_diagnosed(*run(
+            capsys, "solve", "--n", "100", "--k", "3", "--delta", "1", "--method", "general"
+        ))
+
+    @pytest.mark.parametrize("flag", [("--tol", "1e-10"), ("--max-iter", "80")])
+    def test_removed_stopping_flags_are_usage_errors(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--n", "100", "--k", "3", *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: " + flag[0] in capsys.readouterr().err
 
     def test_general_is_deterministic_bisection(self, capsys):
         argv = ["solve", "--n", "100", "--k", "5", "--delta", "2", "--method", "general"]

@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from admitsim import cli
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -29,14 +31,17 @@ def test_quick_start_block_runs(tmp_path):
     assert lines[2].startswith("quadrature-bisection ")
 
 
+def cli_section() -> str:
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    return readme.split("## CLI", 1)[1].split("\n## ", 1)[0]
+
+
 def test_cli_block_runs(tmp_path, monkeypatch, capsys):
     """Every command of the CLI section's shell block, in process through
     ``cli.main`` in a scratch directory, as the packaging CI job runs them
     through the console script.  It takes about 1.6 s on a 2-core x86-64
     host, most of it the sweep of 15 000 markets."""
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    section = readme.split("## CLI", 1)[1].split("\n## ", 1)[0]
-    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1).replace("\\\n", " ")
+    block = re.search(r"```sh\n(.*?)```", cli_section(), re.S).group(1).replace("\\\n", " ")
     commands = [shlex.split(line) for line in block.splitlines()
                 if line.strip() and not line.lstrip().startswith("#")]
     assert {command[1] for command in commands} == {
@@ -50,3 +55,18 @@ def test_cli_block_runs(tmp_path, monkeypatch, capsys):
             assert out.stat().st_size > 0, command
     for summary in ("sweep.csv.summary.csv", "verdicts.csv.summary.csv"):
         assert (tmp_path / summary).stat().st_size > 0
+
+
+def test_cli_section_names_only_existing_flags(capsys):
+    """Every ``--flag`` of the CLI section, in its shell block and its prose
+    alike, is listed by the ``--help`` of some subcommand; running the block
+    alone does not catch prose that names a removed flag."""
+    flag = re.compile(r"(?<![\w-])--[a-z](?:[a-z-]*[a-z])?")
+    listed = set()
+    for command in ("simulate", "solve", "sweep", "stable-partners", "compare"):
+        with pytest.raises(SystemExit):
+            cli.main([command, "--help"])
+        listed.update(flag.findall(capsys.readouterr().out))
+    named = set(flag.findall(cli_section()))
+    assert "--m-ratio" in named and "--format" in named
+    assert named <= listed, sorted(named - listed)
