@@ -168,8 +168,8 @@ def _replications(
 ) -> Iterator[tuple[int, list[int], MarketInstance]]:
     """(first rep, seeds, stacked instance) per stack of replications of ``config``.
 
-    Replication ``rep`` samples from ``default_rng(seeds[rep])``, built from
-    its state words ``words[rep]`` (see ``market._child_streams``).
+    Replication ``rep`` is ``sample_market`` of seed ``seeds[rep]`` in any stack, its
+    generator built from its state words ``words[rep]`` (``market._child_streams``).
     """
     size = max(1, _STACK_APPS // (config.n * config.k))
     for rep in range(0, len(seeds), size):

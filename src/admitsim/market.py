@@ -35,8 +35,9 @@ SignalSampler = Callable[[np.random.Generator, int], "np.typing.ArrayLike"]
 
 _MAX_SEED = 2**64
 
-# Rounds of row rejection in ``_fill_distinct`` before the key sort takes over.
-_REJECTION_ROUNDS = 64
+# Lists with k(k-1) > _KEY_SORT_RATIO * m sort m keys per student: ``_fill_distinct``
+# is faster up to about 34m at m = 50 and past 63m at m = 10^3 (BENCH_20.json).
+_KEY_SORT_RATIO = 32
 
 # Max attempts to repair a proposal-to-student assignment whose target
 # university already sits on the student's list.
@@ -421,57 +422,37 @@ def _repeats(table: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fill_distinct(
-    prefs: np.ndarray, first: np.ndarray, m: int, rngs: Sequence[np.random.Generator]
-) -> np.ndarray:
-    """Fill each row's cells ``prefs[s, first[s]:]`` in place so that every row is distinct.
+def _codes(uniforms: np.ndarray, m: int) -> np.ndarray:
+    """floor(u * (m - j)) of each uniform u of rank j (axis -2), scaling
+    ``uniforms``, in the least signed dtype that holds m.  Each code in
+    0..m-j-1 has probability within a relative 2(m - j) * 2**-53 of 1/(m - j)
+    (u is a multiple of 2**-53, the product rounds); no u < 1 gives m - j."""
+    uniforms *= m - np.arange(uniforms.shape[-2])[:, None]
+    return uniforms.astype(np.min_scalar_type(-m))
 
-    ``prefs`` is (blocks * rows, k); block b (rows b*rows..) draws from
-    ``rngs[b]`` what it would draw alone, its hole cells in the order of
-    their flat ids s*k + r.  A row's fresh entries are a uniform ordered
-    sample of the universities its other cells do not list.  When
-    k(k-1) <= m, holes are drawn uniformly and rows that repeat a
-    university (chance <= k(k-1)/2m <= 1/2) redrawn, in rounds that blocks
-    with such rows join; the pending rows are an index array, so a round
-    costs O(pending rows).  Rows left after ``_REJECTION_ROUNDS`` rounds,
-    and all rows when k(k-1) > m (m < k**2), take the unlisted universities
-    with the smallest of m uniform random keys.  Returns ``prefs``.
+
+def _fill_distinct(codes: np.ndarray, first: np.ndarray | None = None) -> np.ndarray:
+    """Decode a rank-major (..., k, rows) table of codes in place into lists,
+    row-major (..., rows, k) int64 ids.  Code x at rank j names the x-th
+    university in id order that ranks 0..j-1 do not list, the least fixed
+    point of y = x + #{earlier entries <= y} from y = x.  With ``first``,
+    ranks j < first[s] of row s hold given universities, which come back.
+
+    Decoding runs from the last rank to the first (Lehmer codes): each entry
+    pushes up by one every later entry at or above it; the inverse pass,
+    from the first rank, makes the given universities codes.  O(k^2) work
+    per row in O(k) array calls, against O(m log m) for a sort of m keys.
     """
-    k = prefs.shape[1]
-    bounds = prefs.shape[0] // len(rngs) * np.arange(len(rngs) + 1)
-    cells = prefs.reshape(-1)
-    rows = np.flatnonzero(first < k)
-    whole = not first[rows].any()  # every hole row is a whole row
-    for _ in range(_REJECTION_ROUNDS if k * (k - 1) <= m else 0):
-        if not rows.size:
-            return prefs
-        if whole:
-            counts = k * np.diff(np.searchsorted(rows, bounds))
-        else:
-            lengths = k - first[rows]
-            ends = np.cumsum(lengths)
-            # the hole cells of the pending rows by flat id, and their count per block
-            holes = np.arange(ends[-1]) + np.repeat((rows + 1) * k - ends, lengths)
-            counts = np.diff(np.concatenate(([0], ends))[np.searchsorted(rows, bounds)])
-        draws = np.concatenate([
-            rng.integers(0, m, size=count, dtype=np.int64)
-            for rng, count in zip(rngs, counts.tolist()) if count
-        ])
-        if whole:
-            prefs[rows] = draws.reshape(-1, k)
-        else:
-            cells[holes] = draws
-        rows = rows[_repeats(prefs[rows])]
-    cuts = np.searchsorted(rows, bounds)
-    for rng, todo in zip(rngs, np.split(rows, cuts[1:-1])):
-        if todo.size:
-            row_prefs, fill = prefs[todo], np.arange(k) >= first[todo][:, None]
-            keys = rng.random((todo.size, m))
-            keys[np.nonzero(~fill)[0], row_prefs[~fill]] = 2.0  # listed universities sort last
-            picks = np.argsort(keys, axis=1)[:, :k]
-            row_prefs[fill] = picks[np.arange(k) < fill.sum(axis=1)[:, None]]
-            prefs[todo] = row_prefs
-    return prefs
+    k = codes.shape[-2]
+    if first is not None:
+        given = np.arange(k)[:, None] < first
+        for j in range(k - 1):
+            later = codes[..., j + 1 :, :]
+            later -= (later > codes[..., j : j + 1, :]) & given[j + 1 :]
+    for j in range(k - 2, -1, -1):
+        later = codes[..., j + 1 :, :]
+        later += later >= codes[..., j : j + 1, :]
+    return np.ascontiguousarray(np.swapaxes(codes, -1, -2), dtype=np.int64)
 
 
 class MarketInstance:
@@ -567,6 +548,11 @@ class MarketInstance:
 def sample_market(config: MarketConfig) -> MarketInstance:
     """Sample one market instance from ``default_rng(config.seed)``, so
     identical configurations produce bit-identical instances.
+
+    Three generator calls: list uniforms, one per cell, rank-major (k, n),
+    which ``_fill_distinct`` decodes; then tiebreaks and signals, (n, k).
+    With k(k-1) > 32m the first call draws (n, m) keys instead, and each
+    list is the universities of its k smallest keys, in order.
     """
     return _sample_stack(config, [config.seed])
 
@@ -576,29 +562,32 @@ def _sample_stack(config: MarketConfig, seeds: Sequence[Any]) -> MarketInstance:
 
     Block b (students b*n.., universities b*m..) is the market
     ``sample_market(replace(config, seed=seeds[b]))``: its own generator
-    (``seeds[b]`` may be one) makes the same calls in the same order, the
-    list draws of ``_fill_distinct``, one ``draw_batch`` and one ``random``,
-    the last two straight into the stack's tables, with the Gaussian shift
-    added to the whole stack at once.
+    (``seeds[b]`` may be one) makes the same three calls, straight into the
+    stack's tables, signals last so that a custom sampler's draws shift
+    nothing else; the lists are decoded, and the Gaussian shift added, for
+    every block at once.
     """
     rngs = [np.random.default_rng(seed) for seed in seeds]
     n, m, k, signal = config.n, config.m, config.k, config.signal
     shape = (len(rngs), n, k)
-    first = np.zeros(len(rngs) * n, dtype=np.int64)  # every cell is a hole
-    prefs = _fill_distinct(np.empty((first.size, k), dtype=np.int64), first, m, rngs)
-    prefs += np.repeat(m * np.arange(len(rngs)), n)[:, None]
+    keyed = k * (k - 1) > _KEY_SORT_RATIO * m
+    lists = np.empty((len(rngs), n, m) if keyed else (len(rngs), k, n))  # keys or uniforms
     special = np.arange(k) == 0  # rank 1 is the favorite school
     signals, tiebreaks = np.empty(shape), np.empty(shape)
     for b, rng in enumerate(rngs):
+        rng.random(out=lists[b])
+        rng.random(out=tiebreaks[b])
         if signal.kind == "custom":
             signals[b] = signal.draw_batch(np.broadcast_to(special, (n, k)), rng)
         else:
             rng.standard_normal(out=signals[b])
-        rng.random(out=tiebreaks[b])
+    prefs = np.argsort(lists, axis=2)[..., :k].copy() if keyed else _fill_distinct(_codes(lists, m))
+    del lists  # before the instance ranks
     if signal.kind == "gaussian" and signal.delta != 0.0:
         signals += signal.delta * special  # what draw_batch adds, for every block at once
+    prefs += (m * np.arange(len(rngs)))[:, None, None]
     return MarketInstance(
-        replace(config, n=len(rngs) * n), prefs,
+        replace(config, n=len(rngs) * n), prefs.reshape(-1, k),
         signals.reshape(-1, k), tiebreaks.reshape(-1, k), len(rngs),
     )
 
@@ -785,31 +774,39 @@ def complete_instance(plan: SeededProposalPlan) -> MarketInstance:
     regular distribution except for a fresh rank-1 slot, which is a
     favorite-school application.
 
-    Stream layout: every hole is filled first (``_fill_distinct``), then
-    one signal is drawn per hole, then one tiebreak per hole, both in the
-    order of the holes' flat ids s*k + r.  Every table is addressed by that
-    id: the proposals land through one cell index, and the holes are one
-    ``flatnonzero``.
+    Stream layout, three calls: the list uniforms that ``sample_market``
+    draws, (k, n), of which the holes' are decoded after the prefix; then
+    one tiebreak and then one signal per hole, in the order of the holes'
+    flat ids s*k + r.  With k(k-1) > 32m the first call draws (n, m) keys,
+    those of a student's prefix sorting last.
     """
+    return MarketInstance(plan.config, *_completed_tables(plan))
+
+
+def _completed_tables(plan: SeededProposalPlan) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``complete_instance``'s tables; its scratch is gone before the instance ranks."""
     config = plan.config
     rng = np.random.default_rng(child_seed(config.seed, 1))
     n, m, k = config.n, config.m, config.k
-    prefs = np.full(n * k, -1, dtype=np.int64)
-    signals = np.zeros(n * k, dtype=np.float64)
-    tiebreaks = np.zeros(n * k, dtype=np.float64)
-
-    # each assigned proposal fills the cell s*k + r of its student and rank
     assigned = np.flatnonzero(plan.proposal_student >= 0)
-    cells = plan.proposal_student[assigned] * k + plan.proposal_rank[assigned] - 1
-    prefs[cells] = plan.proposal_uni[assigned]
-    signals[cells] = plan.proposal_signal[assigned]
+    students, ranks = plan.proposal_student[assigned], plan.proposal_rank[assigned] - 1
+    universities = plan.proposal_uni[assigned]
+    first = plan.assigned_rank_counts()  # every student holds a prefix of ranks
+    # each assigned proposal's cell s*k + r, and the holes', which fill the rest
+    cells, holes = students * k + ranks, np.flatnonzero(np.arange(k) >= first[:, None])
+    if k * (k - 1) > _KEY_SORT_RATIO * m:
+        keys = rng.random((n, m))
+        keys.ravel()[students * m + universities] = 2.0  # listed universities sort last
+        fresh = np.argsort(keys, axis=1)
+        prefs = np.take_along_axis(fresh, np.maximum(np.arange(k) - first[:, None], 0), axis=1)
+        prefs.ravel()[cells] = universities
+    else:
+        codes = _codes(rng.random((k, n)), m)
+        codes.ravel()[ranks * n + students] = universities
+        prefs = _fill_distinct(codes, first)
+    tiebreaks, signals = np.empty(n * k), np.empty(n * k)
     tiebreaks[cells] = plan.proposal_tiebreak[assigned]
-
-    first = plan.assigned_rank_counts()
-    _fill_distinct(prefs.reshape(n, k), first, m, [rng])
-    holes = np.flatnonzero(np.arange(k) >= first[:, None])
-    signals[holes] = config.signal.draw_batch(holes % k == 0, rng)
     tiebreaks[holes] = rng.random(holes.size)
-    return MarketInstance(
-        config, prefs.reshape(n, k), signals.reshape(n, k), tiebreaks.reshape(n, k)
-    )
+    signals[cells] = plan.proposal_signal[assigned]
+    signals[holes] = config.signal.draw_batch(holes % k == 0, rng)
+    return prefs, signals.reshape(n, k), tiebreaks.reshape(n, k)

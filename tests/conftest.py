@@ -2,10 +2,11 @@
 
 The oracles are plain loops kept as references for the package's
 vectorised code: a stability checker, a brute-force enumerator of every
-stable matching of a tiny market, the per-pair seeded-plan builder, and
-the hand-written deferred-acceptance loops (a round-robin queue of
-universities, a heap loop over students, and the rejection-chain repair
-that seeds that loop's state from a plan).
+stable matching of a tiny market, the per-pair seeded-plan builder, the
+scan that finds a list's next university, and the hand-written
+deferred-acceptance loops (a round-robin queue of universities, a heap
+loop over students, and the rejection-chain repair that seeds that loop's
+state from a plan).
 """
 
 from __future__ import annotations
@@ -98,6 +99,20 @@ def brute_force_blocking_pairs(
 
 
 _ENUM_LIMIT = 10
+
+
+def nth_unlisted(row_prefix: Iterable[int], x: int, m: int) -> int:
+    """The x-th (from 0) university in id order, of 0..m-1, that ``row_prefix`` does not list.
+
+    Walks the listed universities upward: each one at or below the answer
+    so far pushes it up by one.
+    """
+    answer = x
+    for listed in sorted(row_prefix):
+        if listed <= answer:
+            answer += 1
+    assert 0 <= x and answer < m, "fewer than x + 1 universities are unlisted"
+    return answer
 
 
 class MarketSizeError(ValueError):

@@ -28,46 +28,46 @@ from admitsim.cli import main
 
 SIMULATE_CSV = (
     "k,delta,seed,n,m,l,matched,rank1,rank2,unmatched,synergy,u_student,u_university\n"
-    "2,0,7434755675892716031,3,3,1,3,1,2,0,1,4,4\n"
-    "2,0,77803131892610477,3,3,1,3,2,1,0,2,5,5\n"
+    "2,0,7434755675892716031,3,3,1,3,0,3,0,0,3,3\n"
+    "2,0,77803131892610477,3,3,1,3,3,0,0,3,6,6\n"
 )
 
-INSTANCE_PREFS = [[0, 2], [0, 1], [2, 1]]
+INSTANCE_PREFS = [[1, 2], [2, 0], [0, 1]]
 
 # the signal table row by row, each value as its repr, so every bit is pinned
 INSTANCE_SIGNALS = [
-    "0.36457239618607573", "0.294132496655526",
-    "0.02842224131579679", "0.5467129866124469",
     "-0.7364540870016669", "-0.16290994799305278",
+    "-0.48211931267997826", "0.5988462126346276",
+    "0.03972210748165899", "-0.2924567509650886",
 ]
 
-MATCHING_CSV = "student_id,university_id,rank\n0,0,1\n1,1,2\n2,2,1\n"
+MATCHING_CSV = "student_id,university_id,rank\n0,2,2\n1,0,2\n2,1,2\n"
 
 SWEEP_CSV = (
     "k,delta,seed,n,m,l,matched,rank1,rank2,unmatched,synergy,u_student,u_university\n"
-    "1,0,12467808127879573787,6,6,1,6,6,0,0,6,12,12\n"
+    "1,0,12467808127879573787,6,6,1,3,3,0,3,3,6,6\n"
     "1,0,11425928242767342472,6,6,1,4,4,0,2,4,8,8\n"
-    "2,0,11475712343069784169,6,6,1,5,2,3,1,2,7,7\n"
-    "2,0,12505594170494392219,6,6,1,6,3,3,0,3,9,9\n"
+    "2,0,11475712343069784169,6,6,1,5,5,0,1,5,10,10\n"
+    "2,0,12505594170494392219,6,6,1,5,2,3,1,2,7,7\n"
     "1,1,16284573993945758692,6,6,1,4,4,0,2,4,8,8\n"
-    "1,1,9791734468858838757,6,6,1,4,4,0,2,4,8,8\n"
-    "2,1,18115008548422440114,6,6,1,5,4,1,1,4,9,9\n"
-    "2,1,9565533078676835473,6,6,1,5,2,3,1,2,7,7\n"
+    "1,1,9791734468858838757,6,6,1,2,2,0,4,2,4,4\n"
+    "2,1,18115008548422440114,6,6,1,4,2,2,2,2,6,6\n"
+    "2,1,9565533078676835473,6,6,1,5,5,0,1,5,10,10\n"
 )
 
 SWEEP_SUMMARY_CSV = (
     "k,delta,reps,mean_matched,se_matched,mean_rank1,se_rank1,mean_synergy,se_synergy,"
     "mean_u_student,se_u_student,mean_u_university,se_u_university\n"
-    "1,0,2,5,1,5,1,5,1,10,2,10,2\n"
-    "2,0,2,5.5,0.5,2.5,0.5,2.5,0.5,8,1,8,1\n"
-    "1,1,2,4,0,4,0,4,0,8,0,8,0\n"
-    "2,1,2,5,0,3,1,3,1,8,1,8,1\n"
+    "1,0,2,3.5,0.5,3.5,0.5,3.5,0.5,7,1,7,1\n"
+    "2,0,2,5,0,3.5,1.5,3.5,1.5,8.5,1.5,8.5,1.5\n"
+    "1,1,2,3,1,3,1,3,1,6,2,6,2\n"
+    "2,1,2,4.5,0.5,3.5,1.5,3.5,1.5,8,2,8,2\n"
 )
 
 VERDICTS_CSV = "rep,seed,university,verdict,witness\n" + "".join(
     f"{rep},{seed},{u},{verdict}\n"
     for rep, seed, verdicts in (
-        (0, 11917523879341755967, ("NO,NULL",) * 3 + ("YES,5", "NO,NULL", "YES,3")),
+        (0, 11917523879341755967, ("NO,NULL",) * 6),
         (1, 1713842872717758196, ("NO,NULL",) * 6),
         (2, 10735656317102617875, ("NO,NULL",) * 6),
     )
@@ -76,19 +76,19 @@ VERDICTS_CSV = "rep,seed,university,verdict,witness\n" + "".join(
 
 VERDICTS_SUMMARY_CSV = (
     "rep,seed,yes_fraction\n"
-    "0,11917523879341755967,0.333333\n"
+    "0,11917523879341755967,0\n"
     "1,1713842872717758196,0\n"
     "2,10735656317102617875,0\n"
 )
 
 COMPARE_CSV = (
     "rep,seed,diff_fraction\n"
-    "0,10128210881749538955,0.333333\n"
+    "0,10128210881749538955,0\n"
     "1,6609312287773032911,0\n"
     "2,15752139279244931036,0\n"
 )
 
-COMPARE_STDOUT = '{"replications": 3, "mean_difference": 0.1111111111111111}\n'
+COMPARE_STDOUT = '{"replications": 3, "mean_difference": 0.0}\n'
 
 
 def test_simulate_csv_golden(tmp_path, capsys):
@@ -134,21 +134,21 @@ def test_compare_golden(tmp_path, capsys):
 
 
 # sha256 of the little-endian int64 / float64 bytes of each table, for the
-# n = 10^5 markets of the large benchmark item (seed 1): rejection rounds,
+# n = 10^5 markets of the large benchmark item (seed 1): the list kernel,
 # the ranking's tie repair and the completion's holes all run at this scale.
 LARGE_DIGESTS = {
-    "prefs": "f7238f9c74e572d286b449d305c49eaf6c59d63f574be47fedfd8bca661dca32",
-    "signals": "4314b9456cf91f9244c4fc9515907f61f7cfadabb330d7af16dc8d6300c5004b",
-    "tiebreaks": "7f38e2087e1ef75de276617ddc0aeb0bd85ec8bc1bdc7ee4fc43e1ac49d9cade",
-    "uni_rank": "98eef1c6ba8317edc95e58b314b3a91f5fe63a32e35570a7359fd88661beb92f",
-    "_uni_order": "90f644347fa1d4abab0e1f307342b75731e922a85825eefa65da6a077cc5c354",
-    "school": "d259ead35dd1fa3fd8a6a731faf5a68d35da0062247a88d05c3c69bf078d6348",
-    "student": "d259ead35dd1fa3fd8a6a731faf5a68d35da0062247a88d05c3c69bf078d6348",
-    "seeded prefs": "c29136f8e73c4e9e5b531067ab3c1364e2538154c3587b0e895ec61dd309432e",
-    "seeded signals": "368c2779c2ead12adfee3f80b5a20c8ef145be0cd148e40771e3ba15c25619b0",
-    "seeded tiebreaks": "7423d519ef290143f0847f9f800a896cbc39b9710bd769687d0b576f831e05ab",
-    "seeded uni_rank": "34e58675a4d71051e14e04c0462d7c3e8b37a31950f01896902871460f4dca87",
-    "seeded repair": "59ba9f0d0ef38bac7dc48612d71d0b374f26677ab82bf7e2d76d418343ef456d",
+    "prefs": "70d142eda8ad84d0138faf339072dd0f3424042e9931c4c1e62abf82cbcd8431",
+    "signals": "470c7c6e68617910e9306cc913fc8e3b0b01038ccd25f99b72d4c7efa5d4ce8c",
+    "tiebreaks": "818f3ec3a904d47b143fcc64d58d138e079bb19c5e8d9d12e26871fdaa67825a",
+    "uni_rank": "5acf45e4a2b21e6edefe57345a4f0cc5a169ed4017f208e167d5a6cad6f3b19e",
+    "_uni_order": "6c70031fe1f29b6912d897814adea333ee6355b45de14426e60574cdc8ba2753",
+    "school": "c55f64e089b35704c2950604ff32c0bd5fb0a030e1cbbed323aa53c294412095",
+    "student": "cd49d086b4037ec6fddda13fdf999175f87888fef686ac22ca3222041b4c5d76",
+    "seeded prefs": "fc6f442051db005c23c292c93e94aaa87b0edc357af20547fcfb5f9684cc6d01",
+    "seeded signals": "adc9572d0686d1c2d6b61b078550496f8c0b9e790fc89b4be75545972f846121",
+    "seeded tiebreaks": "7f10e7ea09cf9cb3fd785ed3f5216588c55e627b326f1f560ef4e0e7e0b24a9b",
+    "seeded uni_rank": "f54d3a508395135d17afd4f31510d3dda0bfab235f8224875f03d621989f9c8c",
+    "seeded repair": "8c6f5b02dde893df15360d715e4360a1a63f379ea9609461f5726d1162cf0a3f",
 }
 
 
@@ -179,10 +179,10 @@ def test_large_market_digests():
 # stable-partner verdicts and fractions, and the solver's JSON.
 CLI_SMALL_DIGESTS = {
     "solve.json": "571ab0d1e6e521903b45d32054e645a6732e525f728aaedfa8e1e0a2a1d470b6",
-    "sweep.csv": "03039125e196f60673df1ed86c0237484a1c09b558bfd2660ff6d7dc74f98ad6",
-    "sweep.csv.summary.csv": "ee8773130dc5c3dc184940e118a0d1ba8f52b1ad794936cbc70aa0aba5f1ff77",
-    "verdicts.csv": "2b584dd4d83302f60e6e699275c97fe7365019e87a7e781fcc8df0a9f70bd99e",
-    "verdicts.csv.summary.csv": "304c1a27907863762a37e37aac32698b53e39c928821437ff1c9606c0c582edf",
+    "sweep.csv": "e855f763685ca463b55ec3c7221e5573174d2a7bb77c4e450003ba6c9830a1ec",
+    "sweep.csv.summary.csv": "fdc4b8fbf4b03581f31b05495b96a5715e6520b9458e147d6c1d53207937ac06",
+    "verdicts.csv": "bea89a3a76bf51d5da87f550c7bb4e1873849b368d0cf496da10bf5de475d6c2",
+    "verdicts.csv.summary.csv": "9f969e518a276ac4a49810e06308f5e1e7c913fa7c494023a60752ced4b9a97e",
 }
 
 
@@ -201,12 +201,13 @@ def test_cli_small_digests(tmp_path):
 
 
 # The custom-sampler stream: each sampler is called once per kind with the
-# number of signals it draws, the special one first.
+# number of signals it draws, the special one first, after the list
+# uniforms and the tiebreaks.
 CUSTOM_DIGESTS = {
-    "prefs": "2ed67b45a8ccf0f4141a5e5a77eec1e85b52b9371eb135aac7b5593948e369eb",
-    "signals": "0f20cc028e53b34da5400c599df039396b7c074c0055d8fe5001fc04b8f544d6",
-    "tiebreaks": "e8fe7acf257fea3f3160440856ef734b67db78ea9d1a8f8f71b71be74f08bd51",
-    "uni_rank": "8fc32379851146bc48764e74ac1133fe92e135543f58e1ba3908740cf58db528",
+    "prefs": "1ca200686560f9c27e52b06f8fda2177f607e6e52a1bf423b218e9fd08ec5c5e",
+    "signals": "4c5dcc9e649ac333357a7321501a61444df470ea3471bdd1973cb5f8ae053c7b",
+    "tiebreaks": "2fbffc50ce5bdbab2abf51aa92401b09395cbe306ab21a2b15488ecb1a659ed7",
+    "uni_rank": "22ac662e6ea5f83b4ab5f5c479f91533a4efdeec4b737af3860e0d5638c9a9a8",
 }
 CUSTOM_SOLVE = (1.0, 0.4376941308320187, 0.28024598842141835)
 

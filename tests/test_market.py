@@ -27,7 +27,7 @@ from admitsim import (
 )
 from admitsim import market
 from admitsim.market import _rank_within_universities
-from conftest import random_mixed_config, seeded_plan_oracle
+from conftest import nth_unlisted, random_mixed_config, seeded_plan_oracle
 
 
 def plan_with_prefixes(config: MarketConfig, prefixes: list[list[int]]) -> SeededProposalPlan:
@@ -286,8 +286,8 @@ class TestSampling:
         a, b = sample_market(cfg), sample_market(cfg)
         assert a == b
 
-    def test_list_distribution_uniform_rejection_path(self):
-        # m=16, k=2 uses duplicate rejection; all 240 ordered pairs should be
+    def test_list_distribution_uniform_index_path(self):
+        # m=16, k=2 takes the index path; all 240 ordered pairs should be
         # equally likely (chi-square, fixed seed, 0.001 critical ~ 306)
         m, k, rows = 16, 2, 24_000
         inst = sample_market(MarketConfig(n=rows, m_ratio=m / rows, k=k, seed=14))
@@ -299,9 +299,10 @@ class TestSampling:
         chi2 = float(((cells - expected) ** 2 / expected).sum())
         assert chi2 < 320
 
-    def test_list_distribution_uniform_key_sort_path(self):
-        # m=4, k=3 has k(k-1) > m and takes the random-key sort; 24 ordered
-        # triples, 0.001 critical for 23 dof ~ 49.7
+    def test_list_distribution_uniform_key_sort_path(self, monkeypatch):
+        # m=4, k=3 has k(k-1) > m, which at a ratio of 1 takes the random-key
+        # sort; 24 ordered triples, 0.001 critical for 23 dof ~ 49.7
+        monkeypatch.setattr(market, "_KEY_SORT_RATIO", 1)
         m, k, rows = 4, 3, 12_000
         inst = sample_market(MarketConfig(n=rows, m_ratio=m / rows, k=k, seed=15))
         counts: dict[tuple[int, ...], int] = {}
@@ -348,20 +349,36 @@ class TestSampling:
             assert sigs == sorted(sigs, reverse=True) or len(set(sigs)) < len(sigs)
 
 
-class RecordingGenerator:
-    """Delegates to a generator and logs each call with its size."""
+class RecordingGenerator(np.random.Generator):
+    """``default_rng(seed)`` that logs each call with the shape it draws."""
 
     def __init__(self, seed: int) -> None:
-        self.rng = np.random.default_rng(seed)
-        self.calls: list[tuple[str, object]] = []
+        super().__init__(np.random.PCG64(seed))
+        self.calls: list[tuple[str, tuple[int, ...]]] = []
 
     def integers(self, *args, **kwargs):
-        self.calls.append(("integers", kwargs.get("size")))
-        return self.rng.integers(*args, **kwargs)
+        drawn = super().integers(*args, **kwargs)
+        self.calls.append(("integers", np.shape(drawn)))
+        return drawn
 
-    def random(self, size):
-        self.calls.append(("random", size))
-        return self.rng.random(size)
+    def random(self, size=None, dtype=np.float64, out=None):
+        drawn = super().random(size, dtype, out)
+        self.calls.append(("random", np.shape(drawn)))
+        return drawn
+
+    def standard_normal(self, size=None, dtype=np.float64, out=None):
+        drawn = super().standard_normal(size, dtype, out)
+        self.calls.append(("standard_normal", np.shape(drawn)))
+        return drawn
+
+
+def three_calls(config: MarketConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """The calls that sampling one market of ``config`` makes: its list
+    uniforms, rank-major, or on the key sort its m keys per student; its
+    tiebreaks; its signals."""
+    n, m, k = config.n, config.m, config.k
+    lists = (n, m) if k * (k - 1) > market._KEY_SORT_RATIO * m else (k, n)
+    return [("random", lists), ("random", (n, k)), ("standard_normal", (n, k))]
 
 
 class TestStack:
@@ -370,13 +387,14 @@ class TestStack:
     @pytest.mark.parametrize(
         "config",
         [
-            # rejection path, k(k-1) <= m: rows are redrawn in rounds
+            # index path: sparse lists, then dense ones (k(k-1) > m), up to m = k
             MarketConfig(n=4, m_ratio=3.0, k=4, seed=0),
             MarketConfig(n=40, m_ratio=1.0, capacity=3, k=6,
                          signal=SignalSpec.gaussian(1.5), seed=0),
-            # key-sort path, k(k-1) > m
             MarketConfig(n=10, m_ratio=0.5, capacity=2, k=4, seed=0),
             MarketConfig(n=6, m_ratio=1.0, k=6, seed=0),
+            # key-sort path, k(k-1) > 32m
+            MarketConfig(n=36, m_ratio=1.0, capacity=2, k=36, seed=0),
             # custom samplers draw each kind in one call
             MarketConfig(n=12, m_ratio=1.0, capacity=2, k=3, seed=0, signal=SignalSpec.custom(
                 lambda g, size: g.integers(0, 3, size), lambda g, size: g.exponential(size=size))),
@@ -395,27 +413,19 @@ class TestStack:
             assert stack.tiebreaks[rows].tobytes() == alone.tiebreaks.tobytes()
             assert np.array_equal(stack.uni_rank[rows], alone.uni_rank)
 
-    @pytest.mark.parametrize("m,k", [(12, 4), (5, 4)])
+    @pytest.mark.parametrize("m,k", [(12, 4), (5, 4), (36, 36)])
     def test_blocks_make_the_calls_they_make_alone(self, m, k):
-        # the rejection rounds run in step, and only blocks with rows to
-        # redraw draw; the key sort draws per block
+        # every block, stacked or alone, makes exactly its three calls, on
+        # the index path (12, 4), (5, 4) and the key sort (36, 36) alike
+        config = MarketConfig(n=3, m_ratio=m / 3, k=k, seed=0)
         seeds = list(range(12))
         stacked = [RecordingGenerator(seed) for seed in seeds]
-        prefs = np.empty((len(seeds) * 3, k), dtype=np.int64)
-        market._fill_distinct(prefs, np.zeros(len(seeds) * 3, dtype=np.int64), m, stacked)
-        rounds = set()
+        stack = market._sample_stack(config, stacked)
         for b, seed in enumerate(seeds):
             alone = RecordingGenerator(seed)
-            block = market._fill_distinct(
-                np.empty((3, k), dtype=np.int64), np.zeros(3, dtype=np.int64), m, [alone]
-            )
-            assert np.array_equal(prefs[3 * b : 3 * b + 3], block)
-            assert stacked[b].calls == alone.calls
-            rounds.add(len(alone.calls))
-        if k * (k - 1) <= m:
-            assert len(rounds) > 1  # some blocks still drew after others were done
-        else:
-            assert rounds == {1}  # one key draw per block
+            block = market._sample_stack(config, [alone])
+            assert np.array_equal(stack.prefs[3 * b : 3 * b + 3] - b * m, block.prefs)
+            assert stacked[b].calls == alone.calls == three_calls(config)
 
     @pytest.mark.parametrize(
         "blocks,message",
@@ -433,6 +443,98 @@ class TestStack:
         table = np.zeros((4, 1))
         with pytest.raises(ConfigurationError):
             MarketInstance(config, np.array([[0], [1], [2], [1]]), table, table, blocks=2)
+
+
+def fill_lists(prefixes, k, m, draw):
+    """Rows holding ``prefixes``, their other ranks filled by ``_fill_distinct``
+    from the codes ``_codes`` makes of the uniforms ``draw(j, rows)`` of each
+    rank j; returns the (rows, k) lists and the uniforms."""
+    uniforms = np.array([draw(j, len(prefixes)) for j in range(k)], dtype=np.float64)
+    codes = market._codes(uniforms.copy(), m)
+    first = np.array([len(prefix) for prefix in prefixes], dtype=np.int64)
+    for s, prefix in enumerate(prefixes):
+        codes[: len(prefix), s] = prefix
+    return market._fill_distinct(codes, first), uniforms
+
+
+def assert_holes_are_the_scan(prefixes, lists, uniforms, m):
+    """Each hole j of row s is the x-th unlisted university after ranks 0..j-1,
+    x = floor(u * (m - j)) for its uniform u, and each prefix is kept."""
+    for s, prefix in enumerate(prefixes):
+        assert lists[s, : len(prefix)].tolist() == list(prefix)
+        for j in range(len(prefix), lists.shape[1]):
+            x = int(float(uniforms[j, s]) * (m - j))
+            assert x <= m - j - 1
+            assert lists[s, j] == nth_unlisted(lists[s, :j].tolist(), x, m)
+            if m <= 50:  # the scan is the x-th of the unlisted ids, listed in full
+                assert lists[s, j] == [u for u in range(m) if u not in lists[s, :j]][x]
+
+
+class TestListKernel:
+    """``_fill_distinct`` against the plain scan ``nth_unlisted``, cell by cell."""
+
+    @staticmethod
+    def random_prefixes(rng, rows, k, m):
+        lengths = rng.integers(0, k + 1, size=rows)
+        return [rng.choice(m, size=length, replace=False).tolist() for length in lengths]
+
+    def test_random_partial_rows(self, rng):
+        for _ in range(60):
+            k = int(rng.integers(1, 13))
+            m = int(np.exp(rng.uniform(np.log(k), np.log(10**4))).round())
+            m = max(m, k)
+            prefixes = self.random_prefixes(rng, 30, k, m)
+            lists, uniforms = fill_lists(prefixes, k, m, lambda j, size: rng.random(size))
+            assert_holes_are_the_scan(prefixes, lists, uniforms, m)
+
+    @pytest.mark.parametrize("m,k", [(34, 34), (50, 45), (100, 60)])
+    def test_key_sort_regime(self, rng, m, k):
+        # k(k-1) > 32m, where sampling takes the key sort: the kernel still
+        # gives the scan's answer, with lists that overlap on most draws
+        assert k * (k - 1) > market._KEY_SORT_RATIO * m
+        for _ in range(5):
+            prefixes = self.random_prefixes(rng, 40, k, m)
+            lists, uniforms = fill_lists(prefixes, k, m, lambda j, size: rng.random(size))
+            assert_holes_are_the_scan(prefixes, lists, uniforms, m)
+            assert (np.sort(lists, axis=1)[:, 1:] != np.sort(lists, axis=1)[:, :-1]).all()
+
+    @pytest.mark.parametrize("m", [3, 100, 1000, 2**31, 2**31 + 11])
+    def test_code_bias_is_below_its_bound(self, m):
+        # the uniforms are a * 2^-53 for a < 2^53; code v takes the a from the
+        # first whose code reaches v to the first whose code reaches v + 1, so
+        # its probability is that count over 2^53, which stays within a
+        # relative m * 2^-53 of 1/m (the docstring's proven bound is twice that)
+        def first_reaching(v):
+            lo, hi = 0, 2**53
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if market._codes(np.array([[mid * 2.0**-53]]), m)[0, 0] >= v:
+                    hi = mid
+                else:
+                    lo = mid + 1
+            return lo
+
+        values = range(m) if m <= 1000 else np.random.default_rng(m).integers(0, m, 40).tolist()
+        for v in values:
+            count = (first_reaching(v + 1) if v + 1 < m else 2**53) - first_reaching(v)
+            assert abs(count * m / 2**53 - 1) < m * 2.0**-53
+
+    @pytest.mark.parametrize("m", [12, 128, 1000, 2**15, 2**31 - 1, 2**31, 2**31 + 11])
+    @pytest.mark.parametrize("u", [0.0, np.nextafter(1.0, 0.0)])
+    def test_edge_uniforms(self, m, u):
+        # the largest uniform below 1 takes the last unlisted university,
+        # with m - j up to 2^31 (m = 2^31 + 11 at j = 11), and 0 the first,
+        # at the edges of the code dtypes (int8 to m = 128, int16 to 2^15, ...);
+        # the given cells sit at both ends of the ids
+        k = 12
+        prefixes = [[], [0], [m - 1], [m - 1, 0], [m - 2, m - 1, 0, 1], [1, m - 1, 3, m - 3, 0]]
+        codes = market._codes(np.full((k, 1), u), m)[:, 0]
+        assert codes.tolist() == [0 if u == 0.0 else m - j - 1 for j in range(k)]
+        lists, uniforms = fill_lists(prefixes, k, m, lambda j, size: np.full(size, u))
+        assert_holes_are_the_scan(prefixes, lists, uniforms, m)
+        fresh = lists[0]  # the row with no prefix
+        listed = 0 if u == 0.0 else m - k
+        assert sorted(fresh.tolist()) == list(range(listed, listed + k))
 
 
 def assert_ranking_is_lexsort(uni, signals, ties, m, got=None):
@@ -697,15 +799,14 @@ class TestRepeatedUniversity:
 
     @pytest.mark.parametrize("k", [2, 5, 10])
     def test_sampling_at_m_equal_to_k_k_minus_1_leaves_no_repeat(self, k):
-        # m = k(k-1) still takes the rejection rounds, with the most rows to redraw
+        # at m = k(k-1) most rows' uniform draws would repeat a university;
+        # the index path still makes its three calls
         n = 3000
         config = MarketConfig(n=n, m_ratio=k * (k - 1) / n, k=k, seed=k)
         gen = RecordingGenerator(k)
-        prefs = market._fill_distinct(
-            np.empty((n, k), dtype=np.int64), np.zeros(n, dtype=np.int64), config.m, [gen]
-        )
-        assert {name for name, _ in gen.calls} == {"integers"}
-        assert len(gen.calls) > (3 if k > 2 else 1)
+        prefs = market._sample_stack(config, [gen]).prefs
+        assert gen.calls == three_calls(config)
+        assert gen.calls[0] == ("random", (k, n))
         stack = market._sample_stack(config, [1, 2])
         for table in (prefs, sample_market(config).prefs, stack.prefs):
             srt = np.sort(table, axis=1)
@@ -893,7 +994,7 @@ class TestSeededPlan:
 
 
 class TestCompletion:
-    @pytest.mark.parametrize("m,k", [(12, 3), (5, 4)])  # rejection; key sort (k(k-1) > m)
+    @pytest.mark.parametrize("m,k", [(12, 3), (5, 4)])  # index path; sparse, dense lists
     def test_fresh_picks_uniform_over_unlisted(self, m, k):
         # student s holds university s % m at rank 1; relabelled relative to
         # it, the fresh ordered picks must be uniform over the (m-1)!/(m-k)!
@@ -912,6 +1013,11 @@ class TestCompletion:
         stats = pytest.importorskip("scipy.stats")
         assert chi2 < stats.chi2.ppf(0.999, cells - 1)
 
+    def test_key_sort_fresh_picks_uniform_over_unlisted(self, monkeypatch):
+        # the (5, 4) case on the key sort, where a ratio of 1 sends it
+        monkeypatch.setattr(market, "_KEY_SORT_RATIO", 1)
+        self.test_fresh_picks_uniform_over_unlisted(5, 4)
+
     def test_fresh_rank_one_slot_draws_the_special_signal(self):
         cfg = MarketConfig(n=200, m_ratio=1.0, k=3, signal=SignalSpec.gaussian(50.0), seed=3)
         prefixes = [[s, (s + 1) % 200] if s % 2 else [] for s in range(200)]
@@ -923,9 +1029,10 @@ class TestCompletion:
         assert (inst.signals[~held & ~np.eye(1, 3, dtype=bool)] < 10.0).all()
         assert ((inst.tiebreaks[~held] >= 0.0) & (inst.tiebreaks[~held] < 1.0)).all()
 
-    def test_key_sort_fills_full_lists_with_permutations(self, rng):
-        # m = k: every completed row is a permutation of all universities,
-        # whatever prefix the student already holds
+    def test_key_sort_fills_full_lists_with_permutations(self, rng, monkeypatch):
+        # m = k (the key sort at a ratio of 1): every completed row is a
+        # permutation of all universities, whatever prefix the student holds
+        monkeypatch.setattr(market, "_KEY_SORT_RATIO", 1)
         n, k = 500, 5
         cfg = MarketConfig(n=n, m_ratio=k / n, k=k, seed=8)
         prefixes = [rng.permutation(k)[: int(rng.integers(0, k + 1))].tolist() for _ in range(n)]
@@ -933,18 +1040,3 @@ class TestCompletion:
         assert (np.sort(inst.prefs, axis=1) == np.arange(k)).all()
         for s, prefix in enumerate(prefixes):
             assert inst.prefs[s, : len(prefix)].tolist() == prefix
-
-    @pytest.mark.parametrize("rounds", [0, 1])
-    def test_rejection_rounds_are_bounded(self, monkeypatch, rounds):
-        # with k(k-1) = m about half the rows repeat a university after a
-        # round; rows left over when the rounds run out take the key sort
-        monkeypatch.setattr(market, "_REJECTION_ROUNDS", rounds)
-        cfg = MarketConfig(n=400, m_ratio=0.05, k=5, seed=4)
-        plan = build_seeded_plan((1.0, 0.6, 0.4, 0.2, 0.1), cfg, slack=0.0)
-        inst = complete_instance(plan)
-        assigned = plan.proposal_student >= 0
-        students, ranks = plan.proposal_student[assigned], plan.proposal_rank[assigned] - 1
-        assert np.array_equal(inst.prefs[students, ranks], plan.proposal_uni[assigned])
-        for prefs in (inst.prefs, sample_market(cfg).prefs):
-            srt = np.sort(prefs, axis=1)
-            assert (srt[:, 1:] != srt[:, :-1]).all()
