@@ -3,9 +3,7 @@
 from .analytics import (
     ExperimentRecord,
     UtilityModel,
-    UtilityTotals,
     compare_matchings,
-    compute_utilities,
     make_record,
     write_records_csv,
 )
@@ -38,7 +36,6 @@ from .matching import (
     continue_rejection_chains,
     find_blocking_pairs,
     match_rank_indices,
-    matching_to_csv,
     rank_profile,
     school_proposing_da,
     student_proposing_da,
@@ -67,12 +64,10 @@ __all__ = [
     "SolverResult",
     "StablePartnerReports",
     "UtilityModel",
-    "UtilityTotals",
     "build_seeded_plan",
     "child_seed",
     "compare_matchings",
     "complete_instance",
-    "compute_utilities",
     "continue_rejection_chains",
     "estimate_acceptance",
     "expected_accepted_mass",
@@ -80,7 +75,6 @@ __all__ = [
     "find_blocking_pairs",
     "make_record",
     "match_rank_indices",
-    "matching_to_csv",
     "rank_profile",
     "sample_market",
     "school_proposing_da",

@@ -8,7 +8,6 @@ import numbers
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -17,9 +16,7 @@ from .matching import Matching, match_rank_indices
 
 __all__ = [
     "UtilityModel",
-    "UtilityTotals",
     "ExperimentRecord",
-    "compute_utilities",
     "compare_matchings",
     "make_record",
     "format_number",
@@ -58,30 +55,12 @@ class UtilityModel:
                 raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
-class UtilityTotals(NamedTuple):
-    student_total: float
-    university_total: float
-    synergy_count: int
-
-
-def compute_utilities(
-    instance: MarketInstance,
-    matching: Matching,
-    model: UtilityModel | None = None,
-) -> UtilityTotals:
-    """Total student and university utility plus the synergy count.
-
-    A student matched at rank r contributes base(r), plus the bonus when
-    r = 1.  The synergy count is the number of students matched to their
-    favorite school.
-    """
-    ranks = match_rank_indices(instance, matching)
-    counts = np.bincount(ranks, minlength=instance.k + 1)[: instance.k]
-    return _utility_totals(counts[None], model)[0]
-
-
-def _utility_totals(counts: np.ndarray, model: UtilityModel | None) -> list[UtilityTotals]:
-    """Utility totals of each row of a (markets, k) table of students matched per rank."""
+def _utility_totals(
+    counts: np.ndarray, model: UtilityModel | None
+) -> list[tuple[float, float, int]]:
+    """(student, university, synergy) totals of each row of a (markets, k) table of
+    students matched per rank: a match at rank r gives base(r), plus the bonus at
+    r = 1, and synergy counts the rank-1 matches."""
     if model is None:
         model = UtilityModel()
     k = counts.shape[1]
@@ -109,10 +88,9 @@ def _utility_totals(counts: np.ndarray, model: UtilityModel | None) -> list[Util
         synergy = table[:, 0]
         student = table @ np.array(base_values, dtype=np.float64) + float(model.bonus) * synergy
         university = table @ np.array(uni_values, dtype=np.float64) + float(uni_bonus) * synergy
-        return list(map(UtilityTotals, student.tolist(), university.tolist(),
-                        counts[:, 0].tolist()))
+        return list(zip(student.tolist(), university.tolist(), counts[:, 0].tolist()))
     return [
-        UtilityTotals(
+        (
             float(np.dot(row, base_values)) + model.bonus * int(row[0]),
             float(np.dot(row, uni_values)) + uni_bonus * int(row[0]),
             int(row[0]),

@@ -29,7 +29,7 @@ from .analytics import (  # noqa: F401
     make_record,
     write_records_csv,
 )
-from .fixed_point import ConvergenceError, solve_general, solve_iid
+from .fixed_point import ConvergenceError, _check_sampling, solve_general, solve_iid
 from .market import (  # noqa: F401
     ConfigurationError,
     MarketConfig,
@@ -200,13 +200,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     config = _market_config(args)
+    if args.trials < 1:
+        raise UsageError("--trials must be at least 1")
+    _check_sampling(args.n_sim)
     if args.method == "iid":
         if not config.signal.is_iid_equivalent:
             raise UsageError("method 'iid' requires identical signal distributions (delta 0)")
         result = solve_iid(config)
     else:
-        if args.trials < 1:
-            raise UsageError("--trials must be at least 1")
         result = solve_general(config, n_sim=args.n_sim)
     _write(args.out, json.dumps(result.to_json_dict(), indent=2) + "\n")
     return 0
@@ -215,18 +216,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     """Grid of (k, delta) cells, each replicated from the root seed."""
     doc = _load_config_file(args.config)
-    grid = {key: doc.pop(key) for key in ("k_values", "deltas", "reps", "replications", "out")
-            if key in doc}
-    base = doc.pop("base", {})
-    if not isinstance(base, dict):
-        raise UsageError('the config "base" entry must be a JSON object')
-    doc = {**base, **doc}  # market fields sit in "base" or at the top level
+    grid = {key: doc.pop(key) for key in ("k_values", "deltas", "reps", "out") if key in doc}
     for key in ("k", "delta", "signal"):
         if key in doc:
             raise UsageError(f"config key {key!r} is not read by sweep: its grid sets k and delta")
     market = _market_config(args, doc)
 
-    if args.k_list:
+    if args.k_list is not None:
         k_values = _split_flag(int, "--k-list", args.k_list)
     elif "k_values" in grid and args.k_min is None and args.k_max is None:
         k_values = _convert_list(int, "k_values", grid["k_values"])
@@ -234,12 +230,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         k_min = args.k_min if args.k_min is not None else 1
         k_max = args.k_max if args.k_max is not None else min(10, market.m)
         k_values = tuple(range(k_min, k_max + 1))
-    if args.deltas:
+    if args.deltas is not None:
         deltas = _split_flag(float, "--deltas", args.deltas)
     else:
         deltas = _convert_list(float, "deltas", grid.get("deltas", [0.0]))
-    reps = args.reps if args.reps is not None else grid.get("reps", grid.get("replications", 1))
-    reps = _convert(int, "reps", reps)
+    reps = _convert(int, "reps", args.reps if args.reps is not None else grid.get("reps", 1))
     out = args.out or grid.get("out")
     if not isinstance(out, str):
         raise UsageError("--out is required for sweeps")

@@ -56,12 +56,6 @@ class RankVector:
     def __post_init__(self) -> None:
         _validate_rank_fractions(self.fractions)
 
-    def __len__(self) -> int:
-        return len(self.fractions)
-
-    def __getitem__(self, i: int) -> float:
-        return self.fractions[i]
-
 
 @dataclass(frozen=True)
 class AcceptanceEstimate:

@@ -596,6 +596,8 @@ def _sample_stack(config: MarketConfig, seeds: Sequence[Any]) -> MarketInstance:
 class SeededProposalPlan:
     """Pre-made proposals per rank, with acceptance labels and owners.
 
+    A plan holds what ``complete_instance`` and ``continue_rejection_chains``
+    read; the fractions and slack that sized it are not kept.
     ``proposal_student`` is -1 for proposals that could not be assigned to
     any eligible student.  ``inconsistent`` flags students whose proposal
     record has a gap: they lack a rank-1 proposal, or their last proposal
@@ -603,8 +605,6 @@ class SeededProposalPlan:
     """
 
     config: MarketConfig
-    rank_fractions: tuple[float, ...]
-    slack: float
     proposal_uni: np.ndarray
     proposal_rank: np.ndarray  # 1-based proposal type
     proposal_signal: np.ndarray
@@ -752,8 +752,6 @@ def build_seeded_plan(
         arr.setflags(write=False)
     return SeededProposalPlan(
         config=config,
-        rank_fractions=tuple(float(f) for f in fractions),
-        slack=float(slack),
         proposal_uni=prop_uni,
         proposal_rank=prop_rank,
         proposal_signal=prop_signal,

@@ -24,7 +24,6 @@ __all__ = [
     "rank_profile",
     "match_rank_indices",
     "continue_rejection_chains",
-    "matching_to_csv",
 ]
 
 
@@ -327,14 +326,3 @@ def continue_rejection_chains(
         raise ValueError("plan and instance were built from different configurations")
     holds = plan.accepted_partner_array() >= 0
     return _students_propose(instance, plan.assigned_rank_counts() - holds, holds)
-
-
-def matching_to_csv(instance: MarketInstance, matching: Matching) -> str:
-    """CSV rows (student_id, university_id, rank); NULL when unmatched."""
-    ranks = (match_rank_indices(instance, matching) + 1).tolist()
-    lines = ["student_id,university_id,rank"]
-    lines.extend(
-        f"{s},{u},{rank}" if u >= 0 else f"{s},NULL,NULL"
-        for s, (u, rank) in enumerate(zip(matching.partner.tolist(), ranks))
-    )
-    return "\n".join(lines) + "\n"

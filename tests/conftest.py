@@ -286,8 +286,6 @@ def seeded_plan_oracle(
 
     return SeededProposalPlan(
         config=config,
-        rank_fractions=tuple(float(f) for f in fractions),
-        slack=float(slack),
         proposal_uni=prop_uni,
         proposal_rank=prop_rank,
         proposal_signal=prop_signal,

@@ -14,7 +14,6 @@ from admitsim import (
     Matching,
     UtilityModel,
     compare_matchings,
-    compute_utilities,
     make_record,
     sample_market,
     school_proposing_da,
@@ -24,10 +23,16 @@ from admitsim.analytics import _records_header, _utility_totals, format_number
 from conftest import own_ranks, random_mixed_config
 
 
-class TestComputeUtilities:
+def utilities(instance, matching, model=None):
+    """(student, university, synergy) totals, as the matching's record holds them."""
+    record = make_record(instance, matching, model)
+    return record.student_utility, record.university_utility, record.synergy
+
+
+class TestUtilities:
     def test_empty_matching(self):
         inst = sample_market(MarketConfig(n=5, m_ratio=1.0, k=2, seed=0))
-        totals = compute_utilities(inst, Matching([-1] * 5, 5))
+        totals = utilities(inst, Matching([-1] * 5, 5))
         assert totals == (0.0, 0.0, 0)
 
     def test_everyone_first_choice(self):
@@ -38,14 +43,14 @@ class TestComputeUtilities:
         # collisions possible with k=1 sampling; rebuild a clean instance instead
         if len(set(partner.tolist())) == n:
             matching = Matching(partner, n)
-            totals = compute_utilities(inst, matching, UtilityModel(bonus=1.0))
+            totals = utilities(inst, matching, UtilityModel(bonus=1.0))
             assert totals == (2 * n, 2 * n, n)
 
     def test_everyone_first_choice_fixture(self):
         from test_matching import small_instance
 
         inst = small_instance([[0], [1], [2]], [[1.0], [1.0], [1.0]], m=3)
-        totals = compute_utilities(inst, Matching([0, 1, 2], 3), UtilityModel(bonus=1.0))
+        totals = utilities(inst, Matching([0, 1, 2], 3), UtilityModel(bonus=1.0))
         assert totals == (6.0, 6.0, 3)
 
     def test_decomposition_exact(self, rng):
@@ -56,7 +61,7 @@ class TestComputeUtilities:
             matching = school_proposing_da(inst)
             base = lambda r: 1.0 + 1.0 / r
             model = UtilityModel(base=base, bonus=2.5)
-            student_total, _, synergy = compute_utilities(inst, matching, model)
+            student_total, _, synergy = utilities(inst, matching, model)
             ranks = [r + 1 for r in own_ranks(inst, matching) if r < inst.k]
             expected_base = sum(base(r) for r in ranks)
             assert student_total == pytest.approx(expected_base + 2.5 * synergy)
@@ -94,7 +99,7 @@ class TestComputeUtilities:
         inst = sample_market(MarketConfig(n=4, m_ratio=1.0, k=2, seed=1))
         model = UtilityModel(base=lambda r: float(r))
         with pytest.raises(ValueError):
-            compute_utilities(inst, school_proposing_da(inst), model)
+            make_record(inst, school_proposing_da(inst), model)
 
     @pytest.mark.parametrize("field", ["bonus", "university_bonus"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0, "1"])
@@ -121,16 +126,16 @@ class TestComputeUtilities:
         inst = sample_market(MarketConfig(n=4, m_ratio=1.0, k=3, seed=1))
         model = UtilityModel(**{field: lambda r: value if r == 3 else 1.0})
         with pytest.raises(ValueError, match=f"^{field} utility must be finite"):
-            compute_utilities(inst, school_proposing_da(inst), model)
+            make_record(inst, school_proposing_da(inst), model)
 
     def test_university_override(self):
         from test_matching import small_instance
 
         inst = small_instance([[0], [1]], [[1.0], [1.0]], m=2)
         model = UtilityModel(bonus=1.0, university_base=lambda r: 3.0, university_bonus=0.0)
-        totals = compute_utilities(inst, Matching([0, 1], 2), model)
-        assert totals.student_total == 4.0
-        assert totals.university_total == 6.0
+        record = make_record(inst, Matching([0, 1], 2), model)
+        assert record.student_utility == 4.0
+        assert record.university_utility == 6.0
 
 
 class TestCompareMatchings:

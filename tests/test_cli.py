@@ -163,13 +163,22 @@ class TestSolve:
         assert max(abs(r) for r in doc["residuals"]) <= 1e-10
         assert run(capsys, *argv, "--seed", "2")[1] == out
 
-    @pytest.mark.parametrize("flag", [["--n-sim", "50"], ["--trials", "0"]])
-    def test_bad_monte_carlo_flags_rejected(self, capsys, flag):
-        code, out, err = run(
-            capsys, "solve", "--n", "100", "--k", "3", "--delta", "1", "--method", "general",
-            *flag,
-        )
-        assert code == 2 and out == "" and err.startswith("error:")
+    @pytest.mark.parametrize("method", [["--method", "iid"],
+                                        ["--delta", "1", "--method", "general"]],
+                             ids=["iid", "general"])
+    @pytest.mark.parametrize("flag,message", [
+        (["--n-sim", "50"], "error: n_sim must be at least 100\n"),
+        (["--trials", "0"], "error: --trials must be at least 1\n"),
+    ], ids=["n-sim", "trials"])
+    def test_bad_monte_carlo_flags_rejected(self, capsys, method, flag, message):
+        code, out, err = run(capsys, "solve", "--n", "100", "--k", "3", *method, *flag)
+        assert (code, out, err) == (2, "", message)
+
+    def test_valid_monte_carlo_flags_leave_iid_unchanged(self, capsys):
+        argv = ["solve", "--n", "10", "--k", "2", "--method", "iid"]
+        plain = run(capsys, *argv)
+        assert plain[0] == 0
+        assert run(capsys, *argv, "--n-sim", "40000", "--trials", "8") == plain
 
     def test_method_signal_mismatch_is_usage_error(self, capsys):
         code, _, err = run(
@@ -228,7 +237,9 @@ class TestSweep:
         "flag,text,message",
         [("--k-list", "1,,2", "--k-list entry '' is not an integer"),
          ("--k-list", "2,1.5", "--k-list entry '1.5' is not an integer"),
-         ("--deltas", "0,abc", "--deltas entry 'abc' is not a number")],
+         ("--deltas", "0,abc", "--deltas entry 'abc' is not a number"),
+         ("--k-list", "", "--k-list entry '' is not an integer"),
+         ("--deltas", "", "--deltas entry '' is not a number")],
     )
     def test_bad_list_entry_is_named(self, tmp_path, capsys, flag, text, message):
         out = tmp_path / "x.csv"
@@ -432,7 +443,8 @@ class TestConfigFile:
             ("simulate", {"n": 10, "k": 2, "reps": 3}, "reps"),
             ("sweep", {"n": 10, "k": 3, "delta": 2, "k_values": [1]}, "k"),
             ("sweep", {"n": 10, "signal": "gaussian", "k_values": [1]}, "signal"),
-            ("sweep", {"base": {"n": 10, "delta": 1}, "k_values": [1]}, "delta"),
+            ("sweep", {"n": 10, "base": {"capacity": 2}, "k_values": [1]}, "base"),
+            ("sweep", {"n": 10, "replications": 2, "k_values": [1]}, "replications"),
             ("sweep", {"n": 10, "k_min": 2}, "k_min"),
         ],
     )

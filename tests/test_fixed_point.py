@@ -51,7 +51,7 @@ class TestRankVector:
             RankVector((1.0, 0.5, 0.7))
         with pytest.raises(ValueError):
             RankVector(())
-        assert len(RankVector((1.0, 0.4))) == 2
+        assert RankVector((1.0, 0.4)).fractions == (1.0, 0.4)
 
     @pytest.mark.parametrize("fractions", [(1.0, math.nan, 0.1), (math.nan,) * 3, (1.0, -math.inf)])
     def test_non_finite_entries_rejected(self, fractions):

@@ -17,7 +17,7 @@ from admitsim import (
     build_seeded_plan,
     complete_instance,
     continue_rejection_chains,
-    matching_to_csv,
+    match_rank_indices,
     sample_market,
     school_proposing_da,
     solve_general,
@@ -41,7 +41,9 @@ INSTANCE_SIGNALS = [
     "0.03972210748165899", "-0.2924567509650886",
 ]
 
-MATCHING_CSV = "student_id,university_id,rank\n0,2,2\n1,0,2\n2,1,2\n"
+# each student's partner, and its rank (from 1) on the student's list
+MATCHING_PARTNERS = [2, 0, 1]
+MATCHING_RANKS = [2, 2, 2]
 
 SWEEP_CSV = (
     "k,delta,seed,n,m,l,matched,rank1,rank2,unmatched,synergy,u_student,u_university\n"
@@ -90,6 +92,34 @@ COMPARE_CSV = (
 
 COMPARE_STDOUT = '{"replications": 3, "mean_difference": 0.0}\n'
 
+# n = 6, k = 2, root seed 10: replication 1 has two stable matchings, which
+# swap students 2 and 5 between universities 0 and 3
+VERDICTS_YES_CSV = "rep,seed,university,verdict,witness\n" + "".join(
+    f"{rep},{seed},{u},{verdict}\n"
+    for rep, seed, verdicts in (
+        (0, 11122205338535051451, ("NO,NULL",) * 6),
+        (1, 29578199050221545, ("YES,5", "NO,NULL", "NO,NULL", "YES,2", "NO,NULL", "NO,NULL")),
+        (2, 5589107352368182458, ("NO,NULL",) * 6),
+    )
+    for u, verdict in enumerate(verdicts)
+)
+
+VERDICTS_YES_SUMMARY_CSV = (
+    "rep,seed,yes_fraction\n"
+    "0,11122205338535051451,0\n"
+    "1,29578199050221545,0.333333\n"
+    "2,5589107352368182458,0\n"
+)
+
+COMPARE_DIFF_CSV = (
+    "rep,seed,diff_fraction\n"
+    "0,11122205338535051451,0\n"
+    "1,29578199050221545,0.333333\n"
+    "2,5589107352368182458,0\n"
+)
+
+COMPARE_DIFF_STDOUT = '{"replications": 3, "mean_difference": 0.1111111111111111}\n'
+
 
 def test_simulate_csv_golden(tmp_path, capsys):
     out = tmp_path / "records.csv"
@@ -104,9 +134,11 @@ def test_instance_golden():
     assert [repr(v) for v in inst.signals.ravel().tolist()] == INSTANCE_SIGNALS
 
 
-def test_matching_csv_golden():
+def test_matching_golden():
     inst = sample_market(MarketConfig(n=3, m_ratio=1.0, k=2, seed=1))
-    assert matching_to_csv(inst, school_proposing_da(inst)) == MATCHING_CSV
+    matching = school_proposing_da(inst)
+    assert matching.partner.tolist() == MATCHING_PARTNERS
+    assert (match_rank_indices(inst, matching) + 1).tolist() == MATCHING_RANKS
 
 
 def test_sweep_csv_golden(tmp_path, capsys):
@@ -131,6 +163,22 @@ def test_compare_golden(tmp_path, capsys):
                  "--out", str(out)]) == 0
     assert out.read_text() == COMPARE_CSV
     assert capsys.readouterr().out == COMPARE_STDOUT
+
+
+def test_stable_partners_yes_golden(tmp_path, capsys):
+    out = tmp_path / "verdicts.csv"
+    assert main(["stable-partners", "--n", "6", "--k", "2", "--seed", "10", "--reps", "3",
+                 "--out", str(out)]) == 0
+    assert out.read_text() == VERDICTS_YES_CSV
+    assert (tmp_path / "verdicts.csv.summary.csv").read_text() == VERDICTS_YES_SUMMARY_CSV
+
+
+def test_compare_difference_golden(tmp_path, capsys):
+    out = tmp_path / "diffs.csv"
+    assert main(["compare", "--n", "6", "--k", "2", "--seed", "10", "--reps", "3",
+                 "--out", str(out)]) == 0
+    assert out.read_text() == COMPARE_DIFF_CSV
+    assert capsys.readouterr().out == COMPARE_DIFF_STDOUT
 
 
 # sha256 of the little-endian int64 / float64 bytes of each table, for the

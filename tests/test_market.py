@@ -39,8 +39,6 @@ def plan_with_prefixes(config: MarketConfig, prefixes: list[list[int]]) -> Seede
     students, ranks, unis = (np.array([c[i] for c in cells], dtype=np.int64) for i in range(3))
     return SeededProposalPlan(
         config=config,
-        rank_fractions=(1.0,) + (0.0,) * (config.k - 1),
-        slack=0.0,
         proposal_uni=unis,
         proposal_rank=ranks,
         proposal_signal=np.full(unis.size, -100.0),

@@ -19,7 +19,7 @@ from admitsim import (
     continue_rejection_chains,
     extra_stable_partner_reports,
     find_blocking_pairs,
-    matching_to_csv,
+    match_rank_indices,
     rank_profile,
     sample_market,
     school_proposing_da,
@@ -421,14 +421,12 @@ class TestDiscreteSignals:
                 assert brute_force_blocking_pairs(inst, matching) == []
 
 
-class TestCsv:
-    def test_matching_csv_shape(self):
+class TestMatchRanks:
+    def test_unmatched_rank_is_k(self):
         inst = small_instance([[0], [0]], [[2.0], [1.0]], m=1)
-        text = matching_to_csv(inst, school_proposing_da(inst))
-        lines = text.strip().split("\n")
-        assert lines[0] == "student_id,university_id,rank"
-        assert lines[1] == "0,0,1"
-        assert lines[2] == "1,NULL,NULL"
+        matching = school_proposing_da(inst)
+        assert matching.partner.tolist() == [0, -1]
+        assert match_rank_indices(inst, matching).tolist() == [0, 1]
 
 
 class TestMatchingIds:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import os
 import re
 import shlex
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import admitsim
 from admitsim import cli
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -70,3 +72,26 @@ def test_cli_section_names_only_existing_flags(capsys):
     named = set(flag.findall(cli_section()))
     assert "--m-ratio" in named and "--format" in named
     assert named <= listed, sorted(named - listed)
+
+
+def test_package_bullets_name_existing_attributes():
+    """Every backticked name in the "The package provides" bullets is an
+    attribute of ``admitsim`` or of the submodule its bullet names, and every
+    backticked path is a file of the repository, so the README cannot name a
+    deleted function."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = re.split(r"The package\s+provides:", readme, maxsplit=1)[1].split("\n## ", 1)[0]
+    bullets = re.findall(r"^- \*\*`(admitsim\.\w+)`\*\*(.*?)(?=^- |\Z)", section, re.S | re.M)
+    assert [name for name, _ in bullets] == [
+        "admitsim.market", "admitsim.matching", "admitsim.stable_partners",
+        "admitsim.fixed_point", "admitsim.analytics", "admitsim.cli"]
+    named = 0
+    for module_name, text in bullets:
+        module = importlib.import_module(module_name)
+        for name in re.findall(r"`([^`]+)`", text):
+            named += 1
+            if "/" in name:
+                assert (ROOT / name).is_file(), name
+            else:
+                assert hasattr(module, name) or hasattr(admitsim, name), (module_name, name)
+    assert named >= 20
