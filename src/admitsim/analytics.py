@@ -8,10 +8,11 @@ import numbers
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, NamedTuple, Union
 
 import numpy as np
 
-from .market import MarketInstance
+from .market import MarketConfig, MarketInstance
 from .matching import Matching, match_rank_indices
 
 __all__ = [
@@ -57,8 +58,8 @@ class UtilityModel:
 
 def _utility_totals(
     counts: np.ndarray, model: UtilityModel | None
-) -> list[tuple[float, float, int]]:
-    """(student, university, synergy) totals of each row of a (markets, k) table of
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(student, university, synergy) total columns of a (markets, k) table of
     students matched per rank: a match at rank r gives base(r), plus the bonus at
     r = 1, and synergy counts the rank-1 matches."""
     if model is None:
@@ -76,6 +77,7 @@ def _utility_totals(
         raise ValueError("base utility must be nonincreasing in rank")
     uni_bonus = model.bonus if model.university_bonus is None else model.university_bonus
     values = [*base_values, *uni_values, model.bonus, uni_bonus]
+    synergy = counts[:, 0]
     # Sums of integers below 2^53 are exact in any order, so one matrix pass
     # gives the per-row sums bit for bit; a row's partial sums stay within
     # 2 * max|value| * its count.  Other values keep the per-row np.dot,
@@ -85,18 +87,15 @@ def _utility_totals(
         and 2 * max(abs(float(v)) for v in values) * counts.sum(axis=1).max(initial=0) < 2**53
     ):
         table = counts.astype(np.float64)
-        synergy = table[:, 0]
-        student = table @ np.array(base_values, dtype=np.float64) + float(model.bonus) * synergy
-        university = table @ np.array(uni_values, dtype=np.float64) + float(uni_bonus) * synergy
-        return list(zip(student.tolist(), university.tolist(), counts[:, 0].tolist()))
-    return [
-        (
-            float(np.dot(row, base_values)) + model.bonus * int(row[0]),
-            float(np.dot(row, uni_values)) + uni_bonus * int(row[0]),
-            int(row[0]),
-        )
-        for row in counts
-    ]
+        student = table @ np.array(base_values, dtype=np.float64) + float(model.bonus) * table[:, 0]
+        university = table @ np.array(uni_values, dtype=np.float64) + float(uni_bonus) * table[:, 0]
+        return student, university, synergy
+    student, university = (
+        np.array([float(np.dot(row, row_values)) + bonus * int(row[0]) for row in counts],
+                 dtype=np.float64)
+        for row_values, bonus in ((base_values, model.bonus), (uni_values, uni_bonus))
+    )
+    return student, university, synergy
 
 
 def compare_matchings(first: Matching, second: Matching) -> float:
@@ -145,32 +144,110 @@ def make_record(
     seed: int | None = None,
 ) -> ExperimentRecord:
     """Summarize one matching into a sweep row."""
-    seeds = [instance.config.seed if seed is None else seed]
-    return _block_records(instance, matching, seeds, model)[0]
+    config = instance.config
+    seeds = [config.seed if seed is None else seed]
+    counts = _block_records(instance, matching, 1)
+    return _record_table(config, counts, seeds, [config.signal.delta_tag], model=model).record(0)
 
 
-def _block_records(
-    instance: MarketInstance,
-    matching: Matching,
-    seeds: Sequence[int],
-    model: UtilityModel | None = None,
-) -> list[ExperimentRecord]:
-    """One sweep row per block of a stacked instance (see ``market._sample_stack``).
-
-    Block b is tagged ``seeds[b]``; one bincount over the block-offset match
-    ranks counts every block.
+def _block_records(instance: MarketInstance, matching: Matching, blocks: int) -> np.ndarray:
+    """The (blocks, k + 1) rank-count table of a stacked instance (see
+    ``market._sample_stack``): row b counts block b's students matched at each
+    rank, then its unmatched ones, all from one bincount over block-offset ranks.
     """
-    blocks, k, config = len(seeds), instance.k, instance.config
-    n = instance.n // blocks
+    k, n = instance.k, instance.n // blocks
     # entry k of each block's row counts its unmatched students
     ranks = match_rank_indices(instance, matching) + (k + 1) * (np.arange(instance.n) // n)
-    counts = np.bincount(ranks, minlength=blocks * (k + 1)).reshape(blocks, k + 1)
-    totals = _utility_totals(counts[:, :k], model)
-    return [
-        ExperimentRecord(k, config.signal.delta_tag, seed, n, instance.m // blocks,
-                         config.capacity, tuple(row[:k]), row[k], synergy, student, university)
-        for seed, row, (student, university, synergy) in zip(seeds, counts.tolist(), totals)
-    ]
+    return np.bincount(ranks, minlength=blocks * (k + 1)).reshape(blocks, k + 1)
+
+
+_Column = Union[np.ndarray, Sequence[Any]]
+
+
+class _RecordTable(NamedTuple):
+    """Records as columns: row i of every column is record i's field of the
+    same name, and ``rank_counts`` holds one column per rank, 0 past a
+    record's own.  A column is a 1-D array, or a list of any field values.
+    """
+
+    k: _Column
+    delta: _Column
+    seed: _Column
+    n: _Column
+    m: _Column
+    capacity: _Column
+    rank_counts: Sequence[_Column]
+    unmatched: _Column
+    synergy: _Column
+    student_utility: _Column
+    university_utility: _Column
+
+    @classmethod
+    def gather(cls, rows: _RecordTable | Iterable[ExperimentRecord]) -> _RecordTable:
+        """``rows`` as a table: a table as it is, records column by column."""
+        if isinstance(rows, _RecordTable):
+            return rows
+        rows = list(rows)
+        width = max((len(r.rank_counts) for r in rows), default=0)
+        columns = {name: [getattr(r, name) for r in rows] for name in cls._fields}
+        columns["rank_counts"] = [
+            [r.rank_counts[j] if j < len(r.rank_counts) else 0 for r in rows]
+            for j in range(width)
+        ]
+        return cls(**columns)
+
+    @property
+    def matched(self) -> _Column:
+        if isinstance(self.n, np.ndarray):
+            return self.n - self.unmatched
+        return [n - unmatched for n, unmatched in zip(self.n, self.unmatched)]
+
+    def columns(self, width: int) -> list[_Column]:
+        """The columns in CSV order, ranks padded to ``width``."""
+        padding = [np.zeros(len(self.k), dtype=np.int64)] * (width - len(self.rank_counts))
+        return [
+            self.k, self.delta, self.seed, self.n, self.m, self.capacity, self.matched,
+            *self.rank_counts, *padding, self.unmatched, self.synergy,
+            self.student_utility, self.university_utility,
+        ]
+
+    def record(self, i: int) -> ExperimentRecord:
+        """Row ``i`` as a record, array entries as Python numbers."""
+        values = {name: _listed(column)[i] for name, column in self._asdict().items()
+                  if name != "rank_counts"}
+        return ExperimentRecord(**values,
+                                rank_counts=tuple(_listed(c)[i] for c in self.rank_counts))
+
+
+def _listed(column: _Column) -> list[Any]:
+    """A column's entries as a list, array entries as Python numbers."""
+    return column.tolist() if isinstance(column, np.ndarray) else list(column)
+
+
+def _record_table(
+    config: MarketConfig,
+    counts: np.ndarray,
+    seeds: _Column,
+    deltas: _Column,
+    ks: _Column | None = None,
+    model: UtilityModel | None = None,
+) -> _RecordTable:
+    """The records of the rows of ``counts``, a (rows, width + 1) table of
+    students matched at each rank, then unmatched (``_block_records``), of
+    markets shaped like ``config`` with k ``ks`` (default: ``config.k``).
+    Rank columns past a row's k hold 0, which adds 0 to its utilities.
+    """
+    rows, width = counts.shape[0], counts.shape[1] - 1
+    student, university, synergy = _utility_totals(counts[:, :width], model)
+
+    def constant(value: int) -> np.ndarray:
+        return np.full(rows, value, dtype=np.int64)
+
+    return _RecordTable(
+        constant(config.k) if ks is None else ks, deltas, seeds,
+        constant(config.n), constant(config.m), constant(config.capacity),
+        list(counts[:, :width].T), counts[:, width], synergy, student, university,
+    )
 
 
 def format_number(value: float | int | None) -> str:
@@ -191,37 +268,37 @@ def _records_header(k_max: int) -> list[str]:
     )
 
 
+def _text_column(column: _Column) -> tuple[str, list[Any]]:
+    """A row-format field and the values it takes, printing each entry of
+    ``column`` as ``format_number`` does: integer and float arrays through
+    their format spec, any other column entry by entry."""
+    if isinstance(column, np.ndarray) and column.dtype.kind in "iu":
+        return "{}", column.tolist()
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        return "{:.6g}", column.tolist()
+    return "{}", [format_number(v) for v in column]
+
+
 def write_records_csv(
-    records: Sequence[ExperimentRecord] | Iterable[ExperimentRecord],
+    records: Sequence[ExperimentRecord] | Iterable[ExperimentRecord] | _RecordTable,
     target: Path | str | io.TextIOBase,
     k_max: int | None = None,
 ) -> None:
     """Write records with the fixed header; rank columns padded to k_max.
 
-    Raises ValueError, writing nothing, when a record has more rank
-    columns than ``k_max``.
+    ``records`` may also be a ``_RecordTable``, which is written column by
+    column as the records it holds would be.  Raises ValueError, writing
+    nothing, when a record has more rank columns than ``k_max``.
     """
-    rows = list(records)
+    table = _RecordTable.gather(records)
     if k_max is None:
-        k_max = max((r.k for r in rows), default=1)
-    widest = max((len(r.rank_counts) for r in rows), default=0)
-    if widest > k_max:
-        raise ValueError(f"k_max = {k_max} is below a record's {widest} rank columns")
-    lines = [",".join(_records_header(k_max))]
-    # "{:d}" prints an integer field as format_number does; a row with a
-    # field that is not an integer takes format_number field by field
-    row = ("{:d},{},{:d},{:d},{:d},{:d},{:d}," + "{:d}," * k_max + "{:d},{:d},{},{}").format
-    for r in rows:
-        counts = [*r.rank_counts] + [0] * (k_max - len(r.rank_counts))
-        try:
-            line = row(r.k, format_number(r.delta), r.seed, r.n, r.m, r.capacity, r.matched,
-                       *counts, r.unmatched, r.synergy,
-                       format_number(r.student_utility), format_number(r.university_utility))
-        except (TypeError, ValueError):
-            fields = [r.k, r.delta, r.seed, r.n, r.m, r.capacity, r.matched, *counts,
-                      r.unmatched, r.synergy, r.student_utility, r.university_utility]
-            line = ",".join(format_number(v) for v in fields)
-        lines.append(line)
+        k_max = max(table.k, default=1)
+    if len(table.rank_counts) > k_max:
+        raise ValueError(
+            f"k_max = {k_max} is below a record's {len(table.rank_counts)} rank columns"
+        )
+    specs, values = zip(*map(_text_column, table.columns(k_max)))
+    lines = [",".join(_records_header(k_max)), *map(",".join(specs).format, *values)]
     text = "\n".join(lines) + "\n"
     if isinstance(target, (str, Path)):
         Path(target).write_text(text, encoding="utf-8")

@@ -5,7 +5,10 @@ command is a pure function of its flags and the root seed, so identical
 invocations produce identical output files.  Replications run in stacks
 of up to ``_STACK_APPS`` applications, one block-diagonal instance each;
 every block is the market its replication samples alone, so results,
-split per block, do not depend on the stacking.
+split per block, do not depend on the stacking.  A sweep stacks the
+delta cells of each k together, each block with its own shift.  The
+records of ``simulate`` and ``sweep`` stay rank-count tables, one row per
+replication, until their rows are formatted column by column.
 """
 
 from __future__ import annotations
@@ -24,6 +27,9 @@ import numpy as np
 from .analytics import (  # noqa: F401
     ExperimentRecord,
     _block_records,
+    _listed,
+    _record_table,
+    _RecordTable,
     compare_matchings,
     format_number,
     make_record,
@@ -36,6 +42,7 @@ from .market import (  # noqa: F401
     MarketInstance,
     _child_streams,
     _convert,
+    _json_object,
     _sample_stack,
     _seeded_generator,
     sample_market,
@@ -47,9 +54,10 @@ __all__ = ["main"]
 
 # Most applications in one stacked instance; a stack holds at least one replication.
 # Each stack, and each of its DA rounds, pays a fixed numpy overhead, so fewer,
-# larger stacks are faster: at 2^16 every cli_small sweep cell is one stack (30,
-# against 66 at 2^14) and the workload runs about 1.2x the items per second.
-# 2^17 is no faster, and its peak RSS is 10% above that at 2^14 (BENCH_15.json).
+# larger stacks are faster: at 2^16 the cli_small sweep, its three delta cells of
+# each k stacked together, runs 18 stacks (30 with one cell per stack, 66 at 2^14).
+# 2^17 runs that sweep about 4% faster, but its peak RSS is 10% above that at
+# 2^14 and the census's traced peak passes 10 MB (BENCH_15.json, BENCH_22.json).
 _STACK_APPS = 2**16
 
 
@@ -71,6 +79,10 @@ def _load_config_file(path: str | None) -> dict[str, Any]:
     return data
 
 
+# The fields of a market configuration document, each also the destination of its flag.
+_MARKET_FIELDS = ("n", "m_ratio", "capacity", "k", "signal", "delta", "seed")
+
+
 def _market_config(args: argparse.Namespace, doc: dict[str, Any] | None = None) -> MarketConfig:
     """The market of ``doc`` (default: the ``--config`` file) with each market
     flag given set over its field, built by ``MarketConfig.from_json_dict``.
@@ -82,10 +94,11 @@ def _market_config(args: argparse.Namespace, doc: dict[str, Any] | None = None) 
         doc = _load_config_file(args.config)
     flags = {
         name: value for name, value in vars(args).items()
-        if name in ("n", "m_ratio", "capacity", "k", "signal", "delta", "seed") and value is not None
+        if name in _MARKET_FIELDS and value is not None
     }
     fields = {**doc, **flags}
     if "n" not in fields:
+        _json_object("market configuration", fields, _MARKET_FIELDS)  # names an unknown key
         raise UsageError("--n is required (flag or config file)")
     if isinstance(doc.get("signal"), dict):
         given = {"kind": flags.get("signal"), "delta": flags.get("delta")}
@@ -135,24 +148,19 @@ def _write(out: str | None, body: str | Callable[[Any], None], summary: str = ""
         raise OSError(f"cannot write output file {out}: {exc}") from exc
 
 
-def _records_json(records: list[ExperimentRecord]) -> str:
-    payload = [
-        {
-            "k": r.k,
-            "delta": r.delta,
-            "seed": r.seed,
-            "n": r.n,
-            "m": r.m,
-            "l": r.capacity,
-            "matched": r.matched,
-            "rank_counts": list(r.rank_counts),
-            "unmatched": r.unmatched,
-            "synergy": r.synergy,
-            "u_student": r.student_utility,
-            "u_university": r.university_utility,
-        }
-        for r in records
+def _records_json(rows: _RecordTable | list[ExperimentRecord]) -> str:
+    """The records of ``rows`` (see ``write_records_csv``) as a JSON list."""
+    table = _RecordTable.gather(rows)
+    keys = ("k", "delta", "seed", "n", "m", "l", "matched", "rank_counts",
+            "unmatched", "synergy", "u_student", "u_university")
+    columns = [
+        *map(_listed, (table.k, table.delta, table.seed, table.n, table.m, table.capacity,
+                       table.matched)),
+        [list(ranks) for ranks in zip(*map(_listed, table.rank_counts))],
+        *map(_listed, (table.unmatched, table.synergy, table.student_utility,
+                       table.university_utility)),
     ]
+    payload = [dict(zip(keys, row)) for row in zip(*columns)]
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -164,37 +172,42 @@ def _streams(root: int, replications: int) -> tuple[list[int], np.ndarray]:
 
 
 def _replications(
-    config: MarketConfig, seeds: list[int], words: np.ndarray
+    config: MarketConfig, seeds: list[int], words: np.ndarray, shifts: np.ndarray | None = None
 ) -> Iterator[tuple[int, list[int], MarketInstance]]:
     """(first rep, seeds, stacked instance) per stack of replications of ``config``.
 
     Replication ``rep`` is ``sample_market`` of seed ``seeds[rep]`` in any stack, its
-    generator built from its state words ``words[rep]`` (``market._child_streams``).
+    generator built from its state words ``words[rep]`` (``market._child_streams``);
+    with ``shifts``, its Gaussian shift is ``shifts[rep]`` instead of the config's.
     """
     size = max(1, _STACK_APPS // (config.n * config.k))
     for rep in range(0, len(seeds), size):
         rngs = [_seeded_generator(row) for row in words[rep : rep + size]]
-        yield rep, seeds[rep : rep + size], _sample_stack(config, rngs)
+        stack_shifts = None if shifts is None else shifts[rep : rep + size]
+        yield rep, seeds[rep : rep + size], _sample_stack(config, rngs, stack_shifts)
 
 
-def _school_records(
-    config: MarketConfig, seeds: list[int], words: np.ndarray
-) -> list[ExperimentRecord]:
-    """One record of the school-proposing matching per replication (see ``_replications``)."""
-    return [
-        record
-        for _, stack_seeds, stack in _replications(config, seeds, words)
-        for record in _block_records(stack, school_proposing_da(stack), stack_seeds)
-    ]
+def _school_counts(
+    config: MarketConfig, seeds: list[int], words: np.ndarray, shifts: np.ndarray | None = None
+) -> np.ndarray:
+    """The (replications, k + 1) rank-count table (``analytics._block_records``) of
+    the school-proposing matchings of ``_replications``."""
+    return np.concatenate([
+        _block_records(stack, school_proposing_da(stack), len(stack_seeds))
+        for _, stack_seeds, stack in _replications(config, seeds, words, shifts)
+    ])
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _market_config(args)
-    records = _school_records(config, *_streams(config.seed, args.reps))
+    seeds, words = _streams(config.seed, args.reps)
+    table = _record_table(config, _school_counts(config, seeds, words),
+                          np.array(seeds, dtype=np.uint64),
+                          np.full(len(seeds), config.signal.delta_tag))
     if args.format == "json":
-        _write(args.out, _records_json(records))
+        _write(args.out, _records_json(table))
     else:
-        _write(args.out, partial(write_records_csv, records, k_max=config.k))
+        _write(args.out, partial(write_records_csv, table, k_max=config.k))
     return 0
 
 
@@ -251,28 +264,41 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     cells = [(delta, _market_config(args, {**doc, "k": k, "delta": delta}))
              for delta in deltas for k in k_values]
 
+    # replication r of the sweep is row r of every table; cell c holds rows c * reps..
     seeds, words = _child_streams(market.seed, 0, len(cells) * reps)
-    records: list[ExperimentRecord] = []
+    rows = np.arange(len(cells) * reps).reshape(len(deltas), len(k_values), reps)
+    counts = np.zeros((rows.size, max(k_values) + 1), dtype=np.int64)
+    for i, k in enumerate(k_values):
+        # the cells of one k differ only in their shift, so they share stacks
+        of_k = rows[:, i].ravel()
+        configs = [config for _, config in cells[i :: len(k_values)]]
+        shifts = np.repeat([config.signal.delta for config in configs], reps)
+        k_counts = _school_counts(configs[0], [seeds[r] for r in of_k], words[of_k], shifts)
+        counts[of_k, :k] = k_counts[:, :k]
+        counts[of_k, -1] = k_counts[:, k]
+    table = _record_table(
+        market, counts, np.array(seeds, dtype=np.uint64),
+        np.repeat([config.signal.delta_tag for _, config in cells], reps),
+        ks=np.repeat([config.k for _, config in cells], reps),
+    )
+    # (reps, cells, 5): each cell reduced over its replications in order, as alone
+    stats = np.stack([table.matched, table.rank_counts[0], table.synergy,
+                      table.student_utility, table.university_utility], axis=-1)
+    stats = np.ascontiguousarray(stats.reshape(len(cells), reps, 5).swapaxes(0, 1))
+    means = stats.mean(axis=0)
+    se = np.sqrt(stats.var(axis=0, ddof=1) / reps) if reps > 1 else np.zeros_like(means)
     summary = [
         "k,delta,reps,mean_matched,se_matched,mean_rank1,se_rank1,"
         "mean_synergy,se_synergy,mean_u_student,se_u_student,"
         "mean_u_university,se_u_university"
     ]
-    for cell, (delta, config) in enumerate(cells):
-        reps_of_cell = slice(cell * reps, (cell + 1) * reps)
-        cell_records = _school_records(config, seeds[reps_of_cell], words[reps_of_cell])
-        records.extend(cell_records)
-        table = np.array(
-            [[r.matched, r.rank_counts[0], r.synergy, r.student_utility, r.university_utility]
-             for r in cell_records],
-            dtype=np.float64,
-        )
-        se = np.sqrt(table.var(axis=0, ddof=1) / reps) if reps > 1 else np.zeros(5)
-        flat = np.column_stack((table.mean(axis=0), se)).ravel()
-        summary.append(",".join([str(config.k), format_number(delta), str(reps)]
-                                + [format_number(v) for v in flat]))
+    summary += [
+        ",".join([str(config.k), format_number(delta), str(reps), *map("{:.6g}".format, values)])
+        for (delta, config), values in zip(cells, np.stack((means, se), axis=-1)
+                                           .reshape(len(cells), 10).tolist())
+    ]
     # write_records_csv gets the path, which benchmarks/spans.py sizes
-    _write(out, partial(write_records_csv, records, k_max=max(k_values)),
+    _write(out, partial(write_records_csv, table, k_max=max(k_values)),
            "\n".join(summary) + "\n")
     return 0
 

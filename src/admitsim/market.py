@@ -557,15 +557,22 @@ def sample_market(config: MarketConfig) -> MarketInstance:
     return _sample_stack(config, [config.seed])
 
 
-def _sample_stack(config: MarketConfig, seeds: Sequence[Any]) -> MarketInstance:
+def _sample_stack(
+    config: MarketConfig, seeds: Sequence[Any], shifts: Sequence[float] | None = None
+) -> MarketInstance:
     """Markets of ``config`` side by side in one block-diagonal instance.
 
     Block b (students b*n.., universities b*m..) is the market
     ``sample_market(replace(config, seed=seeds[b]))``: its own generator
     (``seeds[b]`` may be one) makes the same three calls, straight into the
     stack's tables, signals last so that a custom sampler's draws shift
-    nothing else; the lists are decoded, and the Gaussian shift added, for
-    every block at once.
+    nothing else; the lists are decoded for every block at once.
+
+    ``shifts`` holds one Gaussian shift per block (default: every block
+    ``config.signal.delta``), so that blocks of iid and Gaussian markets of
+    any shift share a stack.  Each run of blocks with one non-zero shift
+    gets it added at once, exactly as ``draw_batch`` adds it; the other
+    blocks get nothing added.
     """
     rngs = [np.random.default_rng(seed) for seed in seeds]
     n, m, k, signal = config.n, config.m, config.k, config.signal
@@ -583,8 +590,11 @@ def _sample_stack(config: MarketConfig, seeds: Sequence[Any]) -> MarketInstance:
             rng.standard_normal(out=signals[b])
     prefs = np.argsort(lists, axis=2)[..., :k].copy() if keyed else _fill_distinct(_codes(lists, m))
     del lists  # before the instance ranks
-    if signal.kind == "gaussian" and signal.delta != 0.0:
-        signals += signal.delta * special  # what draw_batch adds, for every block at once
+    shifts = np.full(len(rngs), signal.delta) if shifts is None else np.asarray(shifts, float)
+    cuts = [0, *(np.flatnonzero(np.diff(shifts)) + 1).tolist(), len(rngs)]
+    for lo, hi in zip(cuts, cuts[1:]):
+        if shifts[lo] != 0.0:
+            signals[lo:hi] += float(shifts[lo]) * special  # what draw_batch adds
     prefs += (m * np.arange(len(rngs)))[:, None, None]
     return MarketInstance(
         replace(config, n=len(rngs) * n), prefs.reshape(-1, k),

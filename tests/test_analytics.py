@@ -92,8 +92,9 @@ class TestUtilities:
              float(np.dot(row, uni)) + uni_bonus * int(row[0]), int(row[0]))
             for row in counts
         ]
-        # repr tells -0.0 from 0.0, which == does not
-        assert repr([tuple(t) for t in _utility_totals(counts, model)]) == repr(expected)
+        # the three total columns, row by row; repr tells -0.0 from 0.0, which == does not
+        columns = [column.tolist() for column in _utility_totals(counts, model)]
+        assert repr(list(zip(*columns))) == repr(expected)
 
     def test_increasing_base_rejected(self):
         inst = sample_market(MarketConfig(n=4, m_ratio=1.0, k=2, seed=1))

@@ -2,18 +2,29 @@
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from admitsim import fixed_point
-from admitsim.cli import main
+from admitsim import (
+    MarketConfig,
+    SignalSpec,
+    child_seed,
+    fixed_point,
+    make_record,
+    sample_market,
+    school_proposing_da,
+    write_records_csv,
+)
+from admitsim.cli import _records_json, main
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -446,6 +457,9 @@ class TestConfigFile:
             ("sweep", {"n": 10, "base": {"capacity": 2}, "k_values": [1]}, "base"),
             ("sweep", {"n": 10, "replications": 2, "k_values": [1]}, "replications"),
             ("sweep", {"n": 10, "k_min": 2}, "k_min"),
+            # an unknown key is named before a missing "n"
+            ("simulate", {"nn": 10}, "nn"),
+            ("sweep", {"base": {"n": 10}, "k_values": [1]}, "base"),
         ],
     )
     def test_key_the_command_does_not_read_is_usage_error(
@@ -457,6 +471,16 @@ class TestConfigFile:
         code, stdout, err = run(capsys, command, "--config", str(cfg), "--out", str(out))
         assert code == 2 and stdout == "" and repr(key) in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,doc", [("simulate", {"k": 2}), ("sweep", {"m_ratio": 2, "k_values": [1]})]
+    )
+    def test_config_file_without_n_is_usage_error(self, tmp_path, capsys, command, doc):
+        cfg = tmp_path / "market.json"
+        cfg.write_text(json.dumps(doc))
+        code, stdout, err = run(capsys, command, "--config", str(cfg),
+                                "--out", str(tmp_path / "x.csv"))
+        assert (code, stdout, err) == (2, "", "error: --n is required (flag or config file)\n")
 
     @pytest.mark.parametrize(
         "form,flags,expected",
@@ -484,7 +508,7 @@ class TestStacking:
     """Replications run in stacks; the outputs must not depend on how many."""
 
     # Each case's third budget packs several replications per stack and leaves
-    # a partial last one (reps 7 -> 2, 2, 2, 1; 6 -> 4, 2; sweep k = 4: 5 -> 2, 2, 1).
+    # a partial last one (reps 7 -> 2, 2, 2, 1; 6 -> 4, 2; sweep k = 1: 2 x 5 -> 8, 2).
     @pytest.mark.parametrize(
         "argv,partial",
         [
@@ -501,12 +525,13 @@ class TestStacking:
     ):
         from admitsim import cli
 
-        outputs, stacks = [], {}
+        outputs, stacks, shifts = [], {}, {}
         original = cli._sample_stack
 
-        def sample_stack(config, rngs):
+        def sample_stack(config, rngs, block_shifts=None):
             stacks.setdefault(config, []).append(len(rngs))
-            return original(config, rngs)
+            shifts.setdefault(cli._STACK_APPS, []).append(block_shifts)
+            return original(config, rngs, block_shifts)
 
         monkeypatch.setattr(cli, "_sample_stack", sample_stack)
         for budget in (cli._STACK_APPS, 1, partial):
@@ -521,8 +546,51 @@ class TestStacking:
         # the last budget split some market's replications into stacks of
         # several, the last of them partial
         assert any(1 < sizes[0] > sizes[-1] for sizes in stacks.values())
+        if argv[0] == "sweep":
+            # at the default budget, the cells of one k share a stack
+            assert any(len(set(s)) == 2 for s in shifts[cli._STACK_APPS])
         assert outputs[0] == outputs[1] == outputs[2]
         assert len(outputs[0][1]) > 100
+
+
+class TestOneReplicationAtATime:
+    """Rows built from stacked count tables equal the records of each replication,
+    sampled, matched and summarised alone."""
+
+    @staticmethod
+    def records(root, configs):
+        return [
+            make_record(instance, school_proposing_da(instance))
+            for i, config in enumerate(configs)
+            for instance in [sample_market(replace(config, seed=child_seed(root, i)))]
+        ]
+
+    def test_sweep_rows(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--n", "15", "--k-list", "2,5", "--deltas", "0,1.5", "--reps", "3"]
+        assert run(capsys, *argv, "--seed", "9", "--out", str(out))[0] == 0
+        configs = [
+            MarketConfig(n=15, k=k, signal=SignalSpec.gaussian(delta) if delta else SignalSpec())
+            for delta in (0.0, 1.5) for k in (2, 5) for _ in range(3)
+        ]
+        expected = io.StringIO()
+        write_records_csv(self.records(9, configs), expected, k_max=5)
+        assert out.read_text() == expected.getvalue()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_simulate_rows(self, capsys, fmt):
+        argv = ["simulate", "--n", "12", "--m-ratio", "1.5", "--capacity", "2", "--k", "3",
+                "--delta", "1", "--reps", "5", "--seed", "4", "--format", fmt]
+        code, out, _ = run(capsys, *argv)
+        config = MarketConfig(n=12, m_ratio=1.5, capacity=2, k=3, signal=SignalSpec.gaussian(1.0))
+        records = self.records(4, [config] * 5)
+        if fmt == "json":
+            expected = _records_json(records)
+        else:
+            buf = io.StringIO()
+            write_records_csv(records, buf, k_max=3)
+            expected = buf.getvalue()
+        assert code == 0 and out == expected
 
 
 # Run in a fresh interpreter; prints the third-party top-level modules the

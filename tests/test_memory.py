@@ -32,17 +32,17 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
 
-# Prints the peak traced memory, in MB above the start, of the benchmark's
-# stable-partner census: 20 markets of 10 000 applications.
-_CENSUS = """
+# Prints the peak traced memory, in MB above the start, of one CLI command: the
+# benchmark's stable-partner census (20 markets of 10 000 applications) or its
+# sweep (1500 markets of n = 100, in 18 stacks).
+_CLI_PEAK = """
 import sys
 import tracemalloc
 from admitsim.cli import main
 
 tracemalloc.start()
 start = tracemalloc.get_traced_memory()[0]
-assert main(["stable-partners", "--n", "2000", "--k", "5", "--reps", "20",
-             "--out", sys.argv[1]]) == 0
+assert main(sys.argv[1:]) == 0
 print((tracemalloc.get_traced_memory()[1] - start) / 2**20)
 """
 
@@ -90,7 +90,16 @@ def test_freed_tables_are_not_faulted_in_again():
 
 def test_stable_partner_stacks_stay_within_their_memory_bound(tmp_path):
     # 4.8 MB at 2^14 applications per stack, 7.5 MB at 2^16, 11.2 MB at 2^17
-    assert float(_run(_CENSUS, str(tmp_path / "partners.csv"))) < 10
+    argv = ["stable-partners", "--n", "2000", "--k", "5", "--reps", "20"]
+    assert float(_run(_CLI_PEAK, *argv, "--out", str(tmp_path / "partners.csv"))) < 10
+
+
+def test_sweep_stacks_stay_within_the_census_memory_bound(tmp_path):
+    # 3.9 MB with one stack per (k, delta) cell; 7.2 MB with the delta cells of
+    # each k sharing stacks, as more of them reach 2^16 applications
+    argv = ["sweep", "--n", "100", "--k-min", "1", "--k-max", "10", "--deltas", "0,1,2",
+            "--reps", "50", "--seed", "8675309"]
+    assert float(_run(_CLI_PEAK, *argv, "--out", str(tmp_path / "sweep.csv"))) < 10
 
 
 def test_large_market_scratch_is_freed_before_ranking():
