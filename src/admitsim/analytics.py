@@ -3,16 +3,17 @@
 from __future__ import annotations
 
 import io
+import json
 import math
 import numbers
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, NamedTuple, Union
+from typing import Any, NamedTuple
 
 import numpy as np
 
-from .market import MarketConfig, MarketInstance
+from .market import MarketConfig, MarketInstance, _convert
 from .matching import Matching, match_rank_indices
 
 __all__ = [
@@ -61,7 +62,9 @@ def _utility_totals(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(student, university, synergy) total columns of a (markets, k) table of
     students matched per rank: a match at rank r gives base(r), plus the bonus at
-    r = 1, and synergy counts the rank-1 matches."""
+    r = 1, and synergy counts the rank-1 matches.  Every row is summed rank by
+    rank, left to right, then given its bonus, so its totals do not depend on
+    the rows summed with it."""
     if model is None:
         model = UtilityModel()
     k = counts.shape[1]
@@ -76,26 +79,14 @@ def _utility_totals(
     if any(b > a + 1e-12 for a, b in zip(base_values, base_values[1:])):
         raise ValueError("base utility must be nonincreasing in rank")
     uni_bonus = model.bonus if model.university_bonus is None else model.university_bonus
-    values = [*base_values, *uni_values, model.bonus, uni_bonus]
     synergy = counts[:, 0]
-    # Sums of integers below 2^53 are exact in any order, so one matrix pass
-    # gives the per-row sums bit for bit; a row's partial sums stay within
-    # 2 * max|value| * its count.  Other values keep the per-row np.dot,
-    # whose rounding a matrix product does not share.
-    if (
-        all(float(v).is_integer() for v in values)
-        and 2 * max(abs(float(v)) for v in values) * counts.sum(axis=1).max(initial=0) < 2**53
-    ):
-        table = counts.astype(np.float64)
-        student = table @ np.array(base_values, dtype=np.float64) + float(model.bonus) * table[:, 0]
-        university = table @ np.array(uni_values, dtype=np.float64) + float(uni_bonus) * table[:, 0]
-        return student, university, synergy
-    student, university = (
-        np.array([float(np.dot(row, row_values)) + bonus * int(row[0]) for row in counts],
-                 dtype=np.float64)
-        for row_values, bonus in ((base_values, model.bonus), (uni_values, uni_bonus))
-    )
-    return student, university, synergy
+    totals = []
+    for values, bonus in ((base_values, model.bonus), (uni_values, uni_bonus)):
+        total = np.zeros(len(counts))
+        for rank, value in enumerate(values):
+            total += counts[:, rank] * float(value)
+        totals.append(total + float(bonus) * synergy)
+    return (*totals, synergy)
 
 
 def compare_matchings(first: Matching, second: Matching) -> float:
@@ -143,11 +134,16 @@ def make_record(
     model: UtilityModel | None = None,
     seed: int | None = None,
 ) -> ExperimentRecord:
-    """Summarize one matching into a sweep row."""
+    """Summarize one matching into a sweep row.  A given ``seed`` must be the
+    market's own, the one that rebuilds it."""
     config = instance.config
-    seeds = [config.seed if seed is None else seed]
+    if seed is not None and seed != config.seed:
+        raise ValueError(f"seed {seed!r} is not the market's seed {config.seed}")
     counts = _block_records(instance, matching, 1)
-    return _record_table(config, counts, seeds, [config.signal.delta_tag], model=model).record(0)
+    *ranks, unmatched = counts[0].tolist()
+    student, university, synergy = (t.item() for t in _utility_totals(counts[:, :-1], model))
+    return ExperimentRecord(config.k, config.signal.delta_tag, config.seed, config.n, config.m,
+                            config.capacity, tuple(ranks), unmatched, synergy, student, university)
 
 
 def _block_records(instance: MarketInstance, matching: Matching, blocks: int) -> np.ndarray:
@@ -161,93 +157,65 @@ def _block_records(instance: MarketInstance, matching: Matching, blocks: int) ->
     return np.bincount(ranks, minlength=blocks * (k + 1)).reshape(blocks, k + 1)
 
 
-_Column = Union[np.ndarray, Sequence[Any]]
-
-
 class _RecordTable(NamedTuple):
-    """Records as columns: row i of every column is record i's field of the
-    same name, and ``rank_counts`` holds one column per rank, 0 past a
-    record's own.  A column is a 1-D array, or a list of any field values.
+    """Records as 1-D arrays: entry i of every array is record i's field of the
+    same name, and ``rank_counts`` holds one array per rank, 0 past a record's own.
     """
 
-    k: _Column
-    delta: _Column
-    seed: _Column
-    n: _Column
-    m: _Column
-    capacity: _Column
-    rank_counts: Sequence[_Column]
-    unmatched: _Column
-    synergy: _Column
-    student_utility: _Column
-    university_utility: _Column
+    k: np.ndarray
+    delta: np.ndarray
+    seed: np.ndarray
+    n: np.ndarray
+    m: np.ndarray
+    capacity: np.ndarray
+    rank_counts: tuple[np.ndarray, ...]
+    unmatched: np.ndarray
+    synergy: np.ndarray
+    student_utility: np.ndarray
+    university_utility: np.ndarray
 
     @classmethod
     def gather(cls, rows: _RecordTable | Iterable[ExperimentRecord]) -> _RecordTable:
-        """``rows`` as a table: a table as it is, records column by column."""
+        """``rows`` as a table: a table as it is, records as object arrays that
+        hold their field values."""
         if isinstance(rows, _RecordTable):
             return rows
         rows = list(rows)
         width = max((len(r.rank_counts) for r in rows), default=0)
-        columns = {name: [getattr(r, name) for r in rows] for name in cls._fields}
-        columns["rank_counts"] = [
-            [r.rank_counts[j] if j < len(r.rank_counts) else 0 for r in rows]
-            for j in range(width)
-        ]
-        return cls(**columns)
+        columns = {name: np.array([getattr(r, name) for r in rows], dtype=object)
+                   for name in cls._fields if name != "rank_counts"}
+        ranks = np.array([(*r.rank_counts, *[0] * (width - len(r.rank_counts))) for r in rows],
+                         dtype=object).reshape(len(rows), width)
+        return cls(**columns, rank_counts=tuple(ranks.T))
 
     @property
-    def matched(self) -> _Column:
-        if isinstance(self.n, np.ndarray):
-            return self.n - self.unmatched
-        return [n - unmatched for n, unmatched in zip(self.n, self.unmatched)]
+    def matched(self) -> np.ndarray:
+        return self.n - self.unmatched
 
-    def columns(self, width: int) -> list[_Column]:
-        """The columns in CSV order, ranks padded to ``width``."""
-        padding = [np.zeros(len(self.k), dtype=np.int64)] * (width - len(self.rank_counts))
+    def columns(self, width: int) -> list[np.ndarray]:
+        """The columns in ``_FIELDS`` order, ranks padded to ``width``."""
+        padding = (np.zeros(len(self.k), dtype=np.int64),) * (width - len(self.rank_counts))
         return [
             self.k, self.delta, self.seed, self.n, self.m, self.capacity, self.matched,
             *self.rank_counts, *padding, self.unmatched, self.synergy,
             self.student_utility, self.university_utility,
         ]
 
-    def record(self, i: int) -> ExperimentRecord:
-        """Row ``i`` as a record, array entries as Python numbers."""
-        values = {name: _listed(column)[i] for name, column in self._asdict().items()
-                  if name != "rank_counts"}
-        return ExperimentRecord(**values,
-                                rank_counts=tuple(_listed(c)[i] for c in self.rank_counts))
-
-
-def _listed(column: _Column) -> list[Any]:
-    """A column's entries as a list, array entries as Python numbers."""
-    return column.tolist() if isinstance(column, np.ndarray) else list(column)
-
 
 def _record_table(
-    config: MarketConfig,
-    counts: np.ndarray,
-    seeds: _Column,
-    deltas: _Column,
-    ks: _Column | None = None,
-    model: UtilityModel | None = None,
+    cells: Sequence[MarketConfig], counts: np.ndarray, seeds: np.ndarray
 ) -> _RecordTable:
     """The records of the rows of ``counts``, a (rows, width + 1) table of
-    students matched at each rank, then unmatched (``_block_records``), of
-    markets shaped like ``config`` with k ``ks`` (default: ``config.k``).
+    students matched at each rank, then unmatched (``_block_records``), with
+    seeds ``seeds``: the rows are equal runs, one per market of ``cells``.
     Rank columns past a row's k hold 0, which adds 0 to its utilities.
     """
-    rows, width = counts.shape[0], counts.shape[1] - 1
-    student, university, synergy = _utility_totals(counts[:, :width], model)
-
-    def constant(value: int) -> np.ndarray:
-        return np.full(rows, value, dtype=np.int64)
-
-    return _RecordTable(
-        constant(config.k) if ks is None else ks, deltas, seeds,
-        constant(config.n), constant(config.m), constant(config.capacity),
-        list(counts[:, :width].T), counts[:, width], synergy, student, university,
-    )
+    width, reps = counts.shape[1] - 1, len(counts) // len(cells)
+    student, university, synergy = _utility_totals(counts[:, :width], None)
+    k, delta, n, m, capacity = (np.repeat(field, reps) for field in zip(
+        *((c.k, c.signal.delta_tag, c.n, c.m, c.capacity) for c in cells)))
+    return _RecordTable(k, delta, seeds, n, m, capacity, tuple(counts[:, :width].T),
+                        counts[:, width], synergy, student, university)
 
 
 def format_number(value: float | int | None) -> str:
@@ -259,24 +227,26 @@ def format_number(value: float | int | None) -> str:
     return f"{float(value):.6g}"
 
 
+# The record fields in output order; in CSV, rank_counts is one column per rank.
+_FIELDS = ("k", "delta", "seed", "n", "m", "l", "matched", "rank_counts",
+           "unmatched", "synergy", "u_student", "u_university")
+_RANKS = _FIELDS.index("rank_counts")
+
+
 def _records_header(k_max: int) -> list[str]:
     ranks = [f"rank{i}" for i in range(1, k_max + 1)]
-    return (
-        ["k", "delta", "seed", "n", "m", "l", "matched"]
-        + ranks
-        + ["unmatched", "synergy", "u_student", "u_university"]
-    )
+    return [*_FIELDS[:_RANKS], *ranks, *_FIELDS[_RANKS + 1 :]]
 
 
-def _text_column(column: _Column) -> tuple[str, list[Any]]:
+def _text_column(column: np.ndarray) -> tuple[str, list[Any]]:
     """A row-format field and the values it takes, printing each entry of
     ``column`` as ``format_number`` does: integer and float arrays through
-    their format spec, any other column entry by entry."""
-    if isinstance(column, np.ndarray) and column.dtype.kind in "iu":
+    their format spec, an object array entry by entry."""
+    if column.dtype.kind in "iu":
         return "{}", column.tolist()
-    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+    if column.dtype.kind == "f":
         return "{:.6g}", column.tolist()
-    return "{}", [format_number(v) for v in column]
+    return "{}", [format_number(v) for v in column.tolist()]
 
 
 def write_records_csv(
@@ -284,7 +254,8 @@ def write_records_csv(
     target: Path | str | io.TextIOBase,
     k_max: int | None = None,
 ) -> None:
-    """Write records with the fixed header; rank columns padded to k_max.
+    """Write records with the fixed header; rank columns padded to k_max
+    (default: the widest k).
 
     ``records`` may also be a ``_RecordTable``, which is written column by
     column as the records it holds would be.  Raises ValueError, writing
@@ -292,7 +263,7 @@ def write_records_csv(
     """
     table = _RecordTable.gather(records)
     if k_max is None:
-        k_max = max(table.k, default=1)
+        k_max = _convert(int, "k", max(table.k.tolist(), default=1), ValueError)
     if len(table.rank_counts) > k_max:
         raise ValueError(
             f"k_max = {k_max} is below a record's {len(table.rank_counts)} rank columns"
@@ -304,3 +275,14 @@ def write_records_csv(
         Path(target).write_text(text, encoding="utf-8")
     else:
         target.write(text)
+
+
+def _records_json(records: Iterable[ExperimentRecord] | _RecordTable) -> str:
+    """The records of ``records`` (see ``write_records_csv``) as a JSON list."""
+    table = _RecordTable.gather(records)
+    end = _RANKS + len(table.rank_counts)
+    payload = [
+        dict(zip(_FIELDS, (*row[:_RANKS], list(row[_RANKS:end]), *row[end:])))
+        for row in zip(*(column.tolist() for column in table.columns(len(table.rank_counts))))
+    ]
+    return json.dumps(payload, indent=2) + "\n"

@@ -25,10 +25,9 @@ import numpy as np
 
 # unused here: compare_matchings, make_record, sample_market (benchmarks/spans.py wraps them)
 from .analytics import (  # noqa: F401
-    ExperimentRecord,
     _block_records,
-    _listed,
     _record_table,
+    _records_json,
     _RecordTable,
     compare_matchings,
     format_number,
@@ -148,22 +147,6 @@ def _write(out: str | None, body: str | Callable[[Any], None], summary: str = ""
         raise OSError(f"cannot write output file {out}: {exc}") from exc
 
 
-def _records_json(rows: _RecordTable | list[ExperimentRecord]) -> str:
-    """The records of ``rows`` (see ``write_records_csv``) as a JSON list."""
-    table = _RecordTable.gather(rows)
-    keys = ("k", "delta", "seed", "n", "m", "l", "matched", "rank_counts",
-            "unmatched", "synergy", "u_student", "u_university")
-    columns = [
-        *map(_listed, (table.k, table.delta, table.seed, table.n, table.m, table.capacity,
-                       table.matched)),
-        [list(ranks) for ranks in zip(*map(_listed, table.rank_counts))],
-        *map(_listed, (table.unmatched, table.synergy, table.student_utility,
-                       table.university_utility)),
-    ]
-    payload = [dict(zip(keys, row)) for row in zip(*columns)]
-    return json.dumps(payload, indent=2) + "\n"
-
-
 def _streams(root: int, replications: int) -> tuple[list[int], np.ndarray]:
     """Seeds ``child_seed(root, rep)`` of replications 0.. and their PCG64 state words."""
     if replications < 1:
@@ -187,23 +170,29 @@ def _replications(
         yield rep, seeds[rep : rep + size], _sample_stack(config, rngs, stack_shifts)
 
 
-def _school_counts(
-    config: MarketConfig, seeds: list[int], words: np.ndarray, shifts: np.ndarray | None = None
-) -> np.ndarray:
-    """The (replications, k + 1) rank-count table (``analytics._block_records``) of
-    the school-proposing matchings of ``_replications``."""
-    return np.concatenate([
-        _block_records(stack, school_proposing_da(stack), len(stack_seeds))
-        for _, stack_seeds, stack in _replications(config, seeds, words, shifts)
-    ])
+def _records(cells: list[MarketConfig], reps: int) -> _RecordTable:
+    """The records of ``reps`` school-proposing replications of each market of
+    ``cells`` in turn, all of one root seed: row r is replication r.  The cells
+    of one k differ only in their shift, so they share stacks."""
+    seeds, words = _streams(cells[0].seed, len(cells) * reps)
+    rows = np.arange(len(cells) * reps).reshape(len(cells), reps)
+    counts = np.zeros((rows.size, max(c.k for c in cells) + 1), dtype=np.int64)
+    for k in dict.fromkeys(c.k for c in cells):
+        of_k = [i for i, c in enumerate(cells) if c.k == k]
+        at = rows[of_k].ravel()
+        shifts = np.repeat([cells[i].signal.delta for i in of_k], reps)
+        for first, stack_seeds, stack in _replications(
+            cells[of_k[0]], [seeds[r] for r in at], words[at], shifts
+        ):
+            block = _block_records(stack, school_proposing_da(stack), len(stack_seeds))
+            stack_rows = at[first : first + len(stack_seeds)]
+            counts[stack_rows, :k], counts[stack_rows, -1] = block[:, :k], block[:, k]
+    return _record_table(cells, counts, np.array(seeds, dtype=np.uint64))
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _market_config(args)
-    seeds, words = _streams(config.seed, args.reps)
-    table = _record_table(config, _school_counts(config, seeds, words),
-                          np.array(seeds, dtype=np.uint64),
-                          np.full(len(seeds), config.signal.delta_tag))
+    table = _records([config], args.reps)
     if args.format == "json":
         _write(args.out, _records_json(table))
     else:
@@ -253,34 +242,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise UsageError("--out is required for sweeps")
     if not k_values or not deltas:
         raise UsageError("sweep grid must be nonempty")
-    if reps < 1:
-        raise UsageError("replications must be at least 1")
     for k in k_values:
         if k < 1:
             raise UsageError(f"k must be at least 1, got k={k}")
         if k > market.m:
             raise UsageError(f"k={k} exceeds the number of universities")
     # every cell's market is built, and its shift checked, before any runs
-    cells = [(delta, _market_config(args, {**doc, "k": k, "delta": delta}))
+    cells = [_market_config(args, {**doc, "k": k, "delta": delta})
              for delta in deltas for k in k_values]
-
-    # replication r of the sweep is row r of every table; cell c holds rows c * reps..
-    seeds, words = _child_streams(market.seed, 0, len(cells) * reps)
-    rows = np.arange(len(cells) * reps).reshape(len(deltas), len(k_values), reps)
-    counts = np.zeros((rows.size, max(k_values) + 1), dtype=np.int64)
-    for i, k in enumerate(k_values):
-        # the cells of one k differ only in their shift, so they share stacks
-        of_k = rows[:, i].ravel()
-        configs = [config for _, config in cells[i :: len(k_values)]]
-        shifts = np.repeat([config.signal.delta for config in configs], reps)
-        k_counts = _school_counts(configs[0], [seeds[r] for r in of_k], words[of_k], shifts)
-        counts[of_k, :k] = k_counts[:, :k]
-        counts[of_k, -1] = k_counts[:, k]
-    table = _record_table(
-        market, counts, np.array(seeds, dtype=np.uint64),
-        np.repeat([config.signal.delta_tag for _, config in cells], reps),
-        ks=np.repeat([config.k for _, config in cells], reps),
-    )
+    table = _records(cells, reps)
     # (reps, cells, 5): each cell reduced over its replications in order, as alone
     stats = np.stack([table.matched, table.rank_counts[0], table.synergy,
                       table.student_utility, table.university_utility], axis=-1)
@@ -293,9 +263,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "mean_u_university,se_u_university"
     ]
     summary += [
-        ",".join([str(config.k), format_number(delta), str(reps), *map("{:.6g}".format, values)])
-        for (delta, config), values in zip(cells, np.stack((means, se), axis=-1)
-                                           .reshape(len(cells), 10).tolist())
+        ",".join([str(config.k), format_number(config.signal.delta_tag), str(reps),
+                  *map("{:.6g}".format, values)])
+        for config, values in zip(cells, np.stack((means, se), axis=-1)
+                                  .reshape(len(cells), 10).tolist())
     ]
     # write_records_csv gets the path, which benchmarks/spans.py sizes
     _write(out, partial(write_records_csv, table, k_max=max(k_values)),
@@ -418,9 +389,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ConvergenceError as exc:
         diag = {"error": str(exc), "rank_fractions": list(exc.fractions),
                 "residuals": list(exc.residuals)}

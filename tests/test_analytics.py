@@ -69,14 +69,13 @@ class TestUtilities:
     @pytest.mark.parametrize(
         "model",
         [
-            # integer values, sums below 2^53: one matrix pass
             UtilityModel(),
             UtilityModel(base=lambda r: 12 - r, bonus=3, university_base=lambda r: -2.0 * r),
-            # row by row: fractions and sums past 2^53
+            # fractions, whose sums round, and sums past 2^53
             UtilityModel(base=lambda r: 1.0 + 1.0 / r, bonus=2.5),
             UtilityModel(base=lambda r: 0.1 * (11 - r), bonus=0.3, university_bonus=1e-3),
             UtilityModel(base=lambda r: 2.0**52, bonus=1.0),
-            # a -0.0 bonus leaves zero totals at 0.0 on either path
+            # a -0.0 bonus leaves zero totals at 0.0
             UtilityModel(base=lambda r: -1.0, bonus=-0.0),
         ],
     )
@@ -87,14 +86,32 @@ class TestUtilities:
         uni = base if model.university_base is None else [
             model.university_base(r) for r in range(1, 11)]
         uni_bonus = model.bonus if model.university_bonus is None else model.university_bonus
-        expected = [
-            (float(np.dot(row, base)) + model.bonus * int(row[0]),
-             float(np.dot(row, uni)) + uni_bonus * int(row[0]), int(row[0]))
-            for row in counts
-        ]
+
+        def row_sum(row, values, bonus):
+            total = 0.0
+            for count, value in zip(row, values):
+                total += count * value
+            return total + bonus * row[0]
+
+        expected = [(row_sum(row, base, model.bonus), row_sum(row, uni, uni_bonus), row[0])
+                    for row in counts.tolist()]
         # the three total columns, row by row; repr tells -0.0 from 0.0, which == does not
         columns = [column.tolist() for column in _utility_totals(counts, model)]
         assert repr(list(zip(*columns))) == repr(expected)
+
+    def test_records_do_not_depend_on_the_rows_summed_with_them(self):
+        # each market's record holds the totals of its row in a table of many markets
+        model = UtilityModel(base=lambda r: 0.1 * (11 - r) + 1.0 / 3, bonus=0.7,
+                             university_base=lambda r: math.pi / r, university_bonus=1e-3)
+        records = [
+            make_record(instance, school_proposing_da(instance), model)
+            for seed in range(40)
+            for instance in [sample_market(MarketConfig(n=30, k=1 + seed % 5, seed=seed))]
+        ]
+        counts = np.array([(*r.rank_counts, *[0] * (5 - r.k)) for r in records])
+        columns = [column.tolist() for column in _utility_totals(counts, model)]
+        assert [(r.student_utility, r.university_utility, r.synergy) for r in records] == list(
+            zip(*columns))
 
     def test_increasing_base_rejected(self):
         inst = sample_market(MarketConfig(n=4, m_ratio=1.0, k=2, seed=1))
@@ -157,14 +174,18 @@ class TestCompareMatchings:
 class TestRecords:
     def test_header_and_row_format(self):
         inst = sample_market(MarketConfig(n=3, m_ratio=1.0, k=2, seed=3))
-        record = make_record(inst, school_proposing_da(inst), seed=42)
+        matching = school_proposing_da(inst)
+        # a record carries the seed that rebuilds its market, and no other
+        with pytest.raises(ValueError, match="^seed 42 is not the market's seed 3$"):
+            make_record(inst, matching, seed=42)
+        record = make_record(inst, matching, seed=3)
         buf = io.StringIO()
         write_records_csv([record], buf)
         lines = buf.getvalue().strip().split("\n")
         assert lines[0] == "k,delta,seed,n,m,l,matched,rank1,rank2,unmatched,synergy,u_student,u_university"
         fields = lines[1].split(",")
         assert fields[0] == "2"
-        assert fields[2] == "42"
+        assert fields[2] == "3"
 
     def test_rank_padding(self):
         inst = sample_market(MarketConfig(n=3, m_ratio=1.0, k=2, seed=3))
@@ -181,6 +202,18 @@ class TestRecords:
         with pytest.raises(ValueError, match="k_max = 3"):
             write_records_csv([record], out, k_max=3)
         assert not out.exists()
+
+    def test_default_k_max_is_the_widest_integral_k(self):
+        base = dict(delta=0.0, seed=1, n=3, m=3, capacity=1, rank_counts=(2, 1), unmatched=0,
+                    synergy=2, student_utility=5.0, university_utility=5.0)
+        texts = []
+        for k_max in (None, 2):
+            buf = io.StringIO()
+            write_records_csv([ExperimentRecord(k=2.0, **base)], buf, k_max=k_max)
+            texts.append(buf.getvalue())
+        assert texts[0] == texts[1]
+        with pytest.raises(ValueError, match="^k must be an integer, got 2.5$"):
+            write_records_csv([ExperimentRecord(k=2.5, **base)], io.StringIO())
 
     def test_fields_of_other_types_print_as_format_number_prints_them(self):
         base = dict(k=2, delta=1.0, seed=2**64 - 1, n=3, m=3, capacity=1, rank_counts=(2, 1),

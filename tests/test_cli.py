@@ -288,6 +288,24 @@ class TestSweep:
         assert exc.value.code == 2
         assert not out.exists()
 
+    def test_negative_zero_shift_prints_as_zero(self, tmp_path, capsys):
+        # -0 is the iid market; rows and summary print its shift as its config does
+        out = tmp_path / "s.csv"
+        argv = ["sweep", "--n", "4", "--k-list", "1", "--deltas=-0", "--reps", "2"]
+        assert run(capsys, *argv, "--out", str(out))[0] == 0
+        summary = tmp_path / "s.csv.summary.csv"
+        for path in (out, summary):
+            rows = path.read_text().splitlines()[1:]
+            assert [row.split(",")[1] for row in rows] == ["0"] * len(rows) and rows
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "stable-partners", "compare"])
+def test_reps_below_one_is_usage_error(tmp_path, capsys, command):
+    out = tmp_path / "x.csv"
+    argv = [command, "--n", "4", "--reps", "0", "--out", str(out)]
+    assert run(capsys, *argv) == (2, "", "error: --reps must be at least 1\n")
+    assert not out.exists()
+
 
 class TestStablePartners:
     def test_singleton_market_fraction_zero(self, tmp_path, capsys):
