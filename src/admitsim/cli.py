@@ -40,7 +40,7 @@ from .market import (  # noqa: F401
     MarketConfig,
     MarketInstance,
     _child_streams,
-    _convert,
+    _CONFIG_FIELDS,
     _json_object,
     _sample_stack,
     _seeded_generator,
@@ -78,37 +78,21 @@ def _load_config_file(path: str | None) -> dict[str, Any]:
     return data
 
 
-# The fields of a market configuration document, each also the destination of its flag.
-_MARKET_FIELDS = ("n", "m_ratio", "capacity", "k", "signal", "delta", "seed")
-
-
 def _market_config(args: argparse.Namespace, doc: dict[str, Any] | None = None) -> MarketConfig:
     """The market of ``doc`` (default: the ``--config`` file) with each market
     flag given set over its field, built by ``MarketConfig.from_json_dict``.
-
-    A flag's destination is its field's name; ``--signal`` sets the kind and
-    ``--delta`` the shift, inside the document's "signal" object if it has one.
+    A flag's destination is its field's name.
     """
     if doc is None:
         doc = _load_config_file(args.config)
-    flags = {
+    fields = {**doc, **{
         name: value for name, value in vars(args).items()
-        if name in _MARKET_FIELDS and value is not None
-    }
-    fields = {**doc, **flags}
+        if name in _CONFIG_FIELDS and value is not None
+    }}
     if "n" not in fields:
-        _json_object("market configuration", fields, _MARKET_FIELDS)  # names an unknown key
+        _json_object("market configuration", fields, _CONFIG_FIELDS)  # names an unknown key
         raise UsageError("--n is required (flag or config file)")
-    if isinstance(doc.get("signal"), dict):
-        given = {"kind": flags.get("signal"), "delta": flags.get("delta")}
-        fields["signal"] = {**doc["signal"], **{k: v for k, v in given.items() if v is not None}}
     return MarketConfig.from_json_dict(fields)
-
-
-def _convert_list(kind: type, name: str, values: Any) -> tuple[Any, ...]:
-    if not isinstance(values, list):
-        raise UsageError(f"{name} must be a JSON list, got {values!r}")
-    return tuple(_convert(kind, name, v) for v in values)
 
 
 def _split_flag(kind: type, flag: str, text: str) -> tuple[Any, ...]:
@@ -218,36 +202,22 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     """Grid of (k, delta) cells, each replicated from the root seed."""
     doc = _load_config_file(args.config)
-    grid = {key: doc.pop(key) for key in ("k_values", "deltas", "reps", "out") if key in doc}
     for key in ("k", "delta", "signal"):
         if key in doc:
             raise UsageError(f"config key {key!r} is not read by sweep: its grid sets k and delta")
     market = _market_config(args, doc)
-
     if args.k_list is not None:
         k_values = _split_flag(int, "--k-list", args.k_list)
-    elif "k_values" in grid and args.k_min is None and args.k_max is None:
-        k_values = _convert_list(int, "k_values", grid["k_values"])
     else:
-        k_min = args.k_min if args.k_min is not None else 1
         k_max = args.k_max if args.k_max is not None else min(10, market.m)
-        k_values = tuple(range(k_min, k_max + 1))
-    if args.deltas is not None:
-        deltas = _split_flag(float, "--deltas", args.deltas)
-    else:
-        deltas = _convert_list(float, "deltas", grid.get("deltas", [0.0]))
-    reps = _convert(int, "reps", args.reps if args.reps is not None else grid.get("reps", 1))
-    out = args.out or grid.get("out")
-    if not isinstance(out, str):
+        k_values = range(args.k_min, k_max + 1)  # lazy: cells stop at the first k > m
+    deltas = _split_flag(float, "--deltas", args.deltas)
+    reps = args.reps
+    if not args.out:
         raise UsageError("--out is required for sweeps")
-    if not k_values or not deltas:
+    if not k_values:
         raise UsageError("sweep grid must be nonempty")
-    for k in k_values:
-        if k < 1:
-            raise UsageError(f"k must be at least 1, got k={k}")
-        if k > market.m:
-            raise UsageError(f"k={k} exceeds the number of universities")
-    # every cell's market is built, and its shift checked, before any runs
+    # every cell's market is built, and its k and shift checked, before any runs
     cells = [_market_config(args, {**doc, "k": k, "delta": delta})
              for delta in deltas for k in k_values]
     table = _records(cells, reps)
@@ -269,7 +239,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                                   .reshape(len(cells), 10).tolist())
     ]
     # write_records_csv gets the path, which benchmarks/spans.py sizes
-    _write(out, partial(write_records_csv, table, k_max=max(k_values)),
+    _write(args.out, partial(write_records_csv, table, k_max=max(k_values)),
            "\n".join(summary) + "\n")
     return 0
 
@@ -361,11 +331,11 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep", help="grid of (k, delta) cells with per-cell means", allow_abbrev=False
     )
     _add_market_flags(p_sweep, per_market=False)
-    p_sweep.add_argument("--k-min", dest="k_min", type=int)
-    p_sweep.add_argument("--k-max", dest="k_max", type=int)
+    p_sweep.add_argument("--k-min", dest="k_min", type=int, default=1)
+    p_sweep.add_argument("--k-max", dest="k_max", type=int, help="default: min(10, m)")
     p_sweep.add_argument("--k-list", dest="k_list", help="comma-separated k values")
-    p_sweep.add_argument("--deltas", help="comma-separated signal shifts")
-    p_sweep.add_argument("--reps", type=int)
+    p_sweep.add_argument("--deltas", default="0", help="comma-separated signal shifts")
+    p_sweep.add_argument("--reps", type=int, default=1)
     p_sweep.add_argument("--out", help="records CSV path; means go to <out>.summary.csv")
     p_sweep.set_defaults(func=_cmd_sweep)
 

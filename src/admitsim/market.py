@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import numbers
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np
@@ -284,12 +284,10 @@ class SignalSpec:
             out[mask] = values
         return out
 
-    @classmethod
-    def from_json_dict(cls, data: dict[str, Any]) -> "SignalSpec":
-        """A spec from a JSON object ``{"kind": ..., "delta": ...}``, the "signal"
-        object of a market configuration document; the shift defaults to 0."""
-        _json_object("signal", data, ("kind", "delta"), required=("kind",))
-        return cls(kind=data["kind"], delta=_convert(float, "signal delta", data.get("delta", 0.0)))
+
+# The keys of a market configuration document: "signal" is a kind name and
+# "delta" its shift.  Each is also the destination of the CLI flag that sets it.
+_CONFIG_FIELDS = ("n", "m_ratio", "capacity", "k", "signal", "delta", "seed")
 
 
 @dataclass(frozen=True)
@@ -338,28 +336,22 @@ class MarketConfig:
 
     @classmethod
     def from_json_dict(cls, data: dict[str, Any]) -> "MarketConfig":
-        """A configuration from a JSON object of its fields, the document that
-        the CLI's ``--config`` reads; every field but ``n`` has its default.
-
-        Shorthands: "signal" may be a kind name, and a top-level "delta" is
-        the shift wherever "signal" sets none.  A kind left unnamed is
-        "gaussian" for a non-zero shift and "iid" otherwise.
+        """A configuration from a flat JSON object of the ``_CONFIG_FIELDS``,
+        the document that the CLI's ``--config`` reads; every field but ``n``
+        has its default.  A kind left unnamed is "gaussian" for a non-zero
+        shift and "iid" otherwise.
         """
-        keys = [f.name for f in fields(cls)] + ["delta"]
-        _json_object("market configuration", data, keys, required=("n",))
-        signal = data.get("signal")
-        if isinstance(signal, dict):
-            signal = {"delta": data.get("delta", 0.0), **signal}
-        elif signal is None or isinstance(signal, str):
-            delta = _convert(float, "delta", data.get("delta", 0.0))
-            kind = signal if signal is not None else "gaussian" if delta != 0.0 else "iid"
-            signal = {"kind": kind, "delta": delta}
+        _json_object("market configuration", data, _CONFIG_FIELDS, required=("n",))
+        delta = _convert(float, "delta", data.get("delta", 0.0))
+        kind = data.get("signal", "gaussian" if delta != 0.0 else "iid")
+        if not isinstance(kind, str):
+            raise ConfigurationError(f"signal must be a kind name, got {kind!r}")
         return cls(
             n=_convert(int, "n", data["n"]),
             m_ratio=_convert(float, "m_ratio", data.get("m_ratio", 1.0)),
             capacity=_convert(int, "capacity", data.get("capacity", 1)),
             k=_convert(int, "k", data.get("k", 1)),
-            signal=SignalSpec.from_json_dict(signal),
+            signal=SignalSpec(kind=kind, delta=delta),
             seed=_convert(int, "seed", data.get("seed", 0)),
         )
 
@@ -461,8 +453,6 @@ class MarketInstance:
     Immutable after construction.  ``prefs[s, r]`` is student ``s``'s
     rank-(r+1) university; ``signals[s, r]`` is the signal that university
     observed for the application; ``tiebreaks[s, r]`` orders equal signals.
-    ``blocks`` > 1 marks that many equal markets side by side (``_sample_stack``),
-    and is checked: block-offset ids already keep the ranking per block.
     """
 
     __slots__ = (
@@ -481,14 +471,10 @@ class MarketInstance:
         prefs: np.ndarray,
         signals: np.ndarray,
         tiebreaks: np.ndarray,
-        blocks: int = 1,
     ) -> None:
         prefs = np.ascontiguousarray(_id_table("preference table", prefs))
         signals = np.ascontiguousarray(_id_table("signal table", signals, kind=float))
         tiebreaks = np.ascontiguousarray(_id_table("tiebreak table", tiebreaks, kind=float))
-        blocks = _convert(int, "blocks", blocks)
-        if blocks < 1:
-            raise ConfigurationError(f"blocks must be positive, got {blocks}")
         n, m, k = config.n, config.m, config.k
         if prefs.shape != (n, k) or signals.shape != (n, k) or tiebreaks.shape != (n, k):
             raise ConfigurationError("preference/signal tables must be (n, k)")
@@ -496,11 +482,6 @@ class MarketInstance:
             raise ConfigurationError("university ids out of range")
         if _repeats(prefs).any():
             raise ConfigurationError("a student lists the same university twice")
-        if blocks > 1 and (
-            n % blocks or m % blocks
-            or (prefs // (m // blocks) != (np.arange(n) // (n // blocks))[:, None]).any()
-        ):
-            raise ConfigurationError("a block's students must list only its universities")
 
         self.config = config
         self.prefs = prefs
@@ -598,7 +579,7 @@ def _sample_stack(
     prefs += (m * np.arange(len(rngs)))[:, None, None]
     return MarketInstance(
         replace(config, n=len(rngs) * n), prefs.reshape(-1, k),
-        signals.reshape(-1, k), tiebreaks.reshape(-1, k), len(rngs),
+        signals.reshape(-1, k), tiebreaks.reshape(-1, k),
     )
 
 

@@ -212,7 +212,7 @@ def school_proposing_da(
     the order of the first round's offers.
     """
     n, m, k = instance.n, instance.m, instance.k
-    first = np.arange(m) if order is None else np.asarray(list(order), dtype=np.int64)
+    first = np.arange(m) if order is None else _id_table("order", list(order), ValueError)
     if order is not None and not np.array_equal(np.sort(first), np.arange(m)):
         raise ValueError("order must be a permutation of all universities")
     # offers are application ids s*k + r: by student, then by her own rank

@@ -247,6 +247,20 @@ class TestRecords:
         assert sum(record.rank_counts) + record.unmatched == record.n
         assert record.synergy <= record.rank_counts[0]
 
+    @pytest.mark.parametrize(
+        "fields,message",
+        [({"unmatched": 1}, "rank counts plus unmatched must equal n"),
+         ({"rank_counts": (1, 2), "unmatched": 1}, "rank counts plus unmatched must equal n"),
+         ({"synergy": 3}, "synergy cannot exceed the rank-1 count"),
+         ({"rank_counts": (), "unmatched": 3, "synergy": 1},
+          "synergy cannot exceed the rank-1 count")],
+    )
+    def test_records_breaking_an_invariant_are_refused(self, fields, message):
+        base = dict(k=2, delta=0.0, seed=1, n=3, m=3, capacity=1, rank_counts=(2, 1),
+                    unmatched=0, synergy=2, student_utility=5.0, university_utility=5.0)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ExperimentRecord(**{**base, **fields})
+
     def test_header_builder(self):
         assert _records_header(1) == [
             "k", "delta", "seed", "n", "m", "l", "matched",

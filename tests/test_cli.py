@@ -227,22 +227,27 @@ class TestSweep:
             tmp_path / "b.csv.summary.csv"
         ).read_bytes()
 
-    def test_k_beyond_m_rejected(self, tmp_path, capsys):
-        code, _, err = run(
-            capsys,
-            "sweep", "--n", "4", "--k-list", "9", "--deltas", "0",
-            "--reps", "1", "--out", str(tmp_path / "x.csv"),
-        )
-        assert code == 2 and "exceeds" in err
+    @pytest.mark.parametrize(
+        "grid", [["--k-list", "9"], ["--k-list", "2,0"], ["--k-min", "0", "--k-max", "2"],
+                 ["--k-min", "3", "--k-max", "5"], ["--k-max", str(10**15)]],
+    )
+    def test_k_out_of_range_rejected(self, tmp_path, capsys, grid):
+        # each cell is a MarketConfig, which checks its own k; the cells stop
+        # at the first bad k, so a vast --k-max range is never built
+        out = tmp_path / "x.csv"
+        code, _, err = run(capsys, "sweep", "--n", "4", *grid, "--out", str(out))
+        assert (code, err) == (2, "error: k must satisfy 1 <= k <= 4\n")
+        assert not out.exists()
 
-    @pytest.mark.parametrize("source", ["flag", "config"])
-    def test_k_below_one_rejected(self, tmp_path, capsys, source):
-        cfg = tmp_path / "sweep.json"
-        cfg.write_text(json.dumps({"n": 4, "k_values": [0]}))
-        grid = ["--n", "4", "--k-list", "0"] if source == "flag" else ["--config", str(cfg)]
-        code, _, err = run(capsys, "sweep", *grid, "--out", str(tmp_path / "x.csv"))
-        assert code == 2 and "at least 1" in err and "exceeds" not in err
-        assert not (tmp_path / "x.csv").exists()
+    @pytest.mark.parametrize(
+        "grid,message",
+        [([], "--out is required for sweeps"),
+         (["--k-min", "5", "--k-max", "3", "--out", "x.csv"], "sweep grid must be nonempty")],
+    )
+    def test_incomplete_grid_is_usage_error(self, tmp_path, capsys, monkeypatch, grid, message):
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, "sweep", "--n", "10", *grid) == (2, "", f"error: {message}\n")
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
         "flag,text,message",
@@ -261,16 +266,17 @@ class TestSweep:
     @pytest.mark.parametrize(
         "flags,k_values",
         [
-            ([], [1]),
+            ([], list(range(1, 11))),
             (["--k-max", "3"], [1, 2, 3]),
             (["--k-min", "9"], [9, 10]),
             (["--k-min", "2", "--k-max", "3"], [2, 3]),
             (["--k-list", "4,2"], [4, 2]),
+            (["--k-list", "4,2", "--k-min", "3"], [4, 2]),
         ],
     )
-    def test_k_flags_override_file_k_values(self, tmp_path, capsys, flags, k_values):
+    def test_k_flags_set_the_grid(self, tmp_path, capsys, flags, k_values):
         cfg = tmp_path / "sweep.json"
-        cfg.write_text(json.dumps({"n": 10, "k_values": [1]}))
+        cfg.write_text(json.dumps({"n": 10}))
         out = tmp_path / "s.csv"
         code, _, _ = run(capsys, "sweep", "--config", str(cfg), *flags, "--out", str(out))
         assert code == 0
@@ -304,6 +310,16 @@ def test_reps_below_one_is_usage_error(tmp_path, capsys, command):
     out = tmp_path / "x.csv"
     argv = [command, "--n", "4", "--reps", "0", "--out", str(out)]
     assert run(capsys, *argv) == (2, "", "error: --reps must be at least 1\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "stable-partners", "compare"])
+def test_reps_beyond_the_seed_space_is_usage_error(tmp_path, capsys, command):
+    # replication indices are 64-bit: refused before any table is allocated
+    out = tmp_path / "x.csv"
+    argv = [command, "--n", "4", "--reps", str(2**64 + 1), "--out", str(out)]
+    message = "error: root and replication indices must be 64-bit unsigned integers\n"
+    assert run(capsys, *argv) == (2, "", message)
     assert not out.exists()
 
 
@@ -375,20 +391,19 @@ _SIGNAL_FLAGS = [
 _SIGNAL_FORMS = {
     "none": ({}, [0.0, 0.0, 0.0, 0.0, 2.0, None, 2.0]),
     "kind string": ({"signal": "gaussian"}, [0.0, 0.0, 0.0, 0.0, 2.0, None, 2.0]),
-    # --delta sets the shift and keeps the object's kind
-    "kind object": ({"signal": {"kind": "iid"}}, [0.0, 0.0, 0.0, 0.0, None, None, 2.0]),
-    "kind object with shift": (
-        {"signal": {"kind": "gaussian", "delta": 1}}, [1.0, None, 1.0, 0.0, 2.0, None, 2.0]
-    ),
     "top-level delta": ({"delta": 1}, [1.0, None, 1.0, 0.0, 2.0, None, 2.0]),
-    "null": ({"signal": None}, [0.0, 0.0, 0.0, 0.0, 2.0, None, 2.0]),
     # custom samplers cannot come from a file, with or without a shift
-    "custom": ({"signal": {"kind": "custom"}}, [None, 0.0, 0.0, None, None, None, 2.0]),
+    "custom": ({"signal": "custom"}, [None, 0.0, 0.0, None, None, None, 2.0]),
     "unknown kind": ({"signal": "foo"}, [None, 0.0, 0.0, None, None, None, 2.0]),
-    # signal.delta wins over the top-level delta; --signal leaves it in place
+    # "signal" is a kind name: any other value is refused unless --signal replaces it
+    "kind object": ({"signal": {"kind": "iid"}}, [None, 0.0, 0.0, None, None, None, 2.0]),
+    "kind object with shift": (
+        {"signal": {"kind": "gaussian", "delta": 1}}, [None, 0.0, 0.0, None, None, None, 2.0]
+    ),
+    "null": ({"signal": None}, [None, 0.0, 0.0, None, None, None, 2.0]),
     "both shifts": (
         {"signal": {"kind": "gaussian", "delta": 1}, "delta": 3},
-        [1.0, None, 1.0, 0.0, 2.0, None, 2.0],
+        [None, None, 3.0, None, None, None, 2.0],
     ),
 }
 
@@ -422,12 +437,26 @@ class TestConfigFile:
 
     def test_signal_spec_from_file(self, tmp_path, capsys):
         cfg = tmp_path / "market.json"
-        cfg.write_text(
-            json.dumps({"n": 8, "k": 2, "signal": {"kind": "gaussian", "delta": 2.0}})
-        )
+        cfg.write_text(json.dumps({"n": 8, "k": 2, "signal": "gaussian", "delta": 2.0}))
         code, out, _ = run(capsys, "simulate", "--config", str(cfg), "--format", "json")
         assert code == 0
         assert json.loads(out)[0]["delta"] == 2.0
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [(None, "cannot read config file"), ('{"n": 4,', "is not valid JSON"),
+         ("", "is not valid JSON")],
+    )
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_unreadable_file_is_usage_error(self, tmp_path, capsys, command, text, message):
+        cfg = tmp_path / "market.json"
+        if text is not None:
+            cfg.write_text(text)
+        out = tmp_path / "x.csv"
+        code, stdout, err = run(capsys, command, "--config", str(cfg), "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert err.startswith("error: ") and message in err and str(cfg) in err
+        assert not out.exists()
 
     def test_non_object_file_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "market.json"
@@ -475,6 +504,11 @@ class TestConfigFile:
             ("sweep", {"n": 10, "base": {"capacity": 2}, "k_values": [1]}, "base"),
             ("sweep", {"n": 10, "replications": 2, "k_values": [1]}, "replications"),
             ("sweep", {"n": 10, "k_min": 2}, "k_min"),
+            # the grid comes from flags only
+            ("sweep", {"n": 10, "k_values": [1]}, "k_values"),
+            ("sweep", {"n": 10, "deltas": [0.0]}, "deltas"),
+            ("sweep", {"n": 10, "reps": 2}, "reps"),
+            ("sweep", {"n": 10, "out": "s.csv"}, "out"),
             # an unknown key is named before a missing "n"
             ("simulate", {"nn": 10}, "nn"),
             ("sweep", {"base": {"n": 10}, "k_values": [1]}, "base"),
@@ -491,7 +525,7 @@ class TestConfigFile:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "command,doc", [("simulate", {"k": 2}), ("sweep", {"m_ratio": 2, "k_values": [1]})]
+        "command,doc", [("simulate", {"k": 2}), ("sweep", {"m_ratio": 2, "capacity": 2})]
     )
     def test_config_file_without_n_is_usage_error(self, tmp_path, capsys, command, doc):
         cfg = tmp_path / "market.json"
@@ -520,6 +554,8 @@ class TestConfigFile:
             assert code == 0 and json.loads(out)[0]["delta"] == expected
         if flags == ["--signal", "iid", "--delta", "2"]:
             assert "iid signals take no shift" in err
+        elif not isinstance(form.get("signal", ""), str) and "--signal" not in flags:
+            assert err == f"error: signal must be a kind name, got {form['signal']!r}\n"
 
 
 class TestStacking:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -149,6 +150,22 @@ class TestEstimateAcceptance:
 )
 def test_integer_arguments_are_checked_by_name(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
+        call(MarketConfig(n=100, k=3, seed=0))
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda c: estimate_acceptance((1.0, 0.5, 0.2), c, trials=0), "trials must be positive"),
+        (lambda c: estimate_acceptance((1.2, 0.5, 0.2), c), "rank fractions must lie in [0, 1]"),
+        (lambda c: estimate_acceptance((0.5, 0.2, -0.1), c), "rank fractions must lie in [0, 1]"),
+        (lambda c: build_seeded_plan((1.0, 1.5, 0.2), c), "rank fractions must lie in [0, 1]"),
+        (lambda c: RankVector((1.0, 0.5, -0.5)), "rank fractions must lie in [0, 1]"),
+    ],
+    ids=["trials", "estimate-above", "estimate-below", "plan-above", "rank-vector-below"],
+)
+def test_out_of_range_arguments_are_refused(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(MarketConfig(n=100, k=3, seed=0))
 
 

@@ -104,7 +104,7 @@ class TestConfigValidation:
 
     def test_json_shift_must_be_finite(self):
         with pytest.raises(ConfigurationError):
-            SignalSpec.from_json_dict({"kind": "gaussian", "delta": math.inf})
+            MarketConfig.from_json_dict({"n": 5, "signal": "gaussian", "delta": math.inf})
 
     @pytest.mark.parametrize(
         "field,value",
@@ -128,22 +128,19 @@ class TestConfigValidation:
             MarketConfig.from_json_dict(doc)
         with pytest.raises(ConfigurationError, match="^n must be an integer, got True$"):
             MarketConfig.from_json_dict({"n": True, "k": True})
-        with pytest.raises(ConfigurationError, match="^signal delta must be a number"):
-            SignalSpec.from_json_dict({"kind": "gaussian", "delta": False})
+        with pytest.raises(ConfigurationError, match="^delta must be a number, got False$"):
+            MarketConfig.from_json_dict({"n": 5, "signal": "gaussian", "delta": False})
 
     def test_json_shift_is_not_parsed(self):
-        with pytest.raises(ConfigurationError, match="^signal delta must be a number"):
-            SignalSpec.from_json_dict({"kind": "gaussian", "delta": "1"})
+        with pytest.raises(ConfigurationError, match="^delta must be a number, got '1'$"):
+            MarketConfig.from_json_dict({"n": 5, "signal": "gaussian", "delta": "1"})
 
     @pytest.mark.parametrize(
         "doc,field",
         [
             ({}, '"n"'),
-            ({"n": 5, "signal": {"delta": 1}}, '"kind"'),
-            ({"n": 5, "signal": 5}, "signal"),
-            ({"n": 5, "signal": ["gaussian"]}, "signal"),
             ({"n": 5, "capactiy": 2}, "'capactiy'"),
-            ({"n": 5, "signal": {"kind": "gaussian", "shift": 1}}, "'shift'"),
+            ({"n": 5, "shift": 1}, "'shift'"),
             ([5], "market configuration"),
         ],
     )
@@ -151,28 +148,30 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError, match=re.escape(field)):
             MarketConfig.from_json_dict(doc)
 
-    def test_json_signal_must_be_an_object(self):
-        with pytest.raises(ConfigurationError, match="^signal must be a JSON object"):
-            SignalSpec.from_json_dict("gaussian")
+    @pytest.mark.parametrize(
+        "signal", [{"kind": "gaussian", "delta": 1}, {"delta": 1}, None, 5, ["gaussian"]]
+    )
+    def test_json_signal_must_be_a_kind_name(self, signal):
+        message = f"^signal must be a kind name, got {re.escape(repr(signal))}$"
+        with pytest.raises(ConfigurationError, match=message):
+            MarketConfig.from_json_dict({"n": 5, "signal": signal, "delta": 1})
 
     @pytest.mark.parametrize(
         "doc,signal",
         [
             ({"signal": "gaussian"}, SignalSpec.gaussian(0.0)),
+            ({"signal": "gaussian", "delta": 2}, SignalSpec.gaussian(2.0)),
             ({"signal": "iid", "delta": 0}, SignalSpec.iid()),
             ({"delta": 1.5}, SignalSpec.gaussian(1.5)),
             ({"delta": 0}, SignalSpec.iid()),
-            ({"signal": None}, SignalSpec.iid()),
-            ({"signal": {"kind": "gaussian"}, "delta": 2}, SignalSpec.gaussian(2.0)),
-            ({"signal": {"kind": "gaussian", "delta": 1}, "delta": 3}, SignalSpec.gaussian(1.0)),
         ],
     )
-    def test_json_signal_shorthands(self, doc, signal):
+    def test_json_signal_kind_and_shift(self, doc, signal):
         assert MarketConfig.from_json_dict({"n": 5, **doc}).signal == signal
 
     def test_iid_shift_is_positive_zero(self):
         # a -0.0 shift would print as "-0" in the records' delta column
-        spec = MarketConfig.from_json_dict({"n": 5, "signal": {"kind": "iid", "delta": -0.0}})
+        spec = MarketConfig.from_json_dict({"n": 5, "signal": "iid", "delta": -0.0})
         assert math.copysign(1.0, spec.signal.delta) == 1.0
 
     def test_custom_needs_both_samplers(self):
@@ -231,6 +230,21 @@ class TestConfigValidation:
         # a float64 table is taken as it is, with no pass over its entries
         values = np.array([[0.5], [math.nan]])
         assert market._id_table("signal table", values, kind=float) is values
+
+    @pytest.mark.parametrize(
+        "tables,message",
+        [({"prefs": [[0]]}, "preference/signal tables must be \\(n, k\\)"),
+         ({"prefs": [[0, 1], [1, 2]]}, "preference/signal tables must be \\(n, k\\)"),
+         ({"signals": np.zeros((2, 2))}, "preference/signal tables must be \\(n, k\\)"),
+         ({"tiebreaks": np.zeros(2)}, "preference/signal tables must be \\(n, k\\)"),
+         ({"prefs": [[0], [3]]}, "university ids out of range"),
+         ({"prefs": [[-1], [0]]}, "university ids out of range")],
+    )
+    def test_tables_must_be_n_by_k_ids_in_range(self, tables, message):
+        config = MarketConfig(n=2, m_ratio=1.5, k=1)
+        given = {"prefs": [[0], [2]], "signals": np.zeros((2, 1)), "tiebreaks": np.zeros((2, 1))}
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            MarketInstance(config, **{**given, **tables})
 
     def test_integral_preference_ids_pass(self):
         config, table = MarketConfig(n=2, m_ratio=1.5, k=1), np.zeros((2, 1))
@@ -424,23 +438,6 @@ class TestStack:
             block = market._sample_stack(config, [alone])
             assert np.array_equal(stack.prefs[3 * b : 3 * b + 3] - b * m, block.prefs)
             assert stacked[b].calls == alone.calls == three_calls(config)
-
-    @pytest.mark.parametrize(
-        "blocks,message",
-        [(0, "blocks must be positive, got 0"), (-1, "blocks must be positive, got -1"),
-         (True, "blocks must be an integer, got True"), ("2", "blocks must be an integer, got '2'"),
-         (2.5, "blocks must be an integer, got 2.5")],
-    )
-    def test_block_count_must_be_a_positive_integer(self, blocks, message):
-        config, table = MarketConfig(n=4, m_ratio=1.0, k=1, seed=0), np.zeros((4, 1))
-        with pytest.raises(ConfigurationError, match=f"^{message}$"):
-            MarketInstance(config, np.array([[0], [1], [2], [3]]), table, table, blocks=blocks)
-
-    def test_mixed_blocks_rejected(self):
-        config = MarketConfig(n=4, m_ratio=1.0, k=1, seed=0)
-        table = np.zeros((4, 1))
-        with pytest.raises(ConfigurationError):
-            MarketInstance(config, np.array([[0], [1], [2], [1]]), table, table, blocks=2)
 
 
 def fill_lists(prefixes, k, m, draw):
@@ -793,7 +790,7 @@ class TestRepeatedUniversity:
                 prefs = stack.prefs.copy()
                 prefs[120, j] = prefs[120, i]  # a student of block 2
                 with pytest.raises(ConfigurationError, match="twice"):
-                    MarketInstance(stack.config, prefs, stack.signals, stack.tiebreaks, blocks=4)
+                    MarketInstance(stack.config, prefs, stack.signals, stack.tiebreaks)
 
     @pytest.mark.parametrize("k", [2, 5, 10])
     def test_sampling_at_m_equal_to_k_k_minus_1_leaves_no_repeat(self, k):

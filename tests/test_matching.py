@@ -12,6 +12,7 @@ from admitsim import (
     MarketConfig,
     MarketInstance,
     Matching,
+    SeededProposalPlan,
     SignalSpec,
     build_seeded_plan,
     compare_matchings,
@@ -89,6 +90,19 @@ class TestSchoolProposingDA:
         inst = small_instance([[0]], [[1.0]])
         with pytest.raises(ValueError):
             school_proposing_da(inst, order=[0, 0])
+
+    @pytest.mark.parametrize(
+        "order,entry",
+        [([0.5, 1, 2, 3], "0.5"), ([True, False, 2, 3], "True"), (["0", "1", "2", "3"], "'0'")],
+    )
+    def test_order_entries_are_not_truncated(self, order, entry):
+        # each would read as the permutation 0, 1, 2, 3 if cast to integers
+        inst = small_instance([[0], [1], [2], [3]], [[1.0]] * 4)
+        with pytest.raises(ValueError, match=f"^order entry must be an integer, got {entry}$"):
+            school_proposing_da(inst, order=order)
+        base = school_proposing_da(inst)
+        for ids in (iter(range(4)), [3.0, 2, 1, 0], np.array([1, 0, 3, 2], dtype=np.int32)):
+            assert school_proposing_da(inst, order=ids) == base
 
 
 class TestStudentProposingDA:
@@ -384,6 +398,20 @@ class TestSeededContinuation:
         # repair should touch few students even at this moderate size
         assert compare_matchings(seeded_matching(plan), final) < 0.10
 
+    @pytest.mark.parametrize("capacity", [1, 2])
+    def test_more_accepted_holds_than_seats_rejected(self, capacity):
+        # capacity + 1 students each hold an accepted rank-1 proposal to university 0
+        n = capacity + 1
+        cfg = MarketConfig(n=n, m_ratio=2 / n, capacity=capacity, k=1, seed=0)
+        plan = SeededProposalPlan(
+            config=cfg, proposal_uni=np.zeros(n, dtype=np.int64),
+            proposal_rank=np.ones(n, dtype=np.int64), proposal_signal=np.arange(n, dtype=float),
+            proposal_tiebreak=np.zeros(n), proposal_accepted=np.ones(n, dtype=bool),
+            proposal_student=np.arange(n), inconsistent=np.zeros(n, dtype=bool),
+        )
+        with pytest.raises(ValueError, match="^more holds than seats at a university$"):
+            continue_rejection_chains(complete_instance(plan), plan)
+
     def test_config_mismatch_rejected(self):
         cfg = MarketConfig(n=100, k=2, seed=1)
         plan = build_seeded_plan((1.0, 0.5), cfg)
@@ -428,6 +456,13 @@ class TestMatchRanks:
         assert matching.partner.tolist() == [0, -1]
         assert match_rank_indices(inst, matching).tolist() == [0, 1]
 
+    @pytest.mark.parametrize("partner,n_universities", [([0], 2), ([0, 1, -1], 2), ([0, 1], 3)])
+    def test_matching_of_another_size_is_refused(self, partner, n_universities):
+        inst = small_instance([[0], [1]], [[1.0], [1.0]])
+        with pytest.raises(InvalidMatchingError,
+                           match="^matching size does not fit the instance$"):
+            match_rank_indices(inst, Matching(partner, n_universities))
+
 
 class TestMatchingIds:
     """A matching keeps the ids it is given, or refuses them by name."""
@@ -447,6 +482,15 @@ class TestMatchingIds:
     def test_university_count_must_be_an_integer(self, n_universities):
         with pytest.raises(InvalidMatchingError, match="^n_universities must be an integer"):
             Matching([0, -1], n_universities)
+
+    @pytest.mark.parametrize(
+        "partner,message",
+        [([[0, 1]], "partner table must be one-dimensional"),
+         ([0, 3], "university ids out of range"), ([-2, 0], "university ids out of range")],
+    )
+    def test_tables_that_are_not_ids_in_range_are_refused(self, partner, message):
+        with pytest.raises(InvalidMatchingError, match=f"^{message}$"):
+            Matching(partner, 3)
 
     def test_university_count_must_be_nonnegative(self):
         message = "^n_universities must be nonnegative, got -1$"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import json
 import os
 import re
 import shlex
@@ -57,6 +58,21 @@ def test_cli_block_runs(tmp_path, monkeypatch, capsys):
             assert out.stat().st_size > 0, command
     for summary in ("sweep.csv.summary.csv", "verdicts.csv.summary.csv"):
         assert (tmp_path / summary).stat().st_size > 0
+
+
+def test_config_block_loads_and_runs(tmp_path, capsys):
+    """The CLI section's ``--config`` document loads through
+    ``MarketConfig.from_json_dict`` and drives ``simulate --config``, as the
+    packaging CI job runs it through the console script."""
+    text = re.search(r"```json\n(.*?)```", cli_section(), re.S).group(1)
+    config = admitsim.MarketConfig.from_json_dict(json.loads(text))
+    path = tmp_path / "market.json"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["simulate", "--config", str(path), "--format", "json"]) == 0
+    record = json.loads(capsys.readouterr().out)[0]
+    assert (record["n"], record["k"]) == (config.n, config.k)
+    assert record["delta"] == config.signal.delta != 0.0
+    assert record["seed"] == admitsim.child_seed(config.seed, 0)
 
 
 def test_cli_section_names_only_existing_flags(capsys):
