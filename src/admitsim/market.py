@@ -339,13 +339,16 @@ class MarketConfig:
         """A configuration from a flat JSON object of the ``_CONFIG_FIELDS``,
         the document that the CLI's ``--config`` reads; every field but ``n``
         has its default.  A kind left unnamed is "gaussian" for a non-zero
-        shift and "iid" otherwise.
+        shift and "iid" otherwise; "custom" is refused, as its samplers
+        cannot come from a file.
         """
         _json_object("market configuration", data, _CONFIG_FIELDS, required=("n",))
         delta = _convert(float, "delta", data.get("delta", 0.0))
         kind = data.get("signal", "gaussian" if delta != 0.0 else "iid")
         if not isinstance(kind, str):
             raise ConfigurationError(f"signal must be a kind name, got {kind!r}")
+        if kind == "custom":
+            raise ConfigurationError("custom signals cannot come from a config file")
         return cls(
             n=_convert(int, "n", data["n"]),
             m_ratio=_convert(float, "m_ratio", data.get("m_ratio", 1.0)),
@@ -359,15 +362,19 @@ class MarketConfig:
 def _rank_within_universities(
     uni: np.ndarray, signals: np.ndarray, tiebreaks: np.ndarray, m: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rank applications within each university: 0 = highest signal.
+    """Order applications within each university: highest signal first.
 
-    Returns (ranks, order, offsets): ``order`` lists application indices
+    Returns (place, order, offsets): ``order`` lists application indices
     grouped by university in preference order, signal down and then
     tiebreak up, exactly as ``np.lexsort((tiebreaks, -signals, uni))``;
-    ``offsets`` delimits the groups.  One value sort of packed 64-bit keys
-    (university, descending signal bits cut to fit, index) does it: the
-    cut is monotone, so only runs of equal university and cut signal can
-    be out of order, and one lexsort of their members sets them right.
+    ``offsets`` delimits the groups; ``place``, the inverse of ``order``,
+    gives each application's index in it.  An application's 0-based rank
+    at its university is ``place - offsets[uni]``, so two applications to
+    one university compare by place as by rank.  One value sort of packed
+    64-bit keys (university, descending signal bits cut to fit, index)
+    does it: the cut is monotone, so only runs of equal university and cut
+    signal can be out of order, and one lexsort of their members sets them
+    right.
     NaN signals, or ids too wide to leave a signal bit, take the lexsort.
     """
     ub, ib = max(1, (m - 1).bit_length()), max(1, (uni.size - 1).bit_length())
@@ -390,9 +397,9 @@ def _rank_within_universities(
         order = np.lexsort((tiebreaks, -signals, uni))
         grouped = uni[order]
     offsets = np.concatenate(([0], np.cumsum(np.bincount(grouped, minlength=m))))
-    ranks = np.empty(uni.size, dtype=np.int64)
-    ranks[order] = np.arange(uni.size, dtype=np.int64) - offsets[grouped]
-    return ranks, order, offsets
+    place = np.empty(uni.size, dtype=np.int64)
+    place[order] = np.arange(uni.size, dtype=np.int64)
+    return place, order, offsets
 
 
 def _repeats(table: np.ndarray) -> np.ndarray:
@@ -453,6 +460,12 @@ class MarketInstance:
     Immutable after construction.  ``prefs[s, r]`` is student ``s``'s
     rank-(r+1) university; ``signals[s, r]`` is the signal that university
     observed for the application; ``tiebreaks[s, r]`` orders equal signals.
+
+    Application ``s*k + r`` sits at index ``_uni_place[s*k + r]`` of
+    ``_uni_order``, the applications grouped by university in preference
+    order, whose groups ``_uni_offsets`` delimits.  ``uni_rank[s, r]``,
+    the application's 0-based rank at its university, is computed from
+    them on first read and kept.
     """
 
     __slots__ = (
@@ -460,9 +473,10 @@ class MarketInstance:
         "prefs",
         "signals",
         "tiebreaks",
-        "uni_rank",
+        "_uni_place",
         "_uni_order",
         "_uni_offsets",
+        "_uni_rank",
     )
 
     def __init__(
@@ -487,14 +501,24 @@ class MarketInstance:
         self.prefs = prefs
         self.signals = signals
         self.tiebreaks = tiebreaks
-        ranks, order, offsets = _rank_within_universities(
+        place, order, offsets = _rank_within_universities(
             prefs.ravel(), signals.ravel(), tiebreaks.ravel(), m
         )
-        self.uni_rank = ranks.reshape(n, k)
+        self._uni_place = place
         self._uni_order = order
         self._uni_offsets = offsets
-        for arr in (self.prefs, self.signals, self.tiebreaks, self.uni_rank):
+        self._uni_rank = None
+        for arr in (self.prefs, self.signals, self.tiebreaks, self._uni_place):
             arr.setflags(write=False)
+
+    @property
+    def uni_rank(self) -> np.ndarray:
+        """Read-only (n, k) ranks at the universities, 0 = highest signal."""
+        if self._uni_rank is None:
+            ranks = self._uni_place.reshape(self.prefs.shape) - self._uni_offsets[self.prefs]
+            ranks.setflags(write=False)
+            self._uni_rank = ranks
+        return self._uni_rank
 
     @property
     def n(self) -> int:
@@ -656,8 +680,8 @@ def _throw_proposals(
     ranks = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
     signals = config.signal.draw_batch(ranks == 0, rng)
     tiebreaks = rng.random(total)
-    within, _, _ = _rank_within_universities(uni, signals, tiebreaks, m)
-    return uni, ranks, signals, tiebreaks, within < config.capacity
+    place, _, offsets = _rank_within_universities(uni, signals, tiebreaks, m)
+    return uni, ranks, signals, tiebreaks, place < offsets[uni] + config.capacity
 
 
 def build_seeded_plan(

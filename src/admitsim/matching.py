@@ -113,6 +113,14 @@ def match_rank_indices(instance: MarketInstance, matching: Matching) -> np.ndarr
     return ranks
 
 
+def _seats(to: np.ndarray) -> np.ndarray:
+    """Index of each entry of a sorted receiver array within its receiver's run."""
+    ids = np.arange(to.size)
+    opens = np.ones(to.size, dtype=bool)
+    opens[1:] = to[1:] != to[:-1]
+    return ids - np.maximum.accumulate(np.where(opens, ids, 0))
+
+
 def _deferred_acceptance(
     lists: np.ndarray,
     pos: np.ndarray,
@@ -176,10 +184,7 @@ def _deferred_acceptance(
             holders = held[to[latest[to] == ids]].ravel()
             cand = np.sort(np.concatenate((offers, holders[holders >= 0])))
             to = receiver[cand]
-            ids = np.arange(cand.size)
-            opens = np.ones(cand.size, dtype=bool)
-            opens[1:] = to[1:] != to[:-1]
-            seat = ids - np.maximum.accumulate(np.where(opens, ids, 0))
+            seat = _seats(to)
             kept = seat < capacity
             held[to] = -1
             held[to[kept], seat[kept]] = cand[kept]
@@ -231,31 +236,29 @@ def _students_propose(
     """Student-proposing deferred acceptance, student s starting at ``first_rank[s]``.
 
     Students flagged in ``holds`` are already kept at their first entry:
-    their seats are filled in one pass, at most ``capacity`` per
+    one sort of their places seats them, at most ``capacity`` per
     university, and only the other students with ranks left propose.
     """
     n, m, k = instance.n, instance.m, instance.k
-    # offers are positions in the universities' merged preference order
+    # offers are places, indices in the universities' merged preference order
     by_uni = instance._uni_order
-    lists = np.empty(n * k, dtype=np.int64)
-    lists[by_uni] = np.arange(n * k)
-    receiver = instance.prefs.ravel()[by_uni]
+    receiver = np.repeat(np.arange(m), np.diff(instance._uni_offsets))
     pos = np.arange(0, n * k, k) + first_rank
     stop = np.arange(k, n * k + 1, k)
     free = np.ones(n, dtype=np.int64)
     held = np.full((m, instance.capacity), -1)
     if holds is not None:
-        seated = lists[pos[holds]]
-        for seat in range(instance.capacity):
-            held[receiver[seated], seat] = seated
-            seated = seated[held[receiver[seated], seat] != seated]
-        if seated.size:
+        seated = np.sort(instance._uni_place[pos[holds]])
+        to = receiver[seated]
+        seat = _seats(to)
+        if seat.max(initial=0) >= instance.capacity:
             raise ValueError("more holds than seats at a university")
+        held[to, seat] = seated
         pos[holds] += 1
         free[holds] = 0
     held = _deferred_acceptance(
-        lists, pos, stop, free, proposer=by_uni // k, receiver=receiver, held=held,
-        active=np.flatnonzero(free & (pos < stop)),
+        instance._uni_place, pos, stop, free, proposer=by_uni // k, receiver=receiver,
+        held=held, active=np.flatnonzero(free & (pos < stop)),
     )
     return _matching(instance, by_uni[held])
 
@@ -285,13 +288,15 @@ def find_blocking_pairs(instance: MarketInstance, matching: Matching) -> list[Bl
     if counts.max(initial=0) > L:
         raise InvalidMatchingError("a university exceeds its capacity")
     # a university takes any applicant while a seat is free, else one it
-    # ranks above its worst admitted student
+    # ranks above its worst admitted student; places order one university's
+    # applications as its ranks do
+    place = instance._uni_place
     worst = np.full(m, -1, dtype=np.int64)
-    np.maximum.at(worst, partner[matched], instance.uni_rank.ravel()[matched * k + ranks[matched]])
+    np.maximum.at(worst, partner[matched], place[matched * k + ranks[matched]])
     threshold = np.where(counts < L, np.iinfo(np.int64).max, worst)
 
     prefers = np.arange(k) < ranks[:, None]
-    blocking = np.flatnonzero(prefers & (instance.uni_rank < threshold[instance.prefs]))
+    blocking = np.flatnonzero(prefers & (place.reshape(-1, k) < threshold[instance.prefs]))
     unis = instance.prefs.ravel()[blocking]
     return [BlockingPair(int(s), int(u)) for s, u in zip(blocking // k, unis)]
 
@@ -324,5 +329,6 @@ def continue_rejection_chains(
     """
     if plan.config != instance.config:
         raise ValueError("plan and instance were built from different configurations")
-    holds = plan.accepted_partner_array() >= 0
+    holds = np.zeros(instance.n, dtype=bool)
+    holds[plan.proposal_student[plan.proposal_accepted & (plan.proposal_student >= 0)]] = True
     return _students_propose(instance, plan.assigned_rank_counts() - holds, holds)

@@ -54,11 +54,12 @@ def extra_stable_partner_reports(instance: MarketInstance) -> StablePartnerRepor
     extras = np.flatnonzero((optimal >= 0) & (optimal != pessimal))
     unis = optimal[extras]
     list_rank = match_rank_indices(instance, university_optimal)[extras]
-    rank_at_uni = instance.uni_rank[extras, list_rank]
+    # places order one university's applicants as its ranks do
+    place = instance._uni_place[extras * instance.k + list_rank]
     best = np.full(instance.m, instance.n * instance.k, dtype=np.int64)
-    np.minimum.at(best, unis, rank_at_uni)
+    np.minimum.at(best, unis, place)
     witness = np.full(instance.m, -1, dtype=np.int64)
-    top = rank_at_uni == best[unis]
+    top = place == best[unis]
     witness[unis[top]] = extras[top]
     verdict = witness >= 0
     for arr in (verdict, witness):

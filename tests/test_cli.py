@@ -467,26 +467,35 @@ class TestConfigFile:
         assert code == 2 and err.startswith("error:")
 
     @pytest.mark.parametrize(
-        "command,doc",
+        "command,doc,key",
         [
-            ("simulate", {"n": [1]}),
-            ("simulate", {"n": 10.5}),
-            ("simulate", {"n": "10"}),
-            ("simulate", {"n": math.inf}),
-            ("simulate", {"n": 8, "k": 2, "signal": {"kind": "gaussian", "delta": [2]}}),
-            ("sweep", {"n": 10, "k_values": 5}),
-            ("sweep", {"n": 10, "deltas": [[1.0]]}),
-            ("simulate", {"n": True}),
-            ("simulate", {"n": 8, "k": True}),
-            ("sweep", {"n": 10, "k_values": [True]}),
+            ("simulate", {"n": [1]}, "n"),
+            ("simulate", {"n": 10.5}, "n"),
+            ("simulate", {"n": "10"}, "n"),
+            ("simulate", {"n": math.inf}, "n"),
+            ("simulate", {"n": True}, "n"),
+            ("simulate", {"n": 8, "k": True}, "k"),
+            *[(command, {"n": 10, key: value}, key)
+              for command in ("simulate", "sweep")
+              for key, value in (("capacity", "2"), ("m_ratio", [1.0]), ("seed", True))],
         ],
     )
-    def test_wrong_json_type_is_usage_error(self, tmp_path, capsys, command, doc):
+    def test_wrong_json_type_is_usage_error(self, tmp_path, capsys, command, doc, key):
         cfg = tmp_path / "market.json"
         cfg.write_text(json.dumps(doc))
         code, _, err = run(capsys, command, "--config", str(cfg),
                            "--out", str(tmp_path / "x.csv"))
-        assert code == 2 and err.startswith("error:")
+        assert code == 2 and err.startswith(f"error: {key} must be ")
+
+    @pytest.mark.parametrize("command", ["simulate", "stable-partners", "compare", "solve"])
+    def test_custom_signal_from_file_is_usage_error(self, tmp_path, capsys, command):
+        cfg = tmp_path / "market.json"
+        cfg.write_text(json.dumps({"n": 4, "signal": "custom"}))
+        out = tmp_path / "x.csv"
+        code, stdout, err = run(capsys, command, "--config", str(cfg), "--out", str(out))
+        message = "error: custom signals cannot come from a config file\n"
+        assert (code, stdout, err) == (2, "", message)
+        assert not out.exists()
 
     def test_signal_object_without_kind_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "market.json"

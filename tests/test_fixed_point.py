@@ -89,7 +89,8 @@ class TestEstimateAcceptance:
         types = np.repeat(np.arange(2), counts)
         signals = cfg.signal.draw_batch(types == 0, rng)
         ties = rng.random(2 * n_sim)
-        ranks, _, _ = _rank_within_universities(uni, signals, ties, n_sim)
+        place, _, offsets = _rank_within_universities(uni, signals, ties, n_sim)
+        ranks = place - offsets[uni]
         wins = duels = 0
         for u in range(n_sim):
             members = np.flatnonzero(uni == u)

@@ -532,16 +532,29 @@ class TestListKernel:
         assert sorted(fresh.tolist()) == list(range(listed, listed + k))
 
 
-def assert_ranking_is_lexsort(uni, signals, ties, m, got=None):
-    """The ranking gives the order, offsets and ranks of the three-key lexsort."""
-    ranks, order, offsets = got or _rank_within_universities(uni, signals, ties, m)
+def assert_ranking_is_lexsort(uni, signals, ties, m, instance=None):
+    """The ranking gives the order, offsets and places of the three-key
+    lexsort, and an instance of the same applications (by default one per
+    student) keeps them, its ``uni_rank`` the places less the offsets."""
+    if instance is None and uni.size:
+        config = MarketConfig(n=uni.size, m_ratio=m / uni.size, k=1)
+        instance = MarketInstance(config, uni[:, None], signals[:, None], ties[:, None])
+    place, order, offsets = _rank_within_universities(uni, signals, ties, m)
     want = np.lexsort((ties, -signals, uni))
     assert np.array_equal(order, want)
     counts = np.bincount(uni, minlength=m)
     assert np.array_equal(offsets, np.concatenate(([0], np.cumsum(counts))))
+    assert np.array_equal(place[order], np.arange(uni.size))
     expected = np.empty(uni.size, dtype=np.int64)
     expected[want] = np.arange(uni.size) - offsets[uni[want]]
-    assert np.array_equal(ranks, expected)
+    assert np.array_equal(place - offsets[uni], expected)
+    if instance is not None:
+        kept = instance._uni_place, instance._uni_order, instance._uni_offsets
+        assert all(np.array_equal(a, b) for a, b in zip(kept, (place, order, offsets)))
+        assert np.array_equal(instance._uni_place[instance._uni_order], np.arange(uni.size))
+        place = instance._uni_place.reshape(instance.prefs.shape)
+        assert np.array_equal(instance.uni_rank, place - instance._uni_offsets[instance.prefs])
+        assert np.array_equal(instance.uni_rank.ravel(), expected)
 
 
 class TestRanking:
@@ -606,8 +619,17 @@ class TestRanking:
         config = MarketConfig(n=60, m_ratio=0.5, capacity=2, k=4, signal=signal)
         stack = market._sample_stack(config, [child_seed(5, r) for r in range(7)])
         uni, signals, ties = (a.ravel() for a in (stack.prefs, stack.signals, stack.tiebreaks))
-        got = stack.uni_rank.ravel(), stack._uni_order, stack._uni_offsets
-        assert_ranking_is_lexsort(uni, signals, ties, stack.m, got)
+        assert_ranking_is_lexsort(uni, signals, ties, stack.m, stack)
+
+    def test_uni_rank_is_read_only(self):
+        inst = sample_market(MarketConfig(n=50, k=3, seed=4))
+        ranks = inst.uni_rank
+        assert inst.uni_rank is ranks  # computed once, then kept
+        with pytest.raises(ValueError, match="read-only"):
+            ranks[0, 0] = 1
+        with pytest.raises(AttributeError):
+            inst.uni_rank = ranks.copy()
+        assert not inst._uni_place.flags.writeable
 
 
 # Roots at the edges of one and two 32-bit words, where the seed hash

@@ -398,7 +398,7 @@ class TestSeededContinuation:
         # repair should touch few students even at this moderate size
         assert compare_matchings(seeded_matching(plan), final) < 0.10
 
-    @pytest.mark.parametrize("capacity", [1, 2])
+    @pytest.mark.parametrize("capacity", [1, 2, 3])
     def test_more_accepted_holds_than_seats_rejected(self, capacity):
         # capacity + 1 students each hold an accepted rank-1 proposal to university 0
         n = capacity + 1
@@ -411,6 +411,15 @@ class TestSeededContinuation:
         )
         with pytest.raises(ValueError, match="^more holds than seats at a university$"):
             continue_rejection_chains(complete_instance(plan), plan)
+
+    def test_full_universities_of_three_seats_hold_their_plan(self, rng):
+        # one sort of the holds' places seats up to three per university
+        full = 0
+        for plan, inst in seeded_oracle_plans(rng, 120, capacity=3):
+            assert continue_rejection_chains(inst, plan) == rejection_chains_oracle(inst, plan)
+            seeded = plan.accepted_partner_array()
+            full += int((np.bincount(seeded[seeded >= 0], minlength=inst.m) == 3).sum())
+        assert full > 0
 
     def test_config_mismatch_rejected(self):
         cfg = MarketConfig(n=100, k=2, seed=1)

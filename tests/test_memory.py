@@ -1,5 +1,6 @@
-"""Memory: freed heap stays mapped, the CLI's replication stacks stay small, and a
-large market's scratch tables are gone before it ranks."""
+"""Memory: freed heap stays mapped, the CLI's replication stacks stay small, a
+large market's scratch tables are gone before it ranks, and its student side
+reads the places the market keeps."""
 
 from __future__ import annotations
 
@@ -48,21 +49,22 @@ print((tracemalloc.get_traced_memory()[1] - start) / 2**20)
 
 
 # Prints the peak traced memory, in MB above the start, of sampling the
-# benchmark's n = 10^5, k = 5 market and of completing its seeded plan.
+# benchmark's n = 10^5, k = 5 market, of completing its seeded plan and of
+# running student-proposing DA on the sampled market.
 _LARGE = """
 import tracemalloc
 from admitsim import (
     MarketConfig, SignalSpec, build_seeded_plan, complete_instance, sample_market, solve_iid,
+    student_proposing_da,
 )
 
 config = MarketConfig(n=100_000, m_ratio=0.5, capacity=2, k=5, seed=1)
 plan = build_seeded_plan(solve_iid(config).rank_fractions.fractions, config)
-steps = (
-    lambda: sample_market(
-        MarketConfig(n=100_000, m_ratio=1.0, k=5, signal=SignalSpec.gaussian(1.0), seed=1)
-    ),
-    lambda: complete_instance(plan),
+sample = lambda: sample_market(
+    MarketConfig(n=100_000, m_ratio=1.0, k=5, signal=SignalSpec.gaussian(1.0), seed=1)
 )
+market = sample()
+steps = (sample, lambda: complete_instance(plan), lambda: student_proposing_da(market))
 for step in steps:
     tracemalloc.start()
     start = tracemalloc.get_traced_memory()[0]
@@ -103,8 +105,12 @@ def test_sweep_stacks_stay_within_the_census_memory_bound(tmp_path):
 
 
 def test_large_market_scratch_is_freed_before_ranking():
-    # 33.3 MB sampling and 32.9 MB completing; the rejection rounds took 34.1
-    # and 39.3 MB, the completion's scratch tables alive as the instance ranked
-    sample, complete = map(float, _run(_LARGE).split())
+    # 29.3 MB sampling and 28.9 MB completing (33.3 and 32.9 while the ranking
+    # kept ranks, not places); the rejection rounds took 34.1 and 39.3 MB, the
+    # completion's scratch tables alive as the instance ranked.
+    # Student-proposing DA takes 17.2 MB reading the instance's places as its
+    # offers; rebuilding their inverse and the receivers from the order took 21.2
+    sample, complete, student = map(float, _run(_LARGE).split())
     assert sample <= 34.1
     assert complete <= 34.1
+    assert student <= 19
