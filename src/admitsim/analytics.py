@@ -14,7 +14,7 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from .market import MarketConfig, MarketInstance, _convert
-from .matching import Matching, match_rank_indices
+from .matching import Matching, _block_records
 
 __all__ = [
     "UtilityModel",
@@ -144,17 +144,6 @@ def make_record(
     student, university, synergy = (t.item() for t in _utility_totals(counts[:, :-1], model))
     return ExperimentRecord(config.k, config.signal.delta_tag, config.seed, config.n, config.m,
                             config.capacity, tuple(ranks), unmatched, synergy, student, university)
-
-
-def _block_records(instance: MarketInstance, matching: Matching, blocks: int) -> np.ndarray:
-    """The (blocks, k + 1) rank-count table of a stacked instance (see
-    ``market._sample_stack``): row b counts block b's students matched at each
-    rank, then its unmatched ones, all from one bincount over block-offset ranks.
-    """
-    k, n = instance.k, instance.n // blocks
-    # entry k of each block's row counts its unmatched students
-    ranks = match_rank_indices(instance, matching) + (k + 1) * (np.arange(instance.n) // n)
-    return np.bincount(ranks, minlength=blocks * (k + 1)).reshape(blocks, k + 1)
 
 
 class _RecordTable(NamedTuple):

@@ -25,7 +25,6 @@ import numpy as np
 
 # unused here: compare_matchings, make_record, sample_market (benchmarks/spans.py wraps them)
 from .analytics import (  # noqa: F401
-    _block_records,
     _record_table,
     _records_json,
     _RecordTable,
@@ -46,7 +45,7 @@ from .market import (  # noqa: F401
     _seeded_generator,
     sample_market,
 )
-from .matching import school_proposing_da, student_proposing_da
+from .matching import _block_records, school_proposing_da, student_proposing_da
 from .stable_partners import extra_stable_partner_reports
 
 __all__ = ["main"]

@@ -463,9 +463,8 @@ class MarketInstance:
 
     Application ``s*k + r`` sits at index ``_uni_place[s*k + r]`` of
     ``_uni_order``, the applications grouped by university in preference
-    order, whose groups ``_uni_offsets`` delimits.  ``uni_rank[s, r]``,
-    the application's 0-based rank at its university, is computed from
-    them on first read and kept.
+    order, whose groups ``_uni_offsets`` delimits; its 0-based rank at its
+    university is its place less its university's offset.
     """
 
     __slots__ = (
@@ -476,7 +475,6 @@ class MarketInstance:
         "_uni_place",
         "_uni_order",
         "_uni_offsets",
-        "_uni_rank",
     )
 
     def __init__(
@@ -507,18 +505,8 @@ class MarketInstance:
         self._uni_place = place
         self._uni_order = order
         self._uni_offsets = offsets
-        self._uni_rank = None
-        for arr in (self.prefs, self.signals, self.tiebreaks, self._uni_place):
+        for arr in (prefs, signals, tiebreaks, place, order, offsets):
             arr.setflags(write=False)
-
-    @property
-    def uni_rank(self) -> np.ndarray:
-        """Read-only (n, k) ranks at the universities, 0 = highest signal."""
-        if self._uni_rank is None:
-            ranks = self._uni_place.reshape(self.prefs.shape) - self._uni_offsets[self.prefs]
-            ranks.setflags(write=False)
-            self._uni_rank = ranks
-        return self._uni_rank
 
     @property
     def n(self) -> int:

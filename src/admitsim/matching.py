@@ -301,15 +301,21 @@ def find_blocking_pairs(instance: MarketInstance, matching: Matching) -> list[Bl
     return [BlockingPair(int(s), int(u)) for s, u in zip(blocking // k, unis)]
 
 
+def _block_records(instance: MarketInstance, matching: Matching, blocks: int) -> np.ndarray:
+    """The (blocks, k + 1) rank-count table of a stacked instance (see
+    ``market._sample_stack``): row b counts block b's students matched at each
+    rank, then its unmatched ones, all from one bincount over block-offset ranks.
+    """
+    k, n = instance.k, instance.n // blocks
+    # entry k of each block's row counts its unmatched students
+    ranks = match_rank_indices(instance, matching) + (k + 1) * (np.arange(instance.n) // n)
+    return np.bincount(ranks, minlength=blocks * (k + 1)).reshape(blocks, k + 1)
+
+
 def rank_profile(instance: MarketInstance, matching: Matching) -> RankProfile:
     """Histogram of matched students by own-list rank, plus unmatched."""
-    ranks = match_rank_indices(instance, matching)
-    matched = ranks < instance.k
-    counts = np.bincount(ranks[matched], minlength=instance.k)
-    return RankProfile(
-        counts=tuple(int(c) for c in counts[: instance.k]),
-        unmatched=int(instance.n - matched.sum()),
-    )
+    *counts, unmatched = _block_records(instance, matching, 1)[0].tolist()
+    return RankProfile(counts=tuple(counts), unmatched=unmatched)
 
 
 def continue_rejection_chains(

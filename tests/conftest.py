@@ -6,7 +6,9 @@ stable matching of a tiny market, the per-pair seeded-plan builder, the
 scan that finds a list's next university, and the hand-written
 deferred-acceptance loops (a round-robin queue of universities, a heap
 loop over students, and the rejection-chain repair that seeds that loop's
-state from a plan).
+state from a plan).  The oracles rank applications themselves, with
+``university_ranks``, from the raw preference, signal and tiebreak tables:
+none of them reads a ranking that the package computed.
 """
 
 from __future__ import annotations
@@ -98,6 +100,27 @@ def brute_force_blocking_pairs(
     return pairs
 
 
+def university_ranks(instance: MarketInstance) -> list[list[int]]:
+    """``ranks[s][r]``: the 0-based rank of application (s, r) at its university.
+
+    Each university sorts its applications by (-signal, tiebreak, s*k + r),
+    the order of ``np.lexsort((tiebreaks, -signals, universities))`` when
+    the signals are finite; NaN signals have no such order here.
+    """
+    k = instance.k
+    applications: list[list[tuple[float, float, int]]] = [[] for _ in range(instance.m)]
+    for s, (row, signals, ties) in enumerate(
+        zip(instance.prefs.tolist(), instance.signals.tolist(), instance.tiebreaks.tolist())
+    ):
+        for r in range(k):
+            applications[row[r]].append((-signals[r], ties[r], s * k + r))
+    ranks = [[0] * k for _ in range(instance.n)]
+    for group in applications:
+        for rank, (_, _, flat) in enumerate(sorted(group)):
+            ranks[flat // k][flat % k] = rank
+    return ranks
+
+
 _ENUM_LIMIT = 10
 
 
@@ -130,7 +153,7 @@ def enumerate_stable_matchings(instance: MarketInstance) -> list[Matching]:
             f"enumeration is limited to {_ENUM_LIMIT} students/universities"
         )
     prefs = instance.prefs.tolist()
-    uni_rank = instance.uni_rank.tolist()
+    ranks = university_ranks(instance)
 
     assign = [-1] * n
     free = [L] * m
@@ -147,12 +170,12 @@ def enumerate_stable_matchings(instance: MarketInstance) -> list[Matching]:
             r = prefs[s].index(u)
             own_rank[s] = r
             counts[u] += 1
-            if uni_rank[s][r] > worst[u]:
-                worst[u] = uni_rank[s][r]
+            if ranks[s][r] > worst[u]:
+                worst[u] = ranks[s][r]
         for s in range(n):
             for r in range(own_rank[s]):
                 u = prefs[s][r]
-                if counts[u] < L or uni_rank[s][r] < worst[u]:
+                if counts[u] < L or ranks[s][r] < worst[u]:
                     return False
         return True
 
@@ -306,22 +329,25 @@ def school_proposing_oracle(
     """
     n, m, k, L = instance.n, instance.m, instance.k, instance.capacity
     order_arr = np.arange(m) if order is None else np.asarray(list(order), dtype=np.int64)
-    uni_order = instance._uni_order
-    offsets = instance._uni_offsets
+    ranks = university_ranks(instance)
+    applicants: list[list[tuple[int, int, int]]] = [[] for _ in range(m)]
+    for s, row in enumerate(instance.prefs.tolist()):
+        for r, u in enumerate(row):
+            applicants[u].append((ranks[s][r], s, r))
+    for group in applicants:
+        group.sort()
     held_uni = np.full(n, -1, dtype=np.int64)
     held_rank = np.full(n, k, dtype=np.int64)
-    ptr = offsets[:-1].copy()
+    ptr = [0] * m
     filled = np.zeros(m, dtype=np.int64)
 
-    queue: deque[int] = deque(int(u) for u in order_arr if offsets[u + 1] > offsets[u])
+    queue: deque[int] = deque(int(u) for u in order_arr if applicants[u])
     while queue:
         u = queue.popleft()
-        if filled[u] >= L or ptr[u] >= offsets[u + 1]:
+        if filled[u] >= L or ptr[u] >= len(applicants[u]):
             continue
-        flat = uni_order[ptr[u]]
+        _, s, r = applicants[u][ptr[u]]
         ptr[u] += 1
-        s = int(flat // k)
-        r = int(flat % k)
         if r < held_rank[s]:
             old = held_uni[s]
             if old >= 0:
@@ -330,13 +356,14 @@ def school_proposing_oracle(
             held_uni[s] = u
             held_rank[s] = r
             filled[u] += 1
-        if filled[u] < L and ptr[u] < offsets[u + 1]:
+        if filled[u] < L and ptr[u] < len(applicants[u]):
             queue.append(u)
     return Matching(held_uni, m)
 
 
 def _run_student_proposals_oracle(
     instance: MarketInstance,
+    ranks: list[list[int]],
     partner: np.ndarray,
     pointer: np.ndarray,
     heaps: list[list[tuple[int, int]]],
@@ -347,10 +374,9 @@ def _run_student_proposals_oracle(
 
     Heaps hold (-university_rank, student) so the worst current admit sits
     on top; entries are invalidated lazily when a student is unmatched
-    externally.
+    externally.  ``ranks`` is ``university_ranks(instance)``.
     """
     prefs = instance.prefs
-    uni_rank = instance.uni_rank
     k, L = instance.k, instance.capacity
     while queue:
         s = queue.popleft()
@@ -362,7 +388,7 @@ def _run_student_proposals_oracle(
                 break
             pointer[s] = p + 1
             u = int(prefs[s, p])
-            r = int(uni_rank[s, p])
+            r = ranks[s][p]
             if filled[u] < L:
                 heapq.heappush(heaps[u], (-r, s))
                 filled[u] += 1
@@ -387,29 +413,37 @@ def student_proposing_oracle(instance: MarketInstance) -> Matching:
     pointer = np.zeros(n, dtype=np.int64)
     heaps: list[list[tuple[int, int]]] = [[] for _ in range(m)]
     filled = np.zeros(m, dtype=np.int64)
-    _run_student_proposals_oracle(instance, partner, pointer, heaps, filled, deque(range(n)))
+    _run_student_proposals_oracle(
+        instance, university_ranks(instance), partner, pointer, heaps, filled, deque(range(n))
+    )
     return Matching(partner, m)
 
 
 def rejection_chains_oracle(instance: MarketInstance, plan: SeededProposalPlan) -> Matching:
     """Rejection-chain repair that seeds the student loop's state by hand.
 
-    The assigned accepted proposals fill the university heaps, every
-    pointer starts after the student's assigned prefix, and the
-    inconsistent students are queued.
+    One pass over the plan's proposals: every assigned proposal moves its
+    student's pointer past its rank, and an accepted one seats her in its
+    university's heap.  Then the inconsistent students are queued.
     """
     n, m = instance.n, instance.m
-    partner = plan.accepted_partner_array()
-    pointer = plan.assigned_rank_counts().astype(np.int64)
+    ranks = university_ranks(instance)
+    partner = np.full(n, -1, dtype=np.int64)
+    pointer = np.zeros(n, dtype=np.int64)
     heaps: list[list[tuple[int, int]]] = [[] for _ in range(m)]
     filled = np.zeros(m, dtype=np.int64)
-    for s in np.flatnonzero(partner >= 0):
-        u = int(partner[s])
-        r = int(instance.uni_rank[s, pointer[s] - 1])
-        heapq.heappush(heaps[u], (-r, int(s)))
-        filled[u] += 1
+    proposals = zip(plan.proposal_student.tolist(), plan.proposal_uni.tolist(),
+                    plan.proposal_rank.tolist(), plan.proposal_accepted.tolist())
+    for s, u, rank, accepted in proposals:
+        if s < 0:
+            continue
+        pointer[s] = max(pointer[s], rank)  # ranks are 1-based: the next one to propose
+        if accepted:
+            partner[s] = u
+            heapq.heappush(heaps[u], (-ranks[s][rank - 1], s))
+            filled[u] += 1
     queue = deque(int(s) for s in np.flatnonzero(plan.inconsistent))
-    _run_student_proposals_oracle(instance, partner, pointer, heaps, filled, queue)
+    _run_student_proposals_oracle(instance, ranks, partner, pointer, heaps, filled, queue)
     return Matching(partner, m)
 
 

@@ -205,19 +205,26 @@ def _digest(table: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(table, dtype=kind).tobytes()).hexdigest()
 
 
+def _table_digests(instance, names, prefix: str = "") -> dict[str, str]:
+    """Digests of the instance's tables by name; "uni_rank" is the (n, k) table of
+    each application's rank at its university, its place less the university's offset."""
+    tables = {"uni_rank": instance._uni_place.reshape(instance.prefs.shape)
+              - instance._uni_offsets[instance.prefs]}
+    return {prefix + name: _digest(tables[name] if name in tables else getattr(instance, name))
+            for name in names}
+
+
 def test_large_market_digests():
     inst = sample_market(
         MarketConfig(n=100_000, m_ratio=1.0, k=5, signal=SignalSpec.gaussian(1.0), seed=1)
     )
-    got = {name: _digest(getattr(inst, name))
-           for name in ("prefs", "signals", "tiebreaks", "uni_rank", "_uni_order")}
+    got = _table_digests(inst, ("prefs", "signals", "tiebreaks", "uni_rank", "_uni_order"))
     got["school"] = _digest(school_proposing_da(inst).partner)
     got["student"] = _digest(student_proposing_da(inst).partner)
     config = MarketConfig(n=100_000, m_ratio=0.5, capacity=2, k=5, seed=1)
     plan = build_seeded_plan(solve_iid(config).rank_fractions.fractions, config)
     seeded = complete_instance(plan)
-    for name in ("prefs", "signals", "tiebreaks", "uni_rank"):
-        got[f"seeded {name}"] = _digest(getattr(seeded, name))
+    got |= _table_digests(seeded, ("prefs", "signals", "tiebreaks", "uni_rank"), "seeded ")
     got["seeded repair"] = _digest(continue_rejection_chains(seeded, plan).partner)
     assert got == LARGE_DIGESTS
 
@@ -265,7 +272,7 @@ def test_custom_sampler_digests():
                                lambda rng, size: rng.standard_normal(size))
     config = MarketConfig(n=50, m_ratio=1.0, k=3, signal=signal, seed=5)
     inst = sample_market(config)
-    got = {name: _digest(getattr(inst, name)) for name in CUSTOM_DIGESTS}
+    got = _table_digests(inst, CUSTOM_DIGESTS)
     assert got == CUSTOM_DIGESTS
     result = solve_general(config)
     assert (result.method, result.rank_fractions.fractions) == ("sampled-bisection", CUSTOM_SOLVE)

@@ -27,7 +27,12 @@ from admitsim import (
 )
 from admitsim import market
 from admitsim.market import _rank_within_universities
-from conftest import nth_unlisted, random_mixed_config, seeded_plan_oracle
+from conftest import nth_unlisted, random_mixed_config, seeded_plan_oracle, university_ranks
+
+
+def kept_ranks(instance: MarketInstance) -> np.ndarray:
+    """The ranks the instance keeps: each application's place less its university's offset."""
+    return instance._uni_place.reshape(instance.prefs.shape) - instance._uni_offsets[instance.prefs]
 
 
 def plan_with_prefixes(config: MarketConfig, prefixes: list[list[int]]) -> SeededProposalPlan:
@@ -226,7 +231,7 @@ class TestConfigValidation:
         assert inst.signals.dtype == inst.tiebreaks.dtype == np.float64
         assert inst.signals[0, 0] == 2.0 and math.isnan(inst.signals[1, 0])
         assert inst.tiebreaks.tolist() == [[1.0], [0.0]]
-        assert inst.uni_rank.tolist() == [[0], [0]]
+        assert kept_ranks(inst).tolist() == university_ranks(inst) == [[0], [0]]
         # a float64 table is taken as it is, with no pass over its entries
         values = np.array([[0.5], [math.nan]])
         assert market._id_table("signal table", values, kind=float) is values
@@ -353,9 +358,11 @@ class TestSampling:
         inst = sample_market(MarketConfig(n=8, m_ratio=1.0, capacity=2, k=3, seed=6))
         assert all(len(set(row)) == inst.k for row in inst.prefs.tolist())
         counts = np.bincount(inst.prefs.ravel(), minlength=inst.m)
+        table = np.array(university_ranks(inst))
+        assert np.array_equal(kept_ranks(inst), table)
         for u in range(inst.m):
             here = inst.prefs == u
-            ranks = inst.uni_rank[here]
+            ranks = table[here]
             assert sorted(ranks.tolist()) == list(range(counts[u]))
             sigs = inst.signals[here][np.argsort(ranks)].tolist()
             assert sigs == sorted(sigs, reverse=True) or len(set(sigs)) < len(sigs)
@@ -423,7 +430,7 @@ class TestStack:
             assert np.array_equal(stack.prefs[rows] - b * m, alone.prefs)
             assert stack.signals[rows].tobytes() == alone.signals.tobytes()
             assert stack.tiebreaks[rows].tobytes() == alone.tiebreaks.tobytes()
-            assert np.array_equal(stack.uni_rank[rows], alone.uni_rank)
+            assert np.array_equal(kept_ranks(stack)[rows], university_ranks(alone))
 
     @pytest.mark.parametrize("m,k", [(12, 4), (5, 4), (36, 36)])
     def test_blocks_make_the_calls_they_make_alone(self, m, k):
@@ -535,7 +542,7 @@ class TestListKernel:
 def assert_ranking_is_lexsort(uni, signals, ties, m, instance=None):
     """The ranking gives the order, offsets and places of the three-key
     lexsort, and an instance of the same applications (by default one per
-    student) keeps them, its ``uni_rank`` the places less the offsets."""
+    student) keeps them."""
     if instance is None and uni.size:
         config = MarketConfig(n=uni.size, m_ratio=m / uni.size, k=1)
         instance = MarketInstance(config, uni[:, None], signals[:, None], ties[:, None])
@@ -552,9 +559,6 @@ def assert_ranking_is_lexsort(uni, signals, ties, m, instance=None):
         kept = instance._uni_place, instance._uni_order, instance._uni_offsets
         assert all(np.array_equal(a, b) for a, b in zip(kept, (place, order, offsets)))
         assert np.array_equal(instance._uni_place[instance._uni_order], np.arange(uni.size))
-        place = instance._uni_place.reshape(instance.prefs.shape)
-        assert np.array_equal(instance.uni_rank, place - instance._uni_offsets[instance.prefs])
-        assert np.array_equal(instance.uni_rank.ravel(), expected)
 
 
 class TestRanking:
@@ -621,15 +625,12 @@ class TestRanking:
         uni, signals, ties = (a.ravel() for a in (stack.prefs, stack.signals, stack.tiebreaks))
         assert_ranking_is_lexsort(uni, signals, ties, stack.m, stack)
 
-    def test_uni_rank_is_read_only(self):
+    def test_ranking_tables_are_read_only(self):
+        # a write to any of them would change what both DA engines read
         inst = sample_market(MarketConfig(n=50, k=3, seed=4))
-        ranks = inst.uni_rank
-        assert inst.uni_rank is ranks  # computed once, then kept
-        with pytest.raises(ValueError, match="read-only"):
-            ranks[0, 0] = 1
-        with pytest.raises(AttributeError):
-            inst.uni_rank = ranks.copy()
-        assert not inst._uni_place.flags.writeable
+        for table in (inst._uni_place, inst._uni_order, inst._uni_offsets):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0
 
 
 # Roots at the edges of one and two 32-bit words, where the seed hash

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +41,7 @@ from conftest import (
     stable_partner_sets,
     student_proposing_oracle,
     students_of,
+    university_ranks,
 )
 
 
@@ -131,6 +134,7 @@ class TestStudentProposingDA:
             stable = enumerate_stable_matchings(inst)
             sets = stable_partner_sets(inst, stable)
             school = school_proposing_da(inst)
+            ranks = university_ranks(inst)
             for u in range(inst.m):
                 partners = sets[u]
                 if not partners:
@@ -138,7 +142,7 @@ class TestStudentProposingDA:
                     continue
                 by_pref = sorted(
                     partners,
-                    key=lambda s: inst.uni_rank[s, inst.prefs[s].tolist().index(u)],
+                    key=lambda s: ranks[s][inst.prefs[s].tolist().index(u)],
                 )
                 expected = set(by_pref[: inst.capacity])
                 assert students_of(school, u) == expected
@@ -178,6 +182,16 @@ def seeded_oracle_plans(rng, count, capacity=None):
 
 
 class TestEngineAgainstOracles:
+    @pytest.mark.parametrize("name", [
+        "uni_rank", "_uni_place", "_uni_order", "_uni_offsets", "_rank_within_universities",
+        "accepted_partner_array", "assigned_rank_counts",
+    ])
+    def test_oracles_read_no_state_the_package_derived(self, name):
+        # an oracle that read the package's ranking or plan state would agree
+        # with the engines even when that state is wrong
+        source = (Path(__file__).parent / "conftest.py").read_text()
+        assert not re.search(rf"\b{name}\b", source)
+
     def test_school_side_matches_queue_oracle(self, rng):
         seen = set()
         for cfg in oracle_mix_configs(rng, 500):

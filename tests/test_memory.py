@@ -105,12 +105,12 @@ def test_sweep_stacks_stay_within_the_census_memory_bound(tmp_path):
 
 
 def test_large_market_scratch_is_freed_before_ranking():
-    # 29.3 MB sampling and 28.9 MB completing (33.3 and 32.9 while the ranking
-    # kept ranks, not places); the rejection rounds took 34.1 and 39.3 MB, the
-    # completion's scratch tables alive as the instance ranked.
+    # 29.3 MB sampling and 28.9 MB completing.  A scratch table alive as the
+    # instance ranks breaks the bound: the 4 MB list uniforms, kept (no
+    # ``del lists`` in ``_sample_stack``), read 33.3 MB.
     # Student-proposing DA takes 17.2 MB reading the instance's places as its
     # offers; rebuilding their inverse and the receivers from the order took 21.2
     sample, complete, student = map(float, _run(_LARGE).split())
-    assert sample <= 34.1
-    assert complete <= 34.1
+    assert sample <= 30.5
+    assert complete <= 30.5
     assert student <= 19

@@ -20,6 +20,7 @@ from conftest import (
     random_tiny_config,
     stable_partner_sets,
     students_of,
+    university_ranks,
 )
 
 
@@ -40,6 +41,7 @@ def scanned_reports(instance: MarketInstance) -> list[tuple[int, bool, int | Non
     """Per-university scan of the two extreme matchings: the plain-loop reference."""
     pessimal = student_proposing_da(instance)
     optimal = school_proposing_da(instance)
+    ranks = university_ranks(instance)
     out: list[tuple[int, bool, int | None]] = []
     for u in range(instance.m):
         admits = students_of(pessimal, u)
@@ -47,7 +49,7 @@ def scanned_reports(instance: MarketInstance) -> list[tuple[int, bool, int | Non
         if len(admits) < instance.capacity or not extras:
             out.append((u, False, None))
             continue
-        witness = min(extras, key=lambda s: instance.uni_rank[s, list_rank(instance, s, u)])
+        witness = min(extras, key=lambda s: ranks[s][list_rank(instance, s, u)])
         out.append((u, True, witness))
     return out
 
@@ -153,14 +155,13 @@ class TestVerdicts:
             instances.append(sample_market(random_tiny_config(rng)))
         for inst in instances:
             base = student_proposing_da(inst)
+            ranks = university_ranks(inst)
             for u, verdict, witness in verdict_rows(extra_stable_partner_reports(inst)):
                 if not verdict:
                     continue
                 found += 1
-                witness_rank = inst.uni_rank[witness, list_rank(inst, witness, u)]
-                worst = max(
-                    inst.uni_rank[s, list_rank(inst, s, u)] for s in students_of(base, u)
-                )
+                witness_rank = ranks[witness][list_rank(inst, witness, u)]
+                worst = max(ranks[s][list_rank(inst, s, u)] for s in students_of(base, u))
                 assert witness_rank < worst
         assert found > 0
 
