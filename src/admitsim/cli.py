@@ -55,7 +55,8 @@ __all__ = ["main"]
 # larger stacks are faster: at 2^16 the cli_small sweep, its three delta cells of
 # each k stacked together, runs 18 stacks (30 with one cell per stack, 66 at 2^14).
 # 2^17 runs that sweep about 4% faster, but its peak RSS is 10% above that at
-# 2^14 and the census's traced peak passes 10 MB (BENCH_15.json, BENCH_22.json).
+# 2^14 and the census's traced peak passed 10 MB with int64 ids (BENCH_15.json,
+# BENCH_22.json); with int32 ids it is 7.6 MB, not yet measured end to end (BENCH_27.json).
 _STACK_APPS = 2**16
 
 

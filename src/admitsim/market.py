@@ -67,20 +67,31 @@ def _convert(
     raise error(f"{name} must be {expected}, got {value!r}")
 
 
+def _id_dtype(*sizes: int) -> np.dtype:
+    """The dtype of a market's id tables, given its N = n*k and m: int32 when
+    max(N, m) < 2**31, so that every id and the sentinel N fit, else int64."""
+    return np.dtype(np.int32 if max(sizes) < 2**31 else np.int64)
+
+
 def _id_table(
     name: str, table: Any, error: type[ValueError] = ConfigurationError, kind: type = int
 ) -> np.ndarray:
-    """``table`` as an int64 array of ids, or with ``kind=float`` a float64
-    array of values, each entry checked by ``_convert``.
+    """``table`` as a signed integer array of ids, or with ``kind=float`` a
+    float64 array of values, each entry checked by ``_convert``.
 
-    An array of that dtype is returned as it is, in O(1).  Any other table
-    is converted entry by entry, so an integral float or int passes and a
-    bool, string, ``None``, object or ragged entry raises ``error``, as does
-    a fractional or non-finite id.  A NaN value passes, as it does in a
+    A signed integer array of ids, or a float64 array of values, is returned
+    as it is, in O(1); the caller checks the ids' range and casts them, a
+    market's to ``_id_dtype(N, m)`` (int32 when max(N, m) < 2**31) and a
+    matching's to int64.  Any other table is converted entry by entry to
+    int64 or float64, so an integral float or int passes and a bool,
+    string, ``None``, object or ragged entry raises ``error``, as does a
+    fractional or non-finite id.  A NaN value passes, as it does in a
     float64 array.
     """
     dtype = np.int64 if kind is int else np.float64
-    if isinstance(table, np.ndarray) and table.dtype == dtype:
+    if isinstance(table, np.ndarray) and (
+        table.dtype.kind == "i" if kind is int else table.dtype == dtype
+    ):
         return table
     entries = np.asarray(table, dtype=object)
     values = [
@@ -367,8 +378,9 @@ def _rank_within_universities(
     Returns (place, order, offsets): ``order`` lists application indices
     grouped by university in preference order, signal down and then
     tiebreak up, exactly as ``np.lexsort((tiebreaks, -signals, uni))``;
-    ``offsets`` delimits the groups; ``place``, the inverse of ``order``,
-    gives each application's index in it.  An application's 0-based rank
+    ``offsets`` (int64) delimits the groups; ``place``, the inverse of
+    ``order``, gives each application's index in it.  ``place`` and
+    ``order`` are ids of ``_id_dtype(uni.size, m)``.  An application's 0-based rank
     at its university is ``place - offsets[uni]``, so two applications to
     one university compare by place as by rank.  One value sort of packed
     64-bit keys (university, descending signal bits cut to fit, index)
@@ -377,6 +389,7 @@ def _rank_within_universities(
     right.
     NaN signals, or ids too wide to leave a signal bit, take the lexsort.
     """
+    dtype = _id_dtype(uni.size, m)
     ub, ib = max(1, (m - 1).bit_length()), max(1, (uni.size - 1).bit_length())
     if ub + ib < 64 and not np.isnan(signals).any():
         one, key = np.uint64(1), (signals + 0.0).view(np.uint64)  # + 0.0 folds -0.0 into 0.0
@@ -386,19 +399,23 @@ def _rank_within_universities(
         key <<= np.uint64(ib)
         key |= np.arange(uni.size, dtype=np.uint64)
         key.sort()
-        order = (key & np.uint64((1 << ib) - 1)).view(np.int64)
+        order = np.bitwise_and(
+            key, np.uint64((1 << ib) - 1), out=np.empty(uni.size, dtype), casting="unsafe"
+        )
         key >>= np.uint64(ib)  # university and cut signal
         tie = np.concatenate(([False], key[1:] == key[:-1], [False]))
         pos = np.flatnonzero(tie[1:] | tie[:-1])
         members = order[pos]
         order[pos] = members[np.lexsort((tiebreaks[members], -signals[members], key[pos]))]
-        grouped = np.right_shift(key, np.uint64(64 - ub - ib), out=key).view(np.int64)
+        counts = np.bincount(np.right_shift(key, np.uint64(64 - ub - ib), out=key).view(np.int64),
+                             minlength=m)
+        del key  # before the places: 4 MB of the traced peak at N = 5*10^5
     else:
-        order = np.lexsort((tiebreaks, -signals, uni))
-        grouped = uni[order]
-    offsets = np.concatenate(([0], np.cumsum(np.bincount(grouped, minlength=m))))
-    place = np.empty(uni.size, dtype=np.int64)
-    place[order] = np.arange(uni.size, dtype=np.int64)
+        order = np.lexsort((tiebreaks, -signals, uni)).astype(dtype)
+        counts = np.bincount(uni, minlength=m)
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    place = np.empty(uni.size, dtype)
+    place[order] = np.arange(uni.size, dtype=dtype)
     return place, order, offsets
 
 
@@ -430,9 +447,11 @@ def _codes(uniforms: np.ndarray, m: int) -> np.ndarray:
     return uniforms.astype(np.min_scalar_type(-m))
 
 
-def _fill_distinct(codes: np.ndarray, first: np.ndarray | None = None) -> np.ndarray:
+def _fill_distinct(
+    codes: np.ndarray, dtype: np.dtype, first: np.ndarray | None = None
+) -> np.ndarray:
     """Decode a rank-major (..., k, rows) table of codes in place into lists,
-    row-major (..., rows, k) int64 ids.  Code x at rank j names the x-th
+    row-major (..., rows, k) ids of ``dtype``.  Code x at rank j names the x-th
     university in id order that ranks 0..j-1 do not list, the least fixed
     point of y = x + #{earlier entries <= y} from y = x.  With ``first``,
     ranks j < first[s] of row s hold given universities, which come back.
@@ -451,7 +470,7 @@ def _fill_distinct(codes: np.ndarray, first: np.ndarray | None = None) -> np.nda
     for j in range(k - 2, -1, -1):
         later = codes[..., j + 1 :, :]
         later += later >= codes[..., j : j + 1, :]
-    return np.ascontiguousarray(np.swapaxes(codes, -1, -2), dtype=np.int64)
+    return np.ascontiguousarray(np.swapaxes(codes, -1, -2), dtype=dtype)
 
 
 class MarketInstance:
@@ -465,6 +484,10 @@ class MarketInstance:
     ``_uni_order``, the applications grouped by university in preference
     order, whose groups ``_uni_offsets`` delimits; its 0-based rank at its
     university is its place less its university's offset.
+
+    ``prefs``, ``_uni_place`` and ``_uni_order`` hold ids of
+    ``_id_dtype(n*k, m)``: int32 when max(n*k, m) < 2**31, else int64,
+    whatever integer dtype ``prefs`` came in; ``_uni_offsets`` is int64.
     """
 
     __slots__ = (
@@ -494,6 +517,7 @@ class MarketInstance:
             raise ConfigurationError("university ids out of range")
         if _repeats(prefs).any():
             raise ConfigurationError("a student lists the same university twice")
+        prefs = prefs.astype(_id_dtype(n * k, m), copy=False)
 
         self.config = config
         self.prefs = prefs
@@ -581,14 +605,18 @@ def _sample_stack(
             signals[b] = signal.draw_batch(np.broadcast_to(special, (n, k)), rng)
         else:
             rng.standard_normal(out=signals[b])
-    prefs = np.argsort(lists, axis=2)[..., :k].copy() if keyed else _fill_distinct(_codes(lists, m))
+    dtype = _id_dtype(signals.size, len(rngs) * m)  # the stack's ids
+    if keyed:
+        prefs = np.argsort(lists, axis=2)[..., :k].astype(dtype)
+    else:
+        prefs = _fill_distinct(_codes(lists, m), dtype)
     del lists  # before the instance ranks
     shifts = np.full(len(rngs), signal.delta) if shifts is None else np.asarray(shifts, float)
     cuts = [0, *(np.flatnonzero(np.diff(shifts)) + 1).tolist(), len(rngs)]
     for lo, hi in zip(cuts, cuts[1:]):
         if shifts[lo] != 0.0:
             signals[lo:hi] += float(shifts[lo]) * special  # what draw_batch adds
-    prefs += (m * np.arange(len(rngs)))[:, None, None]
+    prefs += (m * np.arange(len(rngs), dtype=dtype))[:, None, None]
     return MarketInstance(
         replace(config, n=len(rngs) * n), prefs.reshape(-1, k),
         signals.reshape(-1, k), tiebreaks.reshape(-1, k),
@@ -604,7 +632,8 @@ class SeededProposalPlan:
     ``proposal_student`` is -1 for proposals that could not be assigned to
     any eligible student.  ``inconsistent`` flags students whose proposal
     record has a gap: they lack a rank-1 proposal, or their last proposal
-    was rejected before rank k without a follow-up.
+    was rejected before rank k without a follow-up.  ``proposal_uni`` and
+    ``proposal_student`` hold ids of the market's ``_id_dtype``.
     """
 
     config: MarketConfig
@@ -661,10 +690,12 @@ def _throw_proposals(
 
     Rank-1 proposals draw special signals.  Every university labels its
     top-``capacity`` proposals by signal accepted.  Returns (university,
-    0-based rank, signal, tiebreak, accepted) per proposal, grouped by rank.
+    0-based rank, signal, tiebreak, accepted) per proposal, grouped by rank;
+    the universities are ids of the market's ``_id_dtype``.
     """
     total = int(counts.sum())
-    uni = rng.integers(0, m, size=total, dtype=np.int64)
+    dtype = _id_dtype(config.n * config.k, m)
+    uni = rng.integers(0, m, size=total, dtype=np.int64).astype(dtype)  # int64 keeps the stream
     ranks = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
     signals = config.signal.draw_batch(ranks == 0, rng)
     tiebreaks = rng.random(total)
@@ -704,9 +735,9 @@ def build_seeded_plan(
     )
     prop_rank += 1
 
-    prop_student = np.full(prop_uni.size, -1, dtype=np.int64)
+    prop_student = np.full(prop_uni.size, -1, dtype=prop_uni.dtype)
     inconsistent = np.zeros(n, dtype=bool)
-    held = np.full((n, k), -1, dtype=np.int64)  # university of each student's rank-r proposal
+    held = np.full((n, k), -1, prop_uni.dtype)  # university of each student's rank-r proposal
 
     offsets = np.concatenate(([0], np.cumsum(counts)))
     eligible = np.arange(n, dtype=np.int64)
@@ -789,25 +820,30 @@ def _completed_tables(plan: SeededProposalPlan) -> tuple[np.ndarray, np.ndarray,
     config = plan.config
     rng = np.random.default_rng(child_seed(config.seed, 1))
     n, m, k = config.n, config.m, config.k
+    dtype = _id_dtype(n * k, m)  # holds every cell id s*k + r and r*n + s below n*k
     assigned = np.flatnonzero(plan.proposal_student >= 0)
-    students, ranks = plan.proposal_student[assigned], plan.proposal_rank[assigned] - 1
-    universities = plan.proposal_uni[assigned]
+    students, universities = plan.proposal_student[assigned], plan.proposal_uni[assigned]
+    ranks = (plan.proposal_rank[assigned] - 1).astype(dtype)
     first = plan.assigned_rank_counts()  # every student holds a prefix of ranks
-    # each assigned proposal's cell s*k + r, and the holes', which fill the rest
-    cells, holes = students * k + ranks, np.flatnonzero(np.arange(k) >= first[:, None])
+    # each assigned proposal's cell s*k + r; the holes fill the rest
+    cells = students * k + ranks
     if k * (k - 1) > _KEY_SORT_RATIO * m:
         keys = rng.random((n, m))
-        keys.ravel()[students * m + universities] = 2.0  # listed universities sort last
-        fresh = np.argsort(keys, axis=1)
-        prefs = np.take_along_axis(fresh, np.maximum(np.arange(k) - first[:, None], 0), axis=1)
+        keys.ravel()[students.astype(np.int64) * m + universities] = 2.0  # listed ones sort last
+        slots = np.maximum(np.arange(k) - first[:, None], 0)
+        prefs = np.take_along_axis(np.argsort(keys, axis=1), slots, axis=1).astype(dtype)
         prefs.ravel()[cells] = universities
     else:
         codes = _codes(rng.random((k, n)), m)
         codes.ravel()[ranks * n + students] = universities
-        prefs = _fill_distinct(codes, first)
+        prefs = _fill_distinct(codes, dtype, first)
+        del codes
+    del students, ranks, universities
     tiebreaks, signals = np.empty(n * k), np.empty(n * k)
     tiebreaks[cells] = plan.proposal_tiebreak[assigned]
-    tiebreaks[holes] = rng.random(holes.size)
     signals[cells] = plan.proposal_signal[assigned]
+    del cells, assigned
+    holes = np.flatnonzero(np.arange(k) >= first[:, None]).astype(dtype)
+    tiebreaks[holes] = rng.random(holes.size)
     signals[holes] = config.signal.draw_batch(holes % k == 0, rng)
     return prefs, signals.reshape(n, k), tiebreaks.reshape(n, k)

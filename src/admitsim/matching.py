@@ -40,7 +40,7 @@ class Matching:
     __slots__ = ("partner", "n_universities")
 
     def __init__(self, partner: np.ndarray | Sequence[int], n_universities: int) -> None:
-        arr = _id_table("partner table", partner, InvalidMatchingError).copy()
+        arr = _id_table("partner table", partner, InvalidMatchingError).astype(np.int64)
         n_universities = _convert(int, "n_universities", n_universities, InvalidMatchingError)
         if n_universities < 0:
             raise InvalidMatchingError(f"n_universities must be nonnegative, got {n_universities}")
@@ -101,8 +101,9 @@ def match_rank_indices(instance: MarketInstance, matching: Matching) -> np.ndarr
     if partner.size != instance.n or matching.n_universities != instance.m:
         raise InvalidMatchingError("matching size does not fit the instance")
     k = instance.k
-    # lists are distinct and ids nonnegative: one hit per listed partner
-    hits = np.flatnonzero(instance.prefs == partner[:, None])
+    # lists are distinct and ids nonnegative: one hit per listed partner;
+    # partners are ids below m, so they compare in the lists' own dtype
+    hits = np.flatnonzero(instance.prefs == partner.astype(instance.prefs.dtype)[:, None])
     ranks = np.full(partner.size, k, dtype=np.int64)
     ranks[hits // k] = hits % k
     if hits.size < np.count_nonzero(partner >= 0):
@@ -119,6 +120,20 @@ def _seats(to: np.ndarray) -> np.ndarray:
     opens = np.ones(to.size, dtype=bool)
     opens[1:] = to[1:] != to[:-1]
     return ids - np.maximum.accumulate(np.where(opens, ids, 0))
+
+
+def _ids(table: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """``table[at]`` as intp, the dtype that indexes fastest.
+
+    A market's N-sized id tables may be int32 (``market._id_dtype``), and
+    two numpy costs rule how the engine reads them: indexing with an int32
+    index array runs about 25% slower than with an intp one (a scatter 30%),
+    and ``ufunc.at`` about 30x slower when its values' dtype is not its
+    target's.  So each round gathers its offers, receivers and proposers
+    with ``take``, casts them to intp once, and keeps ``best`` and ``held``
+    int64.
+    """
+    return table.take(at).astype(np.intp, copy=False)
 
 
 def _deferred_acceptance(
@@ -144,7 +159,9 @@ def _deferred_acceptance(
     ``minimum.at``); with several seats, one sort of holders and newcomers
     ranks them.  Any proposal order reaches the proposer-optimal stable
     matching (McVitie and Wilson 1971).  ``pos``, ``free``, ``held`` change
-    in place.
+    in place.  The N-sized ``lists``, ``proposer`` and ``receiver`` hold ids
+    of the market's dtype (see ``_ids``); ``pos``, ``stop``, ``free`` and
+    ``held`` are int64.
     """
     capacity = held.shape[1]
     # with one slot each, no proposer offers or is let go twice in a round
@@ -159,9 +176,8 @@ def _deferred_acceptance(
     while active.size:
         if single:
             active = active[pos[active] < stop[active]]
-            first = pos[active]
-            pos[active] = first + 1
-            offers = lists[first]
+            at = pos[active]
+            pos[active] = at + 1
         else:
             take = np.minimum(free[active], stop[active] - pos[active])
             active, take = active[take > 0], take[take > 0]
@@ -169,8 +185,9 @@ def _deferred_acceptance(
             pos[active] = first + take
             free[active] -= take
             ends = np.cumsum(take)
-            offers = lists[np.arange(take.sum()) + np.repeat(first - ends + take, take)]
-        to = receiver[offers]
+            at = np.arange(take.sum()) + np.repeat(first - ends + take, take)
+        offers = _ids(lists, at)
+        to = _ids(receiver, offers)
         if capacity == 1:
             prior = best[to]
             np.minimum.at(best, to, offers)
@@ -183,13 +200,13 @@ def _deferred_acceptance(
             latest[to] = ids
             holders = held[to[latest[to] == ids]].ravel()
             cand = np.sort(np.concatenate((offers, holders[holders >= 0])))
-            to = receiver[cand]
+            to = _ids(receiver, cand)
             seat = _seats(to)
             kept = seat < capacity
             held[to] = -1
             held[to[kept], seat[kept]] = cand[kept]
             let_go = cand[~kept]
-        active = proposer[let_go]
+        active = _ids(proposer, let_go)
         if not single:
             np.add.at(free, active, 1)
             latest[active] = np.arange(active.size)
@@ -221,10 +238,10 @@ def school_proposing_da(
     if order is not None and not np.array_equal(np.sort(first), np.arange(m)):
         raise ValueError("order must be a permutation of all universities")
     # offers are application ids s*k + r: by student, then by her own rank
-    offsets = instance._uni_offsets
+    offsets, proposer = instance._uni_offsets, instance.prefs.ravel()
     held = _deferred_acceptance(
         instance._uni_order, offsets[:-1].copy(), offsets[1:], np.full(m, instance.capacity),
-        proposer=instance.prefs.ravel(), receiver=np.arange(n * k) // k,
+        proposer=proposer, receiver=np.arange(n * k, dtype=proposer.dtype) // k,
         held=np.full((n, 1), -1), active=first,
     )
     return _matching(instance, held)
@@ -242,7 +259,7 @@ def _students_propose(
     n, m, k = instance.n, instance.m, instance.k
     # offers are places, indices in the universities' merged preference order
     by_uni = instance._uni_order
-    receiver = np.repeat(np.arange(m), np.diff(instance._uni_offsets))
+    receiver = np.repeat(np.arange(m, dtype=by_uni.dtype), np.diff(instance._uni_offsets))
     pos = np.arange(0, n * k, k) + first_rank
     stop = np.arange(k, n * k + 1, k)
     free = np.ones(n, dtype=np.int64)
@@ -289,14 +306,15 @@ def find_blocking_pairs(instance: MarketInstance, matching: Matching) -> list[Bl
         raise InvalidMatchingError("a university exceeds its capacity")
     # a university takes any applicant while a seat is free, else one it
     # ranks above its worst admitted student; places order one university's
-    # applications as its ranks do
+    # applications as its ranks do; ``worst`` takes the places' dtype, which
+    # ``maximum.at`` needs to run fast (see ``_ids``)
     place = instance._uni_place
-    worst = np.full(m, -1, dtype=np.int64)
+    worst = np.full(m, -1, dtype=place.dtype)
     np.maximum.at(worst, partner[matched], place[matched * k + ranks[matched]])
-    threshold = np.where(counts < L, np.iinfo(np.int64).max, worst)
+    worst[counts < L] = np.iinfo(place.dtype).max
 
     prefers = np.arange(k) < ranks[:, None]
-    blocking = np.flatnonzero(prefers & (place.reshape(-1, k) < threshold[instance.prefs]))
+    blocking = np.flatnonzero(prefers & (place.reshape(-1, k) < worst.take(instance.prefs)))
     unis = instance.prefs.ravel()[blocking]
     return [BlockingPair(int(s), int(u)) for s, u in zip(blocking // k, unis)]
 

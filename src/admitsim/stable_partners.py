@@ -54,9 +54,10 @@ def extra_stable_partner_reports(instance: MarketInstance) -> StablePartnerRepor
     extras = np.flatnonzero((optimal >= 0) & (optimal != pessimal))
     unis = optimal[extras]
     list_rank = match_rank_indices(instance, university_optimal)[extras]
-    # places order one university's applicants as its ranks do
+    # places order one university's applicants as its ranks do; ``best`` takes
+    # their dtype, which ``minimum.at`` needs to run fast (see ``matching._ids``)
     place = instance._uni_place[extras * instance.k + list_rank]
-    best = np.full(instance.m, instance.n * instance.k, dtype=np.int64)
+    best = np.full(instance.m, instance.n * instance.k, dtype=place.dtype)
     np.minimum.at(best, unis, place)
     witness = np.full(instance.m, -1, dtype=np.int64)
     top = place == best[unis]

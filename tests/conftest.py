@@ -252,7 +252,7 @@ def seeded_plan_oracle(
     )
     prop_rank += 1
 
-    prop_student = np.full(prop_uni.size, -1, dtype=np.int64)
+    prop_student = np.full(prop_uni.size, -1, dtype=prop_uni.dtype)  # the market's id dtype
     inconsistent = np.zeros(n, dtype=bool)
     listed: list[set[int]] = [set() for _ in range(n)]
 

@@ -255,9 +255,10 @@ class TestConfigValidation:
         config, table = MarketConfig(n=2, m_ratio=1.5, k=1), np.zeros((2, 1))
         for prefs in ([[0.0], [2.0]], np.array([[0], [2]], dtype=np.uint8)):
             assert MarketInstance(config, prefs, table, table).prefs.tolist() == [[0], [2]]
-        # an int64 table is taken as it is, with no pass over its entries
-        ids = np.array([[0], [2]])
-        assert market._id_table("preference table", ids) is ids
+        # a signed integer table is taken as it is, with no pass over its entries
+        for dtype in (np.int8, np.int32, np.int64):
+            ids = np.array([[0], [2]], dtype=dtype)
+            assert market._id_table("preference table", ids) is ids
 
 
 class TestSampling:
@@ -456,7 +457,7 @@ def fill_lists(prefixes, k, m, draw):
     first = np.array([len(prefix) for prefix in prefixes], dtype=np.int64)
     for s, prefix in enumerate(prefixes):
         codes[: len(prefix), s] = prefix
-    return market._fill_distinct(codes, first), uniforms
+    return market._fill_distinct(codes, market._id_dtype(codes.size, m), first), uniforms
 
 
 def assert_holes_are_the_scan(prefixes, lists, uniforms, m):
@@ -631,6 +632,41 @@ class TestRanking:
         for table in (inst._uni_place, inst._uni_order, inst._uni_offsets):
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 0
+
+
+class TestIdDtype:
+    """A market's id tables are int32 whenever max(n*k, m) < 2**31, on every path."""
+
+    def test_the_dtype_widens_at_2_to_the_31(self):
+        # sizes only: nothing of that size is allocated
+        for sizes in ((2**31 - 1, 1), (1, 2**31 - 1), (2**31 - 1, 2**31 - 1)):
+            assert market._id_dtype(*sizes) == np.int32
+        for sizes in ((2**31, 1), (1, 2**31), (2**31, 2**31 - 1)):
+            assert market._id_dtype(*sizes) == np.int64
+
+    @staticmethod
+    def assert_narrow(inst: MarketInstance) -> None:
+        for table in (inst.prefs, inst._uni_place, inst._uni_order):
+            assert table.dtype == np.int32
+        assert inst._uni_offsets.dtype == np.int64
+
+    # (m_ratio, k) of the list codes and of the key sort, k(k-1) > 32m
+    PATHS = pytest.mark.parametrize("m_ratio,k", [(0.5, 3), (0.85, 34)], ids=["codes", "keys"])
+
+    @PATHS
+    def test_sampled_lists(self, m_ratio, k):
+        config = MarketConfig(n=40, m_ratio=m_ratio, k=k, seed=2)
+        assert (k * (k - 1) > market._KEY_SORT_RATIO * config.m) == (k == 34)
+        self.assert_narrow(sample_market(config))
+        self.assert_narrow(market._sample_stack(config, [child_seed(2, r) for r in range(3)]))
+
+    @PATHS
+    def test_completion(self, m_ratio, k):
+        config = MarketConfig(n=40, m_ratio=m_ratio, capacity=2, k=k, seed=3)
+        plan = build_seeded_plan(np.linspace(1.0, 0.5, k), config)
+        assert plan.proposal_uni.dtype == plan.proposal_student.dtype == np.int32
+        assert plan.accepted_partner_array().dtype == np.int64
+        self.assert_narrow(complete_instance(plan))
 
 
 # Roots at the edges of one and two 32-bit words, where the seed hash

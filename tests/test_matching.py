@@ -526,3 +526,28 @@ class TestMatchingIds:
             matching = Matching(partner, 3.0)
             assert matching.partner.tolist() == [0, 1, -1] and matching.n_universities == 3
             assert matching.partner.dtype == np.int64 and type(matching.n_universities) is int
+
+
+# the one-seat and the sorting rule, at sizes with YES verdicts in the census
+@pytest.mark.parametrize("capacity,m_ratio", [(1, 1.0), (2, 0.5)])
+def test_int32_and_int64_tables_give_one_market_and_int64_results(capacity, m_ratio):
+    # markets keep int32 ids; what callers get stays int64, whatever came in
+    base = sample_market(MarketConfig(n=200, m_ratio=m_ratio, capacity=capacity, k=40,
+                                      signal=SignalSpec.gaussian(1.0), seed=11))
+    markets = [MarketInstance(base.config, base.prefs.astype(dtype), base.signals, base.tiebreaks)
+               for dtype in (np.int64, np.int32)]
+    assert markets[0] == markets[1] == base
+    results = []
+    for inst in markets:
+        assert inst.prefs.dtype == inst._uni_place.dtype == inst._uni_order.dtype == np.int32
+        school, student = school_proposing_da(inst), student_proposing_da(inst)
+        # every third student cut loose: the matching has blocking pairs
+        loose = Matching(np.where(np.arange(inst.n) % 3, school.partner, -1), inst.m)
+        reports = extra_stable_partner_reports(inst)
+        for table in (school.partner, student.partner, match_rank_indices(inst, student),
+                      reports.witness):
+            assert table.dtype == np.int64
+        results.append((school, student, find_blocking_pairs(inst, loose),
+                        rank_profile(inst, student), reports.witness.tolist()))
+    assert results[0] == results[1]
+    assert results[0][2] and max(results[0][4]) >= 0  # blocking pairs and a YES verdict

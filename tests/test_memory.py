@@ -91,26 +91,27 @@ def test_freed_tables_are_not_faulted_in_again():
 
 
 def test_stable_partner_stacks_stay_within_their_memory_bound(tmp_path):
-    # 4.8 MB at 2^14 applications per stack, 7.5 MB at 2^16, 11.2 MB at 2^17
+    # 4.7 MB at 2^14 applications per stack, 5.1 MB at 2^16, 7.6 MB at 2^17;
+    # 6.2 MB at 2^16 with int64 places and order
     argv = ["stable-partners", "--n", "2000", "--k", "5", "--reps", "20"]
-    assert float(_run(_CLI_PEAK, *argv, "--out", str(tmp_path / "partners.csv"))) < 10
+    assert float(_run(_CLI_PEAK, *argv, "--out", str(tmp_path / "partners.csv"))) < 5.4
 
 
 def test_sweep_stacks_stay_within_the_census_memory_bound(tmp_path):
-    # 3.9 MB with one stack per (k, delta) cell; 7.2 MB with the delta cells of
-    # each k sharing stacks, as more of them reach 2^16 applications
+    # 4.6 MB with the delta cells of each k sharing stacks, as more of them
+    # reach 2^16 applications; 5.8 MB with int64 places and order
     argv = ["sweep", "--n", "100", "--k-min", "1", "--k-max", "10", "--deltas", "0,1,2",
             "--reps", "50", "--seed", "8675309"]
-    assert float(_run(_CLI_PEAK, *argv, "--out", str(tmp_path / "sweep.csv"))) < 10
+    assert float(_run(_CLI_PEAK, *argv, "--out", str(tmp_path / "sweep.csv"))) < 4.9
 
 
 def test_large_market_scratch_is_freed_before_ranking():
-    # 29.3 MB sampling and 28.9 MB completing.  A scratch table alive as the
-    # instance ranks breaks the bound: the 4 MB list uniforms, kept (no
-    # ``del lists`` in ``_sample_stack``), read 33.3 MB.
-    # Student-proposing DA takes 17.2 MB reading the instance's places as its
-    # offers; rebuilding their inverse and the receivers from the order took 21.2
+    # 18.2 MB sampling and 18.0 MB completing with int32 ids; int64 places
+    # and order read 24.1 and 23.3 MB, and a scratch table alive as the
+    # instance ranks breaks the bound too.
+    # Student-proposing DA takes 13.2 MB reading the instance's int32 places
+    # as its offers; 17.2 MB with int64 places and order
     sample, complete, student = map(float, _run(_LARGE).split())
-    assert sample <= 30.5
-    assert complete <= 30.5
-    assert student <= 19
+    assert sample <= 19.1
+    assert complete <= 18.9
+    assert student <= 13.9
