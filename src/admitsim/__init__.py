@@ -84,27 +84,3 @@ __all__ = [
     "write_records_csv",
 ]
 
-
-def _keep_freed_heap() -> None:
-    """Keep freed tables mapped, so the next layer reuses their pages.
-
-    glibc's dynamic trim threshold hands each freed (n, k) table of a large
-    market back to the kernel, and the next layer faults its pages in again.
-    Pin the mmap threshold at its 64-bit dynamic maximum (32 MiB) and raise
-    the trim threshold to 256 MiB.  Both are set, because the trim threshold
-    alone switches the dynamic mmap threshold off and maps every table above
-    128 KiB afresh.  Where ``mallopt`` is missing or refuses (macOS, Windows,
-    musl) nothing changes.
-    """
-    import ctypes
-
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    if mallopt(-3, 32 << 20):  # M_MMAP_THRESHOLD
-        mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
-
-
-_keep_freed_heap()

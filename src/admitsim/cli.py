@@ -14,6 +14,7 @@ replication, until their rows are formatted column by column.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import sys
 from collections.abc import Callable, Iterator
@@ -58,6 +59,32 @@ __all__ = ["main"]
 # 2^14 and the census's traced peak passed 10 MB with int64 ids (BENCH_15.json,
 # BENCH_22.json); with int32 ids it is 7.6 MB, not yet measured end to end (BENCH_27.json).
 _STACK_APPS = 2**16
+
+
+def _keep_freed_heap() -> None:
+    """Keep freed tables mapped, so the next layer reuses their pages.
+
+    glibc's dynamic trim threshold hands each freed (n, k) table of a large
+    market back to the kernel, and the next layer faults its pages in again.
+    Pin the mmap threshold at its 64-bit dynamic maximum (32 MiB) and raise
+    the trim threshold to 256 MiB.  Both are set, because the trim threshold
+    alone switches the dynamic mmap threshold off and maps every table above
+    128 KiB afresh.  Where ``mallopt`` is missing or refuses (macOS, Windows,
+    musl) nothing changes.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    if mallopt(-3, 32 << 20):  # M_MMAP_THRESHOLD
+        mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
+
+
+# Set when this module is imported, not in main(): a program that imports it and
+# then calls the library directly (benchmarks/workloads.py) gets the same heap.
+# A bare `import admitsim` leaves the allocator as it finds it.
+_keep_freed_heap()
 
 
 class UsageError(ValueError):
@@ -202,7 +229,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     """Grid of (k, delta) cells, each replicated from the root seed."""
     doc = _load_config_file(args.config)
-    for key in ("k", "delta", "signal"):
+    for key in ("k", "delta"):
         if key in doc:
             raise UsageError(f"config key {key!r} is not read by sweep: its grid sets k and delta")
     market = _market_config(args, doc)
@@ -296,7 +323,6 @@ def _add_market_flags(parser: argparse.ArgumentParser, per_market: bool = True) 
         parser.add_argument(
             "--delta", type=float, help="signal shift for favorite-school applications"
         )
-        parser.add_argument("--signal", choices=["iid", "gaussian"], help="signal model")
     parser.add_argument("--seed", type=int, help="root RNG seed")
     parser.add_argument("--config", help="JSON file mirroring the configuration fields")
 

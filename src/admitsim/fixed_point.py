@@ -421,7 +421,7 @@ def solve_general(config: MarketConfig, n_sim: int = 20_000) -> SolverResult:
     It is bisected on [0, k - 1] down to rounding (``iterations`` counts
     the bisection steps), and the residuals are below 1e-12.
 
-    For iid and Gaussian signals the rates come from the quadrature of
+    For Normal signals of any shift the rates come from the quadrature of
     ``_large_market_acceptance`` (method "quadrature-bisection"), and
     ``n_sim`` is unused.  Custom samplers get the same rates from ``n_sim``
     draws of each signal distribution (``_sampled_acceptance``, method
@@ -433,7 +433,7 @@ def solve_general(config: MarketConfig, n_sim: int = 20_000) -> SolverResult:
     ``_MAX_RESIDUAL``: only rates that jump in S, so that no root exists, do that.
     """
     n_sim, _ = _check_sampling(n_sim)
-    if config.signal.kind == "custom":
+    if config.signal.is_custom:
         acceptance = _sampled_acceptance(config, n_sim)
         return _solve_by_bisection(config, acceptance, "sampled-bisection")
     acceptance = _large_market_acceptance(config.signal.delta, config.m_ratio, config.capacity)

@@ -85,8 +85,8 @@ def _id_table(
     matching's to int64.  Any other table is converted entry by entry to
     int64 or float64, so an integral float or int passes and a bool,
     string, ``None``, object or ragged entry raises ``error``, as does a
-    fractional or non-finite id.  A NaN value passes, as it does in a
-    float64 array.
+    fractional or non-finite id or one outside int64.  A NaN value passes,
+    as it does in a float64 array.
     """
     dtype = np.int64 if kind is int else np.float64
     if isinstance(table, np.ndarray) and (
@@ -99,7 +99,10 @@ def _id_table(
         else _convert(kind, f"{name} entry", value, error)
         for value in entries.flat
     ]
-    return np.array(values, dtype=dtype).reshape(entries.shape)
+    try:
+        return np.array(values, dtype=dtype).reshape(entries.shape)
+    except OverflowError:
+        raise error(f"{name} holds an id outside the int64 range") from None
 
 
 def _json_object(
@@ -219,68 +222,67 @@ def _seeded_generator(words: np.ndarray) -> np.random.Generator:
 class SignalSpec:
     """Distribution of the signals universities observe per application.
 
-    kind "iid": both branches are standard normal, so university
-    preferences are uniformly random and applications carry no signal
-    about fit.  kind "gaussian": favorite-school applications draw
-    Normal(delta, 1), all others Normal(0, 1).  kind "custom": caller
-    supplies both samplers; ``sampler(rng, size)`` returns ``size`` signals
-    as a deterministic function of the generator state.
+    With a shift ``delta`` >= 0, favorite-school applications draw
+    Normal(delta, 1) and all others Normal(0, 1); at delta 0, the default,
+    university preferences are uniformly random and applications carry no
+    signal about fit.  With both samplers instead (``custom``), the caller
+    supplies each distribution; ``sampler(rng, size)`` returns ``size``
+    signals as a deterministic function of the generator state.
     """
 
-    kind: str = "iid"
     delta: float = 0.0
     special_sampler: SignalSampler | None = None
     regular_sampler: SignalSampler | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("iid", "gaussian", "custom"):
-            raise ConfigurationError(f"unknown signal kind: {self.kind!r}")
         if not isinstance(self.delta, numbers.Real) or isinstance(self.delta, bool):
             raise ConfigurationError(f"signal shift must be a number, got {self.delta!r}")
-        if self.kind == "gaussian" and not 0.0 <= self.delta < math.inf:
+        if not 0.0 <= self.delta < math.inf:
             raise ConfigurationError("gaussian signal shift must be finite and >= 0")
-        if self.kind != "gaussian" and self.delta != 0.0:
-            raise ConfigurationError(f"{self.kind} signals take no shift, got {self.delta!r}")
         # a float, and 0.0 rather than -0.0, which tables print as "-0"
-        object.__setattr__(self, "delta", float(self.delta) if self.kind == "gaussian" else 0.0)
-        for name in ("special", "regular"):
-            sampler = getattr(self, f"{name}_sampler")
-            if self.kind != "custom" and sampler is not None:
-                raise ConfigurationError(f"{self.kind} signals take no {name}_sampler")
-            if self.kind == "custom" and not callable(sampler):
-                raise ConfigurationError(f"{name} sampler is not callable: {sampler!r}")
+        object.__setattr__(self, "delta", float(self.delta) + 0.0)
+        if self.special_sampler is not None or self.regular_sampler is not None:
+            if self.delta != 0.0:
+                raise ConfigurationError(f"custom signals take no shift, got {self.delta!r}")
+            for name in ("special", "regular"):
+                sampler = getattr(self, f"{name}_sampler")
+                if not callable(sampler):
+                    raise ConfigurationError(f"{name} sampler is not callable: {sampler!r}")
 
     @classmethod
     def iid(cls) -> "SignalSpec":
-        return cls(kind="iid")
+        return cls()
 
     @classmethod
     def gaussian(cls, delta: float) -> "SignalSpec":
-        return cls(kind="gaussian", delta=delta)
+        return cls(delta=delta)
 
     @classmethod
     def custom(cls, special: SignalSampler, regular: SignalSampler) -> "SignalSpec":
-        return cls(kind="custom", special_sampler=special, regular_sampler=regular)
+        return cls(special_sampler=special, regular_sampler=regular)
+
+    @property
+    def is_custom(self) -> bool:
+        """True when the caller's samplers draw the signals."""
+        return self.special_sampler is not None
 
     @property
     def is_iid_equivalent(self) -> bool:
         """True when both branches are the same distribution."""
-        return self.kind == "iid" or (self.kind == "gaussian" and self.delta == 0.0)
+        return not self.is_custom and self.delta == 0.0
 
     @property
     def delta_tag(self) -> float | None:
         """Shift value for tabular output, or None for custom samplers."""
-        if self.kind == "custom":
-            return None
-        return float(self.delta)
+        return None if self.is_custom else self.delta
 
     def draw_batch(self, special: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """One signal per entry of the boolean mask ``special``; custom samplers are
         called once each, the special one for ``out[special]``, then the regular one."""
         special = np.asarray(special, dtype=bool)
-        if self.kind != "custom":
+        if not self.is_custom:
             out = rng.standard_normal(special.shape)
-            if self.kind == "gaussian" and self.delta != 0.0:
+            if self.delta != 0.0:
                 out += self.delta * special  # in place; faster than a masked add
             return out
         out = np.empty(special.shape)
@@ -296,9 +298,9 @@ class SignalSpec:
         return out
 
 
-# The keys of a market configuration document: "signal" is a kind name and
-# "delta" its shift.  Each is also the destination of the CLI flag that sets it.
-_CONFIG_FIELDS = ("n", "m_ratio", "capacity", "k", "signal", "delta", "seed")
+# The keys of a market configuration document, "delta" the signal's shift.
+# Each is also the destination of the CLI flag that sets it.
+_CONFIG_FIELDS = ("n", "m_ratio", "capacity", "k", "delta", "seed")
 
 
 @dataclass(frozen=True)
@@ -349,23 +351,17 @@ class MarketConfig:
     def from_json_dict(cls, data: dict[str, Any]) -> "MarketConfig":
         """A configuration from a flat JSON object of the ``_CONFIG_FIELDS``,
         the document that the CLI's ``--config`` reads; every field but ``n``
-        has its default.  A kind left unnamed is "gaussian" for a non-zero
-        shift and "iid" otherwise; "custom" is refused, as its samplers
-        cannot come from a file.
+        has its default.  ``delta`` is the Normal signal's shift; custom
+        samplers cannot come from a file.
         """
         _json_object("market configuration", data, _CONFIG_FIELDS, required=("n",))
         delta = _convert(float, "delta", data.get("delta", 0.0))
-        kind = data.get("signal", "gaussian" if delta != 0.0 else "iid")
-        if not isinstance(kind, str):
-            raise ConfigurationError(f"signal must be a kind name, got {kind!r}")
-        if kind == "custom":
-            raise ConfigurationError("custom signals cannot come from a config file")
         return cls(
             n=_convert(int, "n", data["n"]),
             m_ratio=_convert(float, "m_ratio", data.get("m_ratio", 1.0)),
             capacity=_convert(int, "capacity", data.get("capacity", 1)),
             k=_convert(int, "k", data.get("k", 1)),
-            signal=SignalSpec(kind=kind, delta=delta),
+            signal=SignalSpec(delta),
             seed=_convert(int, "seed", data.get("seed", 0)),
         )
 
@@ -586,10 +582,9 @@ def _sample_stack(
     nothing else; the lists are decoded for every block at once.
 
     ``shifts`` holds one Gaussian shift per block (default: every block
-    ``config.signal.delta``), so that blocks of iid and Gaussian markets of
-    any shift share a stack.  Each run of blocks with one non-zero shift
-    gets it added at once, exactly as ``draw_batch`` adds it; the other
-    blocks get nothing added.
+    ``config.signal.delta``), so that blocks of any shift share a stack.
+    Each run of blocks with one non-zero shift gets it added at once,
+    exactly as ``draw_batch`` adds it; the other blocks get nothing added.
     """
     rngs = [np.random.default_rng(seed) for seed in seeds]
     n, m, k, signal = config.n, config.m, config.k, config.signal
@@ -601,7 +596,7 @@ def _sample_stack(
     for b, rng in enumerate(rngs):
         rng.random(out=lists[b])
         rng.random(out=tiebreaks[b])
-        if signal.kind == "custom":
+        if signal.is_custom:
             signals[b] = signal.draw_batch(np.broadcast_to(special, (n, k)), rng)
         else:
             rng.standard_normal(out=signals[b])

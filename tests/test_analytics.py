@@ -12,6 +12,7 @@ from admitsim import (
     ExperimentRecord,
     MarketConfig,
     Matching,
+    SignalSpec,
     UtilityModel,
     compare_matchings,
     make_record,
@@ -234,6 +235,15 @@ class TestRecords:
             for r in records
         ]
         assert buf.getvalue().split("\n")[1:] == expected + [""]
+
+    def test_negative_zero_shift_prints_as_zero(self):
+        inst = sample_market(MarketConfig(n=4, k=2, signal=SignalSpec.gaussian(-0.0)))
+        buf = io.StringIO()
+        write_records_csv([make_record(inst, school_proposing_da(inst))], buf)
+        assert buf.getvalue().splitlines()[1].startswith("2,0,0,4,4,1,")
+        # -0.0 is the unshifted market, one value however it is spelled
+        assert SignalSpec.iid() == SignalSpec.gaussian(0.0) == SignalSpec.gaussian(-0.0) \
+            == SignalSpec()
 
     def test_six_significant_digits(self):
         assert format_number(0.12345678) == "0.123457"

@@ -382,30 +382,8 @@ class TestCompare:
         assert len(out.read_text().strip().split("\n")) == 5
 
 
-# Shift printed by `simulate --config` for each signal form in the file
-# (rows) under each set of signal flags (columns); None is exit 2.
-_SIGNAL_FLAGS = [
-    [], ["--signal", "iid"], ["--signal", "gaussian"], ["--delta", "0"], ["--delta", "2"],
-    ["--signal", "iid", "--delta", "2"], ["--signal", "gaussian", "--delta", "2"],
-]
-_SIGNAL_FORMS = {
-    "none": ({}, [0.0, 0.0, 0.0, 0.0, 2.0, None, 2.0]),
-    "kind string": ({"signal": "gaussian"}, [0.0, 0.0, 0.0, 0.0, 2.0, None, 2.0]),
-    "top-level delta": ({"delta": 1}, [1.0, None, 1.0, 0.0, 2.0, None, 2.0]),
-    # custom samplers cannot come from a file, with or without a shift
-    "custom": ({"signal": "custom"}, [None, 0.0, 0.0, None, None, None, 2.0]),
-    "unknown kind": ({"signal": "foo"}, [None, 0.0, 0.0, None, None, None, 2.0]),
-    # "signal" is a kind name: any other value is refused unless --signal replaces it
-    "kind object": ({"signal": {"kind": "iid"}}, [None, 0.0, 0.0, None, None, None, 2.0]),
-    "kind object with shift": (
-        {"signal": {"kind": "gaussian", "delta": 1}}, [None, 0.0, 0.0, None, None, None, 2.0]
-    ),
-    "null": ({"signal": None}, [None, 0.0, 0.0, None, None, None, 2.0]),
-    "both shifts": (
-        {"signal": {"kind": "gaussian", "delta": 1}, "delta": 3},
-        [None, None, 3.0, None, None, None, 2.0],
-    ),
-}
+# every subcommand that builds a market from flags or a config file
+_MARKET_COMMANDS = ["simulate", "stable-partners", "compare", "solve", "sweep"]
 
 
 class TestConfigFile:
@@ -437,7 +415,7 @@ class TestConfigFile:
 
     def test_signal_spec_from_file(self, tmp_path, capsys):
         cfg = tmp_path / "market.json"
-        cfg.write_text(json.dumps({"n": 8, "k": 2, "signal": "gaussian", "delta": 2.0}))
+        cfg.write_text(json.dumps({"n": 8, "k": 2, "delta": 2.0}))
         code, out, _ = run(capsys, "simulate", "--config", str(cfg), "--format", "json")
         assert code == 0
         assert json.loads(out)[0]["delta"] == 2.0
@@ -487,21 +465,16 @@ class TestConfigFile:
                            "--out", str(tmp_path / "x.csv"))
         assert code == 2 and err.startswith(f"error: {key} must be ")
 
-    @pytest.mark.parametrize("command", ["simulate", "stable-partners", "compare", "solve"])
+    @pytest.mark.parametrize("command", _MARKET_COMMANDS)
     def test_custom_signal_from_file_is_usage_error(self, tmp_path, capsys, command):
+        # a file's one signal field is "delta"; a "signal" key is unknown
         cfg = tmp_path / "market.json"
         cfg.write_text(json.dumps({"n": 4, "signal": "custom"}))
         out = tmp_path / "x.csv"
         code, stdout, err = run(capsys, command, "--config", str(cfg), "--out", str(out))
-        message = "error: custom signals cannot come from a config file\n"
+        message = "error: unknown market configuration field 'signal'\n"
         assert (code, stdout, err) == (2, "", message)
         assert not out.exists()
-
-    def test_signal_object_without_kind_is_usage_error(self, tmp_path, capsys):
-        cfg = tmp_path / "market.json"
-        cfg.write_text(json.dumps({"n": 8, "k": 2, "signal": {"delta": 2.0}}))
-        code, _, err = run(capsys, "simulate", "--config", str(cfg))
-        assert code == 2 and err.startswith("error:") and "kind" in err
 
     @pytest.mark.parametrize(
         "command,doc,key",
@@ -543,28 +516,70 @@ class TestConfigFile:
                                 "--out", str(tmp_path / "x.csv"))
         assert (code, stdout, err) == (2, "", "error: --n is required (flag or config file)\n")
 
-    @pytest.mark.parametrize(
-        "form,flags,expected",
-        [
-            pytest.param(form, flags, shifts[i], id=f"{name}|{' '.join(flags) or 'no flags'}")
-            for name, (form, shifts) in _SIGNAL_FORMS.items()
-            for i, flags in enumerate(_SIGNAL_FLAGS)
-        ],
-    )
-    def test_signal_flags_set_fields_over_the_file(
-        self, tmp_path, capsys, form, flags, expected
-    ):
+    @pytest.mark.parametrize("flags", [[], ["--delta", "0"], ["--delta", "2"]],
+                             ids=["no flag", "flag 0", "flag 2"])
+    @pytest.mark.parametrize("doc", [{}, {"delta": 1}], ids=["no file shift", "file shift 1"])
+    def test_delta_flag_sets_the_shift_over_the_file(self, tmp_path, capsys, doc, flags):
         cfg = tmp_path / "market.json"
-        cfg.write_text(json.dumps({"n": 4, "k": 2, **form}))
+        cfg.write_text(json.dumps({"n": 4, "k": 2, **doc}))
         code, out, err = run(capsys, "simulate", "--config", str(cfg), "--format", "json", *flags)
-        if expected is None:
-            assert code == 2 and out == "" and err.startswith("error:")
-        else:
-            assert code == 0 and json.loads(out)[0]["delta"] == expected
-        if flags == ["--signal", "iid", "--delta", "2"]:
-            assert "iid signals take no shift" in err
-        elif not isinstance(form.get("signal", ""), str) and "--signal" not in flags:
-            assert err == f"error: signal must be a kind name, got {form['signal']!r}\n"
+        delta = float(flags[-1]) if flags else float(doc.get("delta", 0))
+        assert (code, err) == (0, "") and json.loads(out)[0]["delta"] == delta
+        # the same market as the flags alone give
+        argv = ["simulate", "--n", "4", "--k", "2", "--format", "json", "--delta", str(delta)]
+        assert run(capsys, *argv)[1] == out
+
+    @pytest.mark.parametrize("value", ["iid", "gaussian", "custom"])
+    @pytest.mark.parametrize("command", _MARKET_COMMANDS)
+    def test_signal_flag_is_refused(self, tmp_path, capsys, command, value):
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:  # argparse refuses the flag
+            main([command, "--n", "4", "--signal", value, "--out", str(out)])
+        stdout, err = capsys.readouterr()
+        assert (exc.value.code, stdout) == (2, "")
+        assert err.endswith(f"error: unrecognized arguments: --signal {value}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "signal",
+        ["iid", "gaussian", "foo", None, {"kind": "iid"}, {"kind": "gaussian", "delta": 1}],
+        ids=["iid", "gaussian", "unknown kind", "null", "kind object", "kind object with shift"],
+    )
+    @pytest.mark.parametrize("command", _MARKET_COMMANDS)
+    def test_signal_key_is_an_unknown_field(self, tmp_path, capsys, command, signal):
+        # every value the old "signal" key took, in every command that reads a file
+        cfg = tmp_path / "market.json"
+        cfg.write_text(json.dumps({"n": 4, "signal": signal}))
+        out = tmp_path / "x.csv"
+        code, stdout, err = run(capsys, command, "--config", str(cfg), "--out", str(out))
+        message = "error: unknown market configuration field 'signal'\n"
+        assert (code, stdout, err) == (2, "", message)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("delta", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "argv",
+        [["simulate"], ["simulate", "--format", "json"], ["stable-partners"], ["compare"],
+         ["solve"], ["solve", "--method", "general"]],
+        ids=["simulate csv", "simulate json", "stable-partners", "compare", "solve iid",
+             "solve general"],
+    )
+    def test_file_shift_gives_the_flags_market(self, tmp_path, capsys, argv, delta):
+        # a flat file and the flags spell one market: same streams, files and exit code
+        cfg = tmp_path / "market.json"
+        cfg.write_text(json.dumps({"n": 6, "k": 2, "seed": 5, "delta": delta}))
+        runs = []
+        for name, market in (("file", ["--config", str(cfg)]),
+                             ("flags", ["--n", "6", "--k", "2", "--seed", "5",
+                                        "--delta", str(delta)])):
+            (tmp_path / name).mkdir()
+            result = run(capsys, *argv, *market, "--out", str(tmp_path / name / "x.csv"))
+            files = {f.name: f.read_bytes() for f in sorted((tmp_path / name).iterdir())}
+            runs.append((result, files))
+        assert runs[0] == runs[1]
+        # solve's iid method refuses a shift both ways; every other run writes its file
+        assert runs[0][0][0] == (2 if argv == ["solve"] and delta else 0)
+        assert bool(runs[0][1]) == (runs[0][0][0] == 0)
 
 
 class TestStacking:

@@ -95,21 +95,27 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             SignalSpec.gaussian(delta)
 
-    @pytest.mark.parametrize("kind", ["iid", "gaussian"])
     @pytest.mark.parametrize("delta", [True, np.bool_(False), "1", None, [1.0]])
-    def test_shift_must_be_a_real_number(self, kind, delta):
+    def test_shift_must_be_a_real_number(self, delta):
         message = f"^signal shift must be a number, got {re.escape(repr(delta))}$"
         with pytest.raises(ConfigurationError, match=message):
-            SignalSpec(kind=kind, delta=delta)
+            SignalSpec(delta=delta)
 
     def test_shift_is_stored_as_a_float(self):
-        for delta in (1, np.float32(0.5), np.int64(2)):
-            spec = SignalSpec(kind="gaussian", delta=delta)
+        for delta in (1, np.float32(0.5), np.int64(2), 0, -0.0, np.float64(-0.0)):
+            spec = SignalSpec(delta=delta)
             assert type(spec.delta) is float and spec.delta == delta
+            assert math.copysign(1.0, spec.delta) == 1.0
+
+    @pytest.mark.parametrize("fields", [{"kind": "iid"}, {"kind": "gaussian", "delta": 1.0}])
+    def test_kind_is_not_a_field(self, fields):
+        with pytest.raises(TypeError, match="kind"):
+            SignalSpec(**fields)
 
     def test_json_shift_must_be_finite(self):
-        with pytest.raises(ConfigurationError):
-            MarketConfig.from_json_dict({"n": 5, "signal": "gaussian", "delta": math.inf})
+        for delta in (math.inf, -1.0):
+            with pytest.raises(ConfigurationError, match="^gaussian signal shift must be finite"):
+                MarketConfig.from_json_dict({"n": 5, "delta": delta})
 
     @pytest.mark.parametrize(
         "field,value",
@@ -134,11 +140,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError, match="^n must be an integer, got True$"):
             MarketConfig.from_json_dict({"n": True, "k": True})
         with pytest.raises(ConfigurationError, match="^delta must be a number, got False$"):
-            MarketConfig.from_json_dict({"n": 5, "signal": "gaussian", "delta": False})
+            MarketConfig.from_json_dict({"n": 5, "delta": False})
 
     def test_json_shift_is_not_parsed(self):
         with pytest.raises(ConfigurationError, match="^delta must be a number, got '1'$"):
-            MarketConfig.from_json_dict({"n": 5, "signal": "gaussian", "delta": "1"})
+            MarketConfig.from_json_dict({"n": 5, "delta": "1"})
 
     @pytest.mark.parametrize(
         "doc,field",
@@ -153,51 +159,40 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError, match=re.escape(field)):
             MarketConfig.from_json_dict(doc)
 
-    @pytest.mark.parametrize(
-        "signal", [{"kind": "gaussian", "delta": 1}, {"delta": 1}, None, 5, ["gaussian"]]
-    )
-    def test_json_signal_must_be_a_kind_name(self, signal):
-        message = f"^signal must be a kind name, got {re.escape(repr(signal))}$"
+    @pytest.mark.parametrize("signal", ["iid", "gaussian", {"kind": "gaussian", "delta": 1}])
+    def test_json_signal_is_an_unknown_field(self, signal):
+        message = "^unknown market configuration field 'signal'$"
         with pytest.raises(ConfigurationError, match=message):
             MarketConfig.from_json_dict({"n": 5, "signal": signal, "delta": 1})
 
     @pytest.mark.parametrize(
         "doc,signal",
-        [
-            ({"signal": "gaussian"}, SignalSpec.gaussian(0.0)),
-            ({"signal": "gaussian", "delta": 2}, SignalSpec.gaussian(2.0)),
-            ({"signal": "iid", "delta": 0}, SignalSpec.iid()),
-            ({"delta": 1.5}, SignalSpec.gaussian(1.5)),
-            ({"delta": 0}, SignalSpec.iid()),
-        ],
+        [({}, SignalSpec()), ({"delta": 0}, SignalSpec.iid()),
+         ({"delta": 2}, SignalSpec.gaussian(2.0)), ({"delta": 1.5}, SignalSpec.gaussian(1.5))],
     )
-    def test_json_signal_kind_and_shift(self, doc, signal):
+    def test_json_shift(self, doc, signal):
         assert MarketConfig.from_json_dict({"n": 5, **doc}).signal == signal
 
     def test_iid_shift_is_positive_zero(self):
         # a -0.0 shift would print as "-0" in the records' delta column
-        spec = MarketConfig.from_json_dict({"n": 5, "signal": "iid", "delta": -0.0})
+        spec = MarketConfig.from_json_dict({"n": 5, "delta": -0.0})
         assert math.copysign(1.0, spec.signal.delta) == 1.0
 
     def test_custom_needs_both_samplers(self):
-        with pytest.raises(ConfigurationError):
-            SignalSpec(kind="custom", special_sampler=lambda rng, size: np.ones(size))
+        ones = lambda rng, size: np.ones(size)  # noqa: E731
+        for fields, message in (
+            ({"special_sampler": ones}, "regular sampler is not callable: None"),
+            ({"regular_sampler": ones}, "special sampler is not callable: None"),
+            ({"special_sampler": 5, "regular_sampler": ones}, "special sampler is not callable: 5"),
+        ):
+            with pytest.raises(ConfigurationError, match=f"^{message}$"):
+                SignalSpec(**fields)
 
-    @pytest.mark.parametrize(
-        "fields,message",
-        [
-            ({"kind": "gaussian", "delta": 1.0, "special_sampler": 5},
-             "gaussian signals take no special_sampler"),
-            ({"kind": "iid", "regular_sampler": lambda rng, size: np.ones(size)},
-             "iid signals take no regular_sampler"),
-            ({"kind": "custom", "delta": 2.0, "special_sampler": lambda rng, size: np.ones(size),
-              "regular_sampler": lambda rng, size: np.ones(size)},
-             "custom signals take no shift, got 2.0"),
-        ],
-    )
-    def test_fields_the_kind_ignores_are_refused(self, fields, message):
-        with pytest.raises(ConfigurationError, match=f"^{message}$"):
-            SignalSpec(**fields)
+    def test_custom_takes_no_shift(self):
+        ones = lambda rng, size: np.ones(size)  # noqa: E731
+        with pytest.raises(ConfigurationError, match="^custom signals take no shift, got 2.0$"):
+            SignalSpec(delta=2.0, special_sampler=ones, regular_sampler=ones)
+        assert SignalSpec(-0.0, ones, ones) == SignalSpec.custom(ones, ones)
 
     @pytest.mark.parametrize(
         "prefs,entry",
@@ -243,7 +238,10 @@ class TestConfigValidation:
          ({"signals": np.zeros((2, 2))}, "preference/signal tables must be \\(n, k\\)"),
          ({"tiebreaks": np.zeros(2)}, "preference/signal tables must be \\(n, k\\)"),
          ({"prefs": [[0], [3]]}, "university ids out of range"),
-         ({"prefs": [[-1], [0]]}, "university ids out of range")],
+         ({"prefs": [[-1], [0]]}, "university ids out of range"),
+         ({"prefs": [[0], [2**70]]}, "preference table holds an id outside the int64 range"),
+         ({"prefs": np.array([[0], [2**64 - 1]], dtype=np.uint64)},
+          "preference table holds an id outside the int64 range")],
     )
     def test_tables_must_be_n_by_k_ids_in_range(self, tables, message):
         config = MarketConfig(n=2, m_ratio=1.5, k=1)

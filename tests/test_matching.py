@@ -93,6 +93,8 @@ class TestSchoolProposingDA:
         inst = small_instance([[0]], [[1.0]])
         with pytest.raises(ValueError):
             school_proposing_da(inst, order=[0, 0])
+        with pytest.raises(ValueError, match="^order holds an id outside the int64 range$"):
+            school_proposing_da(inst, order=[2**70, 0])
 
     @pytest.mark.parametrize(
         "order,entry",
@@ -509,7 +511,10 @@ class TestMatchingIds:
     @pytest.mark.parametrize(
         "partner,message",
         [([[0, 1]], "partner table must be one-dimensional"),
-         ([0, 3], "university ids out of range"), ([-2, 0], "university ids out of range")],
+         ([0, 3], "university ids out of range"), ([-2, 0], "university ids out of range"),
+         ([2**70], "partner table holds an id outside the int64 range"),
+         (np.array([0, 2**64 - 1], dtype=np.uint64),
+          "partner table holds an id outside the int64 range")],
     )
     def test_tables_that_are_not_ids_in_range_are_refused(self, partner, message):
         with pytest.raises(InvalidMatchingError, match=f"^{message}$"):
