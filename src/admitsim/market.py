@@ -649,8 +649,9 @@ class SeededProposalPlan:
 
     def assigned_rank_counts(self) -> np.ndarray:
         """Number of proposals assigned to each student (a rank prefix)."""
-        assigned = self.proposal_student >= 0
-        return np.bincount(self.proposal_student[assigned], minlength=self.config.n)
+        counts = np.zeros(self.config.n, dtype=np.int64)  # bincount would copy ids to intp
+        np.add.at(counts, self.proposal_student[self.proposal_student >= 0], 1)
+        return counts
 
 
 def _validate_rank_fractions(

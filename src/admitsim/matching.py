@@ -129,46 +129,51 @@ def _ids(table: np.ndarray, at: np.ndarray) -> np.ndarray:
     two numpy costs rule how the engine reads them: indexing with an int32
     index array runs about 25% slower than with an intp one (a scatter 30%),
     and ``ufunc.at`` about 30x slower when its values' dtype is not its
-    target's.  So each round gathers its offers, receivers and proposers
-    with ``take``, casts them to intp once, and keeps ``best`` and ``held``
-    int64.
+    target's.  So each round gathers its offers and their applications with
+    ``take``, casts them to intp once, and keeps ``best`` and ``held`` int64.
     """
     return table.take(at).astype(np.intp, copy=False)
 
 
 def _deferred_acceptance(
-    lists: np.ndarray,
-    pos: np.ndarray,
-    stop: np.ndarray,
-    free: np.ndarray,
-    proposer: np.ndarray,
-    receiver: np.ndarray,
-    held: np.ndarray,
-    active: np.ndarray,
+    instance: MarketInstance, students: bool, pos: np.ndarray, stop: np.ndarray,
+    free: np.ndarray, held: np.ndarray, active: np.ndarray,
 ) -> np.ndarray:
     """Proposer-optimal deferred acceptance in rounds; returns the held offers.
 
-    Offer ids sort by receiver, then by the receiver's preference.  Proposer
-    ``p`` offers ``lists[pos[p]:stop[p]]`` in order, one per free slot
-    (``free[p]``); receiver ``r`` holds ``held[r]`` (-1 is an empty seat).
-    Each round every free slot of the ``active`` proposers offers to its
-    next entry, each touched receiver keeps its best ``held.shape[1]``
-    among holders and newcomers, and every offer let go frees a slot of
-    its proposer, active next round: O(offers + holders touched) per round.
-    A receiver with one seat keeps the least offer id it has seen (one
-    ``minimum.at``); with several seats, one sort of holders and newcomers
-    ranks them.  Any proposal order reaches the proposer-optimal stable
-    matching (McVitie and Wilson 1971).  ``pos``, ``free``, ``held`` change
-    in place.  The N-sized ``lists``, ``proposer`` and ``receiver`` hold ids
-    of the market's dtype (see ``_ids``); ``pos``, ``stop``, ``free`` and
-    ``held`` are int64.
+    Students propose if ``students``, else universities.  An offer names an
+    application a = s*k + r: a university's offer id is a, from ``_uni_order``,
+    a student's is a's place, from ``_uni_place``, so ids sort by receiver,
+    then by the receiver's preference.  Receivers and proposers, student
+    a // k and university ``prefs.ravel()[a]``, are read per offer: no
+    N-sized map.  Proposer ``p`` offers entries ``pos[p]`` to ``stop[p]`` in
+    order, one per free slot (``free[p]``, a count or flag); receiver ``r``
+    holds ``held[r]`` (-1 is an empty seat).  Each round every free slot of
+    the ``active`` proposers offers to its next entry, each touched receiver
+    keeps its best ``held.shape[1]`` among holders and newcomers, and every
+    offer let go frees a slot of its proposer, active next round:
+    O(offers + holders touched) per round.  A receiver with one seat keeps
+    the least offer id it has seen (one ``minimum.at``); with several seats,
+    one sort of holders and newcomers ranks them.  Any proposal order
+    reaches the proposer-optimal stable matching (McVitie and Wilson 1971).
+    ``pos``, ``free``, ``held`` change in place; the rest are int64.
     """
+    k, unis, by_uni = instance.k, instance.prefs.ravel(), instance._uni_order
+    lists = instance._uni_place if students else by_uni
+
+    def student(offers: np.ndarray) -> np.ndarray:
+        return (_ids(by_uni, offers) if students else offers) // k
+
+    def university(offers: np.ndarray) -> np.ndarray:
+        return _ids(unis, _ids(by_uni, offers) if students else offers)
+
+    receiver, proposer = (university, student) if students else (student, university)
     capacity = held.shape[1]
     # with one slot each, no proposer offers or is let go twice in a round
     single = free.max(initial=0) <= 1
     if capacity == 1:
         # an empty seat holds offer id N, past every real offer, so any offer beats it
-        empty = proposer.size
+        empty = unis.size
         best = held[:, 0]
         best[best < 0] = empty
     # latest[v]: index of the last v written; entries matching it pick each v once
@@ -187,7 +192,7 @@ def _deferred_acceptance(
             ends = np.cumsum(take)
             at = np.arange(take.sum()) + np.repeat(first - ends + take, take)
         offers = _ids(lists, at)
-        to = _ids(receiver, offers)
+        to = receiver(offers)
         if capacity == 1:
             prior = best[to]
             np.minimum.at(best, to, offers)
@@ -200,13 +205,13 @@ def _deferred_acceptance(
             latest[to] = ids
             holders = held[to[latest[to] == ids]].ravel()
             cand = np.sort(np.concatenate((offers, holders[holders >= 0])))
-            to = _ids(receiver, cand)
+            to = receiver(cand)
             seat = _seats(to)
             kept = seat < capacity
             held[to] = -1
             held[to[kept], seat[kept]] = cand[kept]
             let_go = cand[~kept]
-        active = _ids(proposer, let_go)
+        active = proposer(let_go)
         if not single:
             np.add.at(free, active, 1)
             latest[active] = np.arange(active.size)
@@ -233,51 +238,40 @@ def school_proposing_da(
     university-optimal and does not depend on ``order``, which only sets
     the order of the first round's offers.
     """
-    n, m, k = instance.n, instance.m, instance.k
+    m = instance.m
     first = np.arange(m) if order is None else _id_table("order", list(order), ValueError)
     if order is not None and not np.array_equal(np.sort(first), np.arange(m)):
         raise ValueError("order must be a permutation of all universities")
-    # offers are application ids s*k + r: by student, then by her own rank
-    offsets, proposer = instance._uni_offsets, instance.prefs.ravel()
-    held = _deferred_acceptance(
-        instance._uni_order, offsets[:-1].copy(), offsets[1:], np.full(m, instance.capacity),
-        proposer=proposer, receiver=np.arange(n * k, dtype=proposer.dtype) // k,
-        held=np.full((n, 1), -1), active=first,
-    )
-    return _matching(instance, held)
+    return _matching(instance, _deferred_acceptance(
+        instance, False, instance._uni_offsets[:-1].copy(), instance._uni_offsets[1:],
+        np.full(m, instance.capacity), held=np.full((instance.n, 1), -1), active=first,
+    ))
 
 
-def _students_propose(
-    instance: MarketInstance, first_rank: np.ndarray | int, holds: np.ndarray | None = None
-) -> Matching:
-    """Student-proposing deferred acceptance, student s starting at ``first_rank[s]``.
+def _students_propose(instance: MarketInstance, pos: np.ndarray, holds: np.ndarray) -> np.ndarray:
+    """The applications held when each student s proposes from her rank
+    ``pos[s]`` on; ``pos`` (int64) turns into her position in place.
 
     Students flagged in ``holds`` are already kept at their first entry:
     one sort of their places seats them, at most ``capacity`` per
     university, and only the other students with ranks left propose.
     """
     n, m, k = instance.n, instance.m, instance.k
-    # offers are places, indices in the universities' merged preference order
-    by_uni = instance._uni_order
-    receiver = np.repeat(np.arange(m, dtype=by_uni.dtype), np.diff(instance._uni_offsets))
-    pos = np.arange(0, n * k, k) + first_rank
+    pos += np.arange(0, n * k, k)
     stop = np.arange(k, n * k + 1, k)
-    free = np.ones(n, dtype=np.int64)
     held = np.full((m, instance.capacity), -1)
-    if holds is not None:
-        seated = np.sort(instance._uni_place[pos[holds]])
-        to = receiver[seated]
-        seat = _seats(to)
-        if seat.max(initial=0) >= instance.capacity:
-            raise ValueError("more holds than seats at a university")
-        held[to, seat] = seated
-        pos[holds] += 1
-        free[holds] = 0
-    held = _deferred_acceptance(
-        instance._uni_place, pos, stop, free, proposer=by_uni // k, receiver=receiver,
-        held=held, active=np.flatnonzero(free & (pos < stop)),
-    )
-    return _matching(instance, by_uni[held])
+    seated = np.sort(instance._uni_place[pos[holds]])
+    to = instance.prefs.ravel()[instance._uni_order[seated]]
+    seat = _seats(to)
+    if seat.max(initial=0) >= instance.capacity:
+        raise ValueError("more holds than seats at a university")
+    held[to, seat] = seated
+    pos[holds] += 1
+    del seated, to, seat  # not alive through the rounds
+    free = ~holds  # one slot each
+    return instance._uni_order[_deferred_acceptance(
+        instance, True, pos, stop, free, held=held, active=np.flatnonzero(free & (pos < stop))
+    )]
 
 
 def student_proposing_da(instance: MarketInstance) -> Matching:
@@ -286,7 +280,8 @@ def student_proposing_da(instance: MarketInstance) -> Matching:
     Students rejected by all k listed schools stay unmatched.  The output
     is the student-optimal stable matching of the applied-pairs market.
     """
-    return _students_propose(instance, 0)
+    start = np.zeros(instance.n, dtype=np.int64)
+    return _matching(instance, _students_propose(instance, start, np.zeros(instance.n, bool)))
 
 
 def find_blocking_pairs(instance: MarketInstance, matching: Matching) -> list[BlockingPair]:
@@ -313,10 +308,11 @@ def find_blocking_pairs(instance: MarketInstance, matching: Matching) -> list[Bl
     np.maximum.at(worst, partner[matched], place[matched * k + ranks[matched]])
     worst[counts < L] = np.iinfo(place.dtype).max
 
-    prefers = np.arange(k) < ranks[:, None]
-    blocking = np.flatnonzero(prefers & (place.reshape(-1, k) < worst.take(instance.prefs)))
-    unis = instance.prefs.ravel()[blocking]
-    return [BlockingPair(int(s), int(u)) for s, u in zip(blocking // k, unis)]
+    # row r flags ranks below r: only cells where s prefers u to her partner read worst
+    cells = np.flatnonzero(np.tri(k + 1, k, -1, dtype=bool).take(ranks, axis=0))
+    unis = instance.prefs.ravel().take(cells)
+    blocks = place.take(cells) < worst.take(unis)
+    return [BlockingPair(int(s), int(u)) for s, u in zip(cells[blocks] // k, unis[blocks])]
 
 
 def _block_records(instance: MarketInstance, matching: Matching, blocks: int) -> np.ndarray:
@@ -355,4 +351,5 @@ def continue_rejection_chains(
         raise ValueError("plan and instance were built from different configurations")
     holds = np.zeros(instance.n, dtype=bool)
     holds[plan.proposal_student[plan.proposal_accepted & (plan.proposal_student >= 0)]] = True
-    return _students_propose(instance, plan.assigned_rank_counts() - holds, holds)
+    first_rank = plan.assigned_rank_counts() - holds
+    return _matching(instance, _students_propose(instance, first_rank, holds))

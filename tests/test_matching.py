@@ -29,6 +29,7 @@ from admitsim import (
     solve_iid,
     student_proposing_da,
 )
+from admitsim import market
 from admitsim.market import _sample_stack
 from conftest import (
     brute_force_blocking_pairs,
@@ -556,3 +557,22 @@ def test_int32_and_int64_tables_give_one_market_and_int64_results(capacity, m_ra
                         rank_profile(inst, student), reports.witness.tolist()))
     assert results[0] == results[1]
     assert results[0][2] and max(results[0][4]) >= 0  # blocking pairs and a YES verdict
+
+
+def test_int64_ids_give_the_oracles_matchings(rng, monkeypatch):
+    # only markets of 2^31 applications or more keep int64 ids; forced here,
+    # every read of the engine, the holds and the blocking check is int64
+    monkeypatch.setattr(market, "_id_dtype", lambda *sizes: np.dtype(np.int64))
+    seen = set()
+    for cfg in oracle_mix_configs(rng, 150):
+        inst = sample_market(cfg)
+        assert inst.prefs.dtype == inst._uni_place.dtype == inst._uni_order.dtype == np.int64
+        school = school_proposing_da(inst)
+        assert school == school_proposing_oracle(inst) and not find_blocking_pairs(inst, school)
+        assert student_proposing_da(inst) == student_proposing_oracle(inst)
+        seen.add(("market", cfg.capacity))
+    for plan, inst in seeded_oracle_plans(rng, 90):
+        assert plan.proposal_student.dtype == inst.prefs.dtype == np.int64
+        assert continue_rejection_chains(inst, plan) == rejection_chains_oracle(inst, plan)
+        seen.add(("plan", plan.config.capacity))
+    assert seen == {(side, capacity) for side in ("market", "plan") for capacity in (1, 2, 3)}

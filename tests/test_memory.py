@@ -1,10 +1,11 @@
 """Memory: freed heap stays mapped once the CLI module is imported, and only
 then; the CLI's replication stacks stay small, a large market's scratch
-tables are gone before it ranks, and its student side reads the places the
-market keeps."""
+tables are gone before it ranks, and deferred acceptance, the repair and the
+census read the tables the market keeps."""
 
 from __future__ import annotations
 
+import functools
 import os
 import platform
 import subprocess
@@ -53,12 +54,14 @@ print((tracemalloc.get_traced_memory()[1] - start) / 2**20)
 
 
 # Prints the peak traced memory, in MB above the start, of sampling the
-# benchmark's n = 10^5, k = 5 market, of completing its seeded plan and of
-# running student-proposing DA on the sampled market.
+# benchmark's n = 10^5, k = 5 market, of completing its seeded plan, of running
+# DA from either side on the sampled market, of repairing the completed plan
+# by rejection chains and of the census of the sampled market.
 _LARGE = """
 import tracemalloc
 from admitsim import (
-    MarketConfig, SignalSpec, build_seeded_plan, complete_instance, sample_market, solve_iid,
+    MarketConfig, SignalSpec, build_seeded_plan, complete_instance, continue_rejection_chains,
+    extra_stable_partner_reports, sample_market, school_proposing_da, solve_iid,
     student_proposing_da,
 )
 
@@ -67,8 +70,12 @@ plan = build_seeded_plan(solve_iid(config).rank_fractions.fractions, config)
 sample = lambda: sample_market(
     MarketConfig(n=100_000, m_ratio=1.0, k=5, signal=SignalSpec.gaussian(1.0), seed=1)
 )
-market = sample()
-steps = (sample, lambda: complete_instance(plan), lambda: student_proposing_da(market))
+market, seeded = sample(), complete_instance(plan)
+steps = (
+    sample, lambda: complete_instance(plan), lambda: school_proposing_da(market),
+    lambda: student_proposing_da(market), lambda: continue_rejection_chains(seeded, plan),
+    lambda: extra_stable_partner_reports(market),
+)
 for step in steps:
     tracemalloc.start()
     start = tracemalloc.get_traced_memory()[0]
@@ -113,13 +120,29 @@ def test_sweep_stacks_stay_within_the_census_memory_bound(tmp_path):
     assert float(_run(_CLI_PEAK, *argv, "--out", str(tmp_path / "sweep.csv"))) < 4.9
 
 
+@functools.cache
+def _large_peaks() -> dict[str, float]:
+    names = ("sample", "complete", "school", "student", "repair", "census")
+    return dict(zip(names, map(float, _run(_LARGE).split())))
+
+
 def test_large_market_scratch_is_freed_before_ranking():
     # 18.2 MB sampling and 18.0 MB completing with int32 ids; int64 places
     # and order read 24.1 and 23.3 MB, and a scratch table alive as the
     # instance ranks breaks the bound too.
-    # Student-proposing DA takes 13.2 MB reading the instance's int32 places
-    # as its offers; 17.2 MB with int64 places and order
-    sample, complete, student = map(float, _run(_LARGE).split())
-    assert sample <= 19.1
-    assert complete <= 18.9
-    assert student <= 13.9
+    peaks = _large_peaks()
+    assert peaks["sample"] <= 19.1
+    assert peaks["complete"] <= 18.9
+
+
+def test_deferred_acceptance_builds_no_application_sized_map():
+    # Each round reads its receivers and proposers off the market's own
+    # tables: the school side peaks at 9.1 MB, the student side at 8.6, the
+    # repair at 5.6 and the census at 9.9.  Proposer and receiver maps of
+    # all 5 * 10^5 applications, rebuilt per call, read 11.1, 13.2, 11.3
+    # and 13.2 MB.
+    peaks = _large_peaks()
+    assert peaks["school"] <= 10.0
+    assert peaks["student"] <= 9.5
+    assert peaks["repair"] <= 6.2
+    assert peaks["census"] <= 10.9
