@@ -39,6 +39,8 @@ _MAX_SEED = 2**64
 # is faster up to about 34m at m = 50 and past 63m at m = 10^3 (BENCH_20.json).
 _KEY_SORT_RATIO = 32
 
+_CHUNK = 1 << 16  # entries per step of the ranking's and blocking check's loops
+
 # Max attempts to repair a proposal-to-student assignment whose target
 # university already sits on the student's list.
 _SWAP_ATTEMPTS = 200
@@ -375,32 +377,39 @@ def _rank_within_universities(
     grouped by university in preference order, signal down and then
     tiebreak up, exactly as ``np.lexsort((tiebreaks, -signals, uni))``;
     ``offsets`` (int64) delimits the groups; ``place``, the inverse of
-    ``order``, gives each application's index in it.  ``place`` and
-    ``order`` are ids of ``_id_dtype(uni.size, m)``.  An application's 0-based rank
-    at its university is ``place - offsets[uni]``, so two applications to
-    one university compare by place as by rank.  One value sort of packed
-    64-bit keys (university, descending signal bits cut to fit, index)
-    does it: the cut is monotone, so only runs of equal university and cut
-    signal can be out of order, and one lexsort of their members sets them
-    right.
-    NaN signals, or ids too wide to leave a signal bit, take the lexsort.
+    ``order``, gives each application's index in it.  ``place`` and ``order``
+    are ids of ``_id_dtype(uni.size, m)``.  An application's 0-based rank at
+    its university is ``place - offsets[uni]``, so two applications to one
+    university compare by place as by rank.  One value sort of packed 64-bit
+    keys (university, descending signal bits cut to fit, index) does it: the
+    cut is monotone, so only runs of equal university and cut signal can be
+    out of order, and one lexsort of their members sets them right.  The key
+    and the places are built in place by ``_CHUNK`` entries, so no temporary
+    beside the key is N-sized.  NaN signals, or ids too wide to leave a
+    signal bit, take the lexsort.
     """
     dtype = _id_dtype(uni.size, m)
     ub, ib = max(1, (m - 1).bit_length()), max(1, (uni.size - 1).bit_length())
     if ub + ib < 64 and not np.isnan(signals).any():
-        one, key = np.uint64(1), (signals + 0.0).view(np.uint64)  # + 0.0 folds -0.0 into 0.0
-        key ^= ((key >> np.uint64(63)) - one) >> one  # flips nonnegatives: descending order
-        key >>= np.uint64(ub + ib)
-        key |= uni.astype(np.uint64) << np.uint64(64 - ub - ib)
-        key <<= np.uint64(ib)
-        key |= np.arange(uni.size, dtype=np.uint64)
+        one, key = np.uint64(1), np.empty(uni.size, np.uint64)
+        for lo in range(0, max(uni.size, 1), _CHUNK):  # in place; runs once at N = 0
+            part = key[lo : lo + _CHUNK]
+            np.add(signals[lo : lo + _CHUNK], 0.0, out=part.view(np.float64))  # folds -0.0 into 0.0
+            part ^= ((part >> np.uint64(63)) - one) >> one  # flips nonnegatives: descending order
+            part >>= np.uint64(ub + ib)
+            part |= uni[lo : lo + _CHUNK].astype(np.uint64) << np.uint64(64 - ub - ib)
+            part <<= np.uint64(ib)
+            part |= np.arange(lo, lo + part.size, dtype=np.uint64)
+        del part  # a view of the key would keep it alive
         key.sort()
         order = np.bitwise_and(
             key, np.uint64((1 << ib) - 1), out=np.empty(uni.size, dtype), casting="unsafe"
         )
         key >>= np.uint64(ib)  # university and cut signal
-        tie = np.concatenate(([False], key[1:] == key[:-1], [False]))
-        pos = np.flatnonzero(tie[1:] | tie[:-1])
+        tie = np.zeros(uni.size + 1, bool)  # tie[i + 1]: entry i equals entry i + 1
+        np.equal(key[1:], key[:-1], out=tie[1:-1])
+        pos = np.flatnonzero(np.logical_or(tie[:-1], tie[1:], out=tie[:-1]))  # ties either side
+        del tie
         members = order[pos]
         order[pos] = members[np.lexsort((tiebreaks[members], -signals[members], key[pos]))]
         counts = np.bincount(np.right_shift(key, np.uint64(64 - ub - ib), out=key).view(np.int64),
@@ -411,7 +420,8 @@ def _rank_within_universities(
         counts = np.bincount(uni, minlength=m)
     offsets = np.concatenate(([0], np.cumsum(counts)))
     place = np.empty(uni.size, dtype)
-    place[order] = np.arange(uni.size, dtype=dtype)
+    for lo in range(0, uni.size, _CHUNK):  # chunk-sized temporaries, as the key's
+        place[order[lo : lo + _CHUNK]] = np.arange(lo, min(lo + _CHUNK, uni.size), dtype=dtype)
     return place, order, offsets
 
 
@@ -627,8 +637,8 @@ class SeededProposalPlan:
     ``proposal_student`` is -1 for proposals that could not be assigned to
     any eligible student.  ``inconsistent`` flags students whose proposal
     record has a gap: they lack a rank-1 proposal, or their last proposal
-    was rejected before rank k without a follow-up.  ``proposal_uni`` and
-    ``proposal_student`` hold ids of the market's ``_id_dtype``.
+    was rejected before rank k without a follow-up.  Its universities, ranks
+    and students hold ids of the market's ``_id_dtype``.
     """
 
     config: MarketConfig
@@ -687,12 +697,12 @@ def _throw_proposals(
     Rank-1 proposals draw special signals.  Every university labels its
     top-``capacity`` proposals by signal accepted.  Returns (university,
     0-based rank, signal, tiebreak, accepted) per proposal, grouped by rank;
-    the universities are ids of the market's ``_id_dtype``.
+    the universities and ranks are ids of the market's ``_id_dtype``.
     """
     total = int(counts.sum())
     dtype = _id_dtype(config.n * config.k, m)
     uni = rng.integers(0, m, size=total, dtype=np.int64).astype(dtype)  # int64 keeps the stream
-    ranks = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
+    ranks = np.repeat(np.arange(counts.size, dtype=dtype), counts)
     signals = config.signal.draw_batch(ranks == 0, rng)
     tiebreaks = rng.random(total)
     place, _, offsets = _rank_within_universities(uni, signals, tiebreaks, m)
@@ -819,7 +829,7 @@ def _completed_tables(plan: SeededProposalPlan) -> tuple[np.ndarray, np.ndarray,
     dtype = _id_dtype(n * k, m)  # holds every cell id s*k + r and r*n + s below n*k
     assigned = np.flatnonzero(plan.proposal_student >= 0)
     students, universities = plan.proposal_student[assigned], plan.proposal_uni[assigned]
-    ranks = (plan.proposal_rank[assigned] - 1).astype(dtype)
+    ranks = (plan.proposal_rank[assigned] - 1).astype(dtype, copy=False)
     first = plan.assigned_rank_counts()  # every student holds a prefix of ranks
     # each assigned proposal's cell s*k + r; the holes fill the rest
     cells = students * k + ranks

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market import MarketInstance, SeededProposalPlan, _convert, _id_table
+from .market import _CHUNK, MarketInstance, SeededProposalPlan, _convert, _id_table
 
 __all__ = [
     "InvalidMatchingError",
@@ -115,11 +115,11 @@ def match_rank_indices(instance: MarketInstance, matching: Matching) -> np.ndarr
 
 
 def _seats(to: np.ndarray) -> np.ndarray:
-    """Index of each entry of a sorted receiver array within its receiver's run."""
-    ids = np.arange(to.size)
-    opens = np.ones(to.size, dtype=bool)
-    opens[1:] = to[1:] != to[:-1]
-    return ids - np.maximum.accumulate(np.where(opens, ids, 0))
+    """Index of each entry of a sorted receiver array within its run, in ``to``'s dtype."""
+    start = np.arange(to.size, dtype=to.dtype)
+    start[1:] *= to[1:] != to[:-1]  # a run's first index, else 0
+    np.maximum.accumulate(start, out=start)
+    return np.subtract(np.arange(to.size, dtype=to.dtype), start, out=start)
 
 
 def _ids(table: np.ndarray, at: np.ndarray) -> np.ndarray:
@@ -156,7 +156,8 @@ def _deferred_acceptance(
     the least offer id it has seen (one ``minimum.at``); with several seats,
     one sort of holders and newcomers ranks them.  Any proposal order
     reaches the proposer-optimal stable matching (McVitie and Wilson 1971).
-    ``pos``, ``free``, ``held`` change in place; the rest are int64.
+    A round drops each of its arrays once read.  ``pos``, ``held`` (int64)
+    and ``free`` change in place; ``stop`` holds ids or int64.
     """
     k, unis, by_uni = instance.k, instance.prefs.ravel(), instance._uni_order
     lists = instance._uni_place if students else by_uni
@@ -176,8 +177,9 @@ def _deferred_acceptance(
         empty = unis.size
         best = held[:, 0]
         best[best < 0] = empty
-    # latest[v]: index of the last v written; entries matching it pick each v once
-    latest = np.empty(max(free.size, held.shape[0]), dtype=np.int64)
+    if not single or capacity > 1:
+        # latest[v]: index of the last v written; entries matching it pick each v once
+        latest = np.empty(held.shape[0] if single else max(free.size, held.shape[0]), np.int64)
     while active.size:
         if single:
             active = active[pos[active] < stop[active]]
@@ -186,32 +188,36 @@ def _deferred_acceptance(
         else:
             take = np.minimum(free[active], stop[active] - pos[active])
             active, take = active[take > 0], take[take > 0]
-            first = pos[active]
-            pos[active] = first + take
+            pos[active] += take
             free[active] -= take
             ends = np.cumsum(take)
-            at = np.arange(take.sum()) + np.repeat(first - ends + take, take)
+            at = np.arange(take.sum()) + np.repeat(pos[active] - ends, take)
         offers = _ids(lists, at)
+        del active, at
         to = receiver(offers)
         if capacity == 1:
             prior = best[to]
             np.minimum.at(best, to, offers)
             # a kept newcomer lets its receiver's holder go, any other itself
-            let_go = np.where(best[to] == offers, prior, offers)
-            let_go = let_go[let_go != empty]
+            np.putmask(offers, best[to] == offers, prior)
+            let_go = offers[offers != empty]
+            del to, prior, offers
         else:
             # the newcomers and the holders of each receiver they reach, best first
-            ids = np.arange(offers.size)
-            latest[to] = ids
-            holders = held[to[latest[to] == ids]].ravel()
-            cand = np.sort(np.concatenate((offers, holders[holders >= 0])))
+            latest[to] = np.arange(offers.size)
+            holders = held[to[latest[to] == np.arange(offers.size)]].ravel()
+            cand = np.concatenate((offers, holders[holders >= 0]))
+            del offers, holders
+            cand.sort()
             to = receiver(cand)
             seat = _seats(to)
             kept = seat < capacity
             held[to] = -1
             held[to[kept], seat[kept]] = cand[kept]
             let_go = cand[~kept]
+            del to, seat, kept, cand
         active = proposer(let_go)
+        del let_go
         if not single:
             np.add.at(free, active, 1)
             latest[active] = np.arange(active.size)
@@ -257,8 +263,8 @@ def _students_propose(instance: MarketInstance, pos: np.ndarray, holds: np.ndarr
     university, and only the other students with ranks left propose.
     """
     n, m, k = instance.n, instance.m, instance.k
-    pos += np.arange(0, n * k, k)
-    stop = np.arange(k, n * k + 1, k)
+    stop = np.arange(k, n * k + 1, k, dtype=instance.prefs.dtype)  # ids: N fits
+    pos += stop - k
     held = np.full((m, instance.capacity), -1)
     seated = np.sort(instance._uni_place[pos[holds]])
     to = instance.prefs.ravel()[instance._uni_order[seated]]
@@ -266,8 +272,8 @@ def _students_propose(instance: MarketInstance, pos: np.ndarray, holds: np.ndarr
     if seat.max(initial=0) >= instance.capacity:
         raise ValueError("more holds than seats at a university")
     held[to, seat] = seated
-    pos[holds] += 1
     del seated, to, seat  # not alive through the rounds
+    pos[holds] += 1
     free = ~holds  # one slot each
     return instance._uni_order[_deferred_acceptance(
         instance, True, pos, stop, free, held=held, active=np.flatnonzero(free & (pos < stop))
@@ -309,10 +315,13 @@ def find_blocking_pairs(instance: MarketInstance, matching: Matching) -> list[Bl
     worst[counts < L] = np.iinfo(place.dtype).max
 
     # row r flags ranks below r: only cells where s prefers u to her partner read worst
-    cells = np.flatnonzero(np.tri(k + 1, k, -1, dtype=bool).take(ranks, axis=0))
-    unis = instance.prefs.ravel().take(cells)
-    blocks = place.take(cells) < worst.take(unis)
-    return [BlockingPair(int(s), int(u)) for s, u in zip(cells[blocks] // k, unis[blocks])]
+    tri, found = np.tri(k + 1, k, -1, dtype=bool), []
+    for lo in range(0, ranks.size, _CHUNK):  # by students, so the cells' scratch is chunk-sized
+        cells = np.flatnonzero(tri.take(ranks[lo : lo + _CHUNK], axis=0)) + lo * k
+        unis = instance.prefs.ravel().take(cells)
+        blocks = place.take(cells) < worst.take(unis)
+        found += [BlockingPair(int(s), int(u)) for s, u in zip(cells[blocks] // k, unis[blocks])]
+    return found
 
 
 def _block_records(instance: MarketInstance, matching: Matching, blocks: int) -> np.ndarray:
@@ -321,8 +330,9 @@ def _block_records(instance: MarketInstance, matching: Matching, blocks: int) ->
     rank, then its unmatched ones, all from one bincount over block-offset ranks.
     """
     k, n = instance.k, instance.n // blocks
-    # entry k of each block's row counts its unmatched students
-    ranks = match_rank_indices(instance, matching) + (k + 1) * (np.arange(instance.n) // n)
+    ranks = match_rank_indices(instance, matching)
+    if blocks > 1:  # entry k of each block's row counts its unmatched students
+        ranks += (k + 1) * (np.arange(instance.n) // n)
     return np.bincount(ranks, minlength=blocks * (k + 1)).reshape(blocks, k + 1)
 
 

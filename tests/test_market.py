@@ -20,10 +20,14 @@ from admitsim import (
     build_seeded_plan,
     child_seed,
     complete_instance,
+    continue_rejection_chains,
     estimate_acceptance,
+    extra_stable_partner_reports,
+    match_rank_indices,
     sample_market,
     solve_general,
     solve_iid,
+    student_proposing_da,
 )
 from admitsim import market
 from admitsim.market import _rank_within_universities
@@ -605,6 +609,23 @@ class TestRanking:
             # equal tiebreaks too: the lexsort then keeps index order
             assert_ranking_is_lexsort(uni, signals, np.zeros(size), m)
 
+    @pytest.mark.parametrize(
+        "size", [0, 1, *(c * market._CHUNK + d for c in (1, 2) for d in (-1, 0, 1))]
+    )
+    def test_chunk_edges(self, rng, size):
+        # the key and the places are built by chunks: sizes on either side of a
+        # chunk boundary, with exact signal ties (-0.0 beside 0.0 among them)
+        # and with or without tiebreak ties, continuous signals, and NaN
+        # signals, which take the lexsort
+        m = 37
+        uni = rng.integers(0, m, size=size)
+        tied = np.array([0.0, -0.0, 1.5, -2.0])[rng.integers(0, 4, size=size)]
+        for ties in (rng.random(size), rng.integers(0, 3, size=size) / 3.0):
+            assert_ranking_is_lexsort(uni, tied, ties, m)
+        assert_ranking_is_lexsort(uni, rng.standard_normal(size), rng.random(size), m)
+        tied[rng.random(size) < 0.01] = np.nan
+        assert_ranking_is_lexsort(uni, tied, rng.integers(0, 3, size=size) / 3.0, m)
+
     def test_many_universities_and_applications(self, rng):
         # 18 university bits and 20 index bits leave 26 signal bits: 14 bits of
         # mantissa, so near signals at one university share a cut key
@@ -884,6 +905,37 @@ class TestSeededPlan:
         inconsistent = set(np.flatnonzero(plan.inconsistent).tolist())
         # with k > 1, every rejected rank-1 student lacks a follow-up
         assert set(rejected.tolist()) <= inconsistent
+
+    def test_plan_ranks_are_ids_of_unchanged_value(self):
+        # the ranks take the plan's id dtype; a plan with int64 ids, as one
+        # built by hand, completes and repairs to the same instance and
+        # matching, and every result a caller reads stays int64
+        cfg = MarketConfig(n=3000, m_ratio=0.5, capacity=2, k=4, seed=11)
+        plan = build_seeded_plan(solve_iid(cfg).rank_fractions.fractions, cfg)
+        assert plan.proposal_rank.dtype == plan.proposal_uni.dtype == np.int32
+        counts = np.bincount(plan.proposal_rank, minlength=cfg.k + 1)
+        assert counts[0] == 0
+        assert np.array_equal(plan.proposal_rank, np.repeat(np.arange(cfg.k + 1), counts))
+        wide = dataclasses.replace(plan, **{
+            name: getattr(plan, name).astype(np.int64)
+            for name in ("proposal_uni", "proposal_rank", "proposal_student")
+        })
+        seeded = complete_instance(plan)
+        assert complete_instance(wide) == seeded
+        repaired = continue_rejection_chains(seeded, plan)
+        assert continue_rejection_chains(seeded, wide) == repaired
+        assert plan.accepted_partner_array().dtype == repaired.partner.dtype == np.int64
+        assert match_rank_indices(seeded, repaired).dtype == np.int64
+        assert extra_stable_partner_reports(seeded).witness.dtype == np.int64
+
+    def test_plan_without_proposals_completes_and_repairs(self):
+        # a slack of n leaves every rank without proposals, so the throw ranks
+        # none; the completion is a fresh market and the repair plain DA
+        cfg = MarketConfig(n=300, m_ratio=0.5, capacity=2, k=3, seed=2)
+        plan = build_seeded_plan((1.0, 0.0, 0.0), cfg, slack=300.0)
+        assert plan.proposal_uni.size == 0 and plan.inconsistent.all()
+        seeded = complete_instance(plan)
+        assert continue_rejection_chains(seeded, plan) == student_proposing_da(seeded)
 
     def test_accepted_labels_respect_capacity(self, rng):
         for _ in range(20):

@@ -1,7 +1,8 @@
 """Memory: freed heap stays mapped once the CLI module is imported, and only
 then; the CLI's replication stacks stay small, a large market's scratch
-tables are gone before it ranks, and deferred acceptance, the repair and the
-census read the tables the market keeps."""
+tables are gone before it ranks, deferred acceptance, the repair and the
+census read the tables the market keeps and drop each array once read, and a
+large benchmark item's seeded step stays within its bound."""
 
 from __future__ import annotations
 
@@ -56,25 +57,29 @@ print((tracemalloc.get_traced_memory()[1] - start) / 2**20)
 # Prints the peak traced memory, in MB above the start, of sampling the
 # benchmark's n = 10^5, k = 5 market, of completing its seeded plan, of running
 # DA from either side on the sampled market, of repairing the completed plan
-# by rejection chains and of the census of the sampled market.
+# by rejection chains, of the census of the sampled market, of building the
+# seeded plan and of checking the school-optimal matching for blocking pairs.
 _LARGE = """
 import tracemalloc
 from admitsim import (
     MarketConfig, SignalSpec, build_seeded_plan, complete_instance, continue_rejection_chains,
-    extra_stable_partner_reports, sample_market, school_proposing_da, solve_iid,
-    student_proposing_da,
+    extra_stable_partner_reports, find_blocking_pairs, sample_market, school_proposing_da,
+    solve_iid, student_proposing_da,
 )
 
 config = MarketConfig(n=100_000, m_ratio=0.5, capacity=2, k=5, seed=1)
-plan = build_seeded_plan(solve_iid(config).rank_fractions.fractions, config)
+fractions = solve_iid(config).rank_fractions.fractions
+plan = build_seeded_plan(fractions, config)
 sample = lambda: sample_market(
     MarketConfig(n=100_000, m_ratio=1.0, k=5, signal=SignalSpec.gaussian(1.0), seed=1)
 )
 market, seeded = sample(), complete_instance(plan)
+school = school_proposing_da(market)
 steps = (
     sample, lambda: complete_instance(plan), lambda: school_proposing_da(market),
     lambda: student_proposing_da(market), lambda: continue_rejection_chains(seeded, plan),
-    lambda: extra_stable_partner_reports(market),
+    lambda: extra_stable_partner_reports(market), lambda: build_seeded_plan(fractions, config),
+    lambda: find_blocking_pairs(market, school),
 )
 for step in steps:
     tracemalloc.start()
@@ -83,6 +88,36 @@ for step in steps:
     print((tracemalloc.get_traced_memory()[1] - start) / 1e6)
     del instance
     tracemalloc.stop()
+"""
+
+
+# Prints the peak traced memory, in MB above the start, of the seeded step of
+# one large_n1e5 benchmark item (its first, at root seed 8675309), run as the
+# benchmark runs it: after the DA step, whose outputs stay alive through it.
+_ITEM = """
+import tracemalloc
+from admitsim import (
+    MarketConfig, SignalSpec, build_seeded_plan, child_seed, compare_matchings,
+    complete_instance, continue_rejection_chains, find_blocking_pairs, make_record,
+    sample_market, school_proposing_da, solve_iid, student_proposing_da,
+)
+
+seed = child_seed(8675309, 0)
+tracemalloc.start()
+start = tracemalloc.get_traced_memory()[0]
+market = sample_market(
+    MarketConfig(n=100_000, m_ratio=1.0, k=5, signal=SignalSpec.gaussian(1.0), seed=seed)
+)
+school, student = school_proposing_da(market), student_proposing_da(market)
+da = (market, school, student, find_blocking_pairs(market, school),
+      find_blocking_pairs(market, student), make_record(market, school),
+      compare_matchings(school, student))
+tracemalloc.reset_peak()
+config = MarketConfig(n=100_000, m_ratio=0.5, capacity=2, k=5, seed=seed)
+plan = build_seeded_plan(solve_iid(config).rank_fractions.fractions, config)
+seeded = complete_instance(plan)
+repaired = continue_rejection_chains(seeded, plan)
+print((tracemalloc.get_traced_memory()[1] - start) / 1e6)
 """
 
 
@@ -122,27 +157,46 @@ def test_sweep_stacks_stay_within_the_census_memory_bound(tmp_path):
 
 @functools.cache
 def _large_peaks() -> dict[str, float]:
-    names = ("sample", "complete", "school", "student", "repair", "census")
+    names = ("sample", "complete", "school", "student", "repair", "census", "plan", "blocking")
     return dict(zip(names, map(float, _run(_LARGE).split())))
 
 
 def test_large_market_scratch_is_freed_before_ranking():
-    # 18.2 MB sampling and 18.0 MB completing with int32 ids; int64 places
-    # and order read 24.1 and 23.3 MB, and a scratch table alive as the
-    # instance ranks breaks the bound too.
+    # 16.8 MB sampling and 16.5 MB completing, where the ranking builds its
+    # key and places in place by chunks; 18.2 and 18.0 MB with N-sized
+    # temporaries beside the key, 24.1 and 23.3 MB with int64 places and
+    # order, and a scratch table alive as the instance ranks breaks the
+    # bound too.
     peaks = _large_peaks()
-    assert peaks["sample"] <= 19.1
-    assert peaks["complete"] <= 18.9
+    assert peaks["sample"] <= 17.6
+    assert peaks["complete"] <= 17.3
 
 
 def test_deferred_acceptance_builds_no_application_sized_map():
     # Each round reads its receivers and proposers off the market's own
-    # tables: the school side peaks at 9.1 MB, the student side at 8.6, the
-    # repair at 5.6 and the census at 9.9.  Proposer and receiver maps of
-    # all 5 * 10^5 applications, rebuilt per call, read 11.1, 13.2, 11.3
-    # and 13.2 MB.
+    # tables and drops each of its arrays once read: the school side peaks
+    # at 6.5 MB, the student side at 5.5, the repair at 3.6 and the census
+    # at 7.3.  Rounds that keep their arrays until the next round read 9.1,
+    # 8.6, 5.6 and 9.9 MB; proposer and receiver maps of all 5 * 10^5
+    # applications, rebuilt per call, 11.1, 13.2, 11.3 and 13.2 MB.
     peaks = _large_peaks()
-    assert peaks["school"] <= 10.0
-    assert peaks["student"] <= 9.5
-    assert peaks["repair"] <= 6.2
-    assert peaks["census"] <= 10.9
+    assert peaks["school"] <= 7.0
+    assert peaks["student"] <= 5.9
+    assert peaks["repair"] <= 3.9
+    assert peaks["census"] <= 7.8
+
+
+def test_plan_and_blocking_check_keep_their_scratch_small():
+    # 13.3 MB building the plan, with its ranks in the id dtype, and 5.1 MB
+    # checking for blocking pairs by chunks of students; 14.1 MB with int64
+    # ranks and 6.4 MB with every student's cells at once.
+    peaks = _large_peaks()
+    assert peaks["plan"] <= 14.0
+    assert peaks["blocking"] <= 5.5
+
+
+def test_benchmark_item_peaks_in_the_seeded_step_within_its_bound():
+    # 40.7 MB above the item's start, the DA step's 16.4 MB of outputs among
+    # them; 43.3 MB with the repair's, the rounds' and the ranking's spare
+    # transients.
+    assert float(_run(_ITEM)) <= 42.5
