@@ -1,86 +1,22 @@
-"""Simulation and analytic solvers for admission markets with noisy signals."""
+"""Simulation and analytic solvers for admission markets with noisy signals.
 
-from .analytics import (
-    ExperimentRecord,
-    UtilityModel,
-    compare_matchings,
-    make_record,
-    write_records_csv,
-)
-from .fixed_point import (
-    AcceptanceEstimate,
-    ConvergenceError,
-    RankVector,
-    SolverResult,
-    estimate_acceptance,
-    expected_accepted_mass,
-    solve_general,
-    solve_iid,
-)
-from .market import (
-    ConfigurationError,
-    MarketConfig,
-    MarketInstance,
-    SeededProposalPlan,
-    SignalSpec,
-    build_seeded_plan,
-    child_seed,
-    complete_instance,
-    sample_market,
-)
-from .matching import (
-    BlockingPair,
-    InvalidMatchingError,
-    Matching,
-    RankProfile,
-    continue_rejection_chains,
-    find_blocking_pairs,
-    match_rank_indices,
-    rank_profile,
-    school_proposing_da,
-    student_proposing_da,
-)
-from .stable_partners import (
-    StablePartnerReports,
-    extra_stable_partner_reports,
-)
+Each public name is declared once, in its module's ``__all__``; the package
+re-exports them all.
+"""
+
+from . import analytics, fixed_point, market, matching, stable_partners
+from .analytics import *  # noqa: F403
+from .fixed_point import *  # noqa: F403
+from .market import *  # noqa: F403
+from .matching import *  # noqa: F403
+from .stable_partners import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AcceptanceEstimate",
-    "BlockingPair",
-    "ConfigurationError",
-    "ConvergenceError",
-    "ExperimentRecord",
-    "InvalidMatchingError",
-    "MarketConfig",
-    "MarketInstance",
-    "Matching",
-    "RankProfile",
-    "RankVector",
-    "SeededProposalPlan",
-    "SignalSpec",
-    "SolverResult",
-    "StablePartnerReports",
-    "UtilityModel",
-    "build_seeded_plan",
-    "child_seed",
-    "compare_matchings",
-    "complete_instance",
-    "continue_rejection_chains",
-    "estimate_acceptance",
-    "expected_accepted_mass",
-    "extra_stable_partner_reports",
-    "find_blocking_pairs",
-    "make_record",
-    "match_rank_indices",
-    "rank_profile",
-    "sample_market",
-    "school_proposing_da",
-    "solve_general",
-    "solve_iid",
-    "student_proposing_da",
-    "write_records_csv",
+    *analytics.__all__,
+    *fixed_point.__all__,
+    *market.__all__,
+    *matching.__all__,
+    *stable_partners.__all__,
 ]
-

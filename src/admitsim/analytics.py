@@ -21,7 +21,6 @@ __all__ = [
     "ExperimentRecord",
     "compare_matchings",
     "make_record",
-    "format_number",
     "write_records_csv",
 ]
 
@@ -59,12 +58,11 @@ class UtilityModel:
 
 def _utility_totals(
     counts: np.ndarray, model: UtilityModel | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(student, university, synergy) total columns of a (markets, k) table of
-    students matched per rank: a match at rank r gives base(r), plus the bonus at
-    r = 1, and synergy counts the rank-1 matches.  Every row is summed rank by
-    rank, left to right, then given its bonus, so its totals do not depend on
-    the rows summed with it."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """(student, university) total columns of a (markets, k) table of students
+    matched per rank: a match at rank r gives base(r), plus the bonus at r = 1.
+    Every row is summed rank by rank, left to right, then given its bonus, so
+    its totals do not depend on the rows summed with it."""
     if model is None:
         model = UtilityModel()
     k = counts.shape[1]
@@ -79,14 +77,13 @@ def _utility_totals(
     if any(b > a + 1e-12 for a, b in zip(base_values, base_values[1:])):
         raise ValueError("base utility must be nonincreasing in rank")
     uni_bonus = model.bonus if model.university_bonus is None else model.university_bonus
-    synergy = counts[:, 0]
     totals = []
     for values, bonus in ((base_values, model.bonus), (uni_values, uni_bonus)):
         total = np.zeros(len(counts))
         for rank, value in enumerate(values):
             total += counts[:, rank] * float(value)
-        totals.append(total + float(bonus) * synergy)
-    return (*totals, synergy)
+        totals.append(total + float(bonus) * counts[:, 0])
+    return totals[0], totals[1]
 
 
 def compare_matchings(first: Matching, second: Matching) -> float:
@@ -103,6 +100,8 @@ class ExperimentRecord:
     """One simulated market reduced to its summary statistics.
 
     ``delta`` is the signal shift, or None for custom signal samplers.
+    ``synergy`` counts the matches with a student's favorite school, that is,
+    the rank-1 matches.
     """
 
     k: int
@@ -113,19 +112,20 @@ class ExperimentRecord:
     capacity: int
     rank_counts: tuple[int, ...]
     unmatched: int
-    synergy: int
     student_utility: float
     university_utility: float
 
     def __post_init__(self) -> None:
         if sum(self.rank_counts) + self.unmatched != self.n:
             raise ValueError("rank counts plus unmatched must equal n")
-        if self.synergy > (self.rank_counts[0] if self.rank_counts else 0):
-            raise ValueError("synergy cannot exceed the rank-1 count")
 
     @property
     def matched(self) -> int:
         return self.n - self.unmatched
+
+    @property
+    def synergy(self) -> int:
+        return self.rank_counts[0] if self.rank_counts else 0
 
 
 def make_record(
@@ -141,14 +141,15 @@ def make_record(
         raise ValueError(f"seed {seed!r} is not the market's seed {config.seed}")
     counts = _block_records(instance, matching, 1)
     *ranks, unmatched = counts[0].tolist()
-    student, university, synergy = (t.item() for t in _utility_totals(counts[:, :-1], model))
+    student, university = (t.item() for t in _utility_totals(counts[:, :-1], model))
     return ExperimentRecord(config.k, config.signal.delta_tag, config.seed, config.n, config.m,
-                            config.capacity, tuple(ranks), unmatched, synergy, student, university)
+                            config.capacity, tuple(ranks), unmatched, student, university)
 
 
 class _RecordTable(NamedTuple):
     """Records as 1-D arrays: entry i of every array is record i's field of the
-    same name, and ``rank_counts`` holds one array per rank, 0 past a record's own.
+    same name, and ``rank_counts`` holds one array per rank, 0 past a record's own;
+    the synergy column is the rank-1 one.
     """
 
     k: np.ndarray
@@ -159,7 +160,6 @@ class _RecordTable(NamedTuple):
     capacity: np.ndarray
     rank_counts: tuple[np.ndarray, ...]
     unmatched: np.ndarray
-    synergy: np.ndarray
     student_utility: np.ndarray
     university_utility: np.ndarray
 
@@ -183,10 +183,11 @@ class _RecordTable(NamedTuple):
 
     def columns(self, width: int) -> list[np.ndarray]:
         """The columns in ``_FIELDS`` order, ranks padded to ``width``."""
-        padding = (np.zeros(len(self.k), dtype=np.int64),) * (width - len(self.rank_counts))
+        zero = np.zeros(len(self.k), dtype=np.int64)
+        ranks = [*self.rank_counts, *(zero,) * (width - len(self.rank_counts))]
         return [
             self.k, self.delta, self.seed, self.n, self.m, self.capacity, self.matched,
-            *self.rank_counts, *padding, self.unmatched, self.synergy,
+            *ranks, self.unmatched, (ranks or [zero])[0],
             self.student_utility, self.university_utility,
         ]
 
@@ -200,11 +201,11 @@ def _record_table(
     Rank columns past a row's k hold 0, which adds 0 to its utilities.
     """
     width, reps = counts.shape[1] - 1, len(counts) // len(cells)
-    student, university, synergy = _utility_totals(counts[:, :width], None)
+    student, university = _utility_totals(counts[:, :width], None)
     k, delta, n, m, capacity = (np.repeat(field, reps) for field in zip(
         *((c.k, c.signal.delta_tag, c.n, c.m, c.capacity) for c in cells)))
     return _RecordTable(k, delta, seeds, n, m, capacity, tuple(counts[:, :width].T),
-                        counts[:, width], synergy, student, university)
+                        counts[:, width], student, university)
 
 
 def format_number(value: float | int | None) -> str:
@@ -222,8 +223,8 @@ _FIELDS = ("k", "delta", "seed", "n", "m", "l", "matched", "rank_counts",
 _RANKS = _FIELDS.index("rank_counts")
 
 
-def _records_header(k_max: int) -> list[str]:
-    ranks = [f"rank{i}" for i in range(1, k_max + 1)]
+def _records_header(width: int) -> list[str]:
+    ranks = [f"rank{i}" for i in range(1, width + 1)]
     return [*_FIELDS[:_RANKS], *ranks, *_FIELDS[_RANKS + 1 :]]
 
 
@@ -241,24 +242,22 @@ def _text_column(column: np.ndarray) -> tuple[str, list[Any]]:
 def write_records_csv(
     records: Sequence[ExperimentRecord] | Iterable[ExperimentRecord] | _RecordTable,
     target: Path | str | io.TextIOBase,
-    k_max: int | None = None,
 ) -> None:
-    """Write records with the fixed header; rank columns padded to k_max
-    (default: the widest k).
+    """Write records with the fixed header; rank columns padded to the
+    records' widest k.
 
     ``records`` may also be a ``_RecordTable``, which is written column by
     column as the records it holds would be.  Raises ValueError, writing
-    nothing, when a record has more rank columns than ``k_max``.
+    nothing, when a record has more rank columns than that width.
     """
     table = _RecordTable.gather(records)
-    if k_max is None:
-        k_max = _convert(int, "k", max(table.k.tolist(), default=1), ValueError)
-    if len(table.rank_counts) > k_max:
+    width = _convert(int, "k", max(table.k.tolist(), default=1), ValueError)
+    if len(table.rank_counts) > width:
         raise ValueError(
-            f"k_max = {k_max} is below a record's {len(table.rank_counts)} rank columns"
+            f"the widest k = {width} is below a record's {len(table.rank_counts)} rank columns"
         )
-    specs, values = zip(*map(_text_column, table.columns(k_max)))
-    lines = [",".join(_records_header(k_max)), *map(",".join(specs).format, *values)]
+    specs, values = zip(*map(_text_column, table.columns(width)))
+    lines = [",".join(_records_header(width)), *map(",".join(specs).format, *values)]
     text = "\n".join(lines) + "\n"
     if isinstance(target, (str, Path)):
         Path(target).write_text(text, encoding="utf-8")

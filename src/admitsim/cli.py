@@ -207,7 +207,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.format == "json":
         _write(args.out, _records_json(table))
     else:
-        _write(args.out, partial(write_records_csv, table, k_max=config.k))
+        _write(args.out, partial(write_records_csv, table))
     return 0
 
 
@@ -249,7 +249,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
              for delta in deltas for k in k_values]
     table = _records(cells, reps)
     # (reps, cells, 5): each cell reduced over its replications in order, as alone
-    stats = np.stack([table.matched, table.rank_counts[0], table.synergy,
+    stats = np.stack([table.matched, table.rank_counts[0], table.rank_counts[0],
                       table.student_utility, table.university_utility], axis=-1)
     stats = np.ascontiguousarray(stats.reshape(len(cells), reps, 5).swapaxes(0, 1))
     means = stats.mean(axis=0)
@@ -266,8 +266,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                                   .reshape(len(cells), 10).tolist())
     ]
     # write_records_csv gets the path, which benchmarks/spans.py sizes
-    _write(args.out, partial(write_records_csv, table, k_max=max(k_values)),
-           "\n".join(summary) + "\n")
+    _write(args.out, partial(write_records_csv, table), "\n".join(summary) + "\n")
     return 0
 
 
@@ -276,8 +275,9 @@ def _cmd_stable_partners(args: argparse.Namespace) -> int:
     lines = ["rep,seed,university,verdict,witness"]
     summary = ["rep,seed,yes_fraction"]
     n, m = config.n, config.m
-    rows_no = [f"{u},NO,NULL" for u in range(m)]
     for first, seeds, stack in _replications(config, *_streams(config.seed, args.reps)):
+        # after the stack, so a market too large to allocate fails before m rows are made
+        rows_no = [f"{u},NO,NULL" for u in range(m)]
         reports = extra_stable_partner_reports(stack)
         # the YES verdicts by stack id: block b's universities start at b * m,
         # its students (the witnesses) at b * n
@@ -394,8 +394,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigurationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, MemoryError) as exc:  # a market too large to allocate fails here
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

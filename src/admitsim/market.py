@@ -593,8 +593,8 @@ def _sample_stack(
 
     ``shifts`` holds one Gaussian shift per block (default: every block
     ``config.signal.delta``), so that blocks of any shift share a stack.
-    Each run of blocks with one non-zero shift gets it added at once,
-    exactly as ``draw_batch`` adds it; the other blocks get nothing added.
+    Each block's non-zero shift is added to its rank-1 column, the favorite
+    schools, in one indexed add, as ``draw_batch`` adds it there.
     """
     rngs = [np.random.default_rng(seed) for seed in seeds]
     n, m, k, signal = config.n, config.m, config.k, config.signal
@@ -617,10 +617,8 @@ def _sample_stack(
         prefs = _fill_distinct(_codes(lists, m), dtype)
     del lists  # before the instance ranks
     shifts = np.full(len(rngs), signal.delta) if shifts is None else np.asarray(shifts, float)
-    cuts = [0, *(np.flatnonzero(np.diff(shifts)) + 1).tolist(), len(rngs)]
-    for lo, hi in zip(cuts, cuts[1:]):
-        if shifts[lo] != 0.0:
-            signals[lo:hi] += float(shifts[lo]) * special  # what draw_batch adds
+    shifted = np.flatnonzero(shifts)
+    signals[shifted, :, 0] += shifts[shifted, None]
     prefs += (m * np.arange(len(rngs), dtype=dtype))[:, None, None]
     return MarketInstance(
         replace(config, n=len(rngs) * n), prefs.reshape(-1, k),
@@ -635,10 +633,8 @@ class SeededProposalPlan:
     A plan holds what ``complete_instance`` and ``continue_rejection_chains``
     read; the fractions and slack that sized it are not kept.
     ``proposal_student`` is -1 for proposals that could not be assigned to
-    any eligible student.  ``inconsistent`` flags students whose proposal
-    record has a gap: they lack a rank-1 proposal, or their last proposal
-    was rejected before rank k without a follow-up.  Its universities, ranks
-    and students hold ids of the market's ``_id_dtype``.
+    any eligible student.  Its universities, ranks and students hold ids of
+    the market's ``_id_dtype``.
     """
 
     config: MarketConfig
@@ -648,7 +644,13 @@ class SeededProposalPlan:
     proposal_tiebreak: np.ndarray
     proposal_accepted: np.ndarray
     proposal_student: np.ndarray
-    inconsistent: np.ndarray  # (n,) bool
+
+    @property
+    def inconsistent(self) -> np.ndarray:
+        """(n,) bool: the students whose proposal record has a gap, read off the
+        proposals: none of a student's was accepted, and fewer than k ranks were
+        assigned (no rank-1 proposal, or a rejected last one without a follow-up)."""
+        return (self.accepted_partner_array() < 0) & (self.assigned_rank_counts() < self.config.k)
 
     def accepted_partner_array(self) -> np.ndarray:
         """Student -> university map following the accepted proposals."""
@@ -722,7 +724,7 @@ def build_seeded_plan(
     university labels its top-``capacity`` proposals by signal "accepted".
     Rank-1 proposals are assigned to random students; rank-i proposals go
     to students whose rank-(i-1) proposal was rejected.  Students left
-    without a follow-up proposal are flagged inconsistent.
+    without a follow-up proposal are the plan's ``inconsistent`` ones.
 
     When a rank has more proposals than eligible students, accepted
     proposals are assigned first and the surplus stays unassigned; this
@@ -742,7 +744,6 @@ def build_seeded_plan(
     prop_rank += 1
 
     prop_student = np.full(prop_uni.size, -1, dtype=prop_uni.dtype)
-    inconsistent = np.zeros(n, dtype=bool)
     held = np.full((n, k), -1, prop_uni.dtype)  # university of each student's rank-r proposal
 
     offsets = np.concatenate(([0], np.cumsum(counts)))
@@ -752,7 +753,6 @@ def build_seeded_plan(
         if eligible.size >= props.size:
             perm = rng.permutation(eligible.size)
             students = eligible[perm[: props.size]]
-            inconsistent[eligible[perm[props.size:]]] = True
         else:
             acc = props[accepted[props]]
             rej = props[~accepted[props]]
@@ -781,14 +781,13 @@ def build_seeded_plan(
                     break
             else:
                 students[idx] = -1
-                inconsistent[s] = True
 
         kept = students >= 0
         prop_student[props[kept]] = students[kept]
         held[students[kept], i] = targets[kept]
         eligible = np.sort(students[kept & ~accepted[props]])
 
-    for arr in (prop_uni, prop_rank, prop_signal, prop_tiebreak, accepted, prop_student, inconsistent):
+    for arr in (prop_uni, prop_rank, prop_signal, prop_tiebreak, accepted, prop_student):
         arr.setflags(write=False)
     return SeededProposalPlan(
         config=config,
@@ -798,7 +797,6 @@ def build_seeded_plan(
         proposal_tiebreak=prop_tiebreak,
         proposal_accepted=accepted,
         proposal_student=prop_student,
-        inconsistent=inconsistent,
     )
 
 

@@ -253,7 +253,6 @@ def seeded_plan_oracle(
     prop_rank += 1
 
     prop_student = np.full(prop_uni.size, -1, dtype=prop_uni.dtype)  # the market's id dtype
-    inconsistent = np.zeros(n, dtype=bool)
     listed: list[set[int]] = [set() for _ in range(n)]
 
     offsets = np.concatenate(([0], np.cumsum(counts)))
@@ -263,7 +262,6 @@ def seeded_plan_oracle(
         if eligible.size >= props.size:
             perm = rng.permutation(eligible.size)
             chosen = eligible[perm[: props.size]]
-            inconsistent[eligible[perm[props.size:]]] = True
         else:
             acc = props[accepted[props]]
             rej = props[~accepted[props]]
@@ -290,7 +288,6 @@ def seeded_plan_oracle(
                     break
             else:
                 pair_students[idx] = -1
-                inconsistent[s] = True
                 dropped.add(idx)
         # a pair whose student is valid keeps one
         assert {i for i, s in enumerate(pair_students) if s < 0} == dropped
@@ -315,7 +312,6 @@ def seeded_plan_oracle(
         proposal_tiebreak=prop_tiebreak,
         proposal_accepted=accepted,
         proposal_student=prop_student,
-        inconsistent=inconsistent,
     )
 
 
@@ -424,7 +420,8 @@ def rejection_chains_oracle(instance: MarketInstance, plan: SeededProposalPlan) 
 
     One pass over the plan's proposals: every assigned proposal moves its
     student's pointer past its rank, and an accepted one seats her in its
-    university's heap.  Then the inconsistent students are queued.
+    university's heap.  Then every student left unseated with ranks still to
+    propose is queued, in id order.
     """
     n, m = instance.n, instance.m
     ranks = university_ranks(instance)
@@ -442,7 +439,7 @@ def rejection_chains_oracle(instance: MarketInstance, plan: SeededProposalPlan) 
             partner[s] = u
             heapq.heappush(heaps[u], (-ranks[s][rank - 1], s))
             filled[u] += 1
-    queue = deque(int(s) for s in np.flatnonzero(plan.inconsistent))
+    queue = deque(s for s in range(n) if partner[s] < 0 and pointer[s] < instance.k)
     _run_student_proposals_oracle(instance, ranks, partner, pointer, heaps, filled, queue)
     return Matching(partner, m)
 

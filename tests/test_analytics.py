@@ -94,9 +94,9 @@ class TestUtilities:
                 total += count * value
             return total + bonus * row[0]
 
-        expected = [(row_sum(row, base, model.bonus), row_sum(row, uni, uni_bonus), row[0])
+        expected = [(row_sum(row, base, model.bonus), row_sum(row, uni, uni_bonus))
                     for row in counts.tolist()]
-        # the three total columns, row by row; repr tells -0.0 from 0.0, which == does not
+        # the two total columns, row by row; repr tells -0.0 from 0.0, which == does not
         columns = [column.tolist() for column in _utility_totals(counts, model)]
         assert repr(list(zip(*columns))) == repr(expected)
 
@@ -111,7 +111,7 @@ class TestUtilities:
         ]
         counts = np.array([(*r.rank_counts, *[0] * (5 - r.k)) for r in records])
         columns = [column.tolist() for column in _utility_totals(counts, model)]
-        assert [(r.student_utility, r.university_utility, r.synergy) for r in records] == list(
+        assert [(r.student_utility, r.university_utility) for r in records] == list(
             zip(*columns))
 
     def test_increasing_base_rejected(self):
@@ -189,28 +189,32 @@ class TestRecords:
         assert fields[2] == "3"
 
     def test_rank_padding(self):
-        inst = sample_market(MarketConfig(n=3, m_ratio=1.0, k=2, seed=3))
-        record = make_record(inst, school_proposing_da(inst))
+        # rank columns pad to the widest k, a narrower record's with zeros
+        records = [make_record(inst, school_proposing_da(inst)) for inst in (
+            sample_market(MarketConfig(n=3, m_ratio=1.0, k=k, seed=3)) for k in (2, 3))]
         buf = io.StringIO()
-        write_records_csv([record], buf, k_max=4)
-        header = buf.getvalue().split("\n")[0]
-        assert header.split(",")[7:11] == ["rank1", "rank2", "rank3", "rank4"]
+        write_records_csv(records, buf)
+        header, narrow, wide = (line.split(",") for line in buf.getvalue().splitlines())
+        assert header[7:10] == ["rank1", "rank2", "rank3"]
+        assert narrow[7:10] == [str(v) for v in (*records[0].rank_counts, 0)]
+        assert wide[7:10] == [str(v) for v in records[1].rank_counts]
 
-    def test_k_max_below_a_record_k_is_refused(self, tmp_path):
-        inst = sample_market(MarketConfig(n=20, m_ratio=1.0, k=5, seed=3))
-        record = make_record(inst, school_proposing_da(inst))
+    def test_rank_columns_past_the_widest_k_are_refused(self, tmp_path):
+        record = ExperimentRecord(k=3, delta=0.0, seed=1, n=5, m=5, capacity=1,
+                                  rank_counts=(1,) * 5, unmatched=0, student_utility=6.0,
+                                  university_utility=6.0)
         out = tmp_path / "records.csv"
-        with pytest.raises(ValueError, match="k_max = 3"):
-            write_records_csv([record], out, k_max=3)
+        with pytest.raises(ValueError, match="^the widest k = 3 is below a record's 5 rank"):
+            write_records_csv([record], out)
         assert not out.exists()
 
-    def test_default_k_max_is_the_widest_integral_k(self):
+    def test_width_is_the_widest_integral_k(self):
         base = dict(delta=0.0, seed=1, n=3, m=3, capacity=1, rank_counts=(2, 1), unmatched=0,
-                    synergy=2, student_utility=5.0, university_utility=5.0)
+                    student_utility=5.0, university_utility=5.0)
         texts = []
-        for k_max in (None, 2):
+        for k in (2.0, 2):
             buf = io.StringIO()
-            write_records_csv([ExperimentRecord(k=2.0, **base)], buf, k_max=k_max)
+            write_records_csv([ExperimentRecord(k=k, **base)], buf)
             texts.append(buf.getvalue())
         assert texts[0] == texts[1]
         with pytest.raises(ValueError, match="^k must be an integer, got 2.5$"):
@@ -218,7 +222,7 @@ class TestRecords:
 
     def test_fields_of_other_types_print_as_format_number_prints_them(self):
         base = dict(k=2, delta=1.0, seed=2**64 - 1, n=3, m=3, capacity=1, rank_counts=(2, 1),
-                    unmatched=0, synergy=2, student_utility=5.0, university_utility=5.5)
+                    unmatched=0, student_utility=5.0, university_utility=5.5)
         records = [
             ExperimentRecord(**base),
             ExperimentRecord(**{**base, "delta": None, "student_utility": 1234567.0}),
@@ -227,10 +231,10 @@ class TestRecords:
             ExperimentRecord(**{**base, "k": 2.0, "n": 3.0, "student_utility": 4}),
         ]
         buf = io.StringIO()
-        write_records_csv(records, buf, k_max=3)
+        write_records_csv(records, buf)
         expected = [
             ",".join(format_number(v) for v in (
-                r.k, r.delta, r.seed, r.n, r.m, r.capacity, r.matched, *r.rank_counts, 0,
+                r.k, r.delta, r.seed, r.n, r.m, r.capacity, r.matched, *r.rank_counts,
                 r.unmatched, r.synergy, r.student_utility, r.university_utility))
             for r in records
         ]
@@ -255,19 +259,20 @@ class TestRecords:
         inst = sample_market(MarketConfig(n=10, m_ratio=1.0, k=3, seed=8))
         record = make_record(inst, school_proposing_da(inst))
         assert sum(record.rank_counts) + record.unmatched == record.n
-        assert record.synergy <= record.rank_counts[0]
+        # synergy, a match with the favorite school, is the rank-1 count
+        assert record.synergy == record.rank_counts[0]
+        empty = ExperimentRecord(k=1, delta=0.0, seed=1, n=3, m=3, capacity=1, rank_counts=(),
+                                 unmatched=3, student_utility=0.0, university_utility=0.0)
+        assert empty.synergy == 0
 
     @pytest.mark.parametrize(
         "fields,message",
         [({"unmatched": 1}, "rank counts plus unmatched must equal n"),
-         ({"rank_counts": (1, 2), "unmatched": 1}, "rank counts plus unmatched must equal n"),
-         ({"synergy": 3}, "synergy cannot exceed the rank-1 count"),
-         ({"rank_counts": (), "unmatched": 3, "synergy": 1},
-          "synergy cannot exceed the rank-1 count")],
+         ({"rank_counts": (1, 2), "unmatched": 1}, "rank counts plus unmatched must equal n")],
     )
     def test_records_breaking_an_invariant_are_refused(self, fields, message):
         base = dict(k=2, delta=0.0, seed=1, n=3, m=3, capacity=1, rank_counts=(2, 1),
-                    unmatched=0, synergy=2, student_utility=5.0, university_utility=5.0)
+                    unmatched=0, student_utility=5.0, university_utility=5.0)
         with pytest.raises(ValueError, match=f"^{message}$"):
             ExperimentRecord(**{**base, **fields})
 

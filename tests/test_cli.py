@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -652,7 +653,7 @@ class TestOneReplicationAtATime:
             for delta in (0.0, 1.5) for k in (2, 5) for _ in range(3)
         ]
         expected = io.StringIO()
-        write_records_csv(self.records(9, configs), expected, k_max=5)
+        write_records_csv(self.records(9, configs), expected)
         assert out.read_text() == expected.getvalue()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -666,7 +667,7 @@ class TestOneReplicationAtATime:
             expected = _records_json(records)
         else:
             buf = io.StringIO()
-            write_records_csv(records, buf, k_max=3)
+            write_records_csv(records, buf)
             expected = buf.getvalue()
         assert code == 0 and out == expected
 
@@ -719,3 +720,34 @@ class TestEntryPoint:
         proc = subprocess.run(argv, capture_output=True, text=True, env=_source_env())
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.startswith("error:") and "capactiy" in proc.stderr
+
+
+def _cap_address_space() -> None:
+    """Cap the child's address space at 4 GiB, so that a huge table fails to allocate."""
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (4 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="the address-space cap that makes the allocation fail is Linux's")
+class TestHugeMarkets:
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--n", str(10**12)],
+        ["simulate", "--n", "10", "--reps", str(10**12)],
+        ["compare", "--n", str(10**12)],
+        ["stable-partners", "--n", str(10**12)],
+    ])
+    def test_a_market_too_large_to_allocate_ends_with_one_line(self, argv):
+        # the first table that does not fit is the size check: no traceback,
+        # and no per-university loop runs before it
+        env = dict(_source_env(), OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1")
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "admitsim", *argv], capture_output=True,
+                              text=True, env=env, preexec_fn=_cap_address_space, timeout=60)
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+        assert elapsed < 1.0, elapsed

@@ -187,7 +187,7 @@ def seeded_oracle_plans(rng, count, capacity=None):
 class TestEngineAgainstOracles:
     @pytest.mark.parametrize("name", [
         "uni_rank", "_uni_place", "_uni_order", "_uni_offsets", "_rank_within_universities",
-        "accepted_partner_array", "assigned_rank_counts",
+        "accepted_partner_array", "assigned_rank_counts", "inconsistent",
     ])
     def test_oracles_read_no_state_the_package_derived(self, name):
         # an oracle that read the package's ranking or plan state would agree
@@ -225,11 +225,18 @@ class TestEngineAgainstOracles:
 
     def test_inconsistent_students_are_the_unheld_with_ranks_left(self, rng):
         # the repair cuts lists at the assigned prefix and never reads the
-        # flag, so the flag must mark exactly the students that still propose
+        # flags, so they must mark exactly the students that still propose:
+        # walked here proposal by proposal, not through the plan's helpers
         for plan, _ in seeded_oracle_plans(rng, 200):
-            k = plan.config.k
-            free = (plan.accepted_partner_array() < 0) & (plan.assigned_rank_counts() < k)
-            assert np.array_equal(plan.inconsistent, free)
+            n, k = plan.config.n, plan.config.k
+            held, assigned = [False] * n, [0] * n
+            for s, accepted in zip(plan.proposal_student.tolist(),
+                                   plan.proposal_accepted.tolist()):
+                if s >= 0:
+                    held[s] = held[s] or accepted
+                    assigned[s] += 1
+            free = [not held[s] and assigned[s] < k for s in range(n)]
+            assert plan.inconsistent.tolist() == free
 
 
 class TestOneSeatReceivers:
@@ -424,7 +431,7 @@ class TestSeededContinuation:
             config=cfg, proposal_uni=np.zeros(n, dtype=np.int64),
             proposal_rank=np.ones(n, dtype=np.int64), proposal_signal=np.arange(n, dtype=float),
             proposal_tiebreak=np.zeros(n), proposal_accepted=np.ones(n, dtype=bool),
-            proposal_student=np.arange(n), inconsistent=np.zeros(n, dtype=bool),
+            proposal_student=np.arange(n),
         )
         with pytest.raises(ValueError, match="^more holds than seats at a university$"):
             continue_rejection_chains(complete_instance(plan), plan)
