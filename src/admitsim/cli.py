@@ -6,9 +6,14 @@ invocations produce identical output files.  Replications run in stacks
 of up to ``_STACK_APPS`` applications, one block-diagonal instance each;
 every block is the market its replication samples alone, so results,
 split per block, do not depend on the stacking.  A sweep stacks the
-delta cells of each k together, each block with its own shift.  The
-records of ``simulate`` and ``sweep`` stay rank-count tables, one row per
-replication, until their rows are formatted column by column.
+delta cells of each k together, each block with its own shift.  One
+replication loop, ``_run_stacks``, serves every command that replicates:
+it maps a per-stack job over the stacks and returns the jobs' small
+results in stack order.  When the stacks can run apart (``_shares``),
+one process per usable CPU runs its share of them, this one and children
+forked from it, so the outputs do not depend on where a stack ran either.
+The records of ``simulate`` and ``sweep`` stay rank-count tables, one row
+per replication, until their rows are formatted column by column.
 """
 
 from __future__ import annotations
@@ -16,11 +21,15 @@ from __future__ import annotations
 import argparse
 import ctypes
 import json
+import os
+import pickle
 import sys
-from collections.abc import Callable, Iterator
-from functools import partial
+import threading
+import warnings
+from collections.abc import Callable
+from functools import cache, partial
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -55,9 +64,10 @@ __all__ = ["main"]
 # Each stack, and each of its DA rounds, pays a fixed numpy overhead, so fewer,
 # larger stacks are faster: at 2^16 the cli_small sweep, its three delta cells of
 # each k stacked together, runs 18 stacks (30 with one cell per stack, 66 at 2^14).
-# 2^17 runs that sweep about 4% faster, but its peak RSS is 10% above that at
-# 2^14 and the census's traced peak passed 10 MB with int64 ids (BENCH_15.json,
-# BENCH_22.json); with int32 ids it is 7.6 MB, not yet measured end to end (BENCH_27.json).
+# In one process 2^17 ran that sweep about 4% faster, but its peak RSS was 10%
+# above that at 2^14 (BENCH_15.json, BENCH_22.json), and the census's traced peak
+# is 7.6 MB at 2^17 against 5.1 MB at 2^16 (BENCH_27.json).  Each process, worker
+# or not, holds one stack at a time, so this also bounds each worker's memory.
 _STACK_APPS = 2**16
 
 
@@ -158,47 +168,173 @@ def _write(out: str | None, body: str | Callable[[Any], None], summary: str = ""
         raise OSError(f"cannot write output file {out}: {exc}") from exc
 
 
-def _streams(root: int, replications: int) -> tuple[list[int], np.ndarray]:
-    """Seeds ``child_seed(root, rep)`` of replications 0.. and their PCG64 state words."""
-    if replications < 1:
-        raise UsageError("--reps must be at least 1")
-    return _child_streams(root, 0, replications)
-
-
-def _replications(
-    config: MarketConfig, seeds: list[int], words: np.ndarray, shifts: np.ndarray | None = None
-) -> Iterator[tuple[int, list[int], MarketInstance]]:
-    """(first rep, seeds, stacked instance) per stack of replications of ``config``.
-
-    Replication ``rep`` is ``sample_market`` of seed ``seeds[rep]`` in any stack, its
-    generator built from its state words ``words[rep]`` (``market._child_streams``);
-    with ``shifts``, its Gaussian shift is ``shifts[rep]`` instead of the config's.
+class _Plan(NamedTuple):
+    """Replications of one root seed in stacks.  Row r is replication r: the
+    market of seed ``seeds[r]``, its generator built from the state words
+    ``words[r]`` (``market._child_streams``), with Gaussian shift ``shifts[r]``.
+    ``stacks`` holds each stack's market and rows, in order.
     """
-    size = max(1, _STACK_APPS // (config.n * config.k))
-    for rep in range(0, len(seeds), size):
-        rngs = [_seeded_generator(row) for row in words[rep : rep + size]]
-        stack_shifts = None if shifts is None else shifts[rep : rep + size]
-        yield rep, seeds[rep : rep + size], _sample_stack(config, rngs, stack_shifts)
+
+    seeds: list[int]
+    words: np.ndarray
+    shifts: np.ndarray
+    stacks: list[tuple[MarketConfig, np.ndarray]]
+
+
+def _plan(cells: list[MarketConfig], reps: int) -> _Plan:
+    """``reps`` replications of each market of ``cells`` in turn: rows
+    ``i * reps ...`` are those of ``cells[i]``.  The cells of one k differ only
+    in their shift, so they share stacks of up to ``_STACK_APPS`` applications.
+    """
+    if reps < 1:
+        raise UsageError("--reps must be at least 1")
+    seeds, words = _child_streams(cells[0].seed, 0, len(cells) * reps)
+    rows = np.arange(len(cells) * reps).reshape(len(cells), reps)
+    stacks = []
+    for k in dict.fromkeys(c.k for c in cells):
+        of_k = [i for i, c in enumerate(cells) if c.k == k]
+        config, at = cells[of_k[0]], rows[of_k].ravel()
+        size = max(1, _STACK_APPS // (config.n * k))
+        stacks += [(config, at[i : i + size]) for i in range(0, at.size, size)]
+    return _Plan(seeds, words, np.repeat([c.signal.delta for c in cells], reps), stacks)
+
+
+def _shares(stacks: list[tuple[MarketConfig, np.ndarray]]) -> list[list[int]]:
+    """The stack numbers each process runs, this one's first.
+
+    The stacks run apart when the OS forks (Linux), when there are two or
+    more and each holds two replications or more, so that every process holds
+    one stack as in process, and when no other Python thread runs, as a
+    child would hold only this thread and any lock another one held.  Then
+    one process per usable CPU, at most one per stack, splits them by
+    application count: each stack, largest first, goes to the process with
+    the fewest.
+    """
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and len(stacks) > 1
+            and all(rows.size > 1 for _, rows in stacks) and threading.active_count() == 1):
+        return [list(range(len(stacks)))]
+    workers = min(len(os.sched_getaffinity(0)), len(stacks))
+    apps = [rows.size * config.n * config.k for config, rows in stacks]
+    shares: list[list[int]] = [[] for _ in range(workers)]
+    loads = [0] * workers
+    for i in sorted(range(len(stacks)), key=apps.__getitem__, reverse=True):
+        least = loads.index(min(loads))
+        shares[least].append(i)
+        loads[least] += apps[i]
+    return [sorted(share) for share in shares]
+
+
+# Outcome of a share of stacks: {stack: result}, and (stack, exception) of the
+# first of them that raised, or None.
+_Outcome = tuple[dict[int, Any], tuple[int, BaseException] | None]
+
+# What CPython 3.12 and later warn on os.fork when the OS counts more than one thread.
+_FORK_WARNING = r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)"
+
+
+def _fork(work: Callable[[], _Outcome]) -> tuple[int, int]:
+    """Run ``work`` in a forked child: its pid, and the read end of the pipe
+    that brings back its pickled outcome, an exception as its type and message.
+    """
+    read, write = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Called with one Python thread (_shares).  The other threads the
+            # OS counts are numpy's OpenBLAS pool, which OpenBLAS shuts down
+            # across a fork (pthread_atfork), so the warning does not apply.
+            warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid:
+        os.close(write)
+        return pid, read
+    status = 1
+    try:  # the child ends here, whatever it raised, and flushes no inherited buffer
+        done, failure = work()
+        sent = None if failure is None else (failure[0], type(failure[1]), str(failure[1]))
+        with open(write, "wb") as pipe:
+            pickle.dump((done, sent), pipe, pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _reap(first: int, pid: int, read: int) -> _Outcome:
+    """The outcome child ``pid`` sent, its pipe read to EOF before the child
+    is waited for, as a child blocks on a full pipe.  A child that ended
+    without one fails at ``first``, the first stack of its share, with an
+    OSError naming its signal or exit status.
+    """
+    with open(read, "rb") as pipe:
+        data = pipe.read()
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code:
+        how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+        return {}, (first, OSError(f"a worker process {how} before sending its results"))
+    done, sent = pickle.loads(data)
+    if sent is None:
+        return done, None
+    stack, kind, message = sent
+    while True:  # the nearest class that takes a bare message, as BaseException does
+        try:
+            return done, (stack, kind(message))
+        except TypeError:  # numpy's MemoryError for a table that does not fit
+            kind = kind.__base__
+
+
+def _run_stacks(plan: _Plan, job: Callable[[MarketInstance, int], Any]) -> list[Any]:
+    """``job(instance, blocks)`` of each stack of ``plan``, sampled, in stack order.
+
+    With W > 1 shares (``_shares``), this process runs the first while
+    W - 1 forked children run theirs; each child inherits the plan and
+    ``job`` through the fork and sends back only its results.  The job of the
+    first stack, in stack order, that raised raises here, as in process.
+    """
+
+    def run(share: list[int]) -> _Outcome:
+        done = {}
+        for i in share:
+            config, rows = plan.stacks[i]
+            rngs = [_seeded_generator(words) for words in plan.words[rows]]
+            try:
+                done[i] = job(_sample_stack(config, rngs, plan.shifts[rows]), rows.size)
+            except Exception as exc:
+                return done, (i, exc)
+        return done, None
+
+    shares = _shares(plan.stacks)
+    children, outcomes = [], []
+    try:
+        for share in shares[1:]:
+            try:
+                children.append((share[0], *_fork(partial(run, share))))
+            except OSError:  # no process to spare: run the share here
+                outcomes.append(run(share))
+        outcomes.append(run(shares[0]))
+    finally:
+        outcomes += [_reap(*child) for child in children]
+    failures = [failure for _, failure in outcomes if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    done = {i: result for results, _ in outcomes for i, result in results.items()}
+    return [done[i] for i in range(len(plan.stacks))]
 
 
 def _records(cells: list[MarketConfig], reps: int) -> _RecordTable:
     """The records of ``reps`` school-proposing replications of each market of
-    ``cells`` in turn, all of one root seed: row r is replication r.  The cells
-    of one k differ only in their shift, so they share stacks."""
-    seeds, words = _streams(cells[0].seed, len(cells) * reps)
-    rows = np.arange(len(cells) * reps).reshape(len(cells), reps)
-    counts = np.zeros((rows.size, max(c.k for c in cells) + 1), dtype=np.int64)
-    for k in dict.fromkeys(c.k for c in cells):
-        of_k = [i for i, c in enumerate(cells) if c.k == k]
-        at = rows[of_k].ravel()
-        shifts = np.repeat([cells[i].signal.delta for i in of_k], reps)
-        for first, stack_seeds, stack in _replications(
-            cells[of_k[0]], [seeds[r] for r in at], words[at], shifts
-        ):
-            block = _block_records(stack, school_proposing_da(stack), len(stack_seeds))
-            stack_rows = at[first : first + len(stack_seeds)]
-            counts[stack_rows, :k], counts[stack_rows, -1] = block[:, :k], block[:, k]
-    return _record_table(cells, counts, np.array(seeds, dtype=np.uint64))
+    ``cells`` in turn, all of one root seed: row r is replication r."""
+    plan = _plan(cells, reps)
+
+    def rank_counts(stack: MarketInstance, blocks: int) -> np.ndarray:
+        return _block_records(stack, school_proposing_da(stack), blocks)
+
+    counts = np.zeros((len(plan.seeds), max(c.k for c in cells) + 1), dtype=np.int64)
+    for (config, rows), block in zip(plan.stacks, _run_stacks(plan, rank_counts)):
+        counts[rows, : config.k], counts[rows, -1] = block[:, : config.k], block[:, config.k]
+    return _record_table(cells, counts, np.array(plan.seeds, dtype=np.uint64))
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -272,41 +408,47 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_stable_partners(args: argparse.Namespace) -> int:
     config = _market_config(args)
+    n, m = config.n, config.m
+    plan = _plan([config], args.reps)
+
+    def yes_verdicts(stack: MarketInstance, blocks: int) -> tuple[list[int], ...]:
+        """Where each block's YES verdicts start, and their universities and
+        witnesses: block b's universities start at b * m, its students at b * n."""
+        reports = extra_stable_partner_reports(stack)
+        yes = np.flatnonzero(reports.verdict)
+        return (np.searchsorted(yes, m * np.arange(blocks + 1)).tolist(), (yes % m).tolist(),
+                (reports.witness[yes] - n * (yes // m)).tolist())
+
+    results = _run_stacks(plan, yes_verdicts)
+    # after the stacks, so a market too large to allocate fails before m rows are made
+    rows_no = [f"{u},NO,NULL" for u in range(m)]
     lines = ["rep,seed,university,verdict,witness"]
     summary = ["rep,seed,yes_fraction"]
-    n, m = config.n, config.m
-    for first, seeds, stack in _replications(config, *_streams(config.seed, args.reps)):
-        # after the stack, so a market too large to allocate fails before m rows are made
-        rows_no = [f"{u},NO,NULL" for u in range(m)]
-        reports = extra_stable_partner_reports(stack)
-        # the YES verdicts by stack id: block b's universities start at b * m,
-        # its students (the witnesses) at b * n
-        yes = np.flatnonzero(reports.verdict)
-        cuts = np.searchsorted(yes, m * np.arange(len(seeds) + 1)).tolist()
-        unis = (yes % m).tolist()
-        witnesses = (reports.witness[yes] - n * (yes // m)).tolist()
-        for b, (rep, seed) in enumerate(zip(range(first, first + len(seeds)), seeds)):
+    for (_, reps), (cuts, unis, witnesses) in zip(plan.stacks, results):
+        for b, rep in enumerate(reps.tolist()):
             rows = rows_no.copy()
             for i in range(cuts[b], cuts[b + 1]):
                 rows[unis[i]] = f"{unis[i]},YES,{witnesses[i]}"
-            prefix = f"{rep},{seed},"
+            prefix = f"{rep},{plan.seeds[rep]},"
             lines.append(prefix + ("\n" + prefix).join(rows))
-            summary.append(f"{rep},{seed},{format_number((cuts[b + 1] - cuts[b]) / m)}")
+            summary.append(prefix + format_number((cuts[b + 1] - cuts[b]) / m))
     _write(args.out, "\n".join(lines) + "\n", "\n".join(summary) + "\n")
     return 0
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     config = _market_config(args)
-    lines = ["rep,seed,diff_fraction"]
-    diffs: list[float] = []
-    for first, seeds, stack in _replications(config, *_streams(config.seed, args.reps)):
+    plan = _plan([config], args.reps)
+
+    def diff_fractions(stack: MarketInstance, blocks: int) -> list[float]:
         differs = student_proposing_da(stack).partner != school_proposing_da(stack).partner
-        for rep, seed, diff in zip(range(first, first + len(seeds)), seeds,
-                                   differs.reshape(len(seeds), -1).mean(axis=1).tolist()):
-            diffs.append(diff)
-            lines.append(f"{rep},{seed},{format_number(diff)}")
+        return differs.reshape(blocks, -1).mean(axis=1).tolist()
+
+    diffs = [diff for diffs in _run_stacks(plan, diff_fractions) for diff in diffs]
     if args.out:
+        lines = ["rep,seed,diff_fraction"]
+        lines += [f"{rep},{seed},{format_number(diff)}"
+                  for rep, (seed, diff) in enumerate(zip(plan.seeds, diffs))]
         _write(args.out, "\n".join(lines) + "\n")
     summary = {"replications": args.reps, "mean_difference": sum(diffs) / len(diffs)}
     sys.stdout.write(json.dumps(summary) + "\n")
@@ -327,6 +469,7 @@ def _add_market_flags(parser: argparse.ArgumentParser, per_market: bool = True) 
     parser.add_argument("--config", help="JSON file mirroring the configuration fields")
 
 
+@cache  # once per process: main() parses every command with it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="admitsim",

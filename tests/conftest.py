@@ -14,8 +14,10 @@ none of them reads a ranking that the package computed.
 from __future__ import annotations
 
 import heapq
+import os
 from collections import deque
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -447,3 +449,26 @@ def rejection_chains_oracle(instance: MarketInstance, plan: SeededProposalPlan) 
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
+
+
+@contextmanager
+def pinned_to_one_cpu() -> Iterator[None]:
+    """This process pinned to one of its CPUs, and with it any process it
+    starts meanwhile, so that the CLI runs every stack in process; the
+    affinity is restored afterwards.  Where the OS sets no affinity, the CLI
+    never forks."""
+    if not hasattr(os, "sched_setaffinity"):
+        yield
+        return
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, cpus)
+
+
+@pytest.fixture
+def one_cpu() -> Iterator[None]:
+    with pinned_to_one_cpu():
+        yield

@@ -6,8 +6,10 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import threading
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -26,6 +28,7 @@ from admitsim import (
     write_records_csv,
 )
 from admitsim.cli import _records_json, main
+from conftest import pinned_to_one_cpu
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -600,8 +603,9 @@ class TestStacking:
         ],
     )
     def test_outputs_equal_at_every_stack_budget(
-        self, tmp_path, capsys, monkeypatch, argv, partial
+        self, tmp_path, capsys, monkeypatch, one_cpu, argv, partial
     ):
+        # on one CPU every stack is sampled here, where the patch counts it
         from admitsim import cli
 
         outputs, stacks, shifts = [], {}, {}
@@ -630,6 +634,174 @@ class TestStacking:
             assert any(len(set(s)) == 2 for s in shifts[cli._STACK_APPS])
         assert outputs[0] == outputs[1] == outputs[2]
         assert len(outputs[0][1]) > 100
+
+
+def _forks_apart() -> bool:
+    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2)
+
+
+# Each command's stacks all hold two replications or more, at the default
+# budget and at 4096 applications, which leaves a partial last stack
+# (simulate 819 + 181 and 19 x 51 + 31; sweep k = 1 one stack of 1400, k = 4
+# 819 + 581, and 6 x 204 + 176, 27 x 51 + 23; stable-partners 3 x 81 + 9 and
+# 50 x 5 + 2; compare 218 + 218 + 64 and 38 x 13 + 6).
+_WORKER_RUNS = [
+    ["simulate", "--n", "20", "--k", "4", "--delta", "1", "--reps", "1000"],
+    ["simulate", "--n", "20", "--k", "4", "--delta", "1", "--reps", "1000", "--format", "json",
+     "--out", "{tmp}/records.json"],
+    ["sweep", "--n", "20", "--k-list", "1,4", "--deltas", "0,2", "--reps", "700",
+     "--out", "{tmp}/sweep.csv"],
+    ["stable-partners", "--n", "200", "--k", "4", "--m-ratio", "0.5", "--reps", "252",
+     "--out", "{tmp}/verdicts.csv"],
+    ["compare", "--n", "100", "--k", "3", "--reps", "500", "--out", "{tmp}/diffs.csv"],
+]
+_CENSUS = _WORKER_RUNS[3]
+
+
+@pytest.mark.skipif(not _forks_apart(), reason="stacks run apart on Linux with 2 CPUs or more")
+class TestWorkers:
+    """Stacks run on forked workers: same outputs, same errors, no child left."""
+
+    @staticmethod
+    def outputs(capsys, tmp_path, argv) -> tuple[int, str, str, dict[str, bytes]]:
+        for old in tmp_path.iterdir():
+            old.unlink()
+        code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv), "--seed", "11")
+        with pytest.raises(ChildProcessError):  # every child has been waited for
+            os.waitpid(-1, os.WNOHANG)
+        return code, out, err, {p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())}
+
+    @pytest.mark.parametrize("budget", [None, 4096])
+    @pytest.mark.parametrize("argv", _WORKER_RUNS)
+    def test_forked_outputs_equal_the_one_cpu_outputs(
+        self, tmp_path, capsys, monkeypatch, argv, budget
+    ):
+        from admitsim import cli
+
+        if budget is not None:
+            monkeypatch.setattr(cli, "_STACK_APPS", budget)
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        forked = self.outputs(capsys, tmp_path, argv)
+        assert forks and forked[0] == 0 and forked[2] == ""
+        forks.clear()
+        with pinned_to_one_cpu():
+            assert self.outputs(capsys, tmp_path, argv) == forked
+        assert not forks
+
+    # The error is raised in the children only, or in this process only, while
+    # a child runs; on one CPU, in this process.
+    @pytest.mark.parametrize("in_child", [True, False])
+    @pytest.mark.parametrize("error,code", [
+        (MemoryError("Unable to allocate 8.00 GiB"), 1),
+        (MemoryError(), 1),
+        (ValueError("a bad table"), 2),
+        (None, 1),  # numpy's MemoryError for a table that does not fit
+    ])
+    def test_an_error_ends_as_in_process(
+        self, tmp_path, capsys, monkeypatch, error, code, in_child
+    ):
+        from admitsim import cli
+
+        parent = os.getpid()
+
+        def failing(instance):
+            if (os.getpid() != parent) == in_child or len(os.sched_getaffinity(0)) == 1:
+                if error is None:
+                    np.empty(1 << 50, dtype=np.uint8)
+                raise error
+            return reports(instance)
+
+        reports = cli.extra_stable_partner_reports
+        monkeypatch.setattr(cli, "extra_stable_partner_reports", failing)
+        forked = self.outputs(capsys, tmp_path, _CENSUS)
+        with pinned_to_one_cpu():
+            assert self.outputs(capsys, tmp_path, _CENSUS) == forked
+        assert forked[:2] == (code, "") and forked[2].count("\n") == 1
+        expected = "Unable to allocate 1.00 PiB" if error is None else str(error) or "out of memory"
+        assert forked[2].startswith(f"error: {expected}")
+
+    @pytest.mark.parametrize("first_fails", [True, False])
+    def test_the_first_failing_stack_in_stack_order_raises(
+        self, tmp_path, capsys, monkeypatch, first_fails
+    ):
+        # the census's stacks hold 81, 81, 81 and 9 markets: on two CPUs this
+        # process runs stacks 0 and 2, a child 1 and 3
+        from admitsim import cli
+
+        market = MarketConfig(n=200, k=4, m_ratio=0.5, seed=child_seed(11, 0))
+        first = sample_market(market).signals[0, 0]  # block 0 of stack 0
+
+        def failing(instance):
+            if first_fails or instance.signals[0, 0] != first:
+                raise ValueError(f"stack from signal {instance.signals[0, 0]!r}")
+            return reports(instance)
+
+        reports = cli.extra_stable_partner_reports
+        monkeypatch.setattr(cli, "extra_stable_partner_reports", failing)
+        forked = self.outputs(capsys, tmp_path, _CENSUS)
+        with pinned_to_one_cpu():
+            assert self.outputs(capsys, tmp_path, _CENSUS) == forked
+        assert forked[0] == 2 and (repr(first) in forked[2]) == first_fails
+
+    @pytest.mark.parametrize("end,message", [
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), f"was killed by signal {signal.SIGKILL}"),
+        (lambda: os._exit(3), "exited with status 3"),
+    ])
+    def test_a_child_that_dies_without_results_is_an_os_error(
+        self, tmp_path, capsys, monkeypatch, end, message
+    ):
+        from admitsim import cli
+
+        parent = os.getpid()
+
+        def dying(instance):
+            if os.getpid() != parent:
+                end()
+            return reports(instance)
+
+        reports = cli.extra_stable_partner_reports
+        monkeypatch.setattr(cli, "extra_stable_partner_reports", dying)
+        code, out, err, _ = self.outputs(capsys, tmp_path, _CENSUS)
+        assert (code, out) == (1, "")
+        assert err == f"error: a worker process {message} before sending its results\n"
+
+    def test_no_fork_while_another_python_thread_runs(self, tmp_path, capsys, monkeypatch):
+        def refuse():
+            raise AssertionError("forked with a second thread alive")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(60,))
+        thread.start()
+        try:
+            code, _, err, files = self.outputs(capsys, tmp_path, _WORKER_RUNS[2])
+        finally:
+            release.set()
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert (code, err) == (0, "") and files["sweep.csv"]
+
+    # CPython 3.12 and later warn on a fork while the OS counts more than one
+    # thread, as numpy's default BLAS pool makes it.  Under "error" CPython
+    # drops the raised warning itself; under "always" it would print it.
+    @pytest.mark.parametrize("action", ["error", "always"])
+    def test_forked_sweep_warns_nothing(self, tmp_path, action):
+        env = {key: value for key, value in _source_env().items()
+               if key not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+        cpu = min(os.sched_getaffinity(0))
+        runs = []
+        for pin in (None, lambda: os.sched_setaffinity(0, {cpu})):
+            out = tmp_path / f"sweep-{len(runs)}.csv"
+            argv = [sys.executable, "-W", f"{action}::DeprecationWarning", "-m", "admitsim",
+                    *(a.format(tmp=tmp_path) for a in _WORKER_RUNS[2][:-1]), str(out)]
+            proc = subprocess.run(argv, capture_output=True, text=True, env=env,
+                                  preexec_fn=pin, timeout=60)
+            assert (proc.returncode, proc.stderr) == (0, "")
+            runs.append((proc.stdout, out.read_bytes(),
+                         Path(f"{out}.summary.csv").read_bytes()))
+        assert runs[0] == runs[1]
 
 
 class TestOneReplicationAtATime:

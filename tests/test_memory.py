@@ -1,5 +1,5 @@
 """Memory: freed heap stays mapped once the CLI module is imported, and only
-then; the CLI's replication stacks stay small, a large market's scratch
+then; the CLI's replication stacks stay small, all run in one process, a large market's scratch
 tables are gone before it ranks, deferred acceptance, the repair and the
 census read the tables the market keeps and drop each array once read, and a
 large benchmark item's seeded step stays within its bound."""
@@ -41,7 +41,9 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 
 # Prints the peak traced memory, in MB above the start, of one CLI command: the
 # benchmark's stable-partner census (20 markets of 10 000 applications) or its
-# sweep (1500 markets of n = 100, in 18 stacks).
+# sweep (1500 markets of n = 100, in 18 stacks).  The tests run it on one CPU,
+# where every stack runs in this process: a forked worker's stacks are traced
+# in the worker's copy only.
 _CLI_PEAK = """
 import sys
 import tracemalloc
@@ -140,14 +142,14 @@ def test_bare_import_leaves_the_allocator_alone():
     assert int(_run(_ROUNDS, "admitsim")) >= 1000
 
 
-def test_stable_partner_stacks_stay_within_their_memory_bound(tmp_path):
+def test_stable_partner_stacks_stay_within_their_memory_bound(tmp_path, one_cpu):
     # 4.7 MB at 2^14 applications per stack, 5.1 MB at 2^16, 7.6 MB at 2^17;
     # 6.2 MB at 2^16 with int64 places and order
     argv = ["stable-partners", "--n", "2000", "--k", "5", "--reps", "20"]
     assert float(_run(_CLI_PEAK, *argv, "--out", str(tmp_path / "partners.csv"))) < 5.4
 
 
-def test_sweep_stacks_stay_within_the_census_memory_bound(tmp_path):
+def test_sweep_stacks_stay_within_the_census_memory_bound(tmp_path, one_cpu):
     # 4.6 MB with the delta cells of each k sharing stacks, as more of them
     # reach 2^16 applications; 5.8 MB with int64 places and order
     argv = ["sweep", "--n", "100", "--k-min", "1", "--k-max", "10", "--deltas", "0,1,2",
